@@ -6,7 +6,8 @@ checks; `synth`, `quantize`, `complete`, and `spectrum` expose the pipeline
 stages one at a time through the snapshot CSV interchange format.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
-(divergence, dynamic-range violation, or a failed theory check).
+(divergence, an all-zero completion, dynamic-range violation, or a failed
+theory check).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from . import pipeline
 from .completion import (
     SvtDivergenceError,
+    SvtZeroIterateError,
     build_quantized_hankel,
     rank_projected_snapshot,
     svt_complete,
@@ -332,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SvtDivergenceError, DynamicRangeViolation) as exc:
+    except (SvtDivergenceError, SvtZeroIterateError, DynamicRangeViolation) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ScenarioError as exc:

@@ -7,6 +7,9 @@ Iteration, from y0 = 0 over the observed cells:
     y_k = y_{k-1} + step * (b - gather(X_k))
 
 stopping when ||gather(X_k) - b|| / ||b|| <= tol or at max_iters.
+
+svt_complete and rank_projected_snapshot run with OpenBLAS pinned to one
+thread, so their output does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -61,6 +64,18 @@ class SvtDivergenceError(RuntimeError):
         )
 
 
+class SvtZeroIterateError(RuntimeError):
+    """The solver stopped with an all-zero iterate on nonzero data: no
+    singular value ever exceeded tau, so there is nothing to fold back."""
+
+    def __init__(self, iters: int):
+        self.iters = iters
+        super().__init__(
+            f"completion is all zero after {iters} iterations "
+            "(no singular value exceeded tau; raise max_iters or lower tau)"
+        )
+
+
 @dataclass
 class CompletionResult:
     matrix: np.ndarray
@@ -78,7 +93,9 @@ def svt_iterate(
     """Core solver on an arbitrary (values, observed-mask) pair.
 
     Returns (x_hat, residual trace, rank trace, converged).  The solver sees
-    only the observed values; how they were produced does not enter.
+    only the observed values; how they were produced does not enter.  Raises
+    SvtDivergenceError when the residual runs away and SvtZeroIterateError
+    when nonzero data leaves the iterate at zero.
     """
     values = np.asarray(values, dtype=np.complex128)
     observed = np.asarray(observed, dtype=bool)
@@ -125,13 +142,16 @@ def svt_iterate(
             raise SvtDivergenceError(len(residuals), np.asarray(residuals))
         y += step * r
 
+    if not x.any():
+        raise SvtZeroIterateError(len(residuals))
     return x, np.asarray(residuals), np.asarray(ranks, dtype=np.int64), converged
 
 
 def svt_complete(view: HankelView, cfg: SvtConfig | None = None) -> CompletionResult:
     """Complete a Hankel observation and fold the result back to a snapshot."""
     cfg = cfg if cfg is not None else SvtConfig()
-    x, residuals, ranks, converged = svt_iterate(view.matrix, view.omega, cfg)
+    with linalg.single_thread_blas():
+        x, residuals, ranks, converged = svt_iterate(view.matrix, view.omega, cfg)
     data_residual = float(np.linalg.norm(x[view.omega] - view.matrix[view.omega]))
     return CompletionResult(
         matrix=x,
@@ -220,7 +240,8 @@ def rank_projected_snapshot(matrix: np.ndarray, rank: int) -> Snapshot:
     if rank < 1:
         raise ValueError("rank must be at least 1")
     averaged = lift(dehankelize(matrix))
-    f = linalg.svd(averaged.matrix)
-    kept = f.sigma.copy()
-    kept[rank:] = 0.0
-    return dehankelize((f.u * kept) @ f.v.conj().T)
+    with linalg.single_thread_blas():
+        f = linalg.svd(averaged.matrix)
+        kept = f.sigma.copy()
+        kept[rank:] = 0.0
+        return dehankelize((f.u * kept) @ f.v.conj().T)

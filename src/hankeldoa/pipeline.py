@@ -2,9 +2,12 @@
 
 run_scenario drives one seeded batch through synthesis, cell-level
 quantization, completion, rank projection, and spectra, then writes the CSV
-outputs and a manifest whose hash covers every deterministic field.  The
-theory battery bundles the Monte-Carlo checks of the quantizer identities
-and the embedding bound behind one call.
+outputs and a manifest whose hash covers every deterministic field.  The runs
+of a batch are independent and execute concurrently on threads, with
+OpenBLAS pinned to one thread, so the hash depends on neither the BLAS
+thread count nor the worker count.  The theory battery bundles the
+Monte-Carlo checks of the quantizer identities and the embedding bound
+behind one call.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .completion import (
 )
 from .geometry import masking_vector
 from .hankel import lift
+from .linalg import single_thread_blas
 from .quant import QuantScheme, design_scales, quantize_mixed
 from .scenario import (
     Scenario,
@@ -190,9 +195,10 @@ class RunSummary:
 class RunManifest:
     """Everything a re-run needs to reproduce and verify a scenario batch.
 
-    The hash covers the experiment identity and results; the output location
-    and stage timings stay outside it, so re-running the same scenario into a
-    different directory reports the same hash.
+    The hash covers the experiment identity and results; the output location,
+    the stage timings and the numerical environment stay outside it, so
+    re-running the same scenario into a different directory, or on another
+    thread count, reports the same hash.
     """
 
     scenario_name: str
@@ -204,11 +210,12 @@ class RunManifest:
     out_dir: str = ""
     outputs: list[str] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
     manifest_hash: str = ""
 
     def hashed_payload(self) -> dict:
-        """The manifest minus its volatile fields (out_dir, timings, the hash
-        itself)."""
+        """The manifest minus its volatile fields (out_dir, timings,
+        environment, the hash itself)."""
         payload = {
             "scenario_name": self.scenario_name,
             "scenario_hash": self.scenario_hash,
@@ -263,6 +270,22 @@ def _structure(scn: Scenario):
         "model_order": scn.model_order,
     }
     return geom, ind, derived
+
+
+def _environment(solver_blas_threads: int | None, workers: int) -> dict:
+    """The numerical environment a batch ran in: numpy, its BLAS build, the
+    solver's BLAS thread count (None when unpinned) and the worker count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_build = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # numpy before 1.25 has no dict mode
+        blas_build = None
+    return {
+        "numpy": np.__version__,
+        "blas": blas_build,
+        "solver_blas_threads": solver_blas_threads,
+        "workers": workers,
+    }
 
 
 def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
@@ -369,7 +392,15 @@ def run_scenario(
     Overrides replace the scenario's own values before hashing, so the
     manifest always describes exactly what ran.  write=False computes the
     manifest without touching the filesystem.
+
+    Runs execute on up to one thread per CPU in the affinity set, with
+    OpenBLAS pinned to one thread; results are collected in run order.  When
+    no OpenBLAS can be pinned, the runs execute one after another.
     """
+    # Imported here to keep the executor's import off `import hankeldoa`.
+    from concurrent.futures import ThreadPoolExecutor
+
+    t_start = time.perf_counter()
     updates = {}
     if runs is not None:
         updates["runs"] = runs
@@ -392,10 +423,19 @@ def run_scenario(
         runs=[],
         out_dir=scn.out_dir,
     )
+    with single_thread_blas() as pinned:
+        workers = min(scn.runs, len(os.sched_getaffinity(0))) if pinned else 1
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(
+                pool.map(partial(execute_run, scn, geom, ind), range(scn.runs))
+            )
+    manifest.environment = _environment(pinned, workers)
+
+    # Stage times are summed over runs, which overlap on the pool, so their
+    # total can exceed the batch's own duration, recorded as "wall".
     timings: dict[str, float] = {}
     all_artifacts = []
-    for run in range(scn.runs):
-        summary, artifacts, t = execute_run(scn, geom, ind, run)
+    for summary, artifacts, t in results:
         manifest.runs.append(summary)
         all_artifacts.append(artifacts)
         for key, val in t.items():
@@ -474,6 +514,7 @@ def run_scenario(
         outputs.extend(["peaks.csv", "runs.csv", "manifest.json"])
         timings["write"] = time.perf_counter() - t0
 
+    timings["wall"] = time.perf_counter() - t_start
     manifest.outputs = sorted(outputs)
     manifest.timings = {k: round(v, 6) for k, v in timings.items()}
     manifest.manifest_hash = manifest.compute_hash()
@@ -482,6 +523,7 @@ def run_scenario(
         payload = manifest.hashed_payload()
         payload["out_dir"] = manifest.out_dir
         payload["timings"] = manifest.timings
+        payload["environment"] = manifest.environment
         payload["manifest_hash"] = manifest.manifest_hash
         with open(
             os.path.join(scn.out_dir, "manifest.json"), "w", encoding="utf-8"

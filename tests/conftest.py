@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hankeldoa import linalg
 from hankeldoa.geometry import RadarUnit, synthesize_virtual_array
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
@@ -29,3 +30,13 @@ def constant_masked(masked: Snapshot, value: complex) -> Snapshot:
     """Replace every observed entry of a masked snapshot with one value."""
     values = np.where(masked.mask.astype(bool), value, 0.0).astype(complex)
     return Snapshot(values, masked.mask.copy(), SnapshotKind.MASKED)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads for the test, so a restore is observable;
+    the previous count comes back afterwards."""
+    before = linalg.blas_threads()
+    linalg._OPENBLAS._set(2)
+    yield
+    linalg._OPENBLAS._set(before)

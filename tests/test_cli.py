@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from hankeldoa import pipeline
 from hankeldoa.cli import main
+from hankeldoa.completion import SvtDivergenceError
 from hankeldoa.pipeline import read_snapshot_csv
 
 DIVERGENT_INI = """
@@ -20,6 +22,20 @@ angles_deg = -34.0, 18.0
 [svt]
 step = 400.0
 max_iters = 120
+"""
+
+# Three iterations leave every singular value below tau: the completion
+# stays all zero.
+STARVED_INI = """
+[scenario]
+name = starved
+runs = 2
+
+[scene]
+angles_deg = -34.0, 18.0
+
+[svt]
+max_iters = 3
 """
 
 
@@ -198,6 +214,31 @@ def test_divergence_is_numerical_failure(tmp_path, capsys):
     path = tmp_path / "runaway.ini"
     path.write_text(DIVERGENT_INI, encoding="utf-8")
     code = main(["complete", str(path), "--out", str(tmp_path / "d")])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "complete"])
+def test_all_zero_completion_is_numerical_failure(tmp_path, capsys, command):
+    path = tmp_path / "starved.ini"
+    path.write_text(STARVED_INI, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 3
+    assert "all zero" in capsys.readouterr().err
+    assert not (out / "completed.csv").exists()
+
+
+def test_failure_in_a_later_run_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    real = pipeline.execute_run
+
+    def failing(scn, geom, ind, run):
+        if run == 1:
+            raise SvtDivergenceError(30, np.array([1.0, 50.0]))
+        return real(scn, geom, ind, run)
+
+    monkeypatch.setattr(pipeline, "execute_run", failing)
+    code = main(["run", "two_targets_first4", "--out", str(tmp_path / "o"),
+                 "--runs", "2"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
 

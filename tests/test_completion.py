@@ -6,6 +6,7 @@ import pytest
 from hankeldoa.completion import (
     SvtConfig,
     SvtDivergenceError,
+    SvtZeroIterateError,
     build_quantized_hankel,
     rank_projected_snapshot,
     svt_complete,
@@ -96,6 +97,13 @@ def test_divergence_detector_raises():
     truth, values, mask = rank_one_problem(seed=3)
     with pytest.raises(SvtDivergenceError):
         svt_iterate(values, mask, SvtConfig(step=400.0, max_iters=200))
+
+
+def test_zero_iterate_on_nonzero_data_raises():
+    truth, values, mask = rank_one_problem(seed=3)
+    with pytest.raises(SvtZeroIterateError) as exc:
+        svt_iterate(values, mask, SvtConfig(tau=1e6, max_iters=3))
+    assert exc.value.iters == 3
 
 
 def paper_view_and_scheme(two_unit_geom, seed_signal=0, seed_dither=1000):

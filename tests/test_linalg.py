@@ -1,9 +1,14 @@
-"""Complex SVD wrapper and the singular value shrinkage operator."""
+"""Complex SVD wrapper, the singular value shrinkage operator, and the
+OpenBLAS one-thread pin."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from hankeldoa.linalg import shrink, svd
+from hankeldoa import linalg
+from hankeldoa.linalg import blas_threads, shrink, single_thread_blas, svd
 
 
 def test_identity_singular_values():
@@ -84,3 +89,91 @@ def test_shrink_solves_the_nuclear_norm_prox():
 def test_shrink_validates_tau():
     with pytest.raises(ValueError):
         shrink(np.eye(2, dtype=complex), -1.0)
+
+
+def test_blas_pin_is_available():
+    # A renamed OpenBLAS symbol must fail here rather than silently leave
+    # the solver on the thread-count-dependent path.
+    assert blas_threads() is not None
+    with single_thread_blas() as pinned:
+        assert pinned == 1
+        assert blas_threads() == 1
+
+
+def test_blas_pin_without_openblas_changes_nothing(monkeypatch):
+    monkeypatch.setattr(linalg, "_OPENBLAS_SYMBOLS", ())
+    pin = linalg._OpenBlasThreads()
+    before = blas_threads()
+    with pin.pinned() as pinned:
+        assert pinned is None
+        assert blas_threads() == before
+    assert pin.threads() is None
+
+
+def test_blas_pin_restores_on_last_exit_only(two_blas_threads):
+    with single_thread_blas():
+        with single_thread_blas():
+            assert blas_threads() == 1
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+def test_blas_pin_restores_when_the_body_raises(two_blas_threads):
+    with pytest.raises(RuntimeError):
+        with single_thread_blas():
+            raise RuntimeError("boom")
+    assert blas_threads() == 2
+
+
+def test_blas_pin_concurrent_entries(two_blas_threads):
+    entered = threading.Event()
+    release = threading.Event()
+    seen = []
+
+    def holder():
+        with single_thread_blas():
+            entered.set()
+            release.wait(timeout=10)
+        seen.append(blas_threads())
+
+    worker = threading.Thread(target=holder)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        with single_thread_blas():
+            release.set()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            # The other thread left first; this entry still holds the pin.
+            assert seen == [1]
+            assert blas_threads() == 1
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert blas_threads() == 2
+
+
+def test_blas_pin_stress(two_blas_threads):
+    # More threads than cores, switching often: a lost update of the entry
+    # count would restore early (a holder sees 2) or never (2 is not back).
+    wrong = []
+
+    def churn():
+        for _ in range(200):
+            with single_thread_blas():
+                if blas_threads() != 1:
+                    wrong.append(blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+    assert blas_threads() == 2

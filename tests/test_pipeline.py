@@ -1,12 +1,22 @@
 """Batch execution, CSV interchange, manifests, the verification battery."""
 
+import contextlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hankeldoa.completion import build_quantized_hankel
+import hankeldoa
+from hankeldoa import pipeline
+from hankeldoa.completion import (
+    SvtDivergenceError,
+    SvtZeroIterateError,
+    build_quantized_hankel,
+)
+from hankeldoa.linalg import blas_threads
 from hankeldoa.pipeline import (
     DITHER_GRID,
     EMBEDDING_EPSILONS,
@@ -21,7 +31,7 @@ from hankeldoa.pipeline import (
     write_theory_csvs,
     write_trace_csv,
 )
-from hankeldoa.quant import QuantScheme, design_scales
+from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales
 from hankeldoa.scenario import (
     load_bundled,
     parse_scenario,
@@ -99,6 +109,7 @@ def test_hash_ignores_volatile_fields(single_run_manifest):
         out_dir="somewhere/else",
         outputs=manifest.outputs,
         timings={"synthesize": 99.0},
+        environment={"workers": 7},
     )
     assert relocated.compute_hash() == manifest.compute_hash()
     renamed = RunManifest(
@@ -140,6 +151,12 @@ def test_written_batch_layout(first4_scenario, tmp_path):
     assert payload["manifest_hash"] == manifest.manifest_hash
     assert payload["out_dir"] == str(out)
     assert len(payload["runs"]) == 2
+    assert "wall" in payload["timings"]
+    env = payload["environment"]
+    assert set(env) == {"numpy", "blas", "solver_blas_threads", "workers"}
+    assert env["numpy"] == np.__version__
+    assert env["solver_blas_threads"] == 1
+    assert env == manifest.environment
     with open(out / "runs.csv", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
     assert header[:6] == [
@@ -166,6 +183,78 @@ def test_rerun_is_byte_identical(first4_scenario, tmp_path):
         if name == "manifest.json":
             continue
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+HASH_SCRIPT = (
+    "from hankeldoa import load_bundled, run_scenario;"
+    "print(run_scenario(load_bundled('five_targets'), runs=2, write=False)"
+    ".manifest_hash)"
+)
+
+
+def test_hash_independent_of_blas_thread_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hankeldoa.__file__)))
+    hashes = []
+    for threads in ("1", "2", None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", HASH_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        hashes.append(out.stdout.strip())
+    assert len(hashes[0]) == 64
+    assert hashes[0] == hashes[1] == hashes[2]
+
+
+def test_hash_independent_of_worker_count(monkeypatch):
+    scn = load_bundled("five_targets")
+    manifests = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        manifests.append(run_scenario(scn, runs=2, write=False))
+    assert [m.environment["workers"] for m in manifests] == [1, 2]
+    assert manifests[0].manifest_hash == manifests[1].manifest_hash
+
+
+def test_unpinned_batch_runs_one_run_at_a_time(monkeypatch):
+    monkeypatch.setattr(
+        pipeline, "single_thread_blas", lambda: contextlib.nullcontext(None)
+    )
+    manifest = run_scenario(load_bundled("five_targets"), runs=2, write=False)
+    assert manifest.environment["workers"] == 1
+    assert manifest.environment["solver_blas_threads"] is None
+    assert [r.run for r in manifest.runs] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        SvtDivergenceError(30, np.array([1.0, 50.0])),
+        DynamicRangeViolation(6, 2.0, 1.0, "real"),
+        SvtZeroIterateError(3),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_typed_failure_in_a_later_run(first4_scenario, monkeypatch, two_blas_threads,
+                                      error):
+    real = pipeline.execute_run
+
+    def failing(scn, geom, ind, run):
+        if run == 1:
+            raise error
+        return real(scn, geom, ind, run)
+
+    monkeypatch.setattr(pipeline, "execute_run", failing)
+    with pytest.raises(type(error)) as raised:
+        run_scenario(first4_scenario, runs=2, write=False)
+    assert raised.value is error
+    assert blas_threads() == 2
 
 
 def test_spectra_csv_schema(first4_scenario, tmp_path, two_unit_geom):

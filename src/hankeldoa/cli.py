@@ -24,7 +24,7 @@ from .completion import (
     rank_projected_snapshot,
     svt_complete,
 )
-from .quant import DynamicRangeViolation, QuantScheme, design_scales, quantize_mixed
+from .quant import DynamicRangeViolation, QuantScheme, quantize_mixed
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -195,10 +195,8 @@ def _scheme_for(args, scn: Scenario, masked) -> QuantScheme:
             f"snapshot length {masked.m} does not match the scenario aperture "
             f"{ind.shape[0]}"
         )
-    levels = 2 ** (scn.bits - 1)
-    d1, d2 = design_scales(masked, margin=scn.margin, levels=levels)
     seed = scn.seed_dither if args.seed_dither is None else args.seed_dither
-    return QuantScheme(d1, d2, scn.bits, ind, dither_seed=seed + args.run)
+    return pipeline.quant_scheme(scn, masked, ind, seed + args.run)
 
 
 def cmd_run(args) -> int:

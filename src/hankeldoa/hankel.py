@@ -8,17 +8,10 @@ same antenna value, so observation sets are tracked at cell granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .signal import Snapshot, SnapshotKind
-
-
-class CellSubset(str, Enum):
-    OMEGA = "omega"
-    OMEGA1 = "omega1"
-    OMEGA2 = "omega2"
 
 
 def hankel_shape(m: int) -> tuple[int, int]:
@@ -95,19 +88,6 @@ def lift(y: Snapshot, delta_indicator: np.ndarray | None = None) -> HankelView:
             raise ValueError("delta_indicator length does not match the snapshot")
         omega2 = ind[idx] & omega
     return HankelView(matrix, omega, omega & ~omega2, omega2)
-
-
-def project(view: HankelView, subset: CellSubset | str) -> HankelView:
-    """Zero the matrix outside the chosen cell subset; bookkeeping is unchanged."""
-    subset = CellSubset(subset)
-    keep = {
-        CellSubset.OMEGA: view.omega,
-        CellSubset.OMEGA1: view.omega1,
-        CellSubset.OMEGA2: view.omega2,
-    }[subset]
-    return HankelView(
-        np.where(keep, view.matrix, 0.0), view.omega, view.omega1, view.omega2
-    )
 
 
 def dehankelize(matrix: np.ndarray) -> Snapshot:

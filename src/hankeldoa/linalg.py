@@ -27,23 +27,28 @@ class SVDFactors:
     sigma: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.conj().T
-
 
 def svd(x: np.ndarray) -> SVDFactors:
     u, s, vh = np.linalg.svd(np.asarray(x), full_matrices=False)
     return SVDFactors(u, s, vh.conj().T)
 
 
-def shrink(x: np.ndarray, tau: float) -> np.ndarray:
+def shrink(
+    x: np.ndarray, tau: float, rank_cap: int | None = None
+) -> tuple[np.ndarray, int]:
     """Singular value soft-thresholding: subtract tau from every singular value,
-    clip at zero, reconstruct."""
+    clip at zero, keep at most rank_cap of them, reconstruct.
+
+    Returns the matrix and its rank, the number of singular values kept.
+    tau = 0 with a rank_cap is the truncated SVD.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     f = svd(x)
     kept = np.maximum(f.sigma - tau, 0.0)
-    return (f.u * kept) @ f.v.conj().T
+    if rank_cap is not None:
+        kept[rank_cap:] = 0.0
+    return (f.u * kept) @ f.v.conj().T, int(np.count_nonzero(kept))
 
 
 class _OpenBlasThreads:

@@ -31,7 +31,9 @@ from .completion import (
 from .geometry import masking_vector
 from .hankel import lift
 from .linalg import single_thread_blas
-from .quant import QuantScheme, design_scales, quantize_mixed
+from .quant import QuantScheme, design_scales
+# Not called here; the benchmark's tracer looks the name up on this module.
+from .quant import quantize_mixed
 from .scenario import (
     Scenario,
     geometry_of,
@@ -293,6 +295,14 @@ def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
     return scn.seed_signal + run, scn.seed_dither + run
 
 
+def quant_scheme(scn: Scenario, masked: Snapshot, ind, dither_seed: int) -> QuantScheme:
+    """The scenario's quantizer for one masked snapshot: steps sized from the
+    observed data with the scenario's word length and margin, the multi-bit
+    indicator ind, and the given dither seed."""
+    d1, d2 = design_scales(masked, margin=scn.margin, levels=2 ** (scn.bits - 1))
+    return QuantScheme(d1, d2, scn.bits, ind, dither_seed=dither_seed)
+
+
 def execute_run(scn: Scenario, geom, ind, run: int):
     """One seeded pass from synthesis to spectra.
 
@@ -306,9 +316,7 @@ def execute_run(scn: Scenario, geom, ind, run: int):
     t["synthesize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    levels = 2 ** (scn.bits - 1)
-    d1, d2 = design_scales(masked, margin=scn.margin, levels=levels)
-    scheme = QuantScheme(d1, d2, scn.bits, ind, dither_seed=s_dith)
+    scheme = quant_scheme(scn, masked, ind, s_dith)
     view = build_quantized_hankel(masked, scheme)
     t["quantize"] = time.perf_counter() - t0
 
@@ -342,17 +350,17 @@ def execute_run(scn: Scenario, geom, ind, run: int):
         DIAGNOSTIC_EPS,
         int(view.omega1.sum()),
         int(view.omega2.sum()),
-        d1,
-        d2,
-        levels,
+        scheme.delta1,
+        scheme.delta2,
+        scheme.levels,
     )
 
     summary = RunSummary(
         run=run,
         seed_signal=s_sig,
         seed_dither=s_dith,
-        delta1=d1,
-        delta2=d2,
+        delta1=scheme.delta1,
+        delta2=scheme.delta2,
         iters=result.iters,
         converged=result.converged,
         final_residual=float(result.residuals[-1]),
@@ -372,9 +380,6 @@ def execute_run(scn: Scenario, geom, ind, run: int):
         "spectra": [spec_sla, spec_comp],
         "residuals": result.residuals,
         "ranks": result.ranks,
-        "masked": masked,
-        "quantized_antennas": quantize_mixed(masked, scheme),
-        "completed": snap_hat,
     }
     return summary, artifacts, t
 

@@ -75,18 +75,46 @@ def uniform_quantize(x, delta: float, tau, levels: int | None = None):
     return delta * (cell + 0.5)
 
 
-def quantize_scalar(x: float, delta: float, tau: float, levels: int) -> float:
-    """Single-value saturating quantizer; see uniform_quantize."""
-    if not np.isfinite(x) or not np.isfinite(tau):
-        raise ValueError("x and tau must be finite")
-    return float(uniform_quantize(x, delta, tau, levels))
-
-
 def one_bit(x: float, delta1: float, tau: float) -> float:
-    """Sign quantizer scaled to +/- delta1/2; valid only when |x| <= delta1/2."""
-    if abs(x) > delta1 / 2.0:
-        raise DynamicRangeViolation(None, x, delta1 / 2.0, "value")
+    """Sign quantizer scaled to +/- delta1/2; valid only when |x| <= delta1/2.
+    The scalar reference that the vectorized one-bit cells are tested against."""
+    check_one_bit_range(x, True, delta1 / 2.0, None)
     return delta1 / 2.0 if x + tau >= 0 else -delta1 / 2.0
+
+
+def check_one_bit_range(values, coarse, limit: float, antenna) -> None:
+    """Raise DynamicRangeViolation for the first one-bit cell, in row-major
+    order, whose real part (checked first) or imaginary part exceeds limit in
+    magnitude.  antenna gives each cell's 1-based antenna index, or is None
+    when the values carry no antenna."""
+    values = np.asarray(values)
+    for part, data in (("real", values.real), ("imag", values.imag)):
+        bad = coarse & (np.abs(data) > limit)
+        if np.any(bad):
+            cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            where = None if antenna is None else int(antenna[cell])
+            raise DynamicRangeViolation(where, float(data[cell]), limit, part)
+
+
+def quantize_cells(values, observed, fine, tau, scheme: QuantScheme) -> np.ndarray:
+    """The mixed-precision rule on an array of complex cells.
+
+    A fine (multi-bit) cell takes the saturating delta2 quantizer, any other
+    observed cell the one-bit one, uniform_quantize with one level, which is
+    +/-(delta1/2)*sgn(x + tau) exactly; unobserved cells are 0.  tau holds
+    each cell's complex dither, the real and imaginary parts quantizing
+    independently.  The range of the one-bit cells is the caller's to check.
+    """
+    values = np.asarray(values)
+    coarse = observed & ~fine
+    out = np.zeros(values.shape, dtype=np.complex128)
+    classes = ((coarse, scheme.delta1, 1), (fine, scheme.delta2, scheme.levels))
+    for cells, delta, levels in classes:
+        if np.any(cells):
+            q_re = uniform_quantize(values.real[cells], delta, tau.real[cells], levels)
+            q_im = uniform_quantize(values.imag[cells], delta, tau.imag[cells], levels)
+            out[cells] = q_re + 1j * q_im
+    return out
 
 
 def design_scales(masked: Snapshot, margin: float, levels: int) -> tuple[float, float]:
@@ -137,28 +165,10 @@ def quantize_mixed(masked: Snapshot, scheme: QuantScheme) -> Snapshot:
     if np.any((ind == 1) & (mask == 0)):
         raise ValueError("delta_indicator marks antennas outside the mask")
 
+    observed = mask == 1
+    fine = observed & (ind == 1)
+    antenna = np.arange(1, masked.m + 1)
+    check_one_bit_range(masked.values, observed & ~fine, scheme.delta1 / 2.0, antenna)
     tau = dither_field(scheme, masked.m)
-    out = np.zeros(masked.m, dtype=np.complex128)
-
-    coarse = (mask == 1) & (ind == 0)
-    limit = scheme.delta1 / 2.0
-    for part, data in (("real", masked.values.real), ("imag", masked.values.imag)):
-        bad = coarse & (np.abs(data) > limit)
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise DynamicRangeViolation(idx + 1, float(data[idx]), limit, part)
-    sgn_re = np.where(masked.values.real + tau.real >= 0, 1.0, -1.0)
-    sgn_im = np.where(masked.values.imag + tau.imag >= 0, 1.0, -1.0)
-    out[coarse] = limit * (sgn_re[coarse] + 1j * sgn_im[coarse])
-
-    fine = (mask == 1) & (ind == 1)
-    if np.any(fine):
-        q_re = uniform_quantize(
-            masked.values.real[fine], scheme.delta2, tau.real[fine], scheme.levels
-        )
-        q_im = uniform_quantize(
-            masked.values.imag[fine], scheme.delta2, tau.imag[fine], scheme.levels
-        )
-        out[fine] = q_re + 1j * q_im
-
+    out = quantize_cells(masked.values, observed, fine, tau, scheme)
     return Snapshot(out, mask.copy(), SnapshotKind.QUANTIZED)

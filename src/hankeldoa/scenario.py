@@ -24,11 +24,6 @@ from .signal import TargetScene
 
 NAMED_PLACEMENTS = ("edges", "last4", "first4")
 
-DEFAULT_TX1 = (1, 9, 25)
-DEFAULT_RX1 = (1, 6, 7, 8)
-DEFAULT_TX2 = (51, 67, 75)
-DEFAULT_RX2 = (68, 69, 70, 75)
-
 
 class ScenarioError(ValueError):
     """A scenario file or field failed validation."""
@@ -43,24 +38,25 @@ class Scenario:
     or an explicit tuple of 1-based virtual antenna indices.  truncate_rank
     is the model order of the final rank projection and defaults to the
     number of targets.  tau/step stay None to take the solver's size-derived
-    defaults.
+    defaults, and tol/max_iters default to the solver's.  The scene and
+    solver fields are validated by the TargetScene and SvtConfig they build.
     """
 
     name: str
     angles_deg: tuple[float, ...]
     amplitudes: tuple[complex, ...] | None = None
     snr_db: float = 20.0
-    tx1: tuple[int, ...] = DEFAULT_TX1
-    rx1: tuple[int, ...] = DEFAULT_RX1
-    tx2: tuple[int, ...] = DEFAULT_TX2
-    rx2: tuple[int, ...] = DEFAULT_RX2
+    tx1: tuple[int, ...] = (1, 9, 25)
+    rx1: tuple[int, ...] = (1, 6, 7, 8)
+    tx2: tuple[int, ...] = (51, 67, 75)
+    rx2: tuple[int, ...] = (68, 69, 70, 75)
     bits: int = 10
     margin: float = 0.05
     placement: str | tuple[int, ...] = "first4"
     tau: float | None = None
     step: float | None = None
-    tol: float = 1e-4
-    max_iters: int = 500
+    tol: float = SvtConfig.tol
+    max_iters: int = SvtConfig.max_iters
     rank_cap: int | None = None
     truncate_rank: int | None = None
     n_fft: int = 1024
@@ -75,16 +71,12 @@ class Scenario:
 
         if not self.name or not self.name.strip():
             raise ScenarioError("scenario name must be nonempty")
-        object.__setattr__(self, "angles_deg", tuple(float(a) for a in self.angles_deg))
-        if not self.angles_deg:
-            fail("[scene] angles_deg: need at least one target")
-        if any(abs(a) >= 90.0 for a in self.angles_deg):
-            fail("[scene] angles_deg: azimuths must lie inside (-90, 90)")
-        if self.amplitudes is not None:
-            amps = tuple(complex(a) for a in self.amplitudes)
-            if len(amps) != len(self.angles_deg):
-                fail("[scene] amplitudes: length must match angles_deg")
-            object.__setattr__(self, "amplitudes", amps)
+        try:
+            scene = scene_of(self)
+        except ValueError as exc:
+            fail(f"[scene] {exc}")
+        object.__setattr__(self, "angles_deg", scene.angles_deg)
+        object.__setattr__(self, "amplitudes", scene.amplitudes)
         for field_name in ("tx1", "rx1", "tx2", "rx2"):
             object.__setattr__(
                 self, field_name, tuple(int(p) for p in getattr(self, field_name))
@@ -108,16 +100,10 @@ class Scenario:
             if any(a < 1 for a in ants):
                 fail("[quant] placement: antenna indices are 1-based positives")
             object.__setattr__(self, "placement", ants)
-        if self.tau is not None and self.tau <= 0:
-            fail("[svt] tau: must be positive")
-        if self.step is not None and self.step <= 0:
-            fail("[svt] step: must be positive")
-        if self.tol <= 0:
-            fail("[svt] tol: must be positive")
-        if self.max_iters < 1:
-            fail("[svt] max_iters: must be at least 1")
-        if self.rank_cap is not None and self.rank_cap < 1:
-            fail("[svt] rank_cap: must be at least 1")
+        try:
+            svt_config_of(self)
+        except ValueError as exc:
+            fail(f"[svt] {exc}")
         if self.truncate_rank is not None and self.truncate_rank < 1:
             fail("[svt] truncate_rank: must be at least 1")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1) != 0:
@@ -275,11 +261,38 @@ _SECTION_KEYS = {
 }
 
 
-def _parse_int_list(raw: str, where: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ScenarioError(f"{where}: expected comma-separated integers, got {raw!r}")
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _placement(raw: str) -> str | tuple[int, ...]:
+    raw = raw.strip()
+    return raw if raw in NAMED_PLACEMENTS else _int_list(raw)
+
+
+# (section, key, Scenario field, parser) of the keys that map to one field;
+# an omitted key leaves the field at its Scenario default.
+_FIELD_KEYS = (
+    ("scenario", "runs", "runs", int),
+    ("geometry", "tx1", "tx1", _int_list),
+    ("geometry", "rx1", "rx1", _int_list),
+    ("geometry", "tx2", "tx2", _int_list),
+    ("geometry", "rx2", "rx2", _int_list),
+    ("scene", "snr_db", "snr_db", float),
+    ("quant", "bits", "bits", int),
+    ("quant", "margin", "margin", float),
+    ("quant", "placement", "placement", _placement),
+    ("svt", "tau", "tau", float),
+    ("svt", "step", "step", float),
+    ("svt", "tol", "tol", float),
+    ("svt", "max_iters", "max_iters", int),
+    ("svt", "rank_cap", "rank_cap", int),
+    ("svt", "truncate_rank", "truncate_rank", int),
+    ("spectrum", "n_fft", "n_fft", int),
+    ("seeds", "signal", "seed_signal", int),
+    ("seeds", "dither", "seed_dither", int),
+    ("output", "dir", "out_dir", str),
+)
 
 
 def _parse_amplitudes(raw: str, where: str):
@@ -302,7 +315,10 @@ def _parse_amplitudes(raw: str, where: str):
 
 
 def parse_scenario(text: str, fallback_name: str = "") -> Scenario:
-    """Parse INI text into a Scenario, rejecting unknown sections and keys."""
+    """Parse INI text into a Scenario, rejecting unknown sections and keys.
+
+    An omitted [scene] amplitudes means unit amplitudes; every other omitted
+    key takes the Scenario default."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -316,25 +332,11 @@ def parse_scenario(text: str, fallback_name: str = "") -> Scenario:
             if key not in _SECTION_KEYS[section]:
                 raise ScenarioError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
-
-    def get_typed(section, key, caster, default):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        try:
-            return caster(raw)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"[{section}] {key}: cannot parse {raw!r}")
-
-    name = get("scenario", "name", fallback_name) or fallback_name
+    name = cp.get("scenario", "name", fallback=fallback_name) or fallback_name
     if not name:
         raise ScenarioError("[scenario] name: missing")
 
-    angles_raw = get("scene", "angles_deg")
+    angles_raw = cp.get("scene", "angles_deg", fallback=None)
     if angles_raw is None:
         raise ScenarioError("[scene] angles_deg: missing")
     try:
@@ -342,44 +344,20 @@ def parse_scenario(text: str, fallback_name: str = "") -> Scenario:
     except ValueError:
         raise ScenarioError(f"[scene] angles_deg: cannot parse {angles_raw!r}")
 
-    amps_raw = get("scene", "amplitudes", "unit")
+    amps_raw = cp.get("scene", "amplitudes", fallback="unit")
     amplitudes, is_unit = _parse_amplitudes(amps_raw, "[scene] amplitudes")
     if is_unit:
         amplitudes = (1.0 + 0.0j,) * len(angles)
 
-    placement_raw = get("quant", "placement", "first4").strip()
-    placement: str | tuple[int, ...]
-    if placement_raw in NAMED_PLACEMENTS:
-        placement = placement_raw
-    else:
-        placement = _parse_int_list(placement_raw, "[quant] placement")
-        if not placement:
-            raise ScenarioError(f"[quant] placement: cannot parse {placement_raw!r}")
-
-    return Scenario(
-        name=name,
-        angles_deg=angles,
-        amplitudes=amplitudes,
-        snr_db=get_typed("scene", "snr_db", float, 20.0),
-        tx1=get_typed("geometry", "tx1", lambda r: _parse_int_list(r, "tx1"), DEFAULT_TX1),
-        rx1=get_typed("geometry", "rx1", lambda r: _parse_int_list(r, "rx1"), DEFAULT_RX1),
-        tx2=get_typed("geometry", "tx2", lambda r: _parse_int_list(r, "tx2"), DEFAULT_TX2),
-        rx2=get_typed("geometry", "rx2", lambda r: _parse_int_list(r, "rx2"), DEFAULT_RX2),
-        bits=get_typed("quant", "bits", int, 10),
-        margin=get_typed("quant", "margin", float, 0.05),
-        placement=placement,
-        tau=get_typed("svt", "tau", float, None),
-        step=get_typed("svt", "step", float, None),
-        tol=get_typed("svt", "tol", float, 1e-4),
-        max_iters=get_typed("svt", "max_iters", int, 500),
-        rank_cap=get_typed("svt", "rank_cap", int, None),
-        truncate_rank=get_typed("svt", "truncate_rank", int, None),
-        n_fft=get_typed("spectrum", "n_fft", int, 1024),
-        runs=get_typed("scenario", "runs", int, 20),
-        seed_signal=get_typed("seeds", "signal", int, 0),
-        seed_dither=get_typed("seeds", "dither", int, 1000),
-        out_dir=get("output", "dir", "") or "",
-    )
+    fields = {"name": name, "angles_deg": angles, "amplitudes": amplitudes}
+    for section, key, field_name, parse in _FIELD_KEYS:
+        raw = cp.get(section, key, fallback=None)
+        if raw is not None:
+            try:
+                fields[field_name] = parse(raw)
+            except ValueError:
+                raise ScenarioError(f"[{section}] {key}: cannot parse {raw!r}")
+    return Scenario(**fields)
 
 
 def scenario_hash(scn: Scenario) -> str:

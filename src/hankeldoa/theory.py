@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import QuantScheme, uniform_quantize
+from .quant import QuantScheme, quantize_cells, uniform_quantize
 
 
 @dataclass(frozen=True)
@@ -237,21 +237,6 @@ def verify_embedding(
     )
 
 
-def _cell_dithers(
-    m1: int, m2: int, delta1: float, delta2: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared dither draw for the mixed-precision cell sets: one (m, 2) block
-    per class, columns for the real and imaginary parts."""
-    rng = np.random.default_rng(seed)
-    t1 = delta1 * rng.uniform(-0.5, 0.5, size=(m1, 2))
-    t2 = delta2 * rng.uniform(-0.5, 0.5, size=(m2, 2))
-    return t1, t2
-
-
-def _sign(v: np.ndarray) -> np.ndarray:
-    return np.where(v >= 0, 1.0, -1.0)
-
-
 def _cell_indices(omega: np.ndarray) -> np.ndarray:
     """Accept sampled cells as flat indices or as a boolean mask; a mask is
     converted to its index set so it is never misread as index values."""
@@ -259,6 +244,33 @@ def _cell_indices(omega: np.ndarray) -> np.ndarray:
     if omega.dtype == bool:
         return np.flatnonzero(omega)
     return omega.astype(np.intp).ravel()
+
+
+def _quantize_pair(x, y, omega1, omega2, scheme, dither_seed):
+    """Quantize the sampled cells of x and y under shared dithers.
+
+    The dither draw is one (m, 2) block per class, columns for the real and
+    imaginary parts, the one-bit block first.  Returns the two quantized
+    cell vectors, one-bit cells first, and the one-bit cell count.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.shape != y.shape or x.ndim != 2:
+        raise ValueError("x and y must be matching 2-d arrays")
+    omega1 = _cell_indices(omega1)
+    omega2 = _cell_indices(omega2)
+    seed = scheme.dither_seed if dither_seed is None else dither_seed
+    rng = np.random.default_rng(seed)
+    t1 = scheme.delta1 * rng.uniform(-0.5, 0.5, size=(omega1.size, 2))
+    t2 = scheme.delta2 * rng.uniform(-0.5, 0.5, size=(omega2.size, 2))
+    t = np.concatenate([t1, t2])
+    tau = t[:, 0] + 1j * t[:, 1]
+    cells = np.concatenate([omega1, omega2])
+    observed = np.ones(cells.size, dtype=bool)
+    fine = np.arange(cells.size) >= omega1.size
+    qx = quantize_cells(x.ravel()[cells], observed, fine, tau, scheme)
+    qy = quantize_cells(y.ravel()[cells], observed, fine, tau, scheme)
+    return qx, qy, omega1.size
 
 
 def consistency_check(
@@ -271,26 +283,8 @@ def consistency_check(
 ) -> bool:
     """True when x and y quantize identically on every observed cell, checked
     per part and per precision class under shared dithers."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 2:
-        raise ValueError("x and y must be matching 2-d arrays")
-    omega1 = _cell_indices(omega1)
-    omega2 = _cell_indices(omega2)
-    seed = scheme.dither_seed if dither_seed is None else dither_seed
-    t1, t2 = _cell_dithers(omega1.size, omega2.size, scheme.delta1, scheme.delta2, seed)
-
-    xf, yf = x.ravel(), y.ravel()
-    for col, part in ((0, np.real), (1, np.imag)):
-        px1, py1 = part(xf[omega1]), part(yf[omega1])
-        if not np.array_equal(_sign(px1 + t1[:, col]), _sign(py1 + t1[:, col])):
-            return False
-        px2, py2 = part(xf[omega2]), part(yf[omega2])
-        qx = uniform_quantize(px2, scheme.delta2, t2[:, col], scheme.levels)
-        qy = uniform_quantize(py2, scheme.delta2, t2[:, col], scheme.levels)
-        if not np.array_equal(qx, qy):
-            return False
-    return True
+    qx, qy, _ = _quantize_pair(x, y, omega1, omega2, scheme, dither_seed)
+    return bool(np.array_equal(qx, qy))
 
 
 def mixed_distance(
@@ -304,35 +298,19 @@ def mixed_distance(
 ) -> float:
     """Per-part mixed quantized distance over the sampled cells: the one-bit
     term (delta1 / 2m1) ||sgn - sgn||_1 plus the multi-bit term
-    (1/m2) ||Q - Q||_1, dithers shared between x and y."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 2:
-        raise ValueError("x and y must be matching 2-d arrays")
+    (1/m2) ||Q - Q||_1, dithers shared between x and y.  The one-bit term is
+    taken as (1/m1) ||Q1 - Q1||_1, since Q1 = (delta1/2) sgn."""
     if part not in ("real", "imag"):
         raise ValueError("part must be 'real' or 'imag'")
-    omega1 = _cell_indices(omega1)
-    omega2 = _cell_indices(omega2)
-    seed = scheme.dither_seed if dither_seed is None else dither_seed
-    t1, t2 = _cell_dithers(omega1.size, omega2.size, scheme.delta1, scheme.delta2, seed)
-    col = 0 if part == "real" else 1
+    qx, qy, m1 = _quantize_pair(x, y, omega1, omega2, scheme, dither_seed)
     take = np.real if part == "real" else np.imag
-
-    xf, yf = x.ravel(), y.ravel()
+    diff = np.abs(take(qx - qy))
     total = 0.0
-    if omega1.size:
-        s_diff = np.abs(
-            _sign(take(xf[omega1]) + t1[:, col]) - _sign(take(yf[omega1]) + t1[:, col])
-        )
-        total += scheme.delta1 / (2.0 * omega1.size) * float(s_diff.sum())
-    else:
-        warnings.warn("no one-bit cells sampled; that term contributes zero")
-    if omega2.size:
-        qx = uniform_quantize(take(xf[omega2]), scheme.delta2, t2[:, col], scheme.levels)
-        qy = uniform_quantize(take(yf[omega2]), scheme.delta2, t2[:, col], scheme.levels)
-        total += float(np.abs(qx - qy).sum()) / omega2.size
-    else:
-        warnings.warn("no multi-bit cells sampled; that term contributes zero")
+    for terms, name in ((diff[:m1], "one-bit"), (diff[m1:], "multi-bit")):
+        if terms.size:
+            total += float(terms.sum()) / terms.size
+        else:
+            warnings.warn(f"no {name} cells sampled; that term contributes zero")
     return total
 
 

@@ -173,8 +173,25 @@ def test_quantized_hankel_range_violation_names_antenna(two_unit_geom):
     _, masked = synthesize_snapshot(scene, two_unit_geom, seed=0)
     ind = np.zeros(149, dtype=np.int8)
     scheme = QuantScheme(1e-9, 1e-11, 10, delta_indicator=ind, dither_seed=7)
-    with pytest.raises(DynamicRangeViolation):
+    with pytest.raises(DynamicRangeViolation) as exc:
         build_quantized_hankel(masked, scheme)
+    # the first offending cell in row-major order, real parts before imaginary
+    view = lift(masked)
+    for part, data in (("real", view.matrix.real), ("imag", view.matrix.imag)):
+        bad = np.flatnonzero(view.omega & (np.abs(data) > 1e-9 / 2))
+        if bad.size:
+            break
+    i, j = np.unravel_index(bad[0], view.matrix.shape)
+    assert exc.value.part == part
+    assert exc.value.antenna_index == i + j + 1
+    # a later real violation wins over an earlier imaginary one
+    first, later = np.flatnonzero(masked.mask)[[0, 5]]
+    snap = constant_masked(masked, 0.1 + 0.1j)
+    snap.values[first] = 0.1 + 3.0j
+    snap.values[later] = 3.0 + 0.1j
+    with pytest.raises(DynamicRangeViolation) as exc:
+        build_quantized_hankel(snap, QuantScheme(1.0, 0.01, 10, delta_indicator=ind))
+    assert (exc.value.part, exc.value.antenna_index) == ("real", later + 1)
 
 
 def test_quantized_hankel_rejects_full_kind(two_unit_geom):

@@ -9,7 +9,6 @@ from hankeldoa.hankel import (
     dehankelize,
     hankel_shape,
     lift,
-    project,
 )
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
@@ -75,29 +74,6 @@ def test_lift_masked_reference_counts(two_unit_geom):
     assert int(view.omega1.sum()) == 1871
     assert not np.any(view.omega1 & view.omega2)
     assert np.array_equal(view.omega, view.omega1 | view.omega2)
-
-
-def test_project_selects_disjoint_subsets(two_unit_geom):
-    scene = TargetScene((-34.0, 18.0), amplitudes=(1 + 0j, 1 + 0j), snr_db=20.0)
-    _, masked = synthesize_snapshot(scene, two_unit_geom, seed=0)
-    ind = np.zeros(149, dtype=np.int8)
-    ind[[0, 5, 6, 7]] = 1
-    view = lift(masked, delta_indicator=ind)
-    p1 = project(view, "omega1")
-    p2 = project(view, "omega2")
-    assert np.all(p1.matrix[~view.omega1] == 0)
-    assert np.all(p2.matrix[~view.omega2] == 0)
-    total = project(view, "omega")
-    assert np.allclose(p1.matrix + p2.matrix, total.matrix)
-
-
-def test_projection_idempotent(two_unit_geom):
-    scene = TargetScene((-34.0, 18.0), amplitudes=(1 + 0j, 1 + 0j), snr_db=20.0)
-    _, masked = synthesize_snapshot(scene, two_unit_geom, seed=0)
-    view = lift(masked)
-    once = project(view, "omega")
-    twice = project(once, "omega")
-    assert np.array_equal(once.matrix, twice.matrix)
 
 
 def test_dehankelize_averages_antidiagonals():

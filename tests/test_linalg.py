@@ -25,7 +25,7 @@ def test_random_reconstruction():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
     f = svd(x)
-    assert np.max(np.abs(f.reconstruct() - x)) <= 1e-10
+    assert np.max(np.abs(shrink(x, 0.0)[0] - x)) <= 1e-10
     assert np.all(np.diff(f.sigma) <= 1e-12)
 
 
@@ -37,23 +37,29 @@ def test_factor_columns_are_orthonormal():
     assert np.allclose(f.v.conj().T @ f.v, np.eye(f.v.shape[1]), atol=1e-10)
 
 
-def shrunk_sigma(x, tau):
-    return np.linalg.svd(shrink(x, tau), compute_uv=False)
+def shrunk_sigma(x, tau, rank_cap=None):
+    return np.linalg.svd(shrink(x, tau, rank_cap)[0], compute_uv=False)
 
 
 def test_shrink_examples():
     x = np.diag([5.0, 3.0, 1.0]).astype(complex)
     assert np.allclose(shrunk_sigma(x, 2.0), [3.0, 1.0, 0.0], atol=1e-10)
-    assert np.allclose(shrink(x, 0.0), x, atol=1e-12)
-    assert np.max(np.abs(shrink(x, 5.0))) <= 1e-10
-    assert np.max(np.abs(shrink(x, 7.5))) <= 1e-10
+    assert shrink(x, 2.0)[1] == 2
+    assert np.allclose(shrink(x, 0.0)[0], x, atol=1e-12)
+    assert shrink(x, 0.0)[1] == 3
+    assert np.max(np.abs(shrink(x, 5.0)[0])) <= 1e-10
+    assert shrink(x, 5.0)[1] == 0
+    assert np.max(np.abs(shrink(x, 7.5)[0])) <= 1e-10
+    assert np.allclose(shrunk_sigma(x, 0.5, rank_cap=2), [4.5, 2.5, 0.0], atol=1e-10)
+    assert shrink(x, 0.5, rank_cap=2)[1] == 2
+    assert shrink(x, 2.0, rank_cap=3)[1] == 2
 
 
 def test_shrink_never_increases_rank():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
     before = np.linalg.matrix_rank(x)
-    after = np.linalg.matrix_rank(shrink(x, 1.0), tol=1e-10)
+    after = np.linalg.matrix_rank(shrink(x, 1.0)[0], tol=1e-10)
     assert after <= before
 
 
@@ -62,8 +68,8 @@ def test_shrink_is_nonexpansive():
     for _ in range(10):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        da = shrink(a, 1.5)
-        db = shrink(b, 1.5)
+        da, _ = shrink(a, 1.5)
+        db, _ = shrink(b, 1.5)
         assert np.linalg.norm(da - db) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -77,7 +83,7 @@ def test_shrink_solves_the_nuclear_norm_prox():
             z, compute_uv=False
         ).sum()
 
-    star = shrink(x, tau)
+    star, _ = shrink(x, tau)
     best = objective(star)
     for _ in range(100):
         probe = star + 0.1 * (

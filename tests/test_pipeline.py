@@ -222,6 +222,35 @@ def test_hash_independent_of_worker_count(monkeypatch):
     assert manifests[0].manifest_hash == manifests[1].manifest_hash
 
 
+# Seed-0 manifest hashes of every bundled scenario at runs=3, recorded with
+# the numerical environment below; a refactor that keeps the outputs keeps
+# these hashes.
+GOLDEN_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+GOLDEN_HASHES = {
+    "five_targets": "11703d86812c54e550c0ee252bca33cb89dee98fc09698bf7c4ad8c1ff4a8922",
+    "four_targets": "96aab54e2b7d207e40b13e61f5e21233bdbefc2fc37172153ee3f583b43dad80",
+    "three_targets": "f1dc8f49fa92d8c472b5a84f5c0e3acacedec24e9c0a3b4f8ba024b14505b799",
+    "two_targets_edges": "02f79605c27c2b4e0b0794680572305732610df2d6d713d3b80a35c4990c5720",
+    "two_targets_first4": "54332dcfd95de39a6ffff39f1a688986f0d53dce053a07f48d370e9a3cf6583f",
+    "two_targets_last4": "ab70c341fc37228b43d26055e1924ea700088617d75952fb527fa42625b94f43",
+}
+
+
+def test_bundled_manifest_hashes_are_pinned():
+    env = pipeline._environment(None, 1)
+    recorded = {key: env[key] for key in GOLDEN_ENVIRONMENT}
+    if recorded != GOLDEN_ENVIRONMENT:
+        pytest.skip(
+            f"hashes were recorded under {GOLDEN_ENVIRONMENT}, this is {recorded}; "
+            "floating-point results may differ across numpy and BLAS builds"
+        )
+    hashes = {
+        name: run_scenario(load_bundled(name), runs=3, write=False).manifest_hash
+        for name in GOLDEN_HASHES
+    }
+    assert hashes == GOLDEN_HASHES
+
+
 def test_unpinned_batch_runs_one_run_at_a_time(monkeypatch):
     monkeypatch.setattr(
         pipeline, "single_thread_blas", lambda: contextlib.nullcontext(None)

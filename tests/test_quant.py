@@ -10,7 +10,6 @@ from hankeldoa.quant import (
     dither_field,
     one_bit,
     quantize_mixed,
-    quantize_scalar,
     uniform_quantize,
 )
 from hankeldoa.signal import SnapshotKind
@@ -19,20 +18,20 @@ from conftest import constant_masked
 
 
 def test_midrise_zero_maps_to_half_cell():
-    assert quantize_scalar(0.0, 1.0, 0.0, 512) == 0.5
+    assert uniform_quantize(0.0, 1.0, 0.0, 512) == 0.5
 
 
 def test_dither_shifts_cell_boundary():
-    assert quantize_scalar(0.4, 1.0, 0.2, 512) == 0.5
+    assert uniform_quantize(0.4, 1.0, 0.2, 512) == 0.5
 
 
 def test_coarse_cell_with_negative_dither():
-    assert quantize_scalar(1.0, 4.0, -0.5, 1) == 2.0
+    assert uniform_quantize(1.0, 4.0, -0.5, 1) == 2.0
 
 
 def test_saturation_clamps_to_extreme_levels():
-    assert quantize_scalar(1e6, 1.0, 0.0, 512) == 511.5
-    assert quantize_scalar(-1e6, 1.0, 0.0, 512) == -511.5
+    assert uniform_quantize(1e6, 1.0, 0.0, 512) == 511.5
+    assert uniform_quantize(-1e6, 1.0, 0.0, 512) == -511.5
 
 
 def test_outputs_are_odd_multiples_of_half_cell():
@@ -75,9 +74,13 @@ def test_one_bit_matches_single_level_quantizer():
     delta = 2.0
     x = rng.uniform(-delta / 2, delta / 2, size=5000)
     tau = rng.uniform(-delta / 2, delta / 2, size=5000)
+    # ties: x + tau == 0 exactly, which maps to +delta/2
+    x = np.append(x, [0.25, -0.5, 0.0])
+    tau = np.append(tau, [-0.25, 0.5, 0.0])
     ob = np.array([one_bit(xi, delta, ti) for xi, ti in zip(x, tau)])
     q = uniform_quantize(x, delta, tau, 1)
     assert np.array_equal(ob, q)
+    assert np.all(q[-3:] == delta / 2)
 
 
 def test_scale_design_constant_snapshot(two_target_masked):
@@ -174,8 +177,26 @@ def test_mixed_quantization_range_violation(two_target_masked):
     _, masked = two_target_masked
     ind = np.zeros(masked.mask.size, dtype=np.int8)
     scheme = QuantScheme(1e-6, 1e-8, 10, delta_indicator=ind, dither_seed=5)
-    with pytest.raises(DynamicRangeViolation):
+    with pytest.raises(DynamicRangeViolation) as exc:
         quantize_mixed(masked, scheme)
+    # the first offending one-bit antenna, real parts before imaginary ones
+    limit = 1e-6 / 2
+    obs = masked.mask == 1
+    for part, data in (("real", masked.values.real), ("imag", masked.values.imag)):
+        bad = np.flatnonzero(obs & (np.abs(data) > limit))
+        if bad.size:
+            break
+    assert exc.value.part == part
+    assert exc.value.antenna_index == bad[0] + 1
+    # real parts are checked first: a later real violation wins over an
+    # earlier imaginary one
+    first, later = np.flatnonzero(obs)[[0, 5]]
+    snap = constant_masked(masked, 0.1 + 0.1j)
+    snap.values[first] = 0.1 + 3.0j
+    snap.values[later] = 3.0 + 0.1j
+    with pytest.raises(DynamicRangeViolation) as exc:
+        quantize_mixed(snap, QuantScheme(1.0, 0.01, 10, delta_indicator=ind))
+    assert (exc.value.part, exc.value.antenna_index) == ("real", later + 1)
 
 
 def test_mixed_quantization_requires_masked_kind(two_target_masked):

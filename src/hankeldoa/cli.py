@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import pipeline
 from .completion import (
@@ -168,7 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Scenario:
-    return load_scenario(args.scenario)
+    """The scenario with the command's --seed-signal/--seed-dither applied."""
+    overrides = {
+        name: value
+        for name in ("seed_signal", "seed_dither")
+        if (value := getattr(args, name, None)) is not None
+    }
+    return replace(load_scenario(args.scenario), **overrides)
 
 
 def _masked_for(args, scn: Scenario):
@@ -181,9 +188,10 @@ def _masked_for(args, scn: Scenario):
                 f"{args.snapshot}: expected a masked snapshot (holes in the mask)"
             )
         return snap
-    geom = geometry_of(scn)
-    seed = scn.seed_signal if args.seed_signal is None else args.seed_signal
-    _, masked = synthesize_snapshot(scene_of(scn), geom, seed=seed + args.run)
+    seed_signal, _ = pipeline.seeds_for(scn, args.run)
+    _, masked = synthesize_snapshot(
+        scene_of(scn), geometry_of(scn), seed=seed_signal
+    )
     return masked
 
 
@@ -195,19 +203,13 @@ def _scheme_for(args, scn: Scenario, masked) -> QuantScheme:
             f"snapshot length {masked.m} does not match the scenario aperture "
             f"{ind.shape[0]}"
         )
-    seed = scn.seed_dither if args.seed_dither is None else args.seed_dither
-    return pipeline.quant_scheme(scn, masked, ind, seed + args.run)
+    _, seed_dither = pipeline.seeds_for(scn, args.run)
+    return pipeline.quant_scheme(scn, masked, ind, seed_dither)
 
 
 def cmd_run(args) -> int:
     scn = _load(args)
-    manifest = pipeline.run_scenario(
-        scn,
-        out_dir=args.out,
-        runs=args.runs,
-        seed_signal=args.seed_signal,
-        seed_dither=args.seed_dither,
-    )
+    manifest = pipeline.run_scenario(scn, out_dir=args.out, runs=args.runs)
     d = manifest.derived
     print(
         f"scenario {manifest.scenario_name}: M={d['m']}, "
@@ -264,10 +266,7 @@ def cmd_verify_theory(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    scn = _load(args)
-    geom = geometry_of(scn)
-    seed = scn.seed_signal if args.seed_signal is None else args.seed_signal
-    _, masked = synthesize_snapshot(scene_of(scn), geom, seed=seed + args.run)
+    masked = _masked_for(args, _load(args))
     pipeline.write_snapshot_csv(args.out, masked)
     print(f"wrote {args.out} ({int(masked.mask.sum())} observed of {masked.m})")
     return 0

@@ -7,7 +7,6 @@ from __future__ import annotations
 import ctypes
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +18,10 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
-@dataclass
-class SVDFactors:
-    """Compact SVD x = u @ diag(sigma) @ v.conj().T with sigma descending."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
-def svd(x: np.ndarray) -> SVDFactors:
-    u, s, vh = np.linalg.svd(np.asarray(x), full_matrices=False)
-    return SVDFactors(u, s, vh.conj().T)
+def svd(x: np.ndarray):
+    """Compact SVD (u, sigma, vh), x = u @ diag(sigma) @ vh with sigma
+    descending."""
+    return np.linalg.svd(np.asarray(x), full_matrices=False)
 
 
 def shrink(
@@ -44,11 +35,11 @@ def shrink(
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    f = svd(x)
-    kept = np.maximum(f.sigma - tau, 0.0)
+    u, sigma, vh = svd(x)
+    kept = np.maximum(sigma - tau, 0.0)
     if rank_cap is not None:
         kept[rank_cap:] = 0.0
-    return (f.u * kept) @ f.v.conj().T, int(np.count_nonzero(kept))
+    return (u * kept) @ vh, int(np.count_nonzero(kept))
 
 
 class _OpenBlasThreads:

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -31,7 +31,7 @@ from .completion import (
 from .geometry import masking_vector
 from .hankel import lift
 from .linalg import single_thread_blas
-from .quant import QuantScheme, design_scales
+from .quant import QuantScheme, design_scales, word_levels
 # Not called here; the benchmark's tracer looks the name up on this module.
 from .quant import quantize_mixed
 from .scenario import (
@@ -193,6 +193,12 @@ class RunSummary:
     probability_floor: float
 
 
+# runs.csv columns: every RunSummary field but the peaks, which go to peaks.csv.
+_RUNS_COLUMNS = [
+    f.name for f in fields(RunSummary) if f.name not in ("peaks", "peaks_complete")
+]
+
+
 @dataclass
 class RunManifest:
     """Everything a re-run needs to reproduce and verify a scenario batch.
@@ -299,7 +305,7 @@ def quant_scheme(scn: Scenario, masked: Snapshot, ind, dither_seed: int) -> Quan
     """The scenario's quantizer for one masked snapshot: steps sized from the
     observed data with the scenario's word length and margin, the multi-bit
     indicator ind, and the given dither seed."""
-    d1, d2 = design_scales(masked, margin=scn.margin, levels=2 ** (scn.bits - 1))
+    d1, d2 = design_scales(masked, scn.margin, word_levels(scn.bits))
     return QuantScheme(d1, d2, scn.bits, ind, dither_seed=dither_seed)
 
 
@@ -467,55 +473,14 @@ def run_scenario(
             outputs.extend([spectra_name, trace_name])
             for order, (theta, level) in enumerate(summary.peaks, start=1):
                 peaks_rows.append((summary.run, order, theta, level))
-            runs_rows.append(
-                (
-                    summary.run,
-                    summary.seed_signal,
-                    summary.seed_dither,
-                    summary.delta1,
-                    summary.delta2,
-                    summary.iters,
-                    summary.converged,
-                    summary.final_residual,
-                    summary.data_residual,
-                    summary.truncate_rank,
-                    summary.sidelobe_sla_db,
-                    summary.sidelobe_completed_db,
-                    summary.sidelobe_margin_db,
-                    math.nan if summary.max_error_deg is None else summary.max_error_deg,
-                    summary.l1_error,
-                    summary.l1_bound,
-                    summary.probability_floor,
-                )
-            )
+            values = (getattr(summary, c) for c in _RUNS_COLUMNS)
+            runs_rows.append([math.nan if v is None else v for v in values])
         _write_csv(
             os.path.join(scn.out_dir, "peaks.csv"),
             ["run", "order", "theta_deg", "level_db"],
             peaks_rows,
         )
-        _write_csv(
-            os.path.join(scn.out_dir, "runs.csv"),
-            [
-                "run",
-                "seed_signal",
-                "seed_dither",
-                "delta1",
-                "delta2",
-                "iters",
-                "converged",
-                "final_residual",
-                "data_residual",
-                "truncate_rank",
-                "sidelobe_sla_db",
-                "sidelobe_completed_db",
-                "sidelobe_margin_db",
-                "max_error_deg",
-                "l1_error",
-                "l1_bound",
-                "probability_floor",
-            ],
-            runs_rows,
-        )
+        _write_csv(os.path.join(scn.out_dir, "runs.csv"), _RUNS_COLUMNS, runs_rows)
         outputs.extend(["peaks.csv", "runs.csv", "manifest.json"])
         timings["write"] = time.perf_counter() - t0
 

@@ -37,8 +37,8 @@ class QuantScheme:
 
     delta_indicator marks the multi-bit antennas (1) against one-bit ones (0)
     over the full virtual aperture; it may stay None for uses that only need
-    the scalar parameters.  levels = 2**(bits-1), so a b-bit ADC has 2*levels
-    cells per real part.
+    the scalar parameters.  levels is word_levels(bits), so a b-bit ADC has
+    2*levels cells per real part.
     """
 
     delta1: float
@@ -50,8 +50,7 @@ class QuantScheme:
     def __post_init__(self):
         if self.delta1 <= 0 or self.delta2 <= 0:
             raise ValueError("quantizer step sizes must be positive")
-        if self.bits < 2:
-            raise ValueError("multi-bit scheme needs at least 2 bits")
+        word_levels(self.bits)  # raises on a word length out of range
         if self.delta_indicator is not None:
             ind = np.asarray(self.delta_indicator, dtype=np.int8)
             if ind.ndim != 1 or not np.all((ind == 0) | (ind == 1)):
@@ -60,7 +59,20 @@ class QuantScheme:
 
     @property
     def levels(self) -> int:
-        return 2 ** (self.bits - 1)
+        return word_levels(self.bits)
+
+
+def word_levels(bits: int) -> int:
+    """Cells per sign of a bits-wide ADC part, 2**(bits-1).
+
+    bits lies in 2..32.  Fewer than 2 leaves no multi-bit cell.  Up to 32
+    bits, wider than any ADC, every cell index and cell + 1/2 is exact in
+    float64 (at most 33 of its 53 significand bits); a far wider word would
+    overflow the step r/levels to an untyped error.
+    """
+    if not 2 <= bits <= 32:
+        raise ValueError(f"word length must lie in 2..32 bits, got {bits}")
+    return 2 ** (bits - 1)
 
 
 def uniform_quantize(x, delta: float, tau, levels: int | None = None):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .completion import SvtConfig
 from .geometry import ArrayGeometry, RadarUnit, masking_vector, synthesize_virtual_array
+from .quant import word_levels
 from .signal import TargetScene
 
 NAMED_PLACEMENTS = ("edges", "last4", "first4")
@@ -39,7 +40,8 @@ class Scenario:
     is the model order of the final rank projection and defaults to the
     number of targets.  tau/step stay None to take the solver's size-derived
     defaults, and tol/max_iters default to the solver's.  The scene and
-    solver fields are validated by the TargetScene and SvtConfig they build.
+    solver fields are validated by the TargetScene and SvtConfig they build,
+    bits by the quantizer's word_levels.
     """
 
     name: str
@@ -81,8 +83,10 @@ class Scenario:
             object.__setattr__(
                 self, field_name, tuple(int(p) for p in getattr(self, field_name))
             )
-        if self.bits < 2:
-            fail("[quant] bits: must be at least 2")
+        try:
+            word_levels(self.bits)
+        except ValueError as exc:
+            fail(f"[quant] bits: {exc}")
         if self.margin < 0:
             fail("[quant] margin: must be nonnegative")
         if isinstance(self.placement, str):
@@ -198,6 +202,82 @@ def _format_amplitudes(amps: tuple[complex, ...] | None) -> str:
     return ", ".join(_format_complex(a) for a in amps)
 
 
+def _ints(values) -> str:
+    return ", ".join(map(str, values))
+
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _parse_amplitudes(raw: str):
+    """None for seeded phases, "unit" for unit amplitudes (sized by the
+    caller to the target count), else the explicit complex tuple."""
+    text = raw.strip().lower()
+    if text in ("seeded-phases", "seeded"):
+        return None
+    if text == "unit":
+        return "unit"
+    try:
+        amps = tuple(
+            complex(tok.strip().replace(" ", "")) for tok in raw.split(",") if tok.strip()
+        )
+    except ValueError:
+        amps = ()
+    if not amps:
+        raise ScenarioError(
+            "[scene] amplitudes: expected 'unit', 'seeded-phases', or complex "
+            f"values, got {raw!r}"
+        )
+    return amps
+
+
+def _placement(raw: str) -> str | tuple[int, ...]:
+    raw = raw.strip()
+    return raw if raw in NAMED_PLACEMENTS else _int_list(raw)
+
+
+def _optional(fmt):
+    """Formatter that omits the key (returns None) while the field is None."""
+    return lambda value: None if value is None else fmt(value)
+
+
+# The INI format: (section, key, Scenario field, parser, formatter) in
+# canonical order.  A formatter returning None omits the key; an omitted key
+# leaves the field at its Scenario default.
+_KEYS = (
+    ("scenario", "name", "name", str, str),
+    ("scenario", "runs", "runs", int, str),
+    ("geometry", "tx1", "tx1", _int_list, _ints),
+    ("geometry", "rx1", "rx1", _int_list, _ints),
+    ("geometry", "tx2", "tx2", _int_list, _ints),
+    ("geometry", "rx2", "rx2", _int_list, _ints),
+    ("scene", "angles_deg", "angles_deg", _float_list,
+     lambda angles: ", ".join(map(_format_float, angles))),
+    ("scene", "amplitudes", "amplitudes", _parse_amplitudes, _format_amplitudes),
+    ("scene", "snr_db", "snr_db", float, _format_float),
+    ("quant", "bits", "bits", int, str),
+    ("quant", "margin", "margin", float, _format_float),
+    ("quant", "placement", "placement", _placement,
+     lambda p: p if isinstance(p, str) else _ints(p)),
+    ("svt", "tau", "tau", float, _optional(_format_float)),
+    ("svt", "step", "step", float, _optional(_format_float)),
+    ("svt", "tol", "tol", float, _format_float),
+    ("svt", "max_iters", "max_iters", int, str),
+    ("svt", "rank_cap", "rank_cap", int, _optional(str)),
+    ("svt", "truncate_rank", "truncate_rank", int, _optional(str)),
+    ("spectrum", "n_fft", "n_fft", int, str),
+    ("seeds", "signal", "seed_signal", int, str),
+    ("seeds", "dither", "seed_dither", int, str),
+    ("output", "dir", "out_dir", str, str),
+)
+_KNOWN_KEYS = {(section, key) for section, key, *_ in _KEYS}
+
+
 def scenario_to_ini(scn: Scenario, include_output: bool = True) -> str:
     """Canonical INI text: fixed section and key order, optional keys only
     when set, so equal scenarios serialize to equal bytes.
@@ -206,157 +286,57 @@ def scenario_to_ini(scn: Scenario, include_output: bool = True) -> str:
     experiment itself, independent of where its files land.
     """
     cp = configparser.ConfigParser(interpolation=None)
-    cp["scenario"] = {"name": scn.name, "runs": str(scn.runs)}
-    cp["geometry"] = {
-        "tx1": ", ".join(map(str, scn.tx1)),
-        "rx1": ", ".join(map(str, scn.rx1)),
-        "tx2": ", ".join(map(str, scn.tx2)),
-        "rx2": ", ".join(map(str, scn.rx2)),
-    }
-    cp["scene"] = {
-        "angles_deg": ", ".join(_format_float(a) for a in scn.angles_deg),
-        "amplitudes": _format_amplitudes(scn.amplitudes),
-        "snr_db": _format_float(scn.snr_db),
-    }
-    placement = (
-        scn.placement
-        if isinstance(scn.placement, str)
-        else ", ".join(map(str, scn.placement))
-    )
-    cp["quant"] = {
-        "bits": str(scn.bits),
-        "margin": _format_float(scn.margin),
-        "placement": placement,
-    }
-    svt: dict[str, str] = {}
-    if scn.tau is not None:
-        svt["tau"] = _format_float(scn.tau)
-    if scn.step is not None:
-        svt["step"] = _format_float(scn.step)
-    svt["tol"] = _format_float(scn.tol)
-    svt["max_iters"] = str(scn.max_iters)
-    if scn.rank_cap is not None:
-        svt["rank_cap"] = str(scn.rank_cap)
-    if scn.truncate_rank is not None:
-        svt["truncate_rank"] = str(scn.truncate_rank)
-    cp["svt"] = svt
-    cp["spectrum"] = {"n_fft": str(scn.n_fft)}
-    cp["seeds"] = {"signal": str(scn.seed_signal), "dither": str(scn.seed_dither)}
-    if include_output:
-        cp["output"] = {"dir": scn.out_dir}
+    for section, key, field_name, _, fmt in _KEYS:
+        if section == "output" and not include_output:
+            continue
+        text = fmt(getattr(scn, field_name))
+        if text is not None:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key, text)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
-_SECTION_KEYS = {
-    "scenario": {"name", "runs"},
-    "geometry": {"tx1", "rx1", "tx2", "rx2"},
-    "scene": {"angles_deg", "amplitudes", "snr_db"},
-    "quant": {"bits", "margin", "placement"},
-    "svt": {"tau", "step", "tol", "max_iters", "rank_cap", "truncate_rank"},
-    "spectrum": {"n_fft"},
-    "seeds": {"signal", "dither"},
-    "output": {"dir"},
-}
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _placement(raw: str) -> str | tuple[int, ...]:
-    raw = raw.strip()
-    return raw if raw in NAMED_PLACEMENTS else _int_list(raw)
-
-
-# (section, key, Scenario field, parser) of the keys that map to one field;
-# an omitted key leaves the field at its Scenario default.
-_FIELD_KEYS = (
-    ("scenario", "runs", "runs", int),
-    ("geometry", "tx1", "tx1", _int_list),
-    ("geometry", "rx1", "rx1", _int_list),
-    ("geometry", "tx2", "tx2", _int_list),
-    ("geometry", "rx2", "rx2", _int_list),
-    ("scene", "snr_db", "snr_db", float),
-    ("quant", "bits", "bits", int),
-    ("quant", "margin", "margin", float),
-    ("quant", "placement", "placement", _placement),
-    ("svt", "tau", "tau", float),
-    ("svt", "step", "step", float),
-    ("svt", "tol", "tol", float),
-    ("svt", "max_iters", "max_iters", int),
-    ("svt", "rank_cap", "rank_cap", int),
-    ("svt", "truncate_rank", "truncate_rank", int),
-    ("spectrum", "n_fft", "n_fft", int),
-    ("seeds", "signal", "seed_signal", int),
-    ("seeds", "dither", "seed_dither", int),
-    ("output", "dir", "out_dir", str),
-)
-
-
-def _parse_amplitudes(raw: str, where: str):
-    text = raw.strip().lower()
-    if text in ("seeded-phases", "seeded"):
-        return None, False
-    if text == "unit":
-        return None, True
-    try:
-        amps = tuple(
-            complex(tok.strip().replace(" ", "")) for tok in raw.split(",") if tok.strip()
-        )
-    except ValueError:
-        raise ScenarioError(
-            f"{where}: expected 'unit', 'seeded-phases', or complex values, got {raw!r}"
-        )
-    if not amps:
-        raise ScenarioError(f"{where}: empty amplitude list")
-    return amps, False
-
-
 def parse_scenario(text: str, fallback_name: str = "") -> Scenario:
     """Parse INI text into a Scenario, rejecting unknown sections and keys.
 
-    An omitted [scene] amplitudes means unit amplitudes; every other omitted
-    key takes the Scenario default."""
+    An omitted [scenario] name takes fallback_name, [scene] angles_deg is
+    required, an omitted [scene] amplitudes means unit amplitudes; every other
+    omitted key takes the Scenario default."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}")
 
+    known_sections = {section for section, _ in _KNOWN_KEYS}
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in known_sections:
             raise ScenarioError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+            if (section, key) not in _KNOWN_KEYS:
                 raise ScenarioError(f"unknown key {key!r} in section [{section}]")
 
-    name = cp.get("scenario", "name", fallback=fallback_name) or fallback_name
-    if not name:
-        raise ScenarioError("[scenario] name: missing")
-
-    angles_raw = cp.get("scene", "angles_deg", fallback=None)
-    if angles_raw is None:
-        raise ScenarioError("[scene] angles_deg: missing")
-    try:
-        angles = tuple(float(tok) for tok in angles_raw.split(",") if tok.strip())
-    except ValueError:
-        raise ScenarioError(f"[scene] angles_deg: cannot parse {angles_raw!r}")
-
-    amps_raw = cp.get("scene", "amplitudes", fallback="unit")
-    amplitudes, is_unit = _parse_amplitudes(amps_raw, "[scene] amplitudes")
-    if is_unit:
-        amplitudes = (1.0 + 0.0j,) * len(angles)
-
-    fields = {"name": name, "angles_deg": angles, "amplitudes": amplitudes}
-    for section, key, field_name, parse in _FIELD_KEYS:
+    fields = {}
+    for section, key, field_name, parse, _ in _KEYS:
         raw = cp.get(section, key, fallback=None)
         if raw is not None:
             try:
                 fields[field_name] = parse(raw)
+            except ScenarioError:
+                raise
             except ValueError:
                 raise ScenarioError(f"[{section}] {key}: cannot parse {raw!r}")
+
+    fields["name"] = fields.get("name") or fallback_name
+    if not fields["name"]:
+        raise ScenarioError("[scenario] name: missing")
+    if "angles_deg" not in fields:
+        raise ScenarioError("[scene] angles_deg: missing")
+    if fields.get("amplitudes", "unit") == "unit":
+        fields["amplitudes"] = (1.0 + 0.0j,) * len(fields["angles_deg"])
     return Scenario(**fields)
 
 

@@ -74,9 +74,6 @@ class EmbeddingReport:
     bound: np.ndarray
     bound_sharp: np.ndarray
     passed: np.ndarray
-    complexity_term: float
-    log_terms: np.ndarray
-    sample_thresholds: np.ndarray
 
     @property
     def all_passed(self) -> bool:
@@ -217,10 +214,6 @@ def verify_embedding(
     expo = epsilons**2 * m_prime / (levels**2 * delta**2)
     bound = 2.0 * np.exp(-expo)
     bound_sharp = 2.0 * np.exp(-2.0 * expo)
-    complexity = float(spec.rank * (spec.n1 + spec.n2))
-    diameter = 2.0 * spec.alpha * math.sqrt(cells)
-    log_terms = np.log1p(diameter / epsilons)
-    thresholds = complexity * log_terms / epsilons**2
     return EmbeddingReport(
         m_prime=m_prime,
         delta=delta,
@@ -231,9 +224,6 @@ def verify_embedding(
         bound=bound,
         bound_sharp=bound_sharp,
         passed=empirical <= bound,
-        complexity_term=complexity,
-        log_terms=log_terms,
-        sample_thresholds=thresholds,
     )
 
 

@@ -10,6 +10,9 @@ from hankeldoa import pipeline
 from hankeldoa.cli import main
 from hankeldoa.completion import SvtDivergenceError
 from hankeldoa.pipeline import read_snapshot_csv
+from hankeldoa.quant import quantize_mixed
+from hankeldoa.scenario import geometry_of, load_bundled, placement_to_delta, scene_of
+from hankeldoa.signal import synthesize_snapshot
 
 DIVERGENT_INI = """
 [scenario]
@@ -187,6 +190,39 @@ def test_bad_scenario_file_is_usage_error(tmp_path, capsys):
     path.write_text("[quant]\nwidth = 3\n", encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_word_length_beyond_range_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "wide.ini"
+    path.write_text(
+        "[scene]\nangles_deg = -34.0, 18.0\n[quant]\nbits = 1100\n",
+        encoding="utf-8",
+    )
+    code = main(["quantize", str(path), "--out", str(tmp_path / "q.csv")])
+    assert code == 2
+    assert "[quant] bits" in capsys.readouterr().err
+
+
+def test_stage_seed_overrides_add_the_run_index(tmp_path):
+    """--seed-signal/--seed-dither replace the base seeds and --run adds to
+    both, as in a batch: run 2 from bases (5, 9) uses seeds (7, 11)."""
+    scn = load_bundled("two_targets_first4")
+    geom = geometry_of(scn)
+    _, masked = synthesize_snapshot(scene_of(scn), geom, seed=7)
+    ind = placement_to_delta(scn.placement, geom)
+    quantized = quantize_mixed(masked, pipeline.quant_scheme(scn, masked, ind, 11))
+    pipeline.write_snapshot_csv(str(tmp_path / "masked_ref.csv"), masked)
+    pipeline.write_snapshot_csv(str(tmp_path / "quantized_ref.csv"), quantized)
+
+    seeds = ["--run", "2", "--seed-signal", "5"]
+    assert main(["synth", "two_targets_first4", *seeds,
+                 "--out", str(tmp_path / "masked.csv")]) == 0
+    assert main(["quantize", "two_targets_first4", *seeds, "--seed-dither", "9",
+                 "--out", str(tmp_path / "quantized.csv")]) == 0
+    for stem in ("masked", "quantized"):
+        assert (tmp_path / f"{stem}.csv").read_bytes() == (
+            tmp_path / f"{stem}_ref.csv"
+        ).read_bytes()
 
 
 def test_missing_snapshot_is_usage_error(capsys):

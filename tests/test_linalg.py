@@ -12,29 +12,31 @@ from hankeldoa.linalg import blas_threads, shrink, single_thread_blas, svd
 
 
 def test_identity_singular_values():
-    f = svd(np.eye(3, dtype=complex))
-    assert np.allclose(f.sigma, [1.0, 1.0, 1.0], atol=1e-12)
+    _, sigma, _ = svd(np.eye(3, dtype=complex))
+    assert np.allclose(sigma, [1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_diagonal_singular_values():
-    f = svd(np.diag([3.0, 0.0]).astype(complex))
-    assert np.allclose(f.sigma, [3.0, 0.0], atol=1e-12)
+    _, sigma, _ = svd(np.diag([3.0, 0.0]).astype(complex))
+    assert np.allclose(sigma, [3.0, 0.0], atol=1e-12)
 
 
 def test_random_reconstruction():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-    f = svd(x)
+    u, sigma, vh = svd(x)
+    assert np.max(np.abs((u * sigma) @ vh - x)) <= 1e-10
     assert np.max(np.abs(shrink(x, 0.0)[0] - x)) <= 1e-10
-    assert np.all(np.diff(f.sigma) <= 1e-12)
+    assert np.all(np.diff(sigma) <= 1e-12)
 
 
 def test_factor_columns_are_orthonormal():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((12, 7)) + 1j * rng.standard_normal((12, 7))
-    f = svd(x)
-    assert np.allclose(f.u.conj().T @ f.u, np.eye(f.u.shape[1]), atol=1e-10)
-    assert np.allclose(f.v.conj().T @ f.v, np.eye(f.v.shape[1]), atol=1e-10)
+    u, _, vh = svd(x)
+    assert u.shape == (12, 7) and vh.shape == (7, 7)
+    assert np.allclose(u.conj().T @ u, np.eye(7), atol=1e-10)
+    assert np.allclose(vh @ vh.conj().T, np.eye(7), atol=1e-10)
 
 
 def shrunk_sigma(x, tau, rank_cap=None):

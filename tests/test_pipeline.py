@@ -159,13 +159,24 @@ def test_written_batch_layout(first4_scenario, tmp_path):
     assert env == manifest.environment
     with open(out / "runs.csv", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-    assert header[:6] == [
+    assert header == [
         "run",
         "seed_signal",
         "seed_dither",
         "delta1",
         "delta2",
         "iters",
+        "converged",
+        "final_residual",
+        "data_residual",
+        "truncate_rank",
+        "sidelobe_sla_db",
+        "sidelobe_completed_db",
+        "sidelobe_margin_db",
+        "max_error_deg",
+        "l1_error",
+        "l1_bound",
+        "probability_floor",
     ]
     with open(out / "peaks.csv", encoding="utf-8") as fh:
         assert fh.readline().strip() == "run,order,theta_deg,level_db"

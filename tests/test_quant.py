@@ -11,6 +11,7 @@ from hankeldoa.quant import (
     one_bit,
     quantize_mixed,
     uniform_quantize,
+    word_levels,
 )
 from hankeldoa.signal import SnapshotKind
 
@@ -113,6 +114,17 @@ def test_scale_design_rejects_degenerate_input(two_target_masked):
     zero = constant_masked(masked, 0.0)
     with pytest.raises(ValueError):
         design_scales(zero, 0.05, 512)
+
+
+def test_word_levels_range():
+    assert word_levels(2) == 2
+    assert word_levels(10) == 512
+    assert word_levels(32) == 2**31
+    for bits in (1, 33, 1100):
+        with pytest.raises(ValueError, match="2..32"):
+            word_levels(bits)
+    with pytest.raises(ValueError, match="2..32"):
+        QuantScheme(4.0, 0.01, 1100)
 
 
 def test_scheme_levels_and_validation():

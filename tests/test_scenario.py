@@ -1,5 +1,7 @@
 """Scenario files: parsing, serialization, placement resolution, hashing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,10 @@ def test_round_trip_identity_fully_explicit():
         angles_deg=(-20.0, -2.0, 35.0),
         amplitudes=(1 + 0j, 0.5 - 0.25j, -1 + 2j),
         snr_db=15.0,
+        tx1=(1, 9),
+        rx1=(1, 6, 8),
+        tx2=(40, 52),
+        rx2=(41, 44),
         bits=8,
         margin=0.1,
         placement=(1, 6),
@@ -69,6 +75,10 @@ def test_round_trip_identity_fully_explicit():
         seed_dither=4242,
         out_dir="out/explicit",
     )
+    defaulted = [
+        f.name for f in dataclasses.fields(Scenario) if getattr(scn, f.name) == f.default
+    ]
+    assert defaulted == []
     again = parse_scenario(scenario_to_ini(scn))
     assert again == scn
 
@@ -116,6 +126,14 @@ def test_field_validation_messages_name_section():
         Scenario(name="x", angles_deg=(1.0,), placement=(3, 3))
     with pytest.raises(ScenarioError, match=r"\[scene\] amplitudes"):
         Scenario(name="x", angles_deg=(1.0, 2.0), amplitudes=(1 + 0j,))
+
+
+def test_word_length_beyond_range_is_a_quant_error():
+    with pytest.raises(ScenarioError, match=r"\[quant\] bits"):
+        Scenario(name="x", angles_deg=(1.0,), bits=1100)
+    with pytest.raises(ScenarioError, match=r"\[quant\] bits"):
+        parse_scenario(MINIMAL + "\n[quant]\nbits = 33\n")
+    assert parse_scenario(MINIMAL + "\n[quant]\nbits = 32\n").bits == 32
 
 
 def test_model_order_defaults_to_target_count():

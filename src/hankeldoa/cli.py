@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import pipeline
 from .completion import (
@@ -35,9 +34,11 @@ from .scenario import (
     placement_to_delta,
     scene_of,
     svt_config_of,
+    with_overrides,
 )
 from .signal import SnapshotKind, synthesize_snapshot
 from .spectrum import SpectrumSource, angle_spectrum, find_peaks
+from .theory import DITHER_TRIALS, EMBEDDING_TRIALS, SAMPLING_TRIALS
 
 
 def _positive_int(text: str) -> int:
@@ -98,16 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-theory", help="Monte-Carlo checks of the quantizer identities"
     )
     p_theory.add_argument(
-        "--dither-trials", type=_positive_int, default=1_000_000,
-        help="trials per dither-identity point (default 1000000)",
+        "--dither-trials", type=_positive_int, default=DITHER_TRIALS,
+        help="trials per dither-identity point (default %(default)s)",
     )
     p_theory.add_argument(
-        "--sampling-trials", type=_positive_int, default=2000,
-        help="draws per sampling-identity pair (default 2000)",
+        "--sampling-trials", type=_positive_int, default=SAMPLING_TRIALS,
+        help="draws per sampling-identity pair (default %(default)s)",
     )
     p_theory.add_argument(
-        "--embedding-trials", type=_positive_int, default=2000,
-        help="random pairs for the embedding check (default 2000)",
+        "--embedding-trials", type=_positive_int, default=EMBEDDING_TRIALS,
+        help="random pairs for the embedding check (default %(default)s)",
     )
     p_theory.add_argument("--seed", type=int, default=0)
     p_theory.add_argument("--out", default="theory", help="report directory")
@@ -170,12 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Scenario:
     """The scenario with the command's --seed-signal/--seed-dither applied."""
-    overrides = {
-        name: value
-        for name in ("seed_signal", "seed_dither")
-        if (value := getattr(args, name, None)) is not None
-    }
-    return replace(load_scenario(args.scenario), **overrides)
+    return with_overrides(
+        load_scenario(args.scenario),
+        seed_signal=getattr(args, "seed_signal", None),
+        seed_dither=getattr(args, "seed_dither", None),
+    )
 
 
 def _masked_for(args, scn: Scenario):

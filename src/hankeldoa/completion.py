@@ -14,16 +14,17 @@ thread, so their output does not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .hankel import HankelView, dehankelize, lift
-from .quant import QuantScheme, check_one_bit_range, quantize_cells
+from .quant import QuantScheme, check_one_bit_range, check_precision_classes, quantize_cells
 # Not called here; the benchmark's tracer looks the name up on this module.
 from .quant import uniform_quantize
-from .signal import Snapshot, SnapshotKind
+from .signal import Snapshot
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 20
@@ -41,12 +42,10 @@ class SvtConfig:
     rank_cap: int | None = None
 
     def __post_init__(self):
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("tau", "step", "tol"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.rank_cap is not None and self.rank_cap < 1:
@@ -80,7 +79,6 @@ class SvtZeroIterateError(RuntimeError):
 @dataclass
 class CompletionResult:
     matrix: np.ndarray
-    snapshot: Snapshot
     iters: int
     residuals: np.ndarray
     ranks: np.ndarray
@@ -145,14 +143,13 @@ def svt_iterate(
 
 
 def svt_complete(view: HankelView, cfg: SvtConfig | None = None) -> CompletionResult:
-    """Complete a Hankel observation and fold the result back to a snapshot."""
+    """Complete a Hankel observation."""
     cfg = cfg if cfg is not None else SvtConfig()
     with linalg.single_thread_blas():
         x, residuals, ranks, converged = svt_iterate(view.matrix, view.omega, cfg)
     data_residual = float(np.linalg.norm(x[view.omega] - view.matrix[view.omega]))
     return CompletionResult(
         matrix=x,
-        snapshot=dehankelize(x),
         iters=len(residuals),
         residuals=residuals,
         ranks=ranks,
@@ -176,17 +173,8 @@ def build_quantized_hankel(masked: Snapshot, scheme: QuantScheme) -> HankelView:
     scheme.dither_seed in a fixed order, so the output is a pure function of
     (masked, scheme).
     """
-    if masked.kind is not SnapshotKind.MASKED:
-        raise ValueError("build_quantized_hankel expects a masked snapshot")
-    if scheme.delta_indicator is None:
-        raise ValueError("scheme needs a delta_indicator")
-    ind = scheme.delta_indicator
-    if ind.shape != masked.mask.shape:
-        raise ValueError("delta_indicator length does not match the snapshot")
-    if np.any((ind == 1) & (masked.mask == 0)):
-        raise ValueError("delta_indicator marks antennas outside the mask")
-
-    view = lift(masked, ind)
+    check_precision_classes(masked, scheme)
+    view = lift(masked, scheme.delta_indicator)
     n1, n2 = view.n1, view.n2
     antenna = view.antenna_index(*np.indices((n1, n2))) + 1
     check_one_bit_range(view.matrix, view.omega1, scheme.delta1 / 2.0, antenna)

@@ -12,12 +12,13 @@ behind one call.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -42,6 +43,7 @@ from .scenario import (
     scenario_to_ini,
     scene_of,
     svt_config_of,
+    with_overrides,
 )
 from .signal import Snapshot, SnapshotKind, synthesize_snapshot
 from .spectrum import (
@@ -52,6 +54,9 @@ from .spectrum import (
     max_sidelobe_db,
 )
 from .theory import (
+    DITHER_TRIALS,
+    EMBEDDING_TRIALS,
+    SAMPLING_TRIALS,
     DitherIdentityReport,
     EmbeddingReport,
     LowRankSpec,
@@ -105,19 +110,29 @@ def write_snapshot_csv(path: str, snap: Snapshot) -> None:
 
 def read_snapshot_csv(path: str) -> Snapshot:
     """Read the snapshot interchange format back; kind is full when every
-    antenna is observed, masked otherwise."""
+    antenna is observed, masked otherwise.  Rows must carry the indices 1..m
+    in order and finite values; a bad row raises a ValueError naming the
+    file and line."""
     values = []
     mask = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header != ["index", "re", "im", "mask"]:
             raise ValueError(f"{path}: not a snapshot CSV (header {header})")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            _, re_s, im_s, mask_s = line.strip().split(",")
-            values.append(complex(float(re_s), float(im_s)))
-            mask.append(int(mask_s))
+            try:
+                index, re_s, im_s, mask_s = line.strip().split(",")
+                z = complex(float(re_s), float(im_s))
+                if int(index) != len(values) + 1:
+                    raise ValueError(f"index {index}, expected {len(values) + 1}")
+                if not cmath.isfinite(z):
+                    raise ValueError(f"value {z} is not finite")
+                mask.append(int(mask_s))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            values.append(z)
     values_arr = np.asarray(values, dtype=np.complex128)
     mask_arr = np.asarray(mask, dtype=np.int8)
     kind = SnapshotKind.FULL if np.all(mask_arr == 1) else SnapshotKind.MASKED
@@ -147,25 +162,6 @@ def write_trace_csv(path: str, residuals: np.ndarray, ranks: np.ndarray) -> None
         (k + 1, residuals[k], int(ranks[k])) for k in range(len(residuals))
     )
     _write_csv(path, ["k", "residual", "rank"], rows)
-
-
-def write_hankel_csv(path: str, view) -> None:
-    """Hankel cell export: (i, j, re, im, subset) with 1-based cell indices
-    and subset one of omega1, omega2, or unobserved."""
-
-    def rows():
-        for i in range(view.n1):
-            for j in range(view.n2):
-                if view.omega2[i, j]:
-                    tag = "omega2"
-                elif view.omega1[i, j]:
-                    tag = "omega1"
-                else:
-                    tag = "unobserved"
-                z = view.matrix[i, j]
-                yield (i + 1, j + 1, z.real, z.imag, tag)
-
-    _write_csv(path, ["i", "j", "re", "im", "subset"], rows())
 
 
 @dataclass
@@ -221,19 +217,18 @@ class RunManifest:
     environment: dict = field(default_factory=dict)
     manifest_hash: str = ""
 
+    # The fields the hash leaves out: the output location, the stage
+    # timings, the numerical environment and the hash itself.
+    VOLATILE_FIELDS = ("out_dir", "timings", "environment", "manifest_hash")
+
+    def to_json(self) -> dict:
+        """Every field, made JSON-safe; the content of manifest.json."""
+        return _json_safe(asdict(self))
+
     def hashed_payload(self) -> dict:
-        """The manifest minus its volatile fields (out_dir, timings,
-        environment, the hash itself)."""
-        payload = {
-            "scenario_name": self.scenario_name,
-            "scenario_hash": self.scenario_hash,
-            "version": self.version,
-            "scenario_ini": self.scenario_ini,
-            "derived": self.derived,
-            "runs": [_json_safe(asdict(r)) for r in self.runs],
-            "outputs": self.outputs,
-        }
-        return payload
+        """The manifest minus its volatile fields."""
+        payload = self.to_json().items()
+        return {k: v for k, v in payload if k not in self.VOLATILE_FIELDS}
 
     def compute_hash(self) -> str:
         text = json.dumps(self.hashed_payload(), sort_keys=True, separators=(",", ":"))
@@ -412,17 +407,10 @@ def run_scenario(
     from concurrent.futures import ThreadPoolExecutor
 
     t_start = time.perf_counter()
-    updates = {}
-    if runs is not None:
-        updates["runs"] = runs
-    if seed_signal is not None:
-        updates["seed_signal"] = seed_signal
-    if seed_dither is not None:
-        updates["seed_dither"] = seed_dither
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
-    if updates:
-        scn = replace(scn, **updates)
+    scn = with_overrides(
+        scn, runs=runs, seed_signal=seed_signal, seed_dither=seed_dither,
+        out_dir=out_dir,
+    )
 
     geom, ind, derived = _structure(scn)
     manifest = RunManifest(
@@ -490,15 +478,10 @@ def run_scenario(
     manifest.manifest_hash = manifest.compute_hash()
 
     if write:
-        payload = manifest.hashed_payload()
-        payload["out_dir"] = manifest.out_dir
-        payload["timings"] = manifest.timings
-        payload["environment"] = manifest.environment
-        payload["manifest_hash"] = manifest.manifest_hash
         with open(
             os.path.join(scn.out_dir, "manifest.json"), "w", encoding="utf-8"
         ) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(manifest.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return manifest
 
@@ -521,9 +504,9 @@ class TheoryBattery:
 
 
 def theory_battery(
-    dither_trials: int = 1_000_000,
-    sampling_trials: int = 2000,
-    embedding_trials: int = 2000,
+    dither_trials: int = DITHER_TRIALS,
+    sampling_trials: int = SAMPLING_TRIALS,
+    embedding_trials: int = EMBEDDING_TRIALS,
     seed: int = 0,
 ) -> TheoryBattery:
     """Run the dither-identity grid, the uniform-sampling identity on random

@@ -164,21 +164,26 @@ def dither_field(scheme: QuantScheme, m: int) -> np.ndarray:
     return step * u[:, 0] + 1j * (step * u[:, 1])
 
 
-def quantize_mixed(masked: Snapshot, scheme: QuantScheme) -> Snapshot:
-    """Quantize the observed antennas, one-bit or multi-bit per the indicator."""
+def check_precision_classes(masked: Snapshot, scheme: QuantScheme) -> None:
+    """Raise ValueError unless masked is a masked snapshot and the scheme's
+    delta_indicator covers it and marks only observed antennas multi-bit."""
     if masked.kind is not SnapshotKind.MASKED:
-        raise ValueError("quantize_mixed expects a masked snapshot")
-    if scheme.delta_indicator is None:
-        raise ValueError("scheme needs a delta_indicator")
+        raise ValueError(f"expected a masked snapshot, got a {masked.kind.value} one")
     ind = scheme.delta_indicator
-    mask = masked.mask
-    if ind.shape != mask.shape:
+    if ind is None:
+        raise ValueError("scheme needs a delta_indicator")
+    if ind.shape != masked.mask.shape:
         raise ValueError("delta_indicator length does not match the snapshot")
-    if np.any((ind == 1) & (mask == 0)):
+    if np.any((ind == 1) & (masked.mask == 0)):
         raise ValueError("delta_indicator marks antennas outside the mask")
 
+
+def quantize_mixed(masked: Snapshot, scheme: QuantScheme) -> Snapshot:
+    """Quantize the observed antennas, one-bit or multi-bit per the indicator."""
+    check_precision_classes(masked, scheme)
+    mask = masked.mask
     observed = mask == 1
-    fine = observed & (ind == 1)
+    fine = observed & (scheme.delta_indicator == 1)
     antenna = np.arange(1, masked.m + 1)
     check_one_bit_range(masked.values, observed & ~fine, scheme.delta1 / 2.0, antenna)
     tau = dither_field(scheme, masked.m)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -39,9 +40,10 @@ class Scenario:
     or an explicit tuple of 1-based virtual antenna indices.  truncate_rank
     is the model order of the final rank projection and defaults to the
     number of targets.  tau/step stay None to take the solver's size-derived
-    defaults, and tol/max_iters default to the solver's.  The scene and
-    solver fields are validated by the TargetScene and SvtConfig they build,
-    bits by the quantizer's word_levels.
+    defaults, and tol/max_iters default to the solver's.  The geometry,
+    scene and solver fields are validated by the radar units, TargetScene
+    and SvtConfig they build, bits by the quantizer's word_levels.  Every
+    number must be finite, except snr_db, which may be inf (noiseless).
     """
 
     name: str
@@ -84,11 +86,15 @@ class Scenario:
                 self, field_name, tuple(int(p) for p in getattr(self, field_name))
             )
         try:
+            geom = geometry_of(self)
+        except ValueError as exc:
+            fail(f"[geometry] {exc}")
+        try:
             word_levels(self.bits)
         except ValueError as exc:
             fail(f"[quant] bits: {exc}")
-        if self.margin < 0:
-            fail("[quant] margin: must be nonnegative")
+        if not 0 <= self.margin < math.inf:
+            fail("[quant] margin: must be nonnegative and finite")
         if isinstance(self.placement, str):
             if self.placement not in NAMED_PLACEMENTS:
                 fail(
@@ -112,6 +118,8 @@ class Scenario:
             fail("[svt] truncate_rank: must be at least 1")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1) != 0:
             fail("[spectrum] n_fft: must be a power of two")
+        if self.n_fft < geom.m:
+            fail(f"[spectrum] n_fft: {self.n_fft} is shorter than the aperture {geom.m}")
         if self.runs < 1:
             fail("[scenario] runs: must be at least 1")
         if not self.out_dir:
@@ -123,6 +131,12 @@ class Scenario:
         if self.truncate_rank is not None:
             return self.truncate_rank
         return len(self.angles_deg)
+
+
+def with_overrides(scn: Scenario, **overrides) -> Scenario:
+    """scn with each override that is not None replacing its field."""
+    given = {name: value for name, value in overrides.items() if value is not None}
+    return replace(scn, **given) if given else scn
 
 
 def geometry_of(scn: Scenario) -> ArrayGeometry:

@@ -29,21 +29,22 @@ class TargetScene:
     angles_deg: tuple[float, ...]
     amplitudes: tuple[complex, ...] | None = None
     snr_db: float = math.inf
-    spacing_ratio: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "angles_deg", tuple(float(a) for a in self.angles_deg))
         if len(self.angles_deg) == 0:
             raise ValueError("need at least one target")
-        if any(abs(a) >= 90.0 for a in self.angles_deg):
+        if not all(abs(a) < 90.0 for a in self.angles_deg):
             raise ValueError("azimuths must lie strictly inside (-90, 90) degrees")
         if self.amplitudes is not None:
             amps = tuple(complex(a) for a in self.amplitudes)
             if len(amps) != len(self.angles_deg):
                 raise ValueError("amplitudes and angles must have equal length")
+            if not np.all(np.isfinite(amps)):
+                raise ValueError("amplitudes must be finite")
             object.__setattr__(self, "amplitudes", amps)
-        if self.spacing_ratio <= 0:
-            raise ValueError("spacing_ratio must be positive")
+        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
+            raise ValueError("snr_db must be finite, or inf for no noise")
 
 
 @dataclass
@@ -70,16 +71,16 @@ class Snapshot:
         return self.values.shape[0]
 
 
-def steering_vector(theta_deg: float, m: int, spacing_ratio: float = 0.5) -> np.ndarray:
+def steering_vector(theta_deg: float, m: int) -> np.ndarray:
     """Response of an m-element half-wavelength ULA toward azimuth theta_deg.
 
-    Element k (1-based) carries phase 2*pi*(k-1)*spacing_ratio*sin(theta).
+    Element k (1-based) carries phase pi*(k-1)*sin(theta).
     """
     if not abs(theta_deg) < 90.0:
         raise ValueError("theta_deg must lie strictly inside (-90, 90)")
     if m < 1:
         raise ValueError("m must be at least 1")
-    phase = 2.0 * np.pi * spacing_ratio * np.sin(np.radians(theta_deg))
+    phase = np.pi * np.sin(np.radians(theta_deg))
     return np.exp(1j * phase * np.arange(m))
 
 
@@ -96,10 +97,7 @@ def synthesize_snapshot(
     if p > geom.m:
         raise ValueError(f"{p} targets exceed the aperture length {geom.m}")
     rng = np.random.default_rng(seed)
-    a = np.stack(
-        [steering_vector(t, geom.m, scene.spacing_ratio) for t in scene.angles_deg],
-        axis=1,
-    )
+    a = np.stack([steering_vector(t, geom.m) for t in scene.angles_deg], axis=1)
     if scene.amplitudes is None:
         amps = np.exp(2j * np.pi * rng.random(p))
     else:

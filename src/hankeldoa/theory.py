@@ -17,6 +17,11 @@ import numpy as np
 
 from .quant import QuantScheme, quantize_cells, uniform_quantize
 
+# Default Monte-Carlo trial counts of the three checks.
+DITHER_TRIALS = 1_000_000
+SAMPLING_TRIALS = 2000
+EMBEDDING_TRIALS = 2000
+
 
 @dataclass(frozen=True)
 class LowRankSpec:
@@ -104,8 +109,27 @@ def random_low_rank(spec: LowRankSpec, rng: np.random.Generator) -> np.ndarray:
     return x * (spec.alpha / peak)
 
 
+def _mc_estimate(samples: np.ndarray, expected: float) -> tuple[float, float, bool]:
+    """Monte-Carlo mean of the samples, its standard error, and whether the
+    mean sits within 4 standard errors of expected."""
+    mean = float(samples.mean())
+    stderr = float(samples.std(ddof=1) / math.sqrt(samples.size))
+    return mean, stderr, abs(mean - expected) <= 4.0 * stderr
+
+
+def _sampled_pair_diffs(x, y, m_prime, delta, rng, levels=None) -> np.ndarray:
+    """|Q(x) - Q(y)| on the real parts of m_prime cells drawn from rng without
+    replacement, one dither per cell shared between x and y (cells first,
+    then dithers)."""
+    omega = rng.choice(x.size, size=m_prime, replace=False)
+    tau = rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
+    qx = uniform_quantize(x.ravel()[omega].real, delta, tau, levels)
+    qy = uniform_quantize(y.ravel()[omega].real, delta, tau, levels)
+    return np.abs(qx - qy)
+
+
 def verify_dither_identity(
-    a: float, b: float, delta: float, trials: int = 1_000_000, seed: int = 0
+    a: float, b: float, delta: float, trials: int = DITHER_TRIALS, seed: int = 0
 ) -> DitherIdentityReport:
     """MC check that E_tau |Q(a + tau) - Q(b + tau)| = |a - b| for shared
     uniform dither, using the unsaturated quantizer.
@@ -117,9 +141,8 @@ def verify_dither_identity(
     rng = np.random.default_rng(seed)
     tau = rng.uniform(-delta / 2.0, delta / 2.0, size=trials)
     diffs = np.abs(uniform_quantize(a, delta, tau) - uniform_quantize(b, delta, tau))
-    mean = float(diffs.mean())
-    stderr = float(diffs.std(ddof=1) / math.sqrt(trials))
     expected = abs(a - b)
+    mean, stderr, passed = _mc_estimate(diffs, expected)
     return DitherIdentityReport(
         a=a,
         b=b,
@@ -128,7 +151,7 @@ def verify_dither_identity(
         mc_mean=mean,
         stderr=stderr,
         expected=expected,
-        passed=abs(mean - expected) <= 4.0 * stderr,
+        passed=passed,
     )
 
 
@@ -137,7 +160,7 @@ def verify_sampling_identity(
     y: np.ndarray,
     m_prime: int,
     delta: float,
-    trials: int = 2000,
+    trials: int = SAMPLING_TRIALS,
     seed: int = 0,
 ) -> SamplingIdentityReport:
     """MC check of the combined dither/sampling expectation: the mean over
@@ -153,26 +176,19 @@ def verify_sampling_identity(
     if trials < 2:
         raise ValueError("trials must be at least 2")
 
-    xf = x.ravel()
-    yf = y.ravel()
     sums = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        omega = rng.choice(cells, size=m_prime, replace=False)
-        tau = rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
-        qx = uniform_quantize(xf[omega].real, delta, tau)
-        qy = uniform_quantize(yf[omega].real, delta, tau)
-        sums[t] = np.abs(qx - qy).sum()
-    mean = float(sums.mean())
-    stderr = float(sums.std(ddof=1) / math.sqrt(trials))
+        sums[t] = _sampled_pair_diffs(x, y, m_prime, delta, rng).sum()
     expected = m_prime / cells * l1_norm(x.real - y.real)
+    mean, stderr, passed = _mc_estimate(sums, expected)
     return SamplingIdentityReport(
         m_prime=m_prime,
         trials=trials,
         mc_mean=mean,
         stderr=stderr,
         expected=expected,
-        passed=abs(mean - expected) <= 4.0 * stderr,
+        passed=passed,
     )
 
 
@@ -182,7 +198,7 @@ def verify_embedding(
     delta: float,
     levels: int,
     epsilons: np.ndarray,
-    trials: int = 2000,
+    trials: int = EMBEDDING_TRIALS,
     seed: int = 0,
 ) -> EmbeddingReport:
     """Estimate how often the sampled quantized distance strays from the full
@@ -202,11 +218,7 @@ def verify_embedding(
         rng = np.random.default_rng([seed, t])
         x = random_low_rank(spec, rng)
         y = random_low_rank(spec, rng)
-        omega = rng.choice(cells, size=m_prime, replace=False)
-        tau = rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
-        qx = uniform_quantize(x.ravel()[omega].real, delta, tau, levels)
-        qy = uniform_quantize(y.ravel()[omega].real, delta, tau, levels)
-        sampled = np.abs(qx - qy).mean()
+        sampled = _sampled_pair_diffs(x, y, m_prime, delta, rng, levels).mean()
         full = l1_norm(x.real - y.real) / cells
         deviations[t] = abs(sampled - full)
 

@@ -203,6 +203,18 @@ def test_word_length_beyond_range_is_usage_error(tmp_path, capsys):
     assert "[quant] bits" in capsys.readouterr().err
 
 
+def test_non_finite_scenario_number_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text(
+        "[scenario]\nruns = 1\n[scene]\nangles_deg = -34.0, 18.0\n"
+        "[quant]\nmargin = nan\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "[quant] margin" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stage_seed_overrides_add_the_run_index(tmp_path):
     """--seed-signal/--seed-dither replace the base seeds and --run adds to
     both, as in a batch: run 2 from bases (5, 9) uses seeds (7, 11)."""

@@ -224,7 +224,6 @@ def test_svt_complete_reports_data_residual(two_unit_geom):
     direct = np.linalg.norm(result.matrix[view.omega] - view.matrix[view.omega])
     assert result.data_residual == pytest.approx(direct, rel=1e-12)
     assert result.iters == len(result.residuals)
-    assert result.snapshot.values.shape == (149,)
 
 
 def test_rank_projection_preserves_exact_rank_p_hankel(two_unit_geom):

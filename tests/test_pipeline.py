@@ -1,6 +1,8 @@
 """Batch execution, CSV interchange, manifests, the verification battery."""
 
 import contextlib
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -11,11 +13,7 @@ import pytest
 
 import hankeldoa
 from hankeldoa import pipeline
-from hankeldoa.completion import (
-    SvtDivergenceError,
-    SvtZeroIterateError,
-    build_quantized_hankel,
-)
+from hankeldoa.completion import SvtDivergenceError, SvtZeroIterateError
 from hankeldoa.linalg import blas_threads
 from hankeldoa.pipeline import (
     DITHER_GRID,
@@ -25,19 +23,13 @@ from hankeldoa.pipeline import (
     run_scenario,
     seeds_for,
     theory_battery,
-    write_hankel_csv,
     write_snapshot_csv,
     write_spectra_csv,
     write_theory_csvs,
     write_trace_csv,
 )
-from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales
-from hankeldoa.scenario import (
-    load_bundled,
-    parse_scenario,
-    placement_to_delta,
-    scenario_hash,
-)
+from hankeldoa.quant import DynamicRangeViolation
+from hankeldoa.scenario import load_bundled, scenario_hash
 from hankeldoa.signal import SnapshotKind, TargetScene, synthesize_snapshot
 
 
@@ -121,6 +113,30 @@ def test_hash_ignores_volatile_fields(single_run_manifest):
         runs=manifest.runs,
     )
     assert renamed.compute_hash() != manifest.compute_hash()
+
+
+def _altered(value):
+    """A value of the same kind that differs from value."""
+    if isinstance(value, str):
+        return value + "!"
+    if isinstance(value, dict):
+        return {**value, "altered": 1}
+    assert value, "a list field needs an element to repeat"
+    return value + value[:1]
+
+
+def test_manifest_json_holds_every_field(first4_scenario, tmp_path):
+    manifest = run_scenario(first4_scenario, out_dir=str(tmp_path), runs=1)
+    with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    names = [f.name for f in dataclasses.fields(RunManifest)]
+    assert set(payload) == set(names)
+    volatile = {"out_dir", "timings", "environment", "manifest_hash"}
+    assert set(RunManifest.VOLATILE_FIELDS) == volatile
+    hashed = [name for name in names if name not in volatile]
+    for name in hashed:
+        changed = dataclasses.replace(manifest, **{name: _altered(getattr(manifest, name))})
+        assert changed.compute_hash() != manifest.compute_hash(), name
 
 
 def test_seed_overrides_enter_the_manifest(first4_scenario):
@@ -247,7 +263,15 @@ GOLDEN_HASHES = {
 }
 
 
-def test_bundled_manifest_hashes_are_pinned():
+# sha256 of the two theory CSVs from theory_battery(10_000, 50, 50, seed=0),
+# recorded with the numerical environment above.
+GOLDEN_THEORY_DIGESTS = {
+    "theory_report.csv": "8c078f30f5cf53d6fba156a75874ca92f8e4b1f9ef93f327da6a824ddb0ce3a4",
+    "embedding.csv": "0572fbd5eca41240f4fdcdad7c98ce7200a5b22abb245d08f327e163ad5f4d4f",
+}
+
+
+def _skip_unless_golden_environment():
     env = pipeline._environment(None, 1)
     recorded = {key: env[key] for key in GOLDEN_ENVIRONMENT}
     if recorded != GOLDEN_ENVIRONMENT:
@@ -255,11 +279,26 @@ def test_bundled_manifest_hashes_are_pinned():
             f"hashes were recorded under {GOLDEN_ENVIRONMENT}, this is {recorded}; "
             "floating-point results may differ across numpy and BLAS builds"
         )
+
+
+def test_bundled_manifest_hashes_are_pinned():
+    _skip_unless_golden_environment()
     hashes = {
         name: run_scenario(load_bundled(name), runs=3, write=False).manifest_hash
         for name in GOLDEN_HASHES
     }
     assert hashes == GOLDEN_HASHES
+
+
+def test_theory_report_is_pinned(tmp_path):
+    _skip_unless_golden_environment()
+    battery = theory_battery(10_000, 50, 50, seed=0)
+    names = write_theory_csvs(battery, str(tmp_path))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in names
+    }
+    assert digests == GOLDEN_THEORY_DIGESTS
 
 
 def test_unpinned_batch_runs_one_run_at_a_time(monkeypatch):
@@ -347,26 +386,21 @@ def test_read_snapshot_rejects_other_csvs(tmp_path):
         read_snapshot_csv(str(path))
 
 
-def test_hankel_csv_subset_tags(two_unit_geom, tmp_path):
-    _, masked = synthesize_snapshot(
-        TargetScene((-34.0, 18.0), amplitudes=(1 + 0j, 1 + 0j), snr_db=20.0),
-        two_unit_geom,
-        seed=0,
-    )
-    ind = placement_to_delta("first4", two_unit_geom)
-    d1, d2 = design_scales(masked, 0.05, 512)
-    view = build_quantized_hankel(
-        masked, QuantScheme(d1, d2, 10, ind, dither_seed=1000)
-    )
-    path = tmp_path / "hankel.csv"
-    write_hankel_csv(str(path), view)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "i,j,re,im,subset"
-    assert len(lines) == 1 + 75 * 75
-    tags = [line.rsplit(",", 1)[1] for line in lines[1:]]
-    assert tags.count("omega1") == 1871
-    assert tags.count("omega2") == 22
-    assert tags.count("unobserved") == 75 * 75 - 1893
+@pytest.mark.parametrize(
+    "rows, line, reason",
+    [
+        (["1,1,0,1", "2,1,0,1", "5,1,0,1"], 4, "index 5, expected 3"),
+        (["1,1,0,1", "1,1,0,1"], 3, "index 1, expected 2"),
+        (["1,1,0,1", "2,nan,0,1"], 3, "not finite"),
+        (["1,1,0,1", "2,0.5"], 3, r"expected 4, got 2"),
+    ],
+    ids=["gap", "repeat", "nan", "short"],
+)
+def test_read_snapshot_rejects_bad_rows(tmp_path, rows, line, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["index,re,im,mask"] + rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"bad\.csv, line {line}: .*{reason}"):
+        read_snapshot_csv(str(path))
 
 
 def test_theory_battery_small_trials_pass():

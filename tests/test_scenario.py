@@ -136,6 +136,46 @@ def test_word_length_beyond_range_is_a_quant_error():
     assert parse_scenario(MINIMAL + "\n[quant]\nbits = 32\n").bits == 32
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("quant", "margin", "nan"),
+        ("quant", "margin", "inf"),
+        ("svt", "tau", "nan"),
+        ("svt", "step", "inf"),
+        ("svt", "tol", "nan"),
+        ("scene", "snr_db", "nan"),
+        ("scene", "snr_db", "-inf"),
+        ("scene", "angles_deg", "nan, 18"),
+        ("scene", "amplitudes", "nan, 1"),
+    ],
+)
+def test_non_finite_numbers_rejected(section, key, value):
+    if key == "angles_deg":
+        text = MINIMAL.replace("-34.0, 18.0", value)
+    elif section == "scene":  # MINIMAL ends inside [scene]
+        text = MINIMAL + f"{key} = {value}\n"
+    else:
+        text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ScenarioError, match=rf"\[{section}\] "):
+        parse_scenario(text)
+
+
+def test_noiseless_snr_stays_valid():
+    assert parse_scenario(MINIMAL + "snr_db = inf\n").snr_db == np.inf
+
+
+def test_bad_geometry_is_rejected_at_load():
+    with pytest.raises(ScenarioError, match=r"\[geometry\] tx_positions must be positive"):
+        parse_scenario(MINIMAL + "\n[geometry]\ntx1 = 0, 9, 25\n")
+
+
+def test_n_fft_shorter_than_aperture_is_rejected_at_load():
+    with pytest.raises(ScenarioError, match=r"\[spectrum\] n_fft: 64 is shorter"):
+        parse_scenario(MINIMAL + "\n[spectrum]\nn_fft = 64\n")
+    assert parse_scenario(MINIMAL + "\n[spectrum]\nn_fft = 256\n").n_fft == 256
+
+
 def test_model_order_defaults_to_target_count():
     scn = Scenario(name="x", angles_deg=(1.0, 2.0, 3.0))
     assert scn.model_order == 3

@@ -220,12 +220,11 @@ def cmd_run(args) -> int:
     )
     for r in manifest.runs:
         peaks = " ".join(f"{t:+7.2f}deg@{l:6.1f}dB" for t, l in r.peaks)
-        flag = "" if r.converged else " [hit max iters]"
         err = "n/a" if r.max_error_deg is None else f"{r.max_error_deg:.3f}"
         print(
             f"run {r.run:2d}: {peaks}  err {err} deg, "
             f"sidelobe margin {r.sidelobe_margin_db:5.2f} dB, "
-            f"iters {r.iters}{flag}"
+            f"iters {r.iters} ({r.stop_reason(scn.tol)})"
         )
     out_dir = args.out if args.out else scn.out_dir
     print(f"wrote {len(manifest.outputs)} files to {out_dir}")
@@ -296,10 +295,9 @@ def cmd_complete(args) -> int:
     trace_path = os.path.join(args.out, "trace.csv")
     pipeline.write_snapshot_csv(completed_path, snap_hat)
     pipeline.write_trace_csv(trace_path, result.residuals, result.ranks)
-    flag = "converged" if result.converged else "hit max iters"
     print(
         f"wrote {completed_path} and {trace_path} "
-        f"({result.iters} iterations, {flag}, "
+        f"({result.iters} iterations, stopped by {result.stop_reason}, "
         f"final residual {result.residuals[-1]:.3g})"
     )
     return 0

@@ -25,17 +25,27 @@ class RadarUnit:
 
     def __post_init__(self):
         for name in ("tx_positions", "rx_positions"):
-            raw = getattr(self, name)
-            if len(raw) == 0:
-                raise ValueError(f"{name} must contain at least one element")
-            pos = tuple(int(p) for p in raw)
-            if any(a != b for a, b in zip(pos, raw)):
-                raise ValueError(f"{name} must be integers, got {raw!r}")
-            if any(p <= 0 for p in pos):
-                raise ValueError(f"{name} must be positive, got {raw!r}")
-            if any(b <= a for a, b in zip(pos, pos[1:])):
-                raise ValueError(f"{name} must be strictly increasing, got {raw!r}")
+            try:
+                pos = grid_positions(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
             object.__setattr__(self, name, pos)
+
+
+def grid_positions(raw) -> tuple[int, ...]:
+    """raw as a tuple of grid positions; the ValueError of a list that is
+    empty, not integer, not positive or not strictly increasing says which
+    rule failed and leaves naming the list to the caller."""
+    if len(raw) == 0:
+        raise ValueError("must contain at least one element")
+    pos = tuple(int(p) for p in raw)
+    if any(a != b for a, b in zip(pos, raw)):
+        raise ValueError(f"must be integers, got {raw!r}")
+    if any(p <= 0 for p in pos):
+        raise ValueError(f"must be positive, got {raw!r}")
+    if any(b <= a for a, b in zip(pos, pos[1:])):
+        raise ValueError(f"must be strictly increasing, got {raw!r}")
+    return pos
 
 
 @dataclass

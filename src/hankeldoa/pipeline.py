@@ -188,11 +188,20 @@ class RunSummary:
     l1_bound: float
     probability_floor: float
 
+    def stop_reason(self, tol: float) -> str:
+        """The rule that stopped the solver (completion.svt_iterate), given
+        the scenario's tol: the residual rule is tested first."""
+        if not self.converged:
+            return "max_iters"
+        return "residual" if self.final_residual <= tol else "change"
 
-# runs.csv columns: every RunSummary field but the peaks, which go to peaks.csv.
+
+# runs.csv columns: every RunSummary field but the peaks, which go to
+# peaks.csv, with the stop reason after converged.
 _RUNS_COLUMNS = [
     f.name for f in fields(RunSummary) if f.name not in ("peaks", "peaks_complete")
 ]
+_RUNS_COLUMNS.insert(_RUNS_COLUMNS.index("converged") + 1, "stop_reason")
 
 
 @dataclass
@@ -461,7 +470,11 @@ def run_scenario(
             outputs.extend([spectra_name, trace_name])
             for order, (theta, level) in enumerate(summary.peaks, start=1):
                 peaks_rows.append((summary.run, order, theta, level))
-            values = (getattr(summary, c) for c in _RUNS_COLUMNS)
+            values = (
+                summary.stop_reason(scn.tol) if c == "stop_reason"
+                else getattr(summary, c)
+                for c in _RUNS_COLUMNS
+            )
             runs_rows.append([math.nan if v is None else v for v in values])
         _write_csv(
             os.path.join(scn.out_dir, "peaks.csv"),

@@ -20,7 +20,13 @@ from importlib import resources
 import numpy as np
 
 from .completion import SvtConfig
-from .geometry import ArrayGeometry, RadarUnit, masking_vector, synthesize_virtual_array
+from .geometry import (
+    ArrayGeometry,
+    RadarUnit,
+    grid_positions,
+    masking_vector,
+    synthesize_virtual_array,
+)
 from .quant import word_levels
 from .signal import TargetScene
 
@@ -41,8 +47,9 @@ class Scenario:
     is the model order of the final rank projection and defaults to the
     number of targets.  tau/step stay None to take the solver's size-derived
     defaults, and tol/max_iters default to the solver's.  The geometry,
-    scene and solver fields are validated by the radar units, TargetScene
-    and SvtConfig they build, bits by the quantizer's word_levels.  Every
+    scene and solver fields are validated by the grid-position rule,
+    TargetScene and SvtConfig, bits by the quantizer's word_levels and
+    placement by placement_to_delta on the scenario's geometry.  Every
     number must be finite, except snr_db, which may be inf (noiseless).
     """
 
@@ -81,10 +88,11 @@ class Scenario:
             fail(f"[scene] {exc}")
         object.__setattr__(self, "angles_deg", scene.angles_deg)
         object.__setattr__(self, "amplitudes", scene.amplitudes)
-        for field_name in ("tx1", "rx1", "tx2", "rx2"):
-            object.__setattr__(
-                self, field_name, tuple(int(p) for p in getattr(self, field_name))
-            )
+        for key in ("tx1", "rx1", "tx2", "rx2"):
+            try:
+                object.__setattr__(self, key, grid_positions(getattr(self, key)))
+            except ValueError as exc:
+                fail(f"[geometry] {key}: {exc}")
         try:
             geom = geometry_of(self)
         except ValueError as exc:
@@ -95,21 +103,12 @@ class Scenario:
             fail(f"[quant] bits: {exc}")
         if not 0 <= self.margin < math.inf:
             fail("[quant] margin: must be nonnegative and finite")
-        if isinstance(self.placement, str):
-            if self.placement not in NAMED_PLACEMENTS:
-                fail(
-                    f"[quant] placement: {self.placement!r} is not one of "
-                    f"{NAMED_PLACEMENTS} or an explicit antenna list"
-                )
-        else:
-            ants = tuple(int(a) for a in self.placement)
-            if not ants:
-                fail("[quant] placement: explicit list must be nonempty")
-            if len(set(ants)) != len(ants):
-                fail("[quant] placement: explicit list has repeats")
-            if any(a < 1 for a in ants):
-                fail("[quant] placement: antenna indices are 1-based positives")
-            object.__setattr__(self, "placement", ants)
+        if not isinstance(self.placement, str):
+            object.__setattr__(self, "placement", tuple(int(a) for a in self.placement))
+        try:
+            placement_to_delta(self.placement, geom)
+        except ScenarioError as exc:
+            fail(f"[quant] placement: {exc}")
         try:
             svt_config_of(self)
         except ValueError as exc:
@@ -151,6 +150,13 @@ def scene_of(scn: Scenario) -> TargetScene:
     )
 
 
+# The solver's change rule for every scenario (completion.svt_iterate).  A
+# scenario completes quantized data, whose distance from the truth sits far
+# above the residual rule's tol, so the iterations after the iterate settles
+# fit quantization noise; the rank projection discards what they add.
+CHANGE_TOL = 1e-2
+
+
 def svt_config_of(scn: Scenario) -> SvtConfig:
     return SvtConfig(
         tau=scn.tau,
@@ -158,6 +164,7 @@ def svt_config_of(scn: Scenario) -> SvtConfig:
         tol=scn.tol,
         max_iters=scn.max_iters,
         rank_cap=scn.rank_cap,
+        change_tol=CHANGE_TOL,
     )
 
 
@@ -168,14 +175,17 @@ def placement_to_delta(
 
     Named rules pick from the observed antennas in virtual-index order:
     first4 takes the first four, last4 the last four, edges the first two and
-    last two.  An explicit tuple gives 1-based virtual indices, each of which
-    must be observed.
+    last two.  An explicit tuple gives distinct 1-based virtual indices, each
+    of which must be observed.
     """
     mask = masking_vector(geom)
     observed = np.flatnonzero(mask == 1) + 1
     if isinstance(placement, str):
         if placement not in NAMED_PLACEMENTS:
-            raise ScenarioError(f"unknown placement rule {placement!r}")
+            raise ScenarioError(
+                f"{placement!r} is not one of {NAMED_PLACEMENTS} or an explicit "
+                "antenna list"
+            )
         if observed.size < 4:
             raise ScenarioError("named placements need at least 4 observed antennas")
         if placement == "first4":
@@ -186,11 +196,13 @@ def placement_to_delta(
             chosen = np.concatenate([observed[:2], observed[-2:]])
     else:
         chosen = np.asarray(sorted(int(a) for a in placement))
+        if chosen.size == 0:
+            raise ScenarioError("explicit list must be nonempty")
+        if np.unique(chosen).size != chosen.size:
+            raise ScenarioError("explicit list has repeats")
         missing = [int(a) for a in chosen if a not in set(observed.tolist())]
         if missing:
-            raise ScenarioError(
-                f"placement antennas {missing} are not observed virtual elements"
-            )
+            raise ScenarioError(f"antennas {missing} are not observed virtual elements")
     ind = np.zeros(geom.m, dtype=np.int8)
     ind[chosen - 1] = 1
     return ind

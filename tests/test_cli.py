@@ -63,6 +63,7 @@ def test_run_single(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "mixed rate 0.0118" in printed
+    assert "(change)" in printed
     assert "manifest hash" in printed
     assert (out_dir / "manifest.json").is_file()
     assert (out_dir / "runs.csv").is_file()
@@ -107,6 +108,7 @@ def test_stage_chain_matches_direct_path(tmp_path, capsys):
             str(tmp_path),
         ]
     ) == 0
+    assert "iterations, stopped by change" in capsys.readouterr().out
     completed = read_snapshot_csv(str(tmp_path / "completed.csv"))
     assert completed.m == 149
     assert int(completed.mask.sum()) == 149
@@ -213,6 +215,17 @@ def test_non_finite_scenario_number_is_usage_error(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "[quant] margin" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unobserved_placement_is_rejected_at_load(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(
+        "[scene]\nangles_deg = -34.0, 18.0\n[quant]\nplacement = 1, 2, 3, 4\n",
+        encoding="utf-8",
+    )
+    assert main(["synth", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "[quant] placement" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_stage_seed_overrides_add_the_run_index(tmp_path):

@@ -1,5 +1,7 @@
 """SVT completion, mixed-precision Hankel assembly, rank projection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hankeldoa.completion import (
 )
 from hankeldoa.hankel import HankelView, lift
 from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales
+from hankeldoa.scenario import load_bundled, svt_config_of
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
 from conftest import constant_masked
@@ -41,30 +44,35 @@ def test_config_defaults_and_validation():
         SvtConfig(step=-1.0)
     with pytest.raises(ValueError):
         SvtConfig(rank_cap=0)
+    assert cfg.change_tol is None
+    assert SvtConfig(change_tol=1e-2).change_tol == 1e-2
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="change_tol must be positive and finite"):
+            SvtConfig(change_tol=bad)
 
 
 def test_fully_observed_rank_one_recovers():
     rng = np.random.default_rng(6)
     truth = np.outer(rng.standard_normal(8), rng.standard_normal(8)).astype(complex)
     mask = np.ones((8, 8), dtype=bool)
-    x, residuals, ranks, converged = svt_iterate(
+    x, residuals, ranks, reason = svt_iterate(
         truth.copy(), mask, SvtConfig(tau=1e-3, step=1.0)
     )
-    assert converged
+    assert reason == "residual"
     assert np.linalg.norm(x - truth) / np.linalg.norm(truth) <= 1e-3
 
 
 def test_partially_observed_rank_one_oracle():
     truth, values, mask = rank_one_problem(seed=3)
-    x, residuals, ranks, converged = svt_iterate(values, mask, SvtConfig())
-    assert converged
+    x, residuals, ranks, reason = svt_iterate(values, mask, SvtConfig())
+    assert reason == "residual"
     assert np.linalg.norm(x - truth) / np.linalg.norm(truth) <= 1e-3
     assert len(residuals) <= 500
 
 
 def test_residuals_are_positive_and_final_below_tol():
     truth, values, mask = rank_one_problem(seed=3)
-    x, residuals, ranks, converged = svt_iterate(values, mask, SvtConfig())
+    x, residuals, ranks, _ = svt_iterate(values, mask, SvtConfig())
     assert np.all(residuals > 0)
     assert residuals[-1] <= 1e-4
     assert len(ranks) == len(residuals)
@@ -76,12 +84,25 @@ def test_rank_cap_limits_iterate_rank():
     assert max(int(r) for r in ranks) <= 1
 
 
+def test_change_rule_waits_for_a_nonzero_iterate_and_yields_to_the_residual():
+    truth, values, mask = rank_one_problem(seed=3)
+    _, residuals, ranks, _ = svt_iterate(values, mask, SvtConfig(max_iters=4))
+    assert list(ranks) == [0, 0, 1, 1]
+    # change_tol = 1e10 holds at every step from a nonzero iterate, so the
+    # first stop is iteration 4, the first whose predecessor is nonzero.
+    _, r, _, reason = svt_iterate(values, mask, SvtConfig(change_tol=1e10))
+    assert (len(r), reason) == (4, "change")
+    tie = SvtConfig(tol=residuals[3], change_tol=1e10)
+    _, r, _, reason = svt_iterate(values, mask, tie)
+    assert (len(r), reason) == (4, "residual")
+
+
 def test_all_zero_observations_short_circuit():
     values = np.zeros((6, 6), dtype=complex)
     mask = np.zeros((6, 6), dtype=bool)
     mask[0, 0] = True
-    x, residuals, ranks, converged = svt_iterate(values, mask, SvtConfig())
-    assert converged
+    x, residuals, ranks, reason = svt_iterate(values, mask, SvtConfig())
+    assert reason == "residual"
     assert np.all(x == 0)
 
 
@@ -116,6 +137,28 @@ def paper_view_and_scheme(two_unit_geom, seed_signal=0, seed_dither=1000):
         delta1, delta2, 10, delta_indicator=ind, dither_seed=seed_dither
     )
     return masked, build_quantized_hankel(masked, scheme), scheme
+
+
+def test_change_rule_stops_when_the_iterate_settles(two_unit_geom):
+    _, view, _ = paper_view_and_scheme(two_unit_geom)
+    cfg = svt_config_of(load_bundled("two_targets_first4"))
+    assert cfg.change_tol == 1e-2
+    x, residuals, ranks, reason = svt_iterate(view.matrix, view.omega, cfg)
+    off = dataclasses.replace(cfg, change_tol=None)
+    _, full_residuals, _, full_reason = svt_iterate(view.matrix, view.omega, off)
+    assert (reason, full_reason) == ("change", "residual")
+    assert len(residuals) == len(ranks) < len(full_residuals) / 4
+    # The rule only stops the iteration; it does not alter the path.
+    assert np.array_equal(residuals, full_residuals[: len(residuals)])
+    k = len(residuals)
+    prev, _, _, _ = svt_iterate(
+        view.matrix, view.omega, dataclasses.replace(off, max_iters=k - 1)
+    )
+    prev2, _, _, _ = svt_iterate(
+        view.matrix, view.omega, dataclasses.replace(off, max_iters=k - 2)
+    )
+    assert np.linalg.norm(x - prev) <= 1e-2 * np.linalg.norm(x)
+    assert np.linalg.norm(prev - prev2) > 1e-2 * np.linalg.norm(prev)
 
 
 def test_quantized_hankel_reference_counts(two_unit_geom):

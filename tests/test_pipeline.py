@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hankeldoa
-from hankeldoa import pipeline
+from hankeldoa import pipeline, scenario
 from hankeldoa.completion import SvtDivergenceError, SvtZeroIterateError
 from hankeldoa.linalg import blas_threads
 from hankeldoa.pipeline import (
@@ -29,7 +29,7 @@ from hankeldoa.pipeline import (
     write_trace_csv,
 )
 from hankeldoa.quant import DynamicRangeViolation
-from hankeldoa.scenario import load_bundled, scenario_hash
+from hankeldoa.scenario import CHANGE_TOL, load_bundled, scenario_hash
 from hankeldoa.signal import SnapshotKind, TargetScene, synthesize_snapshot
 
 
@@ -139,6 +139,25 @@ def test_manifest_json_holds_every_field(first4_scenario, tmp_path):
         assert changed.compute_hash() != manifest.compute_hash(), name
 
 
+@pytest.mark.parametrize(
+    "change_tol, max_iters, reason",
+    [
+        (CHANGE_TOL, 1500, "change"),
+        (None, 1500, "residual"),
+        (CHANGE_TOL, 20, "max_iters"),
+    ],
+)
+def test_run_stop_reason(monkeypatch, first4_scenario, change_tol, max_iters, reason):
+    """The reason runs.csv and `run` report, derived from the hashed fields,
+    is the one the solver stopped by."""
+    monkeypatch.setattr(scenario, "CHANGE_TOL", change_tol)
+    scn = dataclasses.replace(first4_scenario, max_iters=max_iters)
+    geom, ind, _ = pipeline._structure(scn)
+    summary, _, _ = pipeline.execute_run(scn, geom, ind, 0)
+    assert summary.stop_reason(scn.tol) == reason
+    assert summary.converged == (reason != "max_iters")
+
+
 def test_seed_overrides_enter_the_manifest(first4_scenario):
     manifest = run_scenario(first4_scenario, runs=1, seed_signal=5, write=False)
     assert "signal = 5" in manifest.scenario_ini
@@ -183,6 +202,7 @@ def test_written_batch_layout(first4_scenario, tmp_path):
         "delta2",
         "iters",
         "converged",
+        "stop_reason",
         "final_residual",
         "data_residual",
         "truncate_rank",
@@ -251,7 +271,8 @@ def test_hash_independent_of_worker_count(monkeypatch):
 
 # Seed-0 manifest hashes of every bundled scenario at runs=3, recorded with
 # the numerical environment below; a refactor that keeps the outputs keeps
-# these hashes.
+# these hashes.  GOLDEN_HASHES are the scenarios with the solver's change
+# rule off (scenario.CHANGE_TOL = None), SHIPPED_HASHES with it on.
 GOLDEN_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 GOLDEN_HASHES = {
     "five_targets": "11703d86812c54e550c0ee252bca33cb89dee98fc09698bf7c4ad8c1ff4a8922",
@@ -260,6 +281,14 @@ GOLDEN_HASHES = {
     "two_targets_edges": "02f79605c27c2b4e0b0794680572305732610df2d6d713d3b80a35c4990c5720",
     "two_targets_first4": "54332dcfd95de39a6ffff39f1a688986f0d53dce053a07f48d370e9a3cf6583f",
     "two_targets_last4": "ab70c341fc37228b43d26055e1924ea700088617d75952fb527fa42625b94f43",
+}
+SHIPPED_HASHES = {
+    "five_targets": "384cdcaf009e242be8313627ada041346306d595daa9f399f74dcebb67537143",
+    "four_targets": "acf376366e21b00a8fd437cc7b6b24bcdb67ccc9e45eac69cbf84bf155db638c",
+    "three_targets": "b6bb90c20587a0d2564bdf0d372d0e6df975221751bb8e9cf257e66d30466ba7",
+    "two_targets_edges": "38db78470a9471142f36cf81afd1a111b60eed4a1d4ebe40d963fad18ce91e46",
+    "two_targets_first4": "03bd58643bf1a5afc3e567a07c63daa8a9e0129d9208d7569b14ff30e3d91b13",
+    "two_targets_last4": "539eeb97a0edd179602c2ea6a215573796e325dfb82348ca813ab79018fa8f87",
 }
 
 
@@ -281,13 +310,25 @@ def _skip_unless_golden_environment():
         )
 
 
-def test_bundled_manifest_hashes_are_pinned():
+def test_bundled_manifest_hashes_are_pinned(monkeypatch):
+    """With the change rule off, the solver is bit for bit the residual-rule
+    solver these hashes were recorded with."""
     _skip_unless_golden_environment()
+    monkeypatch.setattr(scenario, "CHANGE_TOL", None)
     hashes = {
         name: run_scenario(load_bundled(name), runs=3, write=False).manifest_hash
         for name in GOLDEN_HASHES
     }
     assert hashes == GOLDEN_HASHES
+
+
+def test_shipped_manifest_hashes_are_pinned():
+    _skip_unless_golden_environment()
+    hashes = {
+        name: run_scenario(load_bundled(name), runs=3, write=False).manifest_hash
+        for name in SHIPPED_HASHES
+    }
+    assert hashes == SHIPPED_HASHES
 
 
 def test_theory_report_is_pinned(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hankeldoa.scenario import (
+    CHANGE_TOL,
     NAMED_PLACEMENTS,
     Scenario,
     ScenarioError,
@@ -166,8 +167,22 @@ def test_noiseless_snr_stays_valid():
 
 
 def test_bad_geometry_is_rejected_at_load():
-    with pytest.raises(ScenarioError, match=r"\[geometry\] tx_positions must be positive"):
-        parse_scenario(MINIMAL + "\n[geometry]\ntx1 = 0, 9, 25\n")
+    for key in ("tx1", "rx1", "tx2", "rx2"):
+        with pytest.raises(ScenarioError, match=rf"\[geometry\] {key}: must be positive"):
+            parse_scenario(MINIMAL + f"\n[geometry]\n{key} = 0, 9, 25\n")
+
+
+def test_every_scenario_runs_the_change_rule():
+    assert svt_config_of(parse_scenario(MINIMAL)).change_tol == CHANGE_TOL == 1e-2
+
+
+def test_unobserved_placement_is_rejected_at_load():
+    with pytest.raises(
+        ScenarioError,
+        match=r"\[quant\] placement: antennas \[2, 3, 4\] are not observed",
+    ):
+        parse_scenario(MINIMAL + "\n[quant]\nplacement = 1, 2, 3, 4\n")
+    assert parse_scenario(MINIMAL + "\n[quant]\nplacement = 1, 6\n").placement == (1, 6)
 
 
 def test_n_fft_shorter_than_aperture_is_rejected_at_load():

@@ -20,6 +20,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -82,30 +83,30 @@ SAMPLING_M_PRIME = 128
 SAMPLING_DELTA = 0.5
 
 
-def _fmt(x) -> str:
-    """Fixed-precision, locale-independent cell formatting."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+# The % conversion of each CSV column type: %.17g round-trips every double
+# and spells nan, inf, -inf and -0 as such; integers and booleans (1/0) in
+# decimal, never in exponent form; strings as they are.
+_FLOAT, _INT, _STR = "%.17g", "%d", "%s"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, columns: dict[str, str], rows) -> None:
+    """Write a CSV headed by the keys of columns, one line per row: each row
+    is a tuple formatted by the columns' % conversions in one join."""
+    line = ",".join(columns.values()) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) if not isinstance(c, str) else c for c in row))
-            fh.write("\n")
+        fh.write(",".join(columns) + "\n")
+        fh.write("".join(line % row for row in rows))
 
 
 def write_snapshot_csv(path: str, snap: Snapshot) -> None:
     """Snapshot interchange format: (index, re, im, mask), 1-based indices."""
-    rows = (
-        (i + 1, snap.values[i].real, snap.values[i].imag, int(snap.mask[i]))
-        for i in range(snap.m)
+    rows = zip(
+        range(1, snap.m + 1),
+        snap.values.real.tolist(),
+        snap.values.imag.tolist(),
+        snap.mask.tolist(),
     )
-    _write_csv(path, ["index", "re", "im", "mask"], rows)
+    _write_csv(path, {"index": _INT, "re": _FLOAT, "im": _FLOAT, "mask": _INT}, rows)
 
 
 def read_snapshot_csv(path: str) -> Snapshot:
@@ -141,27 +142,23 @@ def read_snapshot_csv(path: str) -> Snapshot:
 
 def write_spectra_csv(path: str, spectra: list[AngleSpectrum]) -> None:
     """Spectrum export: (u, theta_deg, magnitude_db, source)."""
-
-    def rows():
-        for spec in spectra:
-            theta = np.degrees(np.arcsin(spec.u_grid))
-            for i in range(spec.u_grid.size):
-                yield (
-                    spec.u_grid[i],
-                    theta[i],
-                    spec.magnitude_db[i],
-                    spec.source.value,
-                )
-
-    _write_csv(path, ["u", "theta_deg", "magnitude_db", "source"], rows())
+    rows = chain.from_iterable(
+        zip(
+            spec.u_grid.tolist(),
+            np.degrees(np.arcsin(spec.u_grid)).tolist(),
+            spec.magnitude_db.tolist(),
+            repeat(spec.source.value),
+        )
+        for spec in spectra
+    )
+    columns = {"u": _FLOAT, "theta_deg": _FLOAT, "magnitude_db": _FLOAT, "source": _STR}
+    _write_csv(path, columns, rows)
 
 
 def write_trace_csv(path: str, residuals: np.ndarray, ranks: np.ndarray) -> None:
     """Completion iteration trace: (k, residual, rank), 1-based iterations."""
-    rows = (
-        (k + 1, residuals[k], int(ranks[k])) for k in range(len(residuals))
-    )
-    _write_csv(path, ["k", "residual", "rank"], rows)
+    rows = zip(range(1, len(residuals) + 1), residuals.tolist(), ranks.tolist())
+    _write_csv(path, {"k": _INT, "residual": _FLOAT, "rank": _INT}, rows)
 
 
 @dataclass
@@ -196,12 +193,16 @@ class RunSummary:
         return "residual" if self.final_residual <= tol else "change"
 
 
-# runs.csv columns: every RunSummary field but the peaks, which go to
-# peaks.csv, with the stop reason after converged.
-_RUNS_COLUMNS = [
-    f.name for f in fields(RunSummary) if f.name not in ("peaks", "peaks_complete")
-]
-_RUNS_COLUMNS.insert(_RUNS_COLUMNS.index("converged") + 1, "stop_reason")
+# runs.csv columns and their conversions: every RunSummary field but the
+# peaks, which go to peaks.csv, with the stop reason after converged.  The
+# field annotations are strings here (postponed evaluation); an int or bool
+# field is written with %d, any other with %.17g.
+_RUNS_COLUMNS = {}
+for _field in fields(RunSummary):
+    if _field.name not in ("peaks", "peaks_complete"):
+        _RUNS_COLUMNS[_field.name] = _INT if _field.type in ("int", "bool") else _FLOAT
+    if _field.name == "converged":
+        _RUNS_COLUMNS["stop_reason"] = _STR
 
 
 @dataclass
@@ -475,10 +476,10 @@ def run_scenario(
                 else getattr(summary, c)
                 for c in _RUNS_COLUMNS
             )
-            runs_rows.append([math.nan if v is None else v for v in values])
+            runs_rows.append(tuple(math.nan if v is None else v for v in values))
         _write_csv(
             os.path.join(scn.out_dir, "peaks.csv"),
-            ["run", "order", "theta_deg", "level_db"],
+            {"run": _INT, "order": _INT, "theta_deg": _FLOAT, "level_db": _FLOAT},
             peaks_rows,
         )
         _write_csv(os.path.join(scn.out_dir, "runs.csv"), _RUNS_COLUMNS, runs_rows)
@@ -563,7 +564,7 @@ def write_theory_csvs(battery: TheoryBattery, out_dir: str) -> list[str]:
         rows.append(
             (
                 "dither_identity",
-                f"a={_fmt(r.a)} b={_fmt(r.b)} delta={_fmt(r.delta)}",
+                f"a={_FLOAT % r.a} b={_FLOAT % r.b} delta={_FLOAT % r.delta}",
                 r.mc_mean,
                 r.expected,
                 r.passed,
@@ -581,35 +582,19 @@ def write_theory_csvs(battery: TheoryBattery, out_dir: str) -> list[str]:
         )
     emb = battery.embedding
     for i, eps in enumerate(emb.epsilons):
-        rows.append(
-            (
-                "embedding",
-                f"epsilon={_fmt(eps)}",
-                emb.empirical[i],
-                emb.bound[i],
-                bool(emb.passed[i]),
-            )
-        )
-        rows.append(
-            (
-                "embedding_sharp",
-                f"epsilon={_fmt(eps)}",
-                emb.empirical[i],
-                emb.bound_sharp[i],
-                bool(emb.empirical[i] <= emb.bound_sharp[i]),
-            )
-        )
+        detail = f"epsilon={_FLOAT % eps}"
+        observed, sharp = emb.empirical[i], emb.bound_sharp[i]
+        rows.append(("embedding", detail, observed, emb.bound[i], bool(emb.passed[i])))
+        rows.append(("embedding_sharp", detail, observed, sharp, bool(observed <= sharp)))
     _write_csv(
         os.path.join(out_dir, "theory_report.csv"),
-        ["check", "detail", "observed", "reference", "passed"],
+        {"check": _STR, "detail": _STR, "observed": _FLOAT, "reference": _FLOAT,
+         "passed": _INT},
         rows,
     )
     _write_csv(
         os.path.join(out_dir, "embedding.csv"),
-        ["epsilon", "empirical", "bound"],
-        (
-            (emb.epsilons[i], emb.empirical[i], emb.bound[i])
-            for i in range(emb.epsilons.size)
-        ),
+        {"epsilon": _FLOAT, "empirical": _FLOAT, "bound": _FLOAT},
+        zip(emb.epsilons.tolist(), emb.empirical.tolist(), emb.bound.tolist()),
     )
     return ["theory_report.csv", "embedding.csv"]

@@ -48,8 +48,8 @@ class QuantScheme:
     dither_seed: int = 0
 
     def __post_init__(self):
-        if self.delta1 <= 0 or self.delta2 <= 0:
-            raise ValueError("quantizer step sizes must be positive")
+        if not (0 < self.delta1 < np.inf and 0 < self.delta2 < np.inf):
+            raise ValueError("quantizer step sizes must be positive and finite")
         word_levels(self.bits)  # raises on a word length out of range
         if self.delta_indicator is not None:
             ind = np.asarray(self.delta_indicator, dtype=np.int8)
@@ -73,6 +73,13 @@ def word_levels(bits: int) -> int:
     if not 2 <= bits <= 32:
         raise ValueError(f"word length must lie in 2..32 bits, got {bits}")
     return 2 ** (bits - 1)
+
+
+def check_margin(margin: float) -> None:
+    """The one-bit headroom rule of design_scales: 0 <= margin < inf.  A nan
+    or infinite margin would make the one-bit step nan or infinite."""
+    if not 0 <= margin < np.inf:
+        raise ValueError("margin: must be nonnegative and finite")
 
 
 def uniform_quantize(x, delta: float, tau, levels: int | None = None):
@@ -136,8 +143,7 @@ def design_scales(masked: Snapshot, margin: float, levels: int) -> tuple[float, 
     one-bit step is 2R(1+margin) so every part fits its half-cell; the
     multi-bit step spreads the 2*levels cells across [-R, R].
     """
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
+    check_margin(margin)
     observed = masked.values[masked.mask == 1]
     if observed.size == 0:
         raise ValueError("masked snapshot has no observed antennas")

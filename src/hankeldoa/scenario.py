@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -27,7 +26,7 @@ from .geometry import (
     masking_vector,
     synthesize_virtual_array,
 )
-from .quant import word_levels
+from .quant import check_margin, word_levels
 from .signal import TargetScene
 
 NAMED_PLACEMENTS = ("edges", "last4", "first4")
@@ -101,8 +100,10 @@ class Scenario:
             word_levels(self.bits)
         except ValueError as exc:
             fail(f"[quant] bits: {exc}")
-        if not 0 <= self.margin < math.inf:
-            fail("[quant] margin: must be nonnegative and finite")
+        try:
+            check_margin(self.margin)
+        except ValueError as exc:
+            fail(f"[quant] {exc}")
         if not isinstance(self.placement, str):
             object.__setattr__(self, "placement", tuple(int(a) for a in self.placement))
         try:

@@ -300,6 +300,21 @@ GOLDEN_THEORY_DIGESTS = {
 }
 
 
+# sha256 of the CSVs run_scenario(load_bundled("two_targets_first4"), runs=3,
+# write=True) writes, recorded with the numerical environment above; the
+# manifest hash covers RunSummary only, so these pin the written bytes.
+GOLDEN_BATCH_DIGESTS = {
+    "spectra_run00.csv": "3a1d78f0803d51b1d6733dc0ad47725323d12c768cde49cb630a638527bac1c8",
+    "spectra_run01.csv": "e41515a717635e5fb336d0efc9988d78c783355bc6ed48e6883274bca2e0abd1",
+    "spectra_run02.csv": "ca6ae9d257a3e54a80599a84265254b0e3201eb398ebab7ba7e90d1b60264631",
+    "trace_run00.csv": "9b8df284798271b08aae8037c3366573958cf2600a0d4ac09fe0459c7236649a",
+    "trace_run01.csv": "3c1db16399fd39b0b7cc35af38420e6bea491065b939ceb505d8bd2096f50741",
+    "trace_run02.csv": "71c89fdf0b799e9a4fde1cc918d34f25c2408dc9dc2ede24986fa47353025624",
+    "peaks.csv": "0ad53d41b58cf8a7c9a83b7b283b924b812d956b9a871f96753ba0e7f29dfff6",
+    "runs.csv": "eb74fcae956a9978f89c8632b9765e2a198fa7b80caaaeab1d7d33d2474cf568",
+}
+
+
 def _skip_unless_golden_environment():
     env = pipeline._environment(None, 1)
     recorded = {key: env[key] for key in GOLDEN_ENVIRONMENT}
@@ -340,6 +355,18 @@ def test_theory_report_is_pinned(tmp_path):
         for name in names
     }
     assert digests == GOLDEN_THEORY_DIGESTS
+
+
+def test_written_batch_is_pinned(tmp_path):
+    _skip_unless_golden_environment()
+    run_scenario(
+        load_bundled("two_targets_first4"), out_dir=str(tmp_path), runs=3, write=True
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_BATCH_DIGESTS
+    }
+    assert digests == GOLDEN_BATCH_DIGESTS
 
 
 def test_unpinned_batch_runs_one_run_at_a_time(monkeypatch):
@@ -418,6 +445,151 @@ def test_snapshot_csv_round_trip_exact(two_unit_geom, tmp_path):
         assert back.kind is kind
         assert np.array_equal(back.mask, snap.mask)
         assert np.array_equal(back.values, snap.values)
+
+
+# Cells the writers must spell as the per-cell rule below does: both zeros,
+# both infinities (-inf is the magnitude_db of an exact spectral null), nan
+# (the max_error_deg of an incomplete run), the smallest subnormal, and
+# doubles whose shortest spelling takes an exponent or all 17 digits.
+ODD_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e17, 0.1, -1.0 / 3.0]
+
+
+def _per_cell(cell) -> str:
+    """The per-cell rule the CSV writers replaced, kept as their reference."""
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, (bool, np.bool_)):
+        return "1" if cell else "0"
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    return format(float(cell), ".17g")
+
+
+def _per_cell_csv(header, rows) -> str:
+    return "".join(",".join(_per_cell(c) for c in row) + "\n" for row in [header, *rows])
+
+
+def test_array_writers_match_the_per_cell_rule(tmp_path):
+    from hankeldoa.signal import Snapshot
+    from hankeldoa.spectrum import AngleSpectrum, SpectrumSource
+
+    odd = np.array(ODD_FLOATS)
+    u = np.array([-1.0, -0.5, -0.0, 0.0, 5e-324, 1e-17, 0.1, 0.5, 1.0 - 2.0**-53])
+    spectra = [
+        AngleSpectrum(u, odd, SpectrumSource.SLA_ZERO_FILLED),
+        AngleSpectrum(u, odd[::-1], SpectrumSource.COMPLETED),
+    ]
+    write_spectra_csv(str(tmp_path / "spectra.csv"), spectra)
+    rows = [
+        (s.u_grid[i], np.degrees(np.arcsin(s.u_grid))[i], s.magnitude_db[i], s.source.value)
+        for s in spectra
+        for i in range(u.size)
+    ]
+    assert (tmp_path / "spectra.csv").read_text(encoding="utf-8") == _per_cell_csv(
+        ["u", "theta_deg", "magnitude_db", "source"], rows
+    )
+
+    ranks = np.array([0, 1, 2, 2**62, 3, 4, 5, 6, 7], dtype=np.int64)
+    write_trace_csv(str(tmp_path / "trace.csv"), odd, ranks)
+    rows = [(k + 1, odd[k], ranks[k]) for k in range(odd.size)]
+    assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == _per_cell_csv(
+        ["k", "residual", "rank"], rows
+    )
+
+    values = np.empty(odd.size, dtype=np.complex128)
+    values.real, values.imag = odd, odd[::-1]
+    snap = Snapshot(values, np.arange(odd.size) % 2, SnapshotKind.FULL)
+    write_snapshot_csv(str(tmp_path / "snapshot.csv"), snap)
+    rows = [(i + 1, values[i].real, values[i].imag, snap.mask[i]) for i in range(odd.size)]
+    assert (tmp_path / "snapshot.csv").read_text(encoding="utf-8") == _per_cell_csv(
+        ["index", "re", "im", "mask"], rows
+    )
+
+
+def test_batch_tables_match_the_per_cell_rule(first4_scenario, monkeypatch, tmp_path):
+    """runs.csv and peaks.csv of runs that carry numpy scalars, non-finite
+    values, a seed beyond 2**53 and an incomplete run's None max_error_deg."""
+
+    def run_with_odd_values(scn, geom, ind, run):
+        summary = pipeline.RunSummary(
+            run=run, seed_signal=np.int64(2**62 + run), seed_dither=run,
+            delta1=5e-324, delta2=-0.0, iters=np.int64(7),
+            converged=np.bool_(run == 0), final_residual=np.float64(0.1),
+            data_residual=np.inf, truncate_rank=2,
+            peaks=[(-34.0 - run / 3.0, 0.0), (1e17, -np.inf)],
+            peaks_complete=run == 0, sidelobe_sla_db=-np.inf,
+            sidelobe_completed_db=np.nan, sidelobe_margin_db=np.float64(1e17),
+            max_error_deg=0.25 if run == 0 else None, l1_error=-1.0 / 3.0,
+            l1_bound=1125.0, probability_floor=np.float64(-0.0),
+        )
+        artifacts = {"spectra": [], "residuals": np.ones(1), "ranks": np.zeros(1, int)}
+        return summary, artifacts, {}
+
+    monkeypatch.setattr(pipeline, "execute_run", run_with_odd_values)
+    manifest = run_scenario(first4_scenario, out_dir=str(tmp_path), runs=2)
+    header = list(pipeline._RUNS_COLUMNS)
+    rows = []
+    for s in manifest.runs:
+        values = [
+            s.stop_reason(first4_scenario.tol) if c == "stop_reason" else getattr(s, c)
+            for c in header
+        ]
+        rows.append([np.nan if v is None else v for v in values])
+    assert (tmp_path / "runs.csv").read_text(encoding="utf-8") == _per_cell_csv(
+        header, rows
+    )
+    rows = [
+        (s.run, order, theta, level)
+        for s in manifest.runs
+        for order, (theta, level) in enumerate(s.peaks, start=1)
+    ]
+    assert (tmp_path / "peaks.csv").read_text(encoding="utf-8") == _per_cell_csv(
+        ["run", "order", "theta_deg", "level_db"], rows
+    )
+
+
+def test_theory_writers_match_the_per_cell_rule(tmp_path):
+    from hankeldoa.theory import (
+        DitherIdentityReport,
+        EmbeddingReport,
+        SamplingIdentityReport,
+    )
+
+    dither = [
+        DitherIdentityReport(-0.0, 5e-324, 1e17, 1, np.nan, 0.0, -np.inf, np.bool_(False)),
+        DitherIdentityReport(0.1, -1.0 / 3.0, 0.5, 1, 0.25, 0.0, 0.25, np.bool_(True)),
+    ]
+    sampling = [SamplingIdentityReport(np.int64(128), 1, 1e17, 0.0, np.inf, True)]
+    eps = np.array([0.1, 5e-324, -0.0])
+    emp = np.array([np.nan, -0.0, 1e17])
+    bound = np.array([np.inf, 1e17, -1.0 / 3.0])
+    sharp = np.array([-np.inf, 0.3, np.nan])
+    embedding = EmbeddingReport(128, 0.125, 8, 1, eps, emp, bound, sharp, emp <= bound)
+    battery = pipeline.TheoryBattery(dither, sampling, embedding)
+    write_theory_csvs(battery, str(tmp_path))
+
+    rows = [
+        ("dither_identity",
+         f"a={_per_cell(r.a)} b={_per_cell(r.b)} delta={_per_cell(r.delta)}",
+         r.mc_mean, r.expected, r.passed)
+        for r in dither
+    ]
+    rows += [
+        ("sampling_identity", f"pair={k} m_prime={r.m_prime}", r.mc_mean, r.expected,
+         r.passed)
+        for k, r in enumerate(sampling)
+    ]
+    for i, e in enumerate(eps):
+        detail = f"epsilon={_per_cell(e)}"
+        rows.append(("embedding", detail, emp[i], bound[i], embedding.passed[i]))
+        rows.append(("embedding_sharp", detail, emp[i], sharp[i], emp[i] <= sharp[i]))
+    assert (tmp_path / "theory_report.csv").read_text(encoding="utf-8") == _per_cell_csv(
+        ["check", "detail", "observed", "reference", "passed"], rows
+    )
+    rows = [(eps[i], emp[i], bound[i]) for i in range(eps.size)]
+    assert (tmp_path / "embedding.csv").read_text(encoding="utf-8") == _per_cell_csv(
+        ["epsilon", "empirical", "bound"], rows
+    )
 
 
 def test_read_snapshot_rejects_other_csvs(tmp_path):

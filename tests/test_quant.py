@@ -116,6 +116,14 @@ def test_scale_design_rejects_degenerate_input(two_target_masked):
         design_scales(zero, 0.05, 512)
 
 
+@pytest.mark.parametrize("margin", [-0.05, np.nan, np.inf])
+def test_scale_design_rejects_bad_margin(two_target_masked, margin):
+    """A nan or infinite margin would give a nan or infinite one-bit step."""
+    _, masked = two_target_masked
+    with pytest.raises(ValueError, match="margin: must be nonnegative and finite"):
+        design_scales(masked, margin, 512)
+
+
 def test_word_levels_range():
     assert word_levels(2) == 2
     assert word_levels(10) == 512
@@ -137,6 +145,11 @@ def test_scheme_levels_and_validation():
         QuantScheme(-4.0, 0.01, 10)
     with pytest.raises(ValueError):
         QuantScheme(4.0, 0.0, 10)
+    for step in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuantScheme(step, 0.01, 10)
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuantScheme(4.0, step, 10)
     with pytest.raises(ValueError):
         QuantScheme(4.0, 0.01, 10, delta_indicator=np.array([0, 2, 1]))
 

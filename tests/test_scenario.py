@@ -115,6 +115,11 @@ def test_unparseable_values_rejected():
 def test_field_validation_messages_name_section():
     with pytest.raises(ScenarioError, match=r"\[quant\] bits"):
         Scenario(name="x", angles_deg=(1.0,), bits=1)
+    for margin in (-0.05, np.nan, np.inf):
+        with pytest.raises(
+            ScenarioError, match=r"\[quant\] margin: must be nonnegative and finite"
+        ):
+            Scenario(name="x", angles_deg=(1.0,), margin=margin)
     with pytest.raises(ScenarioError, match=r"\[svt\] tol"):
         Scenario(name="x", angles_deg=(1.0,), tol=0.0)
     with pytest.raises(ScenarioError, match=r"\[spectrum\] n_fft"):

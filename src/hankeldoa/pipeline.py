@@ -112,8 +112,8 @@ def write_snapshot_csv(path: str, snap: Snapshot) -> None:
 def read_snapshot_csv(path: str) -> Snapshot:
     """Read the snapshot interchange format back; kind is full when every
     antenna is observed, masked otherwise.  Rows must carry the indices 1..m
-    in order and finite values; a bad row raises a ValueError naming the
-    file and line."""
+    in order, finite values and a mask of 0 or 1; a bad row raises a
+    ValueError naming the file and line."""
     values = []
     mask = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -130,7 +130,10 @@ def read_snapshot_csv(path: str) -> Snapshot:
                     raise ValueError(f"index {index}, expected {len(values) + 1}")
                 if not cmath.isfinite(z):
                     raise ValueError(f"value {z} is not finite")
-                mask.append(int(mask_s))
+                observed = int(mask_s)
+                if observed not in (0, 1):
+                    raise ValueError(f"mask {observed} is not 0 or 1")
+                mask.append(observed)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             values.append(z)

@@ -255,6 +255,15 @@ def test_missing_snapshot_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_snapshot_with_bad_mask_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad_mask.csv"
+    path.write_text("index,re,im,mask\n1,1,0,1\n2,1,0,2\n", encoding="utf-8")
+    assert main(["spectrum", "--snapshot", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "bad_mask.csv, line 3: mask 2 is not 0 or 1" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_full_snapshot_rejected_for_stages(tmp_path, capsys):
     snap_path = tmp_path / "snapshot.csv"
     assert main(["synth", "two_targets_first4", "--out", str(snap_path)]) == 0

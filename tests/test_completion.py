@@ -1,22 +1,33 @@
 """SVT completion, mixed-precision Hankel assembly, rank projection."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from hankeldoa import linalg, pipeline
 from hankeldoa.completion import (
     SvtConfig,
     SvtDivergenceError,
     SvtZeroIterateError,
+    _certified_zero_iterations,
     build_quantized_hankel,
     rank_projected_snapshot,
     svt_complete,
     svt_iterate,
 )
 from hankeldoa.hankel import HankelView, lift
+from hankeldoa.linalg import shrink
 from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales
-from hankeldoa.scenario import load_bundled, svt_config_of
+from hankeldoa.scenario import (
+    bundled_scenario_names,
+    geometry_of,
+    load_bundled,
+    placement_to_delta,
+    scene_of,
+    svt_config_of,
+)
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
 from conftest import constant_masked
@@ -125,6 +136,140 @@ def test_zero_iterate_on_nonzero_data_raises():
     with pytest.raises(SvtZeroIterateError) as exc:
         svt_iterate(values, mask, SvtConfig(tau=1e6, max_iters=3))
     assert exc.value.iters == 3
+
+
+def tau_and_step(values, observed, cfg):
+    """The solver's threshold and step, with the size-derived defaults."""
+    n1, n2 = values.shape
+    tau = cfg.tau if cfg.tau is not None else 5.0 * np.sqrt(n1 * n2)
+    step = cfg.step if cfg.step is not None else 1.2 * n1 * n2 / int(observed.sum())
+    return tau, step
+
+
+def plain_svt(values, observed, cfg):
+    """SVT with an SVD on every iteration and the solver's three stop rules:
+    the reference the zero-iterate skip must match bit for bit."""
+    tau, step = tau_and_step(values, observed, cfg)
+    b = values[observed]
+    b_norm = float(np.linalg.norm(b))
+    y = np.zeros(len(b), dtype=np.complex128)
+    scratch = np.zeros_like(values)
+    x = np.zeros_like(values)
+    residuals, ranks, reason = [], [], "max_iters"
+    for _ in range(cfg.max_iters):
+        scratch[observed] = y
+        x_prev = x
+        x, rank = shrink(scratch, tau, cfg.rank_cap)
+        r = b - x[observed]
+        residuals.append(float(np.linalg.norm(r)) / b_norm)
+        ranks.append(rank)
+        if residuals[-1] <= cfg.tol:
+            reason = "residual"
+            break
+        if (
+            cfg.change_tol is not None
+            and x_prev.any()
+            and np.linalg.norm(x - x_prev) <= cfg.change_tol * np.linalg.norm(x)
+        ):
+            reason = "change"
+            break
+        y += step * r
+    return x, np.asarray(residuals), np.asarray(ranks, dtype=np.int64), reason
+
+
+def first_step_norm(values, observed, cfg):
+    """sigma_c = ||scatter(step * b)||_2, the growth of the dual per zero
+    iterate."""
+    _, step = tau_and_step(values, observed, cfg)
+    return float(np.linalg.norm(np.where(observed, step * values, 0), 2))
+
+
+def skipped_iterations(values, observed, cfg):
+    """Leading iterations k with k * sigma_c * (1 + 1e-6) < tau."""
+    tau, _ = tau_and_step(values, observed, cfg)
+    return math.ceil(tau / (first_step_norm(values, observed, cfg) * (1 + 1e-6)))
+
+
+@pytest.fixture
+def shrink_calls(monkeypatch):
+    """One entry per linalg.shrink call svt_iterate makes (one SVD each)."""
+    calls = []
+
+    def counting(x, tau, rank_cap=None):
+        calls.append(tau)
+        return shrink(x, tau, rank_cap)
+
+    monkeypatch.setattr(linalg, "shrink", counting)
+    return calls
+
+
+def run0_view(name):
+    """The quantized Hankel observation of run 0 of a bundled scenario."""
+    scn = load_bundled(name)
+    geom = geometry_of(scn)
+    ind = placement_to_delta(scn.placement, geom)
+    s_sig, s_dith = pipeline.seeds_for(scn, 0)
+    _, masked = synthesize_snapshot(scene_of(scn), geom, seed=s_sig)
+    view = build_quantized_hankel(masked, pipeline.quant_scheme(scn, masked, ind, s_dith))
+    return view, svt_config_of(scn)
+
+
+def assert_same_as_plain_svt(values, observed, cfg, shrink_calls, skipped):
+    x, residuals, ranks, reason = svt_iterate(values, observed, cfg)
+    x_ref, residuals_ref, ranks_ref, reason_ref = plain_svt(values, observed, cfg)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(residuals, residuals_ref)
+    assert np.array_equal(ranks, ranks_ref)
+    assert reason == reason_ref
+    assert len(shrink_calls) == len(residuals) - skipped
+    assert not ranks[:skipped].any()
+    return ranks
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_zero_iterate_skip_is_bit_identical_on_bundled_run0(name, shrink_calls):
+    view, cfg = run0_view(name)
+    skipped = skipped_iterations(view.matrix, view.omega, cfg)
+    ranks = assert_same_as_plain_svt(view.matrix, view.omega, cfg, shrink_calls, skipped)
+    if name == "two_targets_first4":
+        assert (len(ranks), len(shrink_calls)) == (37, 30)
+
+
+@pytest.mark.parametrize(
+    "cfg", [SvtConfig(), SvtConfig(rank_cap=1)], ids=["change_rule_off", "rank_cap"]
+)
+def test_zero_iterate_skip_is_bit_identical_on_rank_one_oracle(cfg, shrink_calls):
+    _, values, mask = rank_one_problem(seed=3)
+    skipped = skipped_iterations(values, mask, cfg)
+    assert skipped >= 2
+    assert_same_as_plain_svt(values, mask, cfg, shrink_calls, skipped)
+
+
+def test_iteration_inside_the_margin_runs_its_svd(shrink_calls):
+    _, values, mask = rank_one_problem(seed=3)
+    sigma_c = first_step_norm(values, mask, SvtConfig())
+    # 5 * sigma_c is below tau, but by less than the margin: iteration 5 is
+    # not certified, so it runs its SVD, which finds nothing above tau.
+    cfg = SvtConfig(tau=5 * sigma_c * (1 + 1e-7))
+    assert skipped_iterations(values, mask, cfg) == 5
+    ranks = assert_same_as_plain_svt(values, mask, cfg, shrink_calls, 5)
+    assert ranks[5] == 0 and ranks[6] > 0
+
+
+def test_all_zero_iterations_run_no_svd(shrink_calls):
+    _, values, mask = rank_one_problem(seed=3)
+    with pytest.raises(SvtZeroIterateError) as exc:
+        svt_iterate(values, mask, SvtConfig(tau=1e6, max_iters=1500))
+    assert exc.value.iters == 1500
+    assert shrink_calls == []
+
+
+def test_skip_count_is_capped_where_rounding_stays_far_below_the_margin():
+    size = 75 * 75
+    cap = _certified_zero_iterations(0.0, 1.0, size)
+    assert cap * math.sqrt(size) * 2.0**-53 <= 1e-8 < (cap + 1) * math.sqrt(size) * 2.0**-53
+    assert _certified_zero_iterations(1e-300, 1.0, size) == cap
+    assert _certified_zero_iterations(1.0, 2.5, size) == 3
 
 
 def paper_view_and_scheme(two_unit_geom, seed_signal=0, seed_dither=1000):

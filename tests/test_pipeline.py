@@ -606,8 +606,10 @@ def test_read_snapshot_rejects_other_csvs(tmp_path):
         (["1,1,0,1", "1,1,0,1"], 3, "index 1, expected 2"),
         (["1,1,0,1", "2,nan,0,1"], 3, "not finite"),
         (["1,1,0,1", "2,0.5"], 3, r"expected 4, got 2"),
+        (["1,1,0,1", "2,1,0,2"], 3, "mask 2 is not 0 or 1"),
+        (["1,1,0,-1", "2,1,0,1"], 2, "mask -1 is not 0 or 1"),
     ],
-    ids=["gap", "repeat", "nan", "short"],
+    ids=["gap", "repeat", "nan", "short", "mask_2", "mask_minus_1"],
 )
 def test_read_snapshot_rejects_bad_rows(tmp_path, rows, line, reason):
     path = tmp_path / "bad.csv"

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--embedding-trials", type=_positive_int, default=EMBEDDING_TRIALS,
         help="random pairs for the embedding check (default %(default)s)",
     )
-    p_theory.add_argument("--seed", type=int, default=0)
+    p_theory.add_argument("--seed", type=_nonnegative_int, default=0)
     p_theory.add_argument("--out", default="theory", help="report directory")
     p_theory.set_defaults(func=cmd_verify_theory)
 

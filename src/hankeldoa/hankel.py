@@ -57,20 +57,9 @@ class HankelView:
     def n2(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def m(self) -> int:
-        return self.n1 + self.n2 - 1
-
     def antenna_index(self, i: int, j: int) -> int:
         """0-based antenna feeding cell (i, j)."""
         return i + j
-
-
-def antidiag_weights(m: int) -> np.ndarray:
-    """Cell count of each anti-diagonal k = 1..m of the canonical lift of length m."""
-    n1, n2 = hankel_shape(m)
-    k = np.arange(1, m + 1)
-    return np.minimum(np.minimum(k, m + 1 - k), min(n1, n2))
 
 
 def lift(y: Snapshot, delta_indicator: np.ndarray | None = None) -> HankelView:

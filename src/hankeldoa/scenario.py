@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .quant import check_margin, word_levels
 from .signal import TargetScene
+from .spectrum import check_n_fft
 
 NAMED_PLACEMENTS = ("edges", "last4", "first4")
 
@@ -47,9 +48,10 @@ class Scenario:
     number of targets.  tau/step stay None to take the solver's size-derived
     defaults, and tol/max_iters default to the solver's.  The geometry,
     scene and solver fields are validated by the grid-position rule,
-    TargetScene and SvtConfig, bits by the quantizer's word_levels and
-    placement by placement_to_delta on the scenario's geometry.  Every
-    number must be finite, except snr_db, which may be inf (noiseless).
+    TargetScene and SvtConfig, bits by the quantizer's word_levels,
+    placement by placement_to_delta on the scenario's geometry and n_fft by
+    the spectrum's check_n_fft.  Every number must be finite, except snr_db,
+    which may be inf (noiseless), and the seeds must be nonnegative.
     """
 
     name: str
@@ -116,12 +118,15 @@ class Scenario:
             fail(f"[svt] {exc}")
         if self.truncate_rank is not None and self.truncate_rank < 1:
             fail("[svt] truncate_rank: must be at least 1")
-        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1) != 0:
-            fail("[spectrum] n_fft: must be a power of two")
-        if self.n_fft < geom.m:
-            fail(f"[spectrum] n_fft: {self.n_fft} is shorter than the aperture {geom.m}")
+        try:
+            check_n_fft(self.n_fft, geom.m)
+        except ValueError as exc:
+            fail(f"[spectrum] {exc}")
         if self.runs < 1:
             fail("[scenario] runs: must be at least 1")
+        for key, seed in (("signal", self.seed_signal), ("dither", self.seed_dither)):
+            if seed < 0:
+                fail(f"[seeds] {key}: must be nonnegative")
         if not self.out_dir:
             object.__setattr__(self, "out_dir", f"runs/{self.name}")
 

@@ -36,14 +36,20 @@ class PeakSet:
     complete: bool
 
 
+def check_n_fft(n_fft: int, m: int) -> None:
+    """The transform-length rule: a power of two no shorter than the
+    aperture length m."""
+    if n_fft < 2 or n_fft & (n_fft - 1) != 0:
+        raise ValueError("n_fft: must be a power of two")
+    if n_fft < m:
+        raise ValueError(f"n_fft: {n_fft} is shorter than the aperture {m}")
+
+
 def angle_spectrum(
     snap: Snapshot, n_fft: int = 1024, source: SpectrumSource | str | None = None
 ) -> AngleSpectrum:
     """FFT magnitude of a snapshot; unobserved antennas contribute zeros."""
-    if n_fft < snap.m:
-        raise ValueError(f"n_fft = {n_fft} is shorter than the aperture {snap.m}")
-    if n_fft & (n_fft - 1) != 0:
-        raise ValueError("n_fft must be a power of two")
+    check_n_fft(n_fft, snap.m)
     if source is None:
         source = (
             SpectrumSource.COMPLETED

@@ -10,12 +10,11 @@ ADC alphabet.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import QuantScheme, quantize_cells, uniform_quantize
+from .quant import uniform_quantize
 
 # Default Monte-Carlo trial counts of the three checks.
 DITHER_TRIALS = 1_000_000
@@ -25,14 +24,13 @@ EMBEDDING_TRIALS = 2000
 
 @dataclass(frozen=True)
 class LowRankSpec:
-    """Random test matrix family: n1 x n2, given rank, entries scaled so the
-    largest part magnitude equals alpha."""
+    """Random real test matrix family: n1 x n2, given rank, entries scaled so
+    the largest magnitude equals alpha."""
 
     n1: int
     n2: int
     rank: int
     alpha: float = 1.0
-    complex_valued: bool = False
 
     def __post_init__(self):
         if min(self.n1, self.n2) < 1 or self.rank < 1:
@@ -91,22 +89,11 @@ def l1_norm(x: np.ndarray) -> float:
 
 
 def random_low_rank(spec: LowRankSpec, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian factor product rescaled so the largest part magnitude is alpha."""
-    if spec.complex_valued:
-        g1 = rng.standard_normal((spec.n1, spec.rank)) + 1j * rng.standard_normal(
-            (spec.n1, spec.rank)
-        )
-        g2 = rng.standard_normal((spec.n2, spec.rank)) + 1j * rng.standard_normal(
-            (spec.n2, spec.rank)
-        )
-        x = g1 @ g2.conj().T
-        peak = max(np.abs(x.real).max(), np.abs(x.imag).max())
-    else:
-        g1 = rng.standard_normal((spec.n1, spec.rank))
-        g2 = rng.standard_normal((spec.n2, spec.rank))
-        x = g1 @ g2.T
-        peak = np.abs(x).max()
-    return x * (spec.alpha / peak)
+    """Real Gaussian factor product rescaled so the largest magnitude is alpha."""
+    g1 = rng.standard_normal((spec.n1, spec.rank))
+    g2 = rng.standard_normal((spec.n2, spec.rank))
+    x = g1 @ g2.T
+    return x * (spec.alpha / np.abs(x).max())
 
 
 def _mc_estimate(samples: np.ndarray, expected: float) -> tuple[float, float, bool]:
@@ -239,83 +226,6 @@ def verify_embedding(
     )
 
 
-def _cell_indices(omega: np.ndarray) -> np.ndarray:
-    """Accept sampled cells as flat indices or as a boolean mask; a mask is
-    converted to its index set so it is never misread as index values."""
-    omega = np.asarray(omega)
-    if omega.dtype == bool:
-        return np.flatnonzero(omega)
-    return omega.astype(np.intp).ravel()
-
-
-def _quantize_pair(x, y, omega1, omega2, scheme, dither_seed):
-    """Quantize the sampled cells of x and y under shared dithers.
-
-    The dither draw is one (m, 2) block per class, columns for the real and
-    imaginary parts, the one-bit block first.  Returns the two quantized
-    cell vectors, one-bit cells first, and the one-bit cell count.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 2:
-        raise ValueError("x and y must be matching 2-d arrays")
-    omega1 = _cell_indices(omega1)
-    omega2 = _cell_indices(omega2)
-    seed = scheme.dither_seed if dither_seed is None else dither_seed
-    rng = np.random.default_rng(seed)
-    t1 = scheme.delta1 * rng.uniform(-0.5, 0.5, size=(omega1.size, 2))
-    t2 = scheme.delta2 * rng.uniform(-0.5, 0.5, size=(omega2.size, 2))
-    t = np.concatenate([t1, t2])
-    tau = t[:, 0] + 1j * t[:, 1]
-    cells = np.concatenate([omega1, omega2])
-    observed = np.ones(cells.size, dtype=bool)
-    fine = np.arange(cells.size) >= omega1.size
-    qx = quantize_cells(x.ravel()[cells], observed, fine, tau, scheme)
-    qy = quantize_cells(y.ravel()[cells], observed, fine, tau, scheme)
-    return qx, qy, omega1.size
-
-
-def consistency_check(
-    x: np.ndarray,
-    y: np.ndarray,
-    omega1: np.ndarray,
-    omega2: np.ndarray,
-    scheme: QuantScheme,
-    dither_seed: int | None = None,
-) -> bool:
-    """True when x and y quantize identically on every observed cell, checked
-    per part and per precision class under shared dithers."""
-    qx, qy, _ = _quantize_pair(x, y, omega1, omega2, scheme, dither_seed)
-    return bool(np.array_equal(qx, qy))
-
-
-def mixed_distance(
-    x: np.ndarray,
-    y: np.ndarray,
-    omega1: np.ndarray,
-    omega2: np.ndarray,
-    scheme: QuantScheme,
-    dither_seed: int | None = None,
-    part: str = "real",
-) -> float:
-    """Per-part mixed quantized distance over the sampled cells: the one-bit
-    term (delta1 / 2m1) ||sgn - sgn||_1 plus the multi-bit term
-    (1/m2) ||Q - Q||_1, dithers shared between x and y.  The one-bit term is
-    taken as (1/m1) ||Q1 - Q1||_1, since Q1 = (delta1/2) sgn."""
-    if part not in ("real", "imag"):
-        raise ValueError("part must be 'real' or 'imag'")
-    qx, qy, m1 = _quantize_pair(x, y, omega1, omega2, scheme, dither_seed)
-    take = np.real if part == "real" else np.imag
-    diff = np.abs(take(qx - qy))
-    total = 0.0
-    for terms, name in ((diff[:m1], "one-bit"), (diff[m1:], "multi-bit")):
-        if terms.size:
-            total += float(terms.sum()) / terms.size
-        else:
-            warnings.warn(f"no {name} cells sampled; that term contributes zero")
-    return total
-
-
 def recovery_error_bound(n1: int, n2: int, eps1: float, eps2: float) -> float:
     """l1 recovery error bound for consistent pairs: 2*n1*n2*(eps1 + eps2)."""
     return 2.0 * n1 * n2 * (eps1 + eps2)
@@ -335,22 +245,3 @@ def recovery_probability_floor(
     fail1 = math.exp(-(eps1**2) * m1 / delta1**2)
     fail2 = math.exp(-(eps2**2) * m2 / (levels**2 * delta2**2))
     return 1.0 - 4.0 * max(fail1, fail2)
-
-
-def sample_count_threshold(
-    spec: LowRankSpec, eps1: float, eps2: float, rho: float | None = None
-) -> float:
-    """Sample-count scale for the recovery guarantee:
-    min(eps)^-2 * rank*(n1+n2) * log(1 + diameter/rho), with the max-norm ball
-    Frobenius diameter 2*alpha*sqrt(n1*n2) standing in for the set width."""
-    eps = min(eps1, eps2)
-    if eps <= 0:
-        raise ValueError("epsilons must be positive")
-    if rho is None:
-        rho = recovery_error_bound(spec.n1, spec.n2, eps1, eps2)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    diameter = 2.0 * spec.alpha * math.sqrt(spec.n1 * spec.n2)
-    return (
-        eps**-2 * spec.rank * (spec.n1 + spec.n2) * math.log1p(diameter / rho)
-    )

@@ -250,6 +250,51 @@ def test_stage_seed_overrides_add_the_run_index(tmp_path):
         ).read_bytes()
 
 
+def test_stage_commands_reproduce_a_batch_run(tmp_path):
+    """synth, complete and spectrum with --run 2 write the bytes run 2 of a
+    batch writes: the trace, and the SLA and completed spectrum rows."""
+    batch = tmp_path / "batch"
+    assert main(["run", "two_targets_first4", "--runs", "3", "--out", str(batch)]) == 0
+    spectra = (batch / "spectra_run02.csv").read_text(encoding="utf-8").splitlines(True)
+    header, sla_rows, completed_rows = spectra[0], spectra[1:1025], spectra[1025:]
+    assert len(completed_rows) == 1024
+
+    masked = tmp_path / "masked.csv"
+    assert main(["synth", "two_targets_first4", "--run", "2", "--out", str(masked)]) == 0
+    for out, given in (("seeded", []), ("from_csv", ["--snapshot", str(masked)])):
+        assert main(["complete", "two_targets_first4", "--run", "2", *given,
+                     "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / out / "trace.csv").read_bytes() == (
+            batch / "trace_run02.csv"
+        ).read_bytes()
+
+    for snapshot, source, rows in (
+        (masked, [], sla_rows),
+        (tmp_path / "seeded" / "completed.csv", ["--source", "completed"], completed_rows),
+        (tmp_path / "from_csv" / "completed.csv", ["--source", "completed"], completed_rows),
+    ):
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--snapshot", str(snapshot), *source,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == "".join([header, *rows]).encode("utf-8")
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "two_targets_first4", "--runs", "1", "--seed-signal", "-5",
+                 "--out", str(out)]) == 2
+    assert "[seeds] signal: must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["synth", "two_targets_first4", "--seed-signal", "-3", "--run", "5",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "[seeds] signal" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theory", "--seed", "-1", "--out", str(tmp_path / "theory")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "theory").exists()
+
+
 def test_missing_snapshot_is_usage_error(capsys):
     assert main(["spectrum", "--snapshot", "definitely_missing.csv"]) == 2
     assert "error" in capsys.readouterr().err

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from hankeldoa.hankel import (
-    HankelView,
-    antidiag_weights,
-    dehankelize,
-    hankel_shape,
-    lift,
-)
+from hankeldoa.hankel import HankelView, dehankelize, hankel_shape, lift
+from hankeldoa.scenario import placement_to_delta
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
 
@@ -43,37 +38,20 @@ def test_lift_places_entry_by_antenna_sum():
             assert view.antenna_index(i, j) == i + j
 
 
-def test_antidiag_weights_examples():
-    assert antidiag_weights(3).tolist() == [1, 2, 1]
-    assert antidiag_weights(4).tolist() == [1, 2, 2, 1]
-
-
-def test_antidiag_weights_reference_cell_counts(two_unit_geom):
-    w = antidiag_weights(149)
-    occupied = np.asarray(two_unit_geom.omega_prime) - 1
-    assert int(w.sum()) == 75 * 75
-    assert int(w[occupied].sum()) == 1893
-    for subset, count in (
-        ((1, 6, 7, 8), 22),
-        ((142, 143, 144, 149), 22),
-        ((1, 6, 144, 149), 14),
-    ):
-        idx = np.asarray(subset) - 1
-        assert int(w[idx].sum()) == count
-
-
 def test_lift_masked_reference_counts(two_unit_geom):
+    """Observed cells of the reference lift, and the multi-bit cells of each
+    named placement: the anti-diagonal lengths of its four antennas."""
     scene = TargetScene((-34.0, 18.0), amplitudes=(1 + 0j, 1 + 0j), snr_db=20.0)
     _, masked = synthesize_snapshot(scene, two_unit_geom, seed=0)
-    ind = np.zeros(149, dtype=np.int8)
-    ind[[0, 5, 6, 7]] = 1
-    view = lift(masked, delta_indicator=ind)
-    assert view.matrix.shape == (75, 75)
-    assert int(view.omega.sum()) == 1893
-    assert int(view.omega2.sum()) == 22
-    assert int(view.omega1.sum()) == 1871
-    assert not np.any(view.omega1 & view.omega2)
-    assert np.array_equal(view.omega, view.omega1 | view.omega2)
+    for placement, multi_bit in (("first4", 22), ("last4", 22), ("edges", 14)):
+        ind = placement_to_delta(placement, two_unit_geom)
+        view = lift(masked, delta_indicator=ind)
+        assert view.matrix.shape == (75, 75)
+        assert int(view.omega.sum()) == 1893
+        assert int(view.omega2.sum()) == multi_bit
+        assert int(view.omega1.sum()) == 1893 - multi_bit
+        assert not np.any(view.omega1 & view.omega2)
+        assert np.array_equal(view.omega, view.omega1 | view.omega2)
 
 
 def test_dehankelize_averages_antidiagonals():

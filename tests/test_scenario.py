@@ -20,6 +20,7 @@ from hankeldoa.scenario import (
     scenario_to_ini,
     scene_of,
     svt_config_of,
+    with_overrides,
 )
 
 MINIMAL = """
@@ -194,6 +195,15 @@ def test_n_fft_shorter_than_aperture_is_rejected_at_load():
     with pytest.raises(ScenarioError, match=r"\[spectrum\] n_fft: 64 is shorter"):
         parse_scenario(MINIMAL + "\n[spectrum]\nn_fft = 64\n")
     assert parse_scenario(MINIMAL + "\n[spectrum]\nn_fft = 256\n").n_fft == 256
+
+
+@pytest.mark.parametrize("key", ["signal", "dither"])
+def test_negative_seed_is_rejected_at_load(key):
+    with pytest.raises(ScenarioError, match=rf"\[seeds\] {key}: must be nonnegative"):
+        parse_scenario(MINIMAL + f"\n[seeds]\n{key} = -5\n")
+    with pytest.raises(ScenarioError, match=rf"\[seeds\] {key}: must be nonnegative"):
+        with_overrides(parse_scenario(MINIMAL), **{f"seed_{key}": -2})
+    assert getattr(parse_scenario(MINIMAL + f"\n[seeds]\n{key} = 0\n"), f"seed_{key}") == 0
 
 
 def test_model_order_defaults_to_target_count():

@@ -8,6 +8,7 @@ from hankeldoa.spectrum import (
     AngleSpectrum,
     SpectrumSource,
     angle_spectrum,
+    check_n_fft,
     find_peaks,
     local_maxima,
     max_sidelobe_db,
@@ -87,10 +88,13 @@ def test_validation_errors(two_unit_geom):
     full, _ = synthesize_snapshot(
         TargetScene((0.0,), amplitudes=(1 + 0j,)), two_unit_geom, seed=0
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_fft: 128 is shorter than the aperture 149"):
         angle_spectrum(full, 128)
-    with pytest.raises(ValueError):
-        angle_spectrum(full, 1000)
+    for n_fft in (1000, 1):
+        with pytest.raises(ValueError, match="n_fft: must be a power of two"):
+            check_n_fft(n_fft, 1)
+        with pytest.raises(ValueError, match="n_fft: must be a power of two"):
+            angle_spectrum(full, n_fft)
     zero = Snapshot(
         np.zeros(4, dtype=complex), np.ones(4, dtype=np.int8), SnapshotKind.FULL
     )
@@ -164,3 +168,4 @@ def test_sidelobe_guard_validation():
     peaks = find_peaks(spec, 1)
     with pytest.raises(ValueError):
         max_sidelobe_db(spec, peaks, guard_bins=-1)
+

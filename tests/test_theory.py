@@ -1,20 +1,14 @@
 """Monte-Carlo verification helpers for the quantization identities."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from hankeldoa.quant import QuantScheme
 from hankeldoa.theory import (
     LowRankSpec,
-    consistency_check,
     l1_norm,
-    mixed_distance,
     random_low_rank,
     recovery_error_bound,
     recovery_probability_floor,
-    sample_count_threshold,
     verify_dither_identity,
     verify_embedding,
     verify_sampling_identity,
@@ -29,9 +23,8 @@ def test_l1_norm_complex():
 def test_random_low_rank_shape_and_scale():
     spec = LowRankSpec(12, 9, 2, alpha=0.7)
     x = random_low_rank(spec, np.random.default_rng(0))
-    assert x.shape == (12, 9)
-    peak = max(np.abs(x.real).max(), np.abs(x.imag).max())
-    assert peak == pytest.approx(0.7, abs=1e-12)
+    assert x.shape == (12, 9) and x.dtype == np.float64
+    assert np.abs(x).max() == pytest.approx(0.7, abs=1e-12)
     assert np.linalg.matrix_rank(x, tol=1e-10) <= 2
 
 
@@ -61,96 +54,6 @@ def test_sampling_identity_small_pair():
     assert report.passed
 
 
-def test_consistency_examples():
-    rng = np.random.default_rng(3)
-    x = random_low_rank(LowRankSpec(16, 16, 2, alpha=1.0), rng)
-    cells = rng.choice(256, size=80, replace=False)
-    om1, om2 = cells[:64], cells[64:]
-    scheme = QuantScheme(2.0 * 1.05, 1.0 / 8, 4)
-    assert consistency_check(x, x, om1, om2, scheme, dither_seed=5)
-    assert not consistency_check(x, x + 0.75, om1, om2, scheme, dither_seed=5)
-    assert consistency_check(x, x + 1e-9, om1, om2, scheme, dither_seed=5)
-
-
-def test_consistency_accepts_boolean_masks():
-    rng = np.random.default_rng(3)
-    x = random_low_rank(LowRankSpec(16, 16, 2, alpha=1.0), rng)
-    cells = rng.choice(256, size=80, replace=False)
-    m1 = np.isin(np.arange(256), cells[:64]).reshape(16, 16)
-    m2 = np.isin(np.arange(256), cells[64:]).reshape(16, 16)
-    scheme = QuantScheme(2.0 * 1.05, 1.0 / 8, 4)
-    assert consistency_check(x, x, m1, m2, scheme, dither_seed=5)
-
-
-def test_mixed_distance_identity_and_symmetry():
-    rng = np.random.default_rng(3)
-    x = random_low_rank(LowRankSpec(16, 16, 2, alpha=1.0), rng)
-    y = random_low_rank(LowRankSpec(16, 16, 2, alpha=1.0), rng)
-    cells = rng.choice(256, size=80, replace=False)
-    om1, om2 = cells[:64], cells[64:]
-    scheme = QuantScheme(2.0 * 1.05, 1.0 / 8, 4)
-    assert mixed_distance(x, x, om1, om2, scheme, dither_seed=9) == 0.0
-    d_xy = mixed_distance(x, y, om1, om2, scheme, dither_seed=9)
-    d_yx = mixed_distance(y, x, om1, om2, scheme, dither_seed=9)
-    assert d_xy == pytest.approx(d_yx, rel=1e-12)
-    assert d_xy > 0
-
-
-def test_mixed_distance_empty_class_warns():
-    rng = np.random.default_rng(3)
-    x = random_low_rank(LowRankSpec(16, 16, 2, alpha=1.0), rng)
-    om2 = rng.choice(256, size=16, replace=False)
-    scheme = QuantScheme(2.0 * 1.05, 1.0 / 8, 4)
-    empty = np.array([], dtype=np.intp)
-    with pytest.warns(UserWarning):
-        mixed_distance(x, x + 0.1, empty, om2, scheme, dither_seed=9)
-    with pytest.warns(UserWarning):
-        mixed_distance(x, x + 0.1, om2, empty, scheme, dither_seed=9)
-
-
-def test_mixed_distance_part_validation():
-    x = np.zeros((4, 4), dtype=complex)
-    scheme = QuantScheme(1.0, 0.1, 4)
-    with pytest.raises(ValueError):
-        mixed_distance(x, x, np.array([0]), np.array([1]), scheme, part="modulus")
-
-
-def each_term_tracks_scaled_l1(part):
-    spec = LowRankSpec(16, 16, 2, alpha=1.0, complex_valued=True)
-    a = random_low_rank(spec, np.random.default_rng(41))
-    b = random_low_rank(spec, np.random.default_rng(42))
-    take = np.real if part == "real" else np.imag
-    scale = 2.0 * max(np.abs(take(a)).max(), np.abs(take(b)).max()) * 1.05
-    scheme = QuantScheme(scale, scale / 16, 5)
-    ref = l1_norm(take(a - b)) / 256.0
-    rng = np.random.default_rng(77)
-    empty = np.array([], dtype=np.intp)
-    coarse, fine = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for t in range(400):
-            cells = rng.choice(256, size=96, replace=False)
-            coarse.append(
-                mixed_distance(a, b, cells[:80], empty, scheme,
-                               dither_seed=10_000 + t, part=part)
-            )
-            fine.append(
-                mixed_distance(a, b, empty, cells[80:], scheme,
-                               dither_seed=20_000 + t, part=part)
-            )
-    for values in (np.array(coarse), np.array(fine)):
-        stderr = values.std(ddof=1) / np.sqrt(values.size)
-        assert abs(values.mean() - ref) <= 4 * stderr
-
-
-def test_mixed_distance_terms_estimate_scaled_l1_real():
-    each_term_tracks_scaled_l1("real")
-
-
-def test_mixed_distance_terms_estimate_scaled_l1_imag():
-    each_term_tracks_scaled_l1("imag")
-
-
 def test_embedding_report_small_run():
     spec = LowRankSpec(16, 16, 2, alpha=1.0)
     eps = np.array([0.1, 0.2, 1.0])
@@ -176,12 +79,3 @@ def test_probability_floor_monotone_in_samples():
     hi = recovery_probability_floor(0.1, 0.1, 256, 256, 2.0, 0.25, 8)
     assert hi >= lo
     assert hi <= 1.0
-
-
-def test_sample_count_threshold_positive_and_decreasing_in_eps():
-    spec = LowRankSpec(16, 16, 2, alpha=1.0)
-    tight = sample_count_threshold(spec, 0.05, 0.05)
-    loose = sample_count_threshold(spec, 0.2, 0.2)
-    assert tight > loose > 0
-    with pytest.raises(ValueError):
-        sample_count_threshold(spec, 0.0, 0.1)

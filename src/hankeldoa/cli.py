@@ -68,13 +68,18 @@ def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_run_arg(parser: argparse.ArgumentParser) -> None:
+def _add_run_arg(parser: argparse.ArgumentParser, snapshot: bool = False) -> None:
+    """--run, and with snapshot also --snapshot, which then needs --run."""
+    required = "; required with --snapshot" if snapshot else ""
     parser.add_argument(
         "--run",
         type=_nonnegative_int,
-        default=0,
-        help="run index within the scenario (default 0)",
+        help=f"run index within the scenario (default 0{required})",
     )
+    if snapshot:
+        parser.add_argument(
+            "--snapshot", help="input snapshot CSV (default: synthesize from seeds)"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,10 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "quantize", help="write the antenna-level mixed-quantized snapshot CSV"
     )
     _add_scenario_arg(p_quant)
-    _add_run_arg(p_quant)
-    p_quant.add_argument(
-        "--snapshot", help="input snapshot CSV (default: synthesize from seeds)"
-    )
+    _add_run_arg(p_quant, snapshot=True)
     p_quant.add_argument("--seed-signal", type=int, help="override the signal seed")
     p_quant.add_argument("--seed-dither", type=int, help="override the dither seed")
     p_quant.add_argument("--out", default="quantized.csv")
@@ -138,10 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "complete", help="quantize cell-wise, complete, and rank-project one run"
     )
     _add_scenario_arg(p_comp)
-    _add_run_arg(p_comp)
-    p_comp.add_argument(
-        "--snapshot", help="input snapshot CSV (default: synthesize from seeds)"
-    )
+    _add_run_arg(p_comp, snapshot=True)
     p_comp.add_argument("--seed-signal", type=int, help="override the signal seed")
     p_comp.add_argument("--seed-dither", type=int, help="override the dither seed")
     p_comp.add_argument("--out", default=".", help="directory for the output CSVs")
@@ -178,9 +177,24 @@ def _load(args) -> Scenario:
     )
 
 
+def _run_index(args) -> int:
+    """The run a stage command works on: --run, 0 when not given.  A
+    --snapshot input needs --run, since the CSV does not record its run and
+    the run picks the dither seed."""
+    if args.run is not None:
+        return args.run
+    if getattr(args, "snapshot", None):
+        raise ValueError(
+            "--snapshot needs --run: the snapshot CSV does not record which "
+            "run it holds, and the run index picks the dither seed"
+        )
+    return 0
+
+
 def _masked_for(args, scn: Scenario):
     """The masked snapshot a stage command works on: from --snapshot when
     given, freshly synthesized from the seeds otherwise."""
+    run = _run_index(args)
     if getattr(args, "snapshot", None):
         snap = pipeline.read_snapshot_csv(args.snapshot)
         if snap.kind is not SnapshotKind.MASKED:
@@ -188,7 +202,7 @@ def _masked_for(args, scn: Scenario):
                 f"{args.snapshot}: expected a masked snapshot (holes in the mask)"
             )
         return snap
-    seed_signal, _ = pipeline.seeds_for(scn, args.run)
+    seed_signal, _ = pipeline.seeds_for(scn, run)
     _, masked = synthesize_snapshot(
         scene_of(scn), geometry_of(scn), seed=seed_signal
     )
@@ -203,7 +217,7 @@ def _scheme_for(args, scn: Scenario, masked) -> QuantScheme:
             f"snapshot length {masked.m} does not match the scenario aperture "
             f"{ind.shape[0]}"
         )
-    _, seed_dither = pipeline.seeds_for(scn, args.run)
+    _, seed_dither = pipeline.seeds_for(scn, _run_index(args))
     return pipeline.quant_scheme(scn, masked, ind, seed_dither)
 
 

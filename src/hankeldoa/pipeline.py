@@ -13,6 +13,7 @@ behind one call.
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -62,6 +63,7 @@ from .theory import (
     EmbeddingReport,
     LowRankSpec,
     SamplingIdentityReport,
+    check_seed,
     l1_norm,
     random_low_rank,
     recovery_error_bound,
@@ -143,18 +145,32 @@ def read_snapshot_csv(path: str) -> Snapshot:
     return Snapshot(values_arr, mask_arr, kind)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_text(dtype: str, shape: tuple, data: bytes) -> tuple[tuple, tuple]:
+    """The u and theta_deg columns of a spectrum grid, given by its dtype,
+    shape and bytes, as %.17g text.  Cached: the spectra of a batch share
+    one grid."""
+    u = np.frombuffer(data, dtype=dtype).reshape(shape)
+    theta = np.degrees(np.arcsin(u))
+    return tuple(_FLOAT % v for v in u.tolist()), tuple(_FLOAT % v for v in theta.tolist())
+
+
 def write_spectra_csv(path: str, spectra: list[AngleSpectrum]) -> None:
     """Spectrum export: (u, theta_deg, magnitude_db, source)."""
+
+    def grid_text(u):
+        return _grid_text(u.dtype.str, u.shape, u.tobytes())
+
     rows = chain.from_iterable(
         zip(
-            spec.u_grid.tolist(),
-            np.degrees(np.arcsin(spec.u_grid)).tolist(),
+            *grid_text(spec.u_grid),
             spec.magnitude_db.tolist(),
             repeat(spec.source.value),
         )
         for spec in spectra
     )
-    columns = {"u": _FLOAT, "theta_deg": _FLOAT, "magnitude_db": _FLOAT, "source": _STR}
+    # u and theta_deg arrive as text already.
+    columns = {"u": _STR, "theta_deg": _STR, "magnitude_db": _FLOAT, "source": _STR}
     _write_csv(path, columns, rows)
 
 
@@ -528,6 +544,7 @@ def theory_battery(
 ) -> TheoryBattery:
     """Run the dither-identity grid, the uniform-sampling identity on random
     rank-2 pairs, and the embedding concentration check."""
+    check_seed(seed)
     dither = [
         verify_dither_identity(a, b, delta, trials=dither_trials, seed=seed + i)
         for i, (a, b, delta) in enumerate(DITHER_GRID)

@@ -21,6 +21,11 @@ DITHER_TRIALS = 1_000_000
 SAMPLING_TRIALS = 2000
 EMBEDDING_TRIALS = 2000
 
+# Trials per numpy evaluation of verify_sampling_identity and
+# verify_embedding.  Every trial draws from its own generator, so the block
+# size changes no result; it bounds the memory a large trial count takes.
+MC_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class LowRankSpec:
@@ -104,14 +109,30 @@ def _mc_estimate(samples: np.ndarray, expected: float) -> tuple[float, float, bo
     return mean, stderr, abs(mean - expected) <= 4.0 * stderr
 
 
-def _sampled_pair_diffs(x, y, m_prime, delta, rng, levels=None) -> np.ndarray:
-    """|Q(x) - Q(y)| on the real parts of m_prime cells drawn from rng without
-    replacement, one dither per cell shared between x and y (cells first,
-    then dithers)."""
-    omega = rng.choice(x.size, size=m_prime, replace=False)
-    tau = rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
-    qx = uniform_quantize(x.ravel()[omega].real, delta, tau, levels)
-    qy = uniform_quantize(y.ravel()[omega].real, delta, tau, levels)
+def check_seed(seed: int) -> None:
+    """The seed rule of the Monte-Carlo checks: a nonnegative integer, as the
+    numpy generators they seed require."""
+    if seed < 0:
+        raise ValueError(f"seed: must be nonnegative, got {seed}")
+
+
+def _trial_blocks(trials: int):
+    """Consecutive ranges of trial indices, MC_BLOCK at most each."""
+    for start in range(0, trials, MC_BLOCK):
+        yield range(start, min(start + MC_BLOCK, trials))
+
+
+def _draw_cells(rng, cells: int, m_prime: int, delta: float):
+    """m_prime of the cells drawn from rng without replacement, then one
+    dither per drawn cell: the cell indices and the dithers."""
+    omega = rng.choice(cells, size=m_prime, replace=False)
+    return omega, rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
+
+
+def _quantized_gaps(x, y, tau, delta: float, levels: int | None = None) -> np.ndarray:
+    """|Q(x) - Q(y)| elementwise, the dither tau shared between x and y."""
+    qx = uniform_quantize(x, delta, tau, levels)
+    qy = uniform_quantize(y, delta, tau, levels)
     return np.abs(qx - qy)
 
 
@@ -125,6 +146,7 @@ def verify_dither_identity(
     """
     if trials < 10_000:
         raise ValueError("trials must be at least 10000")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     tau = rng.uniform(-delta / 2.0, delta / 2.0, size=trials)
     diffs = np.abs(uniform_quantize(a, delta, tau) - uniform_quantize(b, delta, tau))
@@ -162,11 +184,19 @@ def verify_sampling_identity(
         raise ValueError("m_prime must lie in 1..n1*n2")
     if trials < 2:
         raise ValueError("trials must be at least 2")
+    check_seed(seed)
 
+    x_re = x.real.ravel()
+    y_re = y.real.ravel()
     sums = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        sums[t] = _sampled_pair_diffs(x, y, m_prime, delta, rng).sum()
+    for block in _trial_blocks(trials):
+        omega = np.empty((len(block), m_prime), dtype=np.intp)
+        tau = np.empty((len(block), m_prime))
+        for i, t in enumerate(block):
+            rng = np.random.default_rng([seed, t])
+            omega[i], tau[i] = _draw_cells(rng, cells, m_prime, delta)
+        gaps = _quantized_gaps(x_re[omega], y_re[omega], tau, delta)
+        sums[block.start : block.stop] = gaps.sum(axis=1)
     expected = m_prime / cells * l1_norm(x.real - y.real)
     mean, stderr, passed = _mc_estimate(sums, expected)
     return SamplingIdentityReport(
@@ -199,15 +229,24 @@ def verify_embedding(
     epsilons = np.asarray(epsilons, dtype=np.float64)
     if epsilons.size == 0 or np.any(epsilons <= 0):
         raise ValueError("epsilons must be positive")
+    check_seed(seed)
 
     deviations = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        x = random_low_rank(spec, rng)
-        y = random_low_rank(spec, rng)
-        sampled = _sampled_pair_diffs(x, y, m_prime, delta, rng, levels).mean()
-        full = l1_norm(x.real - y.real) / cells
-        deviations[t] = abs(sampled - full)
+    for block in _trial_blocks(trials):
+        x = np.empty((len(block), cells))
+        y = np.empty((len(block), cells))
+        omega = np.empty((len(block), m_prime), dtype=np.intp)
+        tau = np.empty((len(block), m_prime))
+        for i, t in enumerate(block):
+            rng = np.random.default_rng([seed, t])
+            x[i] = random_low_rank(spec, rng).ravel()
+            y[i] = random_low_rank(spec, rng).ravel()
+            omega[i], tau[i] = _draw_cells(rng, cells, m_prime, delta)
+        x_omega = np.take_along_axis(x, omega, axis=1)
+        y_omega = np.take_along_axis(y, omega, axis=1)
+        sampled = _quantized_gaps(x_omega, y_omega, tau, delta, levels).mean(axis=1)
+        full = np.abs(x - y).sum(axis=1) / cells
+        deviations[block.start : block.stop] = np.abs(sampled - full)
 
     empirical = np.array([(deviations > e).mean() for e in epsilons])
     expo = epsilons**2 * m_prime / (levels**2 * delta**2)

@@ -89,6 +89,8 @@ def test_stage_chain_matches_direct_path(tmp_path, capsys):
         [
             "quantize",
             "two_targets_first4",
+            "--run",
+            "0",
             "--snapshot",
             str(snap_path),
             "--out",
@@ -102,6 +104,8 @@ def test_stage_chain_matches_direct_path(tmp_path, capsys):
         [
             "complete",
             "two_targets_first4",
+            "--run",
+            "0",
             "--snapshot",
             str(snap_path),
             "--out",
@@ -279,6 +283,29 @@ def test_stage_commands_reproduce_a_batch_run(tmp_path):
         assert out.read_bytes() == "".join([header, *rows]).encode("utf-8")
 
 
+@pytest.mark.parametrize("command", ["complete", "quantize"])
+def test_snapshot_without_run_is_usage_error(tmp_path, capsys, command):
+    """A snapshot CSV does not record its run, so --snapshot needs --run:
+    run 0's dithers on run 2's data would match no run of the batch."""
+    masked = tmp_path / "masked.csv"
+    assert main(["synth", "two_targets_first4", "--run", "2", "--out", str(masked)]) == 0
+    out = tmp_path / "out"
+    assert main([command, "two_targets_first4", "--snapshot", str(masked),
+                 "--out", str(out)]) == 2
+    assert "--snapshot needs --run" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "two_targets_first4", "--snapshot", str(masked), "--run", "2",
+                 "--out", str(out)]) == 0
+
+
+def test_run_defaults_to_zero_without_snapshot(tmp_path):
+    default = tmp_path / "default.csv"
+    run0 = tmp_path / "run0.csv"
+    assert main(["quantize", "two_targets_first4", "--out", str(default)]) == 0
+    assert main(["quantize", "two_targets_first4", "--run", "0", "--out", str(run0)]) == 0
+    assert default.read_bytes() == run0.read_bytes()
+
+
 def test_negative_seed_is_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "two_targets_first4", "--runs", "1", "--seed-signal", "-5",
@@ -313,12 +340,12 @@ def test_full_snapshot_rejected_for_stages(tmp_path, capsys):
     snap_path = tmp_path / "snapshot.csv"
     assert main(["synth", "two_targets_first4", "--out", str(snap_path)]) == 0
     assert main(
-        ["complete", "two_targets_first4", "--snapshot", str(snap_path),
+        ["complete", "two_targets_first4", "--run", "0", "--snapshot", str(snap_path),
          "--out", str(tmp_path)]
     ) == 0
     completed = str(tmp_path / "completed.csv")
     code = main(
-        ["quantize", "two_targets_first4", "--snapshot", completed,
+        ["quantize", "two_targets_first4", "--run", "0", "--snapshot", completed,
          "--out", str(tmp_path / "q.csv")]
     )
     assert code == 2

@@ -1,9 +1,16 @@
 """Monte-Carlo verification helpers for the quantization identities."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hankeldoa import pipeline
+from hankeldoa.pipeline import EMBEDDING_SPEC, theory_battery
+from hankeldoa.quant import uniform_quantize
 from hankeldoa.theory import (
+    MC_BLOCK,
     LowRankSpec,
     l1_norm,
     random_low_rank,
@@ -66,6 +73,106 @@ def test_embedding_report_small_run():
     assert np.all(report.bound_sharp <= report.bound + 1e-15)
     bound = 2.0 * np.exp(-eps**2 * 128 / (64.0 * (1.0 / 8) ** 2))
     assert np.allclose(report.bound, bound, rtol=1e-12)
+
+
+def plain_sampled_gaps(x, y, m_prime, delta, rng, levels=None):
+    """One trial of the sampled-pair kernel: cells drawn without replacement,
+    then one dither per cell shared between x and y."""
+    omega = rng.choice(x.size, size=m_prime, replace=False)
+    tau = rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
+    qx = uniform_quantize(x.ravel()[omega].real, delta, tau, levels)
+    qy = uniform_quantize(y.ravel()[omega].real, delta, tau, levels)
+    return np.abs(qx - qy)
+
+
+def plain_mean_stderr(samples):
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
+def plain_sampling(x, y, m_prime, delta, trials, seed):
+    """verify_sampling_identity's estimate, one trial at a time."""
+    sums = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        sums[t] = plain_sampled_gaps(x, y, m_prime, delta, rng).sum()
+    return plain_mean_stderr(sums)
+
+
+def plain_embedding(spec, m_prime, delta, levels, epsilons, trials, seed):
+    """verify_embedding's violation frequencies, one trial at a time."""
+    cells = spec.n1 * spec.n2
+    deviations = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        x = random_low_rank(spec, rng)
+        y = random_low_rank(spec, rng)
+        sampled = plain_sampled_gaps(x, y, m_prime, delta, rng, levels).mean()
+        full = l1_norm(x.real - y.real) / cells
+        deviations[t] = abs(sampled - full)
+    return np.array([(deviations > e).mean() for e in epsilons])
+
+
+@pytest.mark.parametrize("trials", [2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
+@pytest.mark.parametrize("seed", [0, 37])
+def test_sampling_identity_equals_per_trial_loop(trials, seed):
+    rng = np.random.default_rng(5)
+    spec = LowRankSpec(12, 20, 2)
+    x = random_low_rank(spec, rng) + 1j * random_low_rank(spec, rng)
+    y = random_low_rank(spec, rng) - 2j * random_low_rank(spec, rng)
+    report = verify_sampling_identity(x, y, m_prime=100, delta=0.5, trials=trials,
+                                      seed=seed)
+    assert (report.mc_mean, report.stderr) == plain_sampling(x, y, 100, 0.5, trials, seed)
+    assert report.expected == 100 / 240 * l1_norm(x.real - y.real)
+
+
+@pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
+@pytest.mark.parametrize("levels", [2, 8])
+@pytest.mark.parametrize("seed", [0, 37])
+def test_embedding_equals_per_trial_loop(trials, levels, seed):
+    spec = LowRankSpec(16, 16, 2)
+    eps = np.array([0.02, 0.05, 0.1, 0.2])
+    report = verify_embedding(spec, m_prime=128, delta=1.0 / 8, levels=levels,
+                              epsilons=eps, trials=trials, seed=seed)
+    expected = plain_embedding(spec, 128, 1.0 / 8, levels, eps, trials, seed)
+    assert np.array_equal(report.empirical, expected)
+
+
+def test_embedding_memory_does_not_grow_with_trials():
+    def peak(trials):
+        tracemalloc.start()
+        verify_embedding(EMBEDDING_SPEC, m_prime=128, delta=1.0 / 8, levels=8,
+                         epsilons=np.array([0.1]), trials=trials, seed=0)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak_bytes
+
+    peak(MC_BLOCK)  # first call: numpy's one-time allocations
+    assert peak(8 * MC_BLOCK) <= 2 * peak(MC_BLOCK)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify_dither_identity(0.7, 0.2, 1.0, trials=10_000, seed=-1),
+        lambda: verify_sampling_identity(np.eye(4), np.zeros((4, 4)), 8, 0.5,
+                                         trials=2, seed=-1),
+        lambda: verify_embedding(LowRankSpec(4, 4, 1), 8, 0.5, 2, [0.1],
+                                 trials=1, seed=-1),
+    ],
+    ids=["dither", "sampling", "embedding"],
+)
+def test_negative_seed_is_rejected_up_front(check):
+    with pytest.raises(ValueError, match="seed: must be nonnegative, got -1"):
+        check()
+
+
+def test_battery_rejects_negative_seed_before_any_check(monkeypatch):
+    def unreached(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(pipeline, "verify_dither_identity", unreached)
+    with pytest.raises(ValueError, match="seed: must be nonnegative, got -1"):
+        theory_battery(seed=-1)
 
 
 def test_recovery_bound_examples():

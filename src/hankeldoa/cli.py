@@ -2,8 +2,10 @@
 
 Subcommands: `run` executes a whole seeded scenario batch and persists the
 CSVs plus manifest; `verify-theory` runs the Monte-Carlo identity and bound
-checks; `synth`, `quantize`, `complete`, and `spectrum` expose the pipeline
-stages one at a time through the snapshot CSV interchange format.
+checks; `synth`, `complete` and `spectrum` run one run's pipeline a slice at
+a time (the stages pipeline.synthesize_run, quantize_run and complete_run,
+then the spectrum) through the snapshot CSV interchange format; `scenarios`
+lists the bundled scenario names.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
 (divergence, an all-zero completion, dynamic-range violation, or a failed
@@ -17,14 +19,8 @@ import os
 import sys
 
 from . import pipeline
-from .completion import (
-    SvtDivergenceError,
-    SvtZeroIterateError,
-    build_quantized_hankel,
-    rank_projected_snapshot,
-    svt_complete,
-)
-from .quant import DynamicRangeViolation, QuantScheme, quantize_mixed
+from .completion import SvtDivergenceError, SvtZeroIterateError
+from .quant import DynamicRangeViolation
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -32,11 +28,8 @@ from .scenario import (
     geometry_of,
     load_scenario,
     placement_to_delta,
-    scene_of,
-    svt_config_of,
     with_overrides,
 )
-from .signal import SnapshotKind, synthesize_snapshot
 from .spectrum import SpectrumSource, angle_spectrum, find_peaks
 from .theory import DITHER_TRIALS, EMBEDDING_TRIALS, SAMPLING_TRIALS
 
@@ -126,16 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", default="snapshot.csv")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_quant = sub.add_parser(
-        "quantize", help="write the antenna-level mixed-quantized snapshot CSV"
-    )
-    _add_scenario_arg(p_quant)
-    _add_run_arg(p_quant, snapshot=True)
-    p_quant.add_argument("--seed-signal", type=int, help="override the signal seed")
-    p_quant.add_argument("--seed-dither", type=int, help="override the dither seed")
-    p_quant.add_argument("--out", default="quantized.csv")
-    p_quant.set_defaults(func=cmd_quantize)
-
     p_comp = sub.add_parser(
         "complete", help="quantize cell-wise, complete, and rank-project one run"
     )
@@ -177,48 +160,28 @@ def _load(args) -> Scenario:
     )
 
 
-def _run_index(args) -> int:
-    """The run a stage command works on: --run, 0 when not given.  A
-    --snapshot input needs --run, since the CSV does not record its run and
-    the run picks the dither seed."""
-    if args.run is not None:
-        return args.run
-    if getattr(args, "snapshot", None):
+def _stage_input(args):
+    """What a stage command works on: the scenario with the command's seed
+    overrides, the run index (--run, default 0), the multi-bit indicator,
+    and the masked snapshot, read from --snapshot when given and synthesized
+    from the run's seed otherwise.  A --snapshot input needs --run, since the
+    CSV does not record its run and the run picks the dither seed.  Whether
+    the snapshot fits the indicator is the quantizer's check
+    (quant.check_precision_classes)."""
+    scn = _load(args)
+    snapshot = getattr(args, "snapshot", None)
+    if snapshot and args.run is None:
         raise ValueError(
             "--snapshot needs --run: the snapshot CSV does not record which "
             "run it holds, and the run index picks the dither seed"
         )
-    return 0
-
-
-def _masked_for(args, scn: Scenario):
-    """The masked snapshot a stage command works on: from --snapshot when
-    given, freshly synthesized from the seeds otherwise."""
-    run = _run_index(args)
-    if getattr(args, "snapshot", None):
-        snap = pipeline.read_snapshot_csv(args.snapshot)
-        if snap.kind is not SnapshotKind.MASKED:
-            raise ScenarioError(
-                f"{args.snapshot}: expected a masked snapshot (holes in the mask)"
-            )
-        return snap
-    seed_signal, _ = pipeline.seeds_for(scn, run)
-    _, masked = synthesize_snapshot(
-        scene_of(scn), geometry_of(scn), seed=seed_signal
-    )
-    return masked
-
-
-def _scheme_for(args, scn: Scenario, masked) -> QuantScheme:
+    run = args.run or 0
     geom = geometry_of(scn)
-    ind = placement_to_delta(scn.placement, geom)
-    if ind.shape[0] != masked.m:
-        raise ScenarioError(
-            f"snapshot length {masked.m} does not match the scenario aperture "
-            f"{ind.shape[0]}"
-        )
-    _, seed_dither = pipeline.seeds_for(scn, _run_index(args))
-    return pipeline.quant_scheme(scn, masked, ind, seed_dither)
+    if snapshot:
+        masked = pipeline.read_snapshot_csv(snapshot)
+    else:
+        _, masked = pipeline.synthesize_run(scn, geom, run)
+    return scn, run, placement_to_delta(scn.placement, geom), masked
 
 
 def cmd_run(args) -> int:
@@ -279,31 +242,16 @@ def cmd_verify_theory(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    masked = _masked_for(args, _load(args))
+    *_, masked = _stage_input(args)
     pipeline.write_snapshot_csv(args.out, masked)
     print(f"wrote {args.out} ({int(masked.mask.sum())} observed of {masked.m})")
     return 0
 
 
-def cmd_quantize(args) -> int:
-    scn = _load(args)
-    masked = _masked_for(args, scn)
-    scheme = _scheme_for(args, scn, masked)
-    quantized = quantize_mixed(masked, scheme)
-    pipeline.write_snapshot_csv(args.out, quantized)
-    print(
-        f"wrote {args.out} (delta1 {scheme.delta1:.6g}, delta2 {scheme.delta2:.6g})"
-    )
-    return 0
-
-
 def cmd_complete(args) -> int:
-    scn = _load(args)
-    masked = _masked_for(args, scn)
-    scheme = _scheme_for(args, scn, masked)
-    view = build_quantized_hankel(masked, scheme)
-    result = svt_complete(view, svt_config_of(scn))
-    snap_hat = rank_projected_snapshot(result.matrix, scn.model_order)
+    scn, run, ind, masked = _stage_input(args)
+    _, view = pipeline.quantize_run(scn, ind, masked, run)
+    result, snap_hat = pipeline.complete_run(scn, view)
     os.makedirs(args.out, exist_ok=True)
     completed_path = os.path.join(args.out, "completed.csv")
     trace_path = os.path.join(args.out, "trace.csv")

@@ -1,7 +1,9 @@
 """Scenario execution and persistence.
 
-run_scenario drives one seeded batch through synthesis, cell-level
-quantization, completion, rank projection, and spectra, then writes the CSV
+execute_run takes one seeded run through the stages synthesize_run,
+quantize_run (cell-level quantization) and complete_run (completion and
+rank projection), then the spectra; the stage commands of the CLI call the
+same stages.  run_scenario drives a batch of runs, then writes the CSV
 outputs and a manifest whose hash covers every deterministic field.  The runs
 of a batch are independent and execute concurrently on threads, with
 OpenBLAS pinned to one thread, so the hash depends on neither the BLAS
@@ -27,12 +29,13 @@ import numpy as np
 
 from ._version import __version__
 from .completion import (
+    CompletionResult,
     build_quantized_hankel,
     rank_projected_snapshot,
     svt_complete,
 )
 from .geometry import masking_vector
-from .hankel import lift
+from .hankel import HankelView, lift
 from .linalg import single_thread_blas
 from .quant import QuantScheme, design_scales, word_levels
 # Not called here; the benchmark's tracer looks the name up on this module.
@@ -114,8 +117,8 @@ def write_snapshot_csv(path: str, snap: Snapshot) -> None:
 def read_snapshot_csv(path: str) -> Snapshot:
     """Read the snapshot interchange format back; kind is full when every
     antenna is observed, masked otherwise.  Rows must carry the indices 1..m
-    in order, finite values and a mask of 0 or 1; a bad row raises a
-    ValueError naming the file and line."""
+    in order, finite values and a mask of 0 or 1, with value 0 where the mask
+    is 0; a bad row raises a ValueError naming the file and line."""
     values = []
     mask = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -135,6 +138,8 @@ def read_snapshot_csv(path: str) -> Snapshot:
                 observed = int(mask_s)
                 if observed not in (0, 1):
                     raise ValueError(f"mask {observed} is not 0 or 1")
+                if z and not observed:
+                    raise ValueError(f"value {z} is not 0 where the mask is 0")
                 mask.append(observed)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
@@ -325,12 +330,30 @@ def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
     return scn.seed_signal + run, scn.seed_dither + run
 
 
-def quant_scheme(scn: Scenario, masked: Snapshot, ind, dither_seed: int) -> QuantScheme:
-    """The scenario's quantizer for one masked snapshot: steps sized from the
-    observed data with the scenario's word length and margin, the multi-bit
-    indicator ind, and the given dither seed."""
+def synthesize_run(scn: Scenario, geom, run: int) -> tuple[Snapshot, Snapshot]:
+    """The full and masked snapshots of one run, drawn from its signal seed."""
+    seed_signal, _ = seeds_for(scn, run)
+    return synthesize_snapshot(scene_of(scn), geom, seed=seed_signal)
+
+
+def quantize_run(
+    scn: Scenario, ind, masked: Snapshot, run: int
+) -> tuple[QuantScheme, HankelView]:
+    """The cell-wise mixed-precision quantization of one run's masked
+    snapshot: steps sized from the observed data with the scenario's word
+    length and margin, the multi-bit indicator ind, and the run's dither
+    seed.  Returns the QuantScheme and the quantized HankelView."""
+    _, seed_dither = seeds_for(scn, run)
     d1, d2 = design_scales(masked, scn.margin, word_levels(scn.bits))
-    return QuantScheme(d1, d2, scn.bits, ind, dither_seed=dither_seed)
+    scheme = QuantScheme(d1, d2, scn.bits, ind, dither_seed=seed_dither)
+    return scheme, build_quantized_hankel(masked, scheme)
+
+
+def complete_run(scn: Scenario, view: HankelView) -> tuple[CompletionResult, Snapshot]:
+    """SVT completion of a quantized view with the scenario's solver
+    settings, and the rank-model_order projection of its result."""
+    result = svt_complete(view, svt_config_of(scn))
+    return result, rank_projected_snapshot(result.matrix, scn.model_order)
 
 
 def execute_run(scn: Scenario, geom, ind, run: int):
@@ -342,18 +365,15 @@ def execute_run(scn: Scenario, geom, ind, run: int):
     s_sig, s_dith = seeds_for(scn, run)
     t = {}
     t0 = time.perf_counter()
-    full, masked = synthesize_snapshot(scene_of(scn), geom, seed=s_sig)
+    full, masked = synthesize_run(scn, geom, run)
     t["synthesize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scheme = quant_scheme(scn, masked, ind, s_dith)
-    view = build_quantized_hankel(masked, scheme)
+    scheme, view = quantize_run(scn, ind, masked, run)
     t["quantize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = svt_complete(view, svt_config_of(scn))
-    rank = scn.model_order
-    snap_hat = rank_projected_snapshot(result.matrix, rank)
+    result, snap_hat = complete_run(scn, view)
     t["complete"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -395,7 +415,7 @@ def execute_run(scn: Scenario, geom, ind, run: int):
         converged=result.converged,
         final_residual=float(result.residuals[-1]),
         data_residual=result.data_residual,
-        truncate_rank=rank,
+        truncate_rank=scn.model_order,
         peaks=[(float(a), float(b)) for a, b in peaks_comp.peaks],
         peaks_complete=peaks_comp.complete,
         sidelobe_sla_db=sll_sla,

@@ -1,4 +1,4 @@
-"""Dithered uniform quantization, one-bit and multi-bit, applied per antenna.
+"""Dithered uniform quantization, one-bit or multi-bit by antenna precision class.
 
 The core cell rule is Q(x) = delta * (floor((x + tau)/delta) + 1/2) with
 dither tau drawn uniformly from [-delta/2, delta/2].  A `levels` count K
@@ -36,26 +36,24 @@ class QuantScheme:
     """Mixed-precision quantizer description.
 
     delta_indicator marks the multi-bit antennas (1) against one-bit ones (0)
-    over the full virtual aperture; it may stay None for uses that only need
-    the scalar parameters.  levels is word_levels(bits), so a b-bit ADC has
-    2*levels cells per real part.
+    over the full virtual aperture.  levels is word_levels(bits), so a b-bit
+    ADC has 2*levels cells per real part.
     """
 
     delta1: float
     delta2: float
     bits: int
-    delta_indicator: np.ndarray | None = None
+    delta_indicator: np.ndarray
     dither_seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.delta1 < np.inf and 0 < self.delta2 < np.inf):
             raise ValueError("quantizer step sizes must be positive and finite")
         word_levels(self.bits)  # raises on a word length out of range
-        if self.delta_indicator is not None:
-            ind = np.asarray(self.delta_indicator, dtype=np.int8)
-            if ind.ndim != 1 or not np.all((ind == 0) | (ind == 1)):
-                raise ValueError("delta_indicator must be a 1-d 0/1 vector")
-            self.delta_indicator = ind
+        ind = np.asarray(self.delta_indicator, dtype=np.int8)
+        if ind.ndim != 1 or not np.all((ind == 0) | (ind == 1)):
+            raise ValueError("delta_indicator must be a 1-d 0/1 vector")
+        self.delta_indicator = ind
 
     @property
     def levels(self) -> int:
@@ -92,13 +90,6 @@ def uniform_quantize(x, delta: float, tau, levels: int | None = None):
             raise ValueError("levels must be at least 1")
         cell = np.clip(cell, -levels, levels - 1)
     return delta * (cell + 0.5)
-
-
-def one_bit(x: float, delta1: float, tau: float) -> float:
-    """Sign quantizer scaled to +/- delta1/2; valid only when |x| <= delta1/2.
-    The scalar reference that the vectorized one-bit cells are tested against."""
-    check_one_bit_range(x, True, delta1 / 2.0, None)
-    return delta1 / 2.0 if x + tau >= 0 else -delta1 / 2.0
 
 
 def check_one_bit_range(values, coarse, limit: float, antenna) -> None:
@@ -158,12 +149,9 @@ def dither_field(scheme: QuantScheme, m: int) -> np.ndarray:
 
     The step assigned to each antenna follows the delta_indicator, so the
     field is a pure function of (dither_seed, delta1, delta2, indicator) and
-    independent of any evaluation schedule.
+    independent of any evaluation schedule.  The indicator's length must be
+    m, which check_precision_classes has checked on the caller's snapshot.
     """
-    if scheme.delta_indicator is None:
-        raise ValueError("scheme needs a delta_indicator to scale the dither field")
-    if scheme.delta_indicator.shape[0] != m:
-        raise ValueError("delta_indicator length does not match the aperture")
     rng = np.random.default_rng(scheme.dither_seed)
     u = rng.uniform(-0.5, 0.5, size=(m, 2))
     step = np.where(scheme.delta_indicator == 1, scheme.delta2, scheme.delta1)
@@ -176,10 +164,11 @@ def check_precision_classes(masked: Snapshot, scheme: QuantScheme) -> None:
     if masked.kind is not SnapshotKind.MASKED:
         raise ValueError(f"expected a masked snapshot, got a {masked.kind.value} one")
     ind = scheme.delta_indicator
-    if ind is None:
-        raise ValueError("scheme needs a delta_indicator")
     if ind.shape != masked.mask.shape:
-        raise ValueError("delta_indicator length does not match the snapshot")
+        raise ValueError(
+            f"delta_indicator length {ind.size} does not match the snapshot "
+            f"length {masked.m}"
+        )
     if np.any((ind == 1) & (masked.mask == 0)):
         raise ValueError("delta_indicator marks antennas outside the mask")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hankeldoa import linalg
+from hankeldoa.quant import check_one_bit_range
 from hankeldoa.geometry import RadarUnit, synthesize_virtual_array
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
@@ -30,6 +31,13 @@ def constant_masked(masked: Snapshot, value: complex) -> Snapshot:
     """Replace every observed entry of a masked snapshot with one value."""
     values = np.where(masked.mask.astype(bool), value, 0.0).astype(complex)
     return Snapshot(values, masked.mask.copy(), SnapshotKind.MASKED)
+
+
+def one_bit(x: float, delta1: float, tau: float) -> float:
+    """Sign quantizer scaled to +/- delta1/2; valid only when |x| <= delta1/2.
+    The scalar reference that the vectorized one-bit cells are tested against."""
+    check_one_bit_range(x, True, delta1 / 2.0, None)
+    return delta1 / 2.0 if x + tau >= 0 else -delta1 / 2.0
 
 
 @pytest.fixture

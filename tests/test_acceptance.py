@@ -23,7 +23,7 @@ from hankeldoa.pipeline import (
     SAMPLING_PAIRS,
     run_scenario,
 )
-from hankeldoa.quant import one_bit, uniform_quantize
+from hankeldoa.quant import uniform_quantize
 from hankeldoa.scenario import geometry_of, load_bundled, placement_to_delta
 from hankeldoa.signal import TargetScene, synthesize_snapshot
 from hankeldoa.theory import (
@@ -33,6 +33,8 @@ from hankeldoa.theory import (
     verify_sampling_identity,
 )
 from hankeldoa.completion import SvtConfig, svt_iterate
+
+from conftest import one_bit
 
 U_BIN = 2.0 / 1024.0
 

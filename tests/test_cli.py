@@ -8,10 +8,21 @@ import pytest
 
 from hankeldoa import pipeline
 from hankeldoa.cli import main
-from hankeldoa.completion import SvtDivergenceError
+from hankeldoa.completion import (
+    SvtDivergenceError,
+    build_quantized_hankel,
+    rank_projected_snapshot,
+    svt_complete,
+)
 from hankeldoa.pipeline import read_snapshot_csv
-from hankeldoa.quant import quantize_mixed
-from hankeldoa.scenario import geometry_of, load_bundled, placement_to_delta, scene_of
+from hankeldoa.quant import QuantScheme, design_scales, word_levels
+from hankeldoa.scenario import (
+    geometry_of,
+    load_bundled,
+    placement_to_delta,
+    scene_of,
+    svt_config_of,
+)
 from hankeldoa.signal import synthesize_snapshot
 
 DIVERGENT_INI = """
@@ -75,7 +86,6 @@ def test_run_single(tmp_path, capsys):
 
 def test_stage_chain_matches_direct_path(tmp_path, capsys):
     snap_path = tmp_path / "snapshot.csv"
-    quant_path = tmp_path / "quantized.csv"
     spec_path = tmp_path / "spectrum.csv"
 
     assert main(
@@ -84,21 +94,6 @@ def test_stage_chain_matches_direct_path(tmp_path, capsys):
     snap = read_snapshot_csv(str(snap_path))
     assert snap.m == 149
     assert int(snap.mask.sum()) == 47
-
-    assert main(
-        [
-            "quantize",
-            "two_targets_first4",
-            "--run",
-            "0",
-            "--snapshot",
-            str(snap_path),
-            "--out",
-            str(quant_path),
-        ]
-    ) == 0
-    quantized = read_snapshot_csv(str(quant_path))
-    assert np.array_equal(quantized.mask, snap.mask)
 
     assert main(
         [
@@ -204,9 +199,10 @@ def test_word_length_beyond_range_is_usage_error(tmp_path, capsys):
         "[scene]\nangles_deg = -34.0, 18.0\n[quant]\nbits = 1100\n",
         encoding="utf-8",
     )
-    code = main(["quantize", str(path), "--out", str(tmp_path / "q.csv")])
+    code = main(["synth", str(path), "--out", str(tmp_path / "s.csv")])
     assert code == 2
     assert "[quant] bits" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_non_finite_scenario_number_is_usage_error(tmp_path, capsys):
@@ -238,20 +234,26 @@ def test_stage_seed_overrides_add_the_run_index(tmp_path):
     scn = load_bundled("two_targets_first4")
     geom = geometry_of(scn)
     _, masked = synthesize_snapshot(scene_of(scn), geom, seed=7)
+    d1, d2 = design_scales(masked, scn.margin, word_levels(scn.bits))
     ind = placement_to_delta(scn.placement, geom)
-    quantized = quantize_mixed(masked, pipeline.quant_scheme(scn, masked, ind, 11))
-    pipeline.write_snapshot_csv(str(tmp_path / "masked_ref.csv"), masked)
-    pipeline.write_snapshot_csv(str(tmp_path / "quantized_ref.csv"), quantized)
+    scheme = QuantScheme(d1, d2, scn.bits, ind, dither_seed=11)
+    result = svt_complete(build_quantized_hankel(masked, scheme), svt_config_of(scn))
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    pipeline.write_snapshot_csv(str(ref / "masked.csv"), masked)
+    pipeline.write_snapshot_csv(
+        str(ref / "completed.csv"),
+        rank_projected_snapshot(result.matrix, scn.model_order),
+    )
+    pipeline.write_trace_csv(str(ref / "trace.csv"), result.residuals, result.ranks)
 
     seeds = ["--run", "2", "--seed-signal", "5"]
     assert main(["synth", "two_targets_first4", *seeds,
                  "--out", str(tmp_path / "masked.csv")]) == 0
-    assert main(["quantize", "two_targets_first4", *seeds, "--seed-dither", "9",
-                 "--out", str(tmp_path / "quantized.csv")]) == 0
-    for stem in ("masked", "quantized"):
-        assert (tmp_path / f"{stem}.csv").read_bytes() == (
-            tmp_path / f"{stem}_ref.csv"
-        ).read_bytes()
+    assert main(["complete", "two_targets_first4", *seeds, "--seed-dither", "9",
+                 "--out", str(tmp_path)]) == 0
+    for name in ("masked.csv", "completed.csv", "trace.csv"):
+        assert (tmp_path / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_stage_commands_reproduce_a_batch_run(tmp_path):
@@ -283,7 +285,7 @@ def test_stage_commands_reproduce_a_batch_run(tmp_path):
         assert out.read_bytes() == "".join([header, *rows]).encode("utf-8")
 
 
-@pytest.mark.parametrize("command", ["complete", "quantize"])
+@pytest.mark.parametrize("command", ["complete"])
 def test_snapshot_without_run_is_usage_error(tmp_path, capsys, command):
     """A snapshot CSV does not record its run, so --snapshot needs --run:
     run 0's dithers on run 2's data would match no run of the batch."""
@@ -299,11 +301,12 @@ def test_snapshot_without_run_is_usage_error(tmp_path, capsys, command):
 
 
 def test_run_defaults_to_zero_without_snapshot(tmp_path):
-    default = tmp_path / "default.csv"
-    run0 = tmp_path / "run0.csv"
-    assert main(["quantize", "two_targets_first4", "--out", str(default)]) == 0
-    assert main(["quantize", "two_targets_first4", "--run", "0", "--out", str(run0)]) == 0
-    assert default.read_bytes() == run0.read_bytes()
+    default = tmp_path / "default"
+    run0 = tmp_path / "run0"
+    assert main(["complete", "two_targets_first4", "--out", str(default)]) == 0
+    assert main(["complete", "two_targets_first4", "--run", "0", "--out", str(run0)]) == 0
+    for name in ("completed.csv", "trace.csv"):
+        assert (default / name).read_bytes() == (run0 / name).read_bytes()
 
 
 def test_negative_seed_is_usage_error(tmp_path, capsys):
@@ -345,11 +348,32 @@ def test_full_snapshot_rejected_for_stages(tmp_path, capsys):
     ) == 0
     completed = str(tmp_path / "completed.csv")
     code = main(
-        ["quantize", "two_targets_first4", "--run", "0", "--snapshot", completed,
-         "--out", str(tmp_path / "q.csv")]
+        ["complete", "two_targets_first4", "--run", "0", "--snapshot", completed,
+         "--out", str(tmp_path / "again")]
     )
     assert code == 2
     assert "masked" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
+def test_snapshot_of_the_wrong_length_is_usage_error(tmp_path, capsys):
+    """The quantizer's precision-class check rejects a snapshot that does not
+    span the scenario's aperture."""
+    path = tmp_path / "short.csv"
+    path.write_text("index,re,im,mask\n1,0.5,0,1\n2,0,0,0\n3,0.25,0,1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["complete", "two_targets_first4", "--run", "0", "--snapshot", str(path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "delta_indicator length 149 does not match the snapshot length 3" in err
+    assert not out.exists()
+
+
+def test_quantize_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quantize", "two_targets_first4"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'quantize'" in capsys.readouterr().err
 
 
 def test_divergence_is_numerical_failure(tmp_path, capsys):

@@ -25,7 +25,6 @@ from hankeldoa.scenario import (
     geometry_of,
     load_bundled,
     placement_to_delta,
-    scene_of,
     svt_config_of,
 )
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
@@ -208,9 +207,8 @@ def run0_view(name):
     scn = load_bundled(name)
     geom = geometry_of(scn)
     ind = placement_to_delta(scn.placement, geom)
-    s_sig, s_dith = pipeline.seeds_for(scn, 0)
-    _, masked = synthesize_snapshot(scene_of(scn), geom, seed=s_sig)
-    view = build_quantized_hankel(masked, pipeline.quant_scheme(scn, masked, ind, s_dith))
+    _, masked = pipeline.synthesize_run(scn, geom, 0)
+    _, view = pipeline.quantize_run(scn, ind, masked, 0)
     return view, svt_config_of(scn)
 
 

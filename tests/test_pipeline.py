@@ -608,8 +608,9 @@ def test_read_snapshot_rejects_other_csvs(tmp_path):
         (["1,1,0,1", "2,0.5"], 3, r"expected 4, got 2"),
         (["1,1,0,1", "2,1,0,2"], 3, "mask 2 is not 0 or 1"),
         (["1,1,0,-1", "2,1,0,1"], 2, "mask -1 is not 0 or 1"),
+        (["1,1,0,1", "2,0,0.5,0"], 3, r"value 0\.5j is not 0 where the mask is 0"),
     ],
-    ids=["gap", "repeat", "nan", "short", "mask_2", "mask_minus_1"],
+    ids=["gap", "repeat", "nan", "short", "mask_2", "mask_minus_1", "off_mask_value"],
 )
 def test_read_snapshot_rejects_bad_rows(tmp_path, rows, line, reason):
     path = tmp_path / "bad.csv"

@@ -8,14 +8,13 @@ from hankeldoa.quant import (
     QuantScheme,
     design_scales,
     dither_field,
-    one_bit,
     quantize_mixed,
     uniform_quantize,
     word_levels,
 )
 from hankeldoa.signal import SnapshotKind
 
-from conftest import constant_masked
+from conftest import constant_masked, one_bit
 
 
 def test_midrise_zero_maps_to_half_cell():
@@ -132,7 +131,7 @@ def test_word_levels_range():
         with pytest.raises(ValueError, match="2..32"):
             word_levels(bits)
     with pytest.raises(ValueError, match="2..32"):
-        QuantScheme(4.0, 0.01, 1100)
+        QuantScheme(4.0, 0.01, 1100, np.array([1, 0, 1]))
 
 
 def test_scheme_levels_and_validation():
@@ -140,16 +139,16 @@ def test_scheme_levels_and_validation():
     scheme = QuantScheme(4.0, 0.01, 10, delta_indicator=ind)
     assert scheme.levels == 512
     with pytest.raises(ValueError):
-        QuantScheme(4.0, 0.01, 1)
+        QuantScheme(4.0, 0.01, 1, ind)
     with pytest.raises(ValueError):
-        QuantScheme(-4.0, 0.01, 10)
+        QuantScheme(-4.0, 0.01, 10, ind)
     with pytest.raises(ValueError):
-        QuantScheme(4.0, 0.0, 10)
+        QuantScheme(4.0, 0.0, 10, ind)
     for step in (np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            QuantScheme(step, 0.01, 10)
+            QuantScheme(step, 0.01, 10, ind)
         with pytest.raises(ValueError, match="positive and finite"):
-            QuantScheme(4.0, step, 10)
+            QuantScheme(4.0, step, 10, ind)
     with pytest.raises(ValueError):
         QuantScheme(4.0, 0.01, 10, delta_indicator=np.array([0, 2, 1]))
 

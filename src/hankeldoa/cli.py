@@ -20,7 +20,7 @@ import sys
 
 from . import pipeline
 from .completion import SvtDivergenceError, SvtZeroIterateError
-from .quant import DynamicRangeViolation
+from .quant import DynamicRangeViolation, check_precision_classes
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -165,9 +165,9 @@ def _stage_input(args):
     overrides, the run index (--run, default 0), the multi-bit indicator,
     and the masked snapshot, read from --snapshot when given and synthesized
     from the run's seed otherwise.  A --snapshot input needs --run, since the
-    CSV does not record its run and the run picks the dither seed.  Whether
-    the snapshot fits the indicator is the quantizer's check
-    (quant.check_precision_classes)."""
+    CSV does not record its run and the run picks the dither seed, and must
+    fit the indicator (quant.check_precision_classes, the quantizer's own
+    check), failing with its path named."""
     scn = _load(args)
     snapshot = getattr(args, "snapshot", None)
     if snapshot and args.run is None:
@@ -177,11 +177,16 @@ def _stage_input(args):
         )
     run = args.run or 0
     geom = geometry_of(scn)
+    ind = placement_to_delta(scn.placement, geom)
     if snapshot:
         masked = pipeline.read_snapshot_csv(snapshot)
+        try:
+            check_precision_classes(masked, ind)
+        except ValueError as exc:
+            raise ValueError(f"{snapshot}: {exc}") from None
     else:
         _, masked = pipeline.synthesize_run(scn, geom, run)
-    return scn, run, placement_to_delta(scn.placement, geom), masked
+    return scn, run, ind, masked
 
 
 def cmd_run(args) -> int:

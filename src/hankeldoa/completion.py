@@ -18,21 +18,23 @@ off because on exact data it stops before the residual rule's accuracy: the
 with change_tol = 1e-2.  Scenarios, which complete quantized data, turn it
 on (scenario.svt_config_of).
 
-The first iterates are all zero and need no SVD.  While X is zero, y_k is
+The first iterates are all zero and need no shrink.  While X is zero, y_k is
 the k-fold repeated sum of s = fl(step * b): each entry is within about
 k^2 * u of k * s (relative, u = 2^-53), so ||scatter(y_k)||_2 is within a
 relative k * sqrt(n1 * n2) * u of k * sigma_c, sigma_c = ||scatter(s)||_2.
-gesdd's singular values are within a small multiple of u * ||A||_2 of the
+gesdd's singular values, and the square root of the largest eigenvalue eigh
+finds for the Gram matrix, are within a small multiple of u * ||A||_2 of the
 exact ones.  While k * sqrt(n1 * n2) * u stays far below ZERO_SKIP_MARGIN,
 every iteration k (0-based) with k * sigma_c * (1 + ZERO_SKIP_MARGIN) < tau
-therefore has no singular value above tau, and the solver takes X_k = 0,
-rank 0, without the SVD.  The skip count is capped where that product
-reaches ZERO_SKIP_ROUNDING (about 1.2e6 iterations on a 75x75 matrix, far
-beyond any max_iters in use), and an iteration inside the margin simply runs
-its SVD.  One singular-values-only call per run gives sigma_c; the residual,
-the divergence streak, the dual update and the stop rules run as before, so
-every output bit is the same as with an SVD on every iteration.  On the
-bundled scenarios this skips the first 3 to 7 iterations of every run.
+therefore has no singular value above tau: linalg.shrink would return an
+exact zero, so the solver takes X_k = 0, rank 0, without it.  The skip count
+is capped where that product reaches ZERO_SKIP_ROUNDING (about 1.2e6
+iterations on a 75x75 matrix, far beyond any max_iters in use), and an
+iteration inside the margin simply runs its shrink.  One singular-values-only
+call per run gives sigma_c; the residual, the divergence streak, the dual
+update and the stop rules run as before, so every output bit is the same as
+with `linalg.shrink` on every iteration.  On the bundled scenarios this skips
+the first 3 to 7 iterations of every run.
 Background: Cai, Candes & Shen 2010, section 5.1.2 ("kicking").
 
 svt_complete and rank_projected_snapshot run with OpenBLAS pinned to one
@@ -235,7 +237,7 @@ def build_quantized_hankel(masked: Snapshot, scheme: QuantScheme) -> HankelView:
     scheme.dither_seed in a fixed order, so the output is a pure function of
     (masked, scheme).
     """
-    check_precision_classes(masked, scheme)
+    check_precision_classes(masked, scheme.delta_indicator)
     view = lift(masked, scheme.delta_indicator)
     n1, n2 = view.n1, view.n2
     antenna = view.antenna_index(*np.indices((n1, n2))) + 1

@@ -1,6 +1,13 @@
-"""Thin SVD utilities shared by the completion solver, and the BLAS thread
-pin that makes the solver's floating-point output independent of how many
-threads OpenBLAS would otherwise use."""
+"""The singular value shrinkage the completion solver runs on every
+iteration, its SVD and Hermitian eigendecomposition kernels, and the BLAS
+thread pin that makes the solver's floating-point output independent of how
+many threads OpenBLAS would otherwise use.
+
+shrink with tau > 0 thresholds through eigh of the Gram matrix A^H A, which
+costs less than the SVD of A and never forms U; it falls back to the SVD
+when u * (sigma_1 / tau)^2 exceeds GRAM_ROUNDING_LIMIT (see shrink).  tau = 0,
+the rank projection, always takes the SVD.
+"""
 
 from __future__ import annotations
 
@@ -18,10 +25,24 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
+# Unit roundoff of float64.
+_U = 2.0**-53
+# The largest u * (sigma_1 / tau)^2 at which shrink thresholds through the
+# Gram matrix; above it, shrink takes the SVD.  That product is the relative
+# error, against sigma_1, of the Gram path's result (see shrink).
+GRAM_ROUNDING_LIMIT = 1e-6
+
+
 def svd(x: np.ndarray):
     """Compact SVD (u, sigma, vh), x = u @ diag(sigma) @ vh with sigma
     descending."""
     return np.linalg.svd(np.asarray(x), full_matrices=False)
+
+
+def eigh(a: np.ndarray):
+    """Eigendecomposition (w, v) of a Hermitian matrix, a = v @ diag(w) @ v^H
+    with w ascending; only the lower triangle of a is read."""
+    return np.linalg.eigh(a)
 
 
 def shrink(
@@ -32,9 +53,33 @@ def shrink(
 
     Returns the matrix and its rank, the number of singular values kept.
     tau = 0 with a rank_cap is the truncated SVD.
+
+    For tau > 0 the singular values come from eigh of the Gram matrix
+    A^H A = V diag(lambda) V^H: sigma_k = sqrt(lambda_k) is kept for
+    lambda_k > tau^2, and the result is A V_k diag(1 - tau / sigma_k) V_k^H,
+    so U is never formed.  When lambda_max <= tau^2 the result is an exact
+    zero matrix of rank 0.  Forming A^H A perturbs each lambda_k by about
+    u * sigma_1^2 (u = 2^-53), so sigma_k > tau carries an absolute error of
+    about u * sigma_1^2 / sigma_k, and the result a relative error, against
+    sigma_1, of about u * (sigma_1 / tau)^2.  When that bound exceeds
+    GRAM_ROUNDING_LIMIT, and for tau = 0, the singular values come from the
+    SVD of A instead.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
+    x = np.asarray(x)
+    if tau > 0:
+        lam, v = eigh(x.conj().T @ x)
+        floor = tau * tau
+        if lam[-1] <= floor:
+            return np.zeros_like(x), 0
+        if _U * lam[-1] <= GRAM_ROUNDING_LIMIT * floor:
+            rank = int(np.count_nonzero(lam > floor))
+            if rank_cap is not None:
+                rank = min(rank, rank_cap)
+            v = v[:, lam.size - rank:]
+            scaled = v * (1.0 - tau / np.sqrt(lam[lam.size - rank:]))
+            return (x @ scaled) @ v.conj().T, rank
     u, sigma, vh = svd(x)
     kept = np.maximum(sigma - tau, 0.0)
     if rank_cap is not None:

@@ -20,14 +20,14 @@ from .signal import Snapshot, SnapshotKind
 class DynamicRangeViolation(ValueError):
     """A one-bit antenna saw |part| > delta1/2 and cannot represent it."""
 
-    def __init__(self, antenna_index: int | None, value: float, limit: float, part: str):
+    def __init__(self, antenna_index: int, value: float, limit: float, part: str):
         self.antenna_index = antenna_index
         self.value = value
         self.limit = limit
         self.part = part
-        where = "input" if antenna_index is None else f"antenna {antenna_index}"
         super().__init__(
-            f"{where}: |{part}| = {abs(value):.6g} exceeds the one-bit range {limit:.6g}"
+            f"antenna {antenna_index}: |{part}| = {abs(value):.6g} exceeds the "
+            f"one-bit range {limit:.6g}"
         )
 
 
@@ -95,15 +95,13 @@ def uniform_quantize(x, delta: float, tau, levels: int | None = None):
 def check_one_bit_range(values, coarse, limit: float, antenna) -> None:
     """Raise DynamicRangeViolation for the first one-bit cell, in row-major
     order, whose real part (checked first) or imaginary part exceeds limit in
-    magnitude.  antenna gives each cell's 1-based antenna index, or is None
-    when the values carry no antenna."""
+    magnitude.  antenna gives each cell's 1-based antenna index."""
     values = np.asarray(values)
     for part, data in (("real", values.real), ("imag", values.imag)):
         bad = coarse & (np.abs(data) > limit)
         if np.any(bad):
             cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            where = None if antenna is None else int(antenna[cell])
-            raise DynamicRangeViolation(where, float(data[cell]), limit, part)
+            raise DynamicRangeViolation(int(antenna[cell]), float(data[cell]), limit, part)
 
 
 def quantize_cells(values, observed, fine, tau, scheme: QuantScheme) -> np.ndarray:
@@ -158,12 +156,11 @@ def dither_field(scheme: QuantScheme, m: int) -> np.ndarray:
     return step * u[:, 0] + 1j * (step * u[:, 1])
 
 
-def check_precision_classes(masked: Snapshot, scheme: QuantScheme) -> None:
-    """Raise ValueError unless masked is a masked snapshot and the scheme's
-    delta_indicator covers it and marks only observed antennas multi-bit."""
+def check_precision_classes(masked: Snapshot, ind: np.ndarray) -> None:
+    """Raise ValueError unless masked is a masked snapshot and the multi-bit
+    indicator ind covers it and marks only observed antennas multi-bit."""
     if masked.kind is not SnapshotKind.MASKED:
         raise ValueError(f"expected a masked snapshot, got a {masked.kind.value} one")
-    ind = scheme.delta_indicator
     if ind.shape != masked.mask.shape:
         raise ValueError(
             f"delta_indicator length {ind.size} does not match the snapshot "
@@ -175,7 +172,7 @@ def check_precision_classes(masked: Snapshot, scheme: QuantScheme) -> None:
 
 def quantize_mixed(masked: Snapshot, scheme: QuantScheme) -> Snapshot:
     """Quantize the observed antennas, one-bit or multi-bit per the indicator."""
-    check_precision_classes(masked, scheme)
+    check_precision_classes(masked, scheme.delta_indicator)
     mask = masked.mask
     observed = mask == 1
     fine = observed & (scheme.delta_indicator == 1)

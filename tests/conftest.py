@@ -34,9 +34,10 @@ def constant_masked(masked: Snapshot, value: complex) -> Snapshot:
 
 
 def one_bit(x: float, delta1: float, tau: float) -> float:
-    """Sign quantizer scaled to +/- delta1/2; valid only when |x| <= delta1/2.
-    The scalar reference that the vectorized one-bit cells are tested against."""
-    check_one_bit_range(x, True, delta1 / 2.0, None)
+    """Sign quantizer scaled to +/- delta1/2; valid only when |x| <= delta1/2,
+    checked as antenna 1.  The scalar reference that the vectorized one-bit
+    cells are tested against."""
+    check_one_bit_range(x, True, delta1 / 2.0, np.asarray(1))
     return delta1 / 2.0 if x + tau >= 0 else -delta1 / 2.0
 
 

@@ -352,13 +352,15 @@ def test_full_snapshot_rejected_for_stages(tmp_path, capsys):
          "--out", str(tmp_path / "again")]
     )
     assert code == 2
-    assert "masked" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "masked" in err
+    assert f"{completed}: expected a masked snapshot, got a full one" in err
     assert not (tmp_path / "again").exists()
 
 
 def test_snapshot_of_the_wrong_length_is_usage_error(tmp_path, capsys):
     """The quantizer's precision-class check rejects a snapshot that does not
-    span the scenario's aperture."""
+    span the scenario's aperture, naming the file."""
     path = tmp_path / "short.csv"
     path.write_text("index,re,im,mask\n1,0.5,0,1\n2,0,0,0\n3,0.25,0,1\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -366,6 +368,7 @@ def test_snapshot_of_the_wrong_length_is_usage_error(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "delta_indicator length 149 does not match the snapshot length 3" in err
+    assert f"{path}: delta_indicator length 149" in err
     assert not out.exists()
 
 

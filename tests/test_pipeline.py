@@ -273,23 +273,24 @@ def test_hash_independent_of_worker_count(monkeypatch):
 # Seed-0 manifest hashes of every bundled scenario at runs=3, recorded with
 # the numerical environment below; a refactor that keeps the outputs keeps
 # these hashes.  GOLDEN_HASHES are the scenarios with the solver's change
-# rule off (scenario.CHANGE_TOL = None), SHIPPED_HASHES with it on.
+# rule off (scenario.CHANGE_TOL = None), SHIPPED_HASHES with it on; both
+# were recorded with linalg.shrink thresholding through the Gram matrix.
 GOLDEN_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 GOLDEN_HASHES = {
-    "five_targets": "11703d86812c54e550c0ee252bca33cb89dee98fc09698bf7c4ad8c1ff4a8922",
-    "four_targets": "96aab54e2b7d207e40b13e61f5e21233bdbefc2fc37172153ee3f583b43dad80",
-    "three_targets": "f1dc8f49fa92d8c472b5a84f5c0e3acacedec24e9c0a3b4f8ba024b14505b799",
-    "two_targets_edges": "02f79605c27c2b4e0b0794680572305732610df2d6d713d3b80a35c4990c5720",
-    "two_targets_first4": "54332dcfd95de39a6ffff39f1a688986f0d53dce053a07f48d370e9a3cf6583f",
-    "two_targets_last4": "ab70c341fc37228b43d26055e1924ea700088617d75952fb527fa42625b94f43",
+    "five_targets": "6b99ea4bf6aad445386af48a4d3000bf0ec7d0333b538fe3dc11876dc5d5ed3f",
+    "four_targets": "d2ca4464726771d332d3235a3a4941daac6dcd384825a85805e78efb727117b6",
+    "three_targets": "a10b4da2350d8924012672ac17a07ab7ea3462ac7f317992264850f7b0095009",
+    "two_targets_edges": "be49b368d9fbb0553bb81713bb11e7ce3b9f3c56d71dc9e71323777f56d0b78b",
+    "two_targets_first4": "3efac50d0fbe0790a84c71bc89c26fc9af8ac84d8a52d6cbf8b6a87c2388729e",
+    "two_targets_last4": "cb0e683836cd1b646b0376a478f26a7f3d7fdb587f24feaf5da7228e728b7eb2",
 }
 SHIPPED_HASHES = {
-    "five_targets": "384cdcaf009e242be8313627ada041346306d595daa9f399f74dcebb67537143",
-    "four_targets": "acf376366e21b00a8fd437cc7b6b24bcdb67ccc9e45eac69cbf84bf155db638c",
-    "three_targets": "b6bb90c20587a0d2564bdf0d372d0e6df975221751bb8e9cf257e66d30466ba7",
-    "two_targets_edges": "38db78470a9471142f36cf81afd1a111b60eed4a1d4ebe40d963fad18ce91e46",
-    "two_targets_first4": "03bd58643bf1a5afc3e567a07c63daa8a9e0129d9208d7569b14ff30e3d91b13",
-    "two_targets_last4": "539eeb97a0edd179602c2ea6a215573796e325dfb82348ca813ab79018fa8f87",
+    "five_targets": "2a50b85acf01e40474fb8ce24c08adda7da2fa471caa03a082e64cd6ba3ad800",
+    "four_targets": "38c25cb7883a034a326d6cdd9ae8114bfdc91a318bb63b87f38655ac13c94c88",
+    "three_targets": "4d58dedfbbbd6c591fec316dad07382860f4eecc9f49e77c7957104201d443e5",
+    "two_targets_edges": "4513dcb7a1ceb6ed4e31010c7ec4babb0e3b5897bc7295fb132f182478887609",
+    "two_targets_first4": "5f8ff5493a77ebff811454411bb83d30c216f2be57273f1fb73f46b22bdcf92a",
+    "two_targets_last4": "f91e2579fe8e680c45730140d9a1e1eb3e933db040787720fa8720c4f65cf1f1",
 }
 
 
@@ -305,14 +306,14 @@ GOLDEN_THEORY_DIGESTS = {
 # write=True) writes, recorded with the numerical environment above; the
 # manifest hash covers RunSummary only, so these pin the written bytes.
 GOLDEN_BATCH_DIGESTS = {
-    "spectra_run00.csv": "3a1d78f0803d51b1d6733dc0ad47725323d12c768cde49cb630a638527bac1c8",
-    "spectra_run01.csv": "e41515a717635e5fb336d0efc9988d78c783355bc6ed48e6883274bca2e0abd1",
-    "spectra_run02.csv": "ca6ae9d257a3e54a80599a84265254b0e3201eb398ebab7ba7e90d1b60264631",
-    "trace_run00.csv": "9b8df284798271b08aae8037c3366573958cf2600a0d4ac09fe0459c7236649a",
-    "trace_run01.csv": "3c1db16399fd39b0b7cc35af38420e6bea491065b939ceb505d8bd2096f50741",
-    "trace_run02.csv": "71c89fdf0b799e9a4fde1cc918d34f25c2408dc9dc2ede24986fa47353025624",
-    "peaks.csv": "0ad53d41b58cf8a7c9a83b7b283b924b812d956b9a871f96753ba0e7f29dfff6",
-    "runs.csv": "eb74fcae956a9978f89c8632b9765e2a198fa7b80caaaeab1d7d33d2474cf568",
+    "spectra_run00.csv": "918724ae0c56bf7fbaa647ea89b5f0f19be43b34071de53873d9fb369e5a4c91",
+    "spectra_run01.csv": "cae730e9113b3382ed5cf3f7f6acb8051d2f6cd4d99916be3476a42a20bc7ba4",
+    "spectra_run02.csv": "e7b64ad22034444829444039b138be0da543ea4a350e25b994d853ff394303f2",
+    "trace_run00.csv": "039c43cc311f77052518c6ed2ec3d067c676831b5fea70e09ed12ca99e64f47d",
+    "trace_run01.csv": "e9563f9cd8b8715d9f9a5e268bcbd67cddbf0b1880df94e8c9e6220d6c5f147b",
+    "trace_run02.csv": "a44bde035e6b5dacd9563f0533a383d5340926d1b3e014a818efbfec322503b2",
+    "peaks.csv": "cf24cf48d819f317f878593dbe64e2e257dbb71a3f6f9d76603d7e4b9eb05049",
+    "runs.csv": "21254cd33eeb43d032df492bef5b8e3d4bd8df16455668768e640b68aa7809c0",
 }
 
 

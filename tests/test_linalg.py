@@ -116,7 +116,7 @@ def svd_shrink(x, tau, rank_cap=None):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """The number of linalg.svd calls made so far in the test."""
+    """The shapes passed to linalg.svd so far in the test, one per call."""
     calls = []
     real = linalg.svd
 
@@ -143,7 +143,7 @@ def test_gram_path_matches_the_svd_rule(svd_calls, rank, rank_cap):
     rng = np.random.default_rng(5)
     x = complex_normal(rng, 75, rank) @ complex_normal(rng, rank, 75)
     sigma = np.linalg.svd(x, compute_uv=False)
-    # Thresholds at the half of sigma_1, and between the 4th and 5th values.
+    # Thresholds at half of sigma_1, and between the 4th and 5th values.
     for tau in (sigma[0] / 2, 0.5 * (sigma[3] + sigma[4])):
         got, got_rank = shrink(x, tau, rank_cap)
         want, want_rank = svd_shrink(x, tau, rank_cap)

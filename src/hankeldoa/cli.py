@@ -206,7 +206,7 @@ def cmd_run(args) -> int:
         print(
             f"run {r.run:2d}: {peaks}  err {err} deg, "
             f"sidelobe margin {r.sidelobe_margin_db:5.2f} dB, "
-            f"iters {r.iters} ({r.stop_reason(scn.tol)})"
+            f"iters {r.iters} ({r.stop_reason})"
         )
     out_dir = args.out if args.out else scn.out_dir
     print(f"wrote {len(manifest.outputs)} files to {out_dir}")

@@ -88,15 +88,14 @@ class SvtConfig:
 
 
 class SvtDivergenceError(RuntimeError):
-    """Residual sat above 10x its initial value for 20 straight iterations."""
+    """Residual sat above 10x its initial value for 20 straight iterations,
+    or the iterate overflowed so far that LAPACK could not converge on it."""
 
     def __init__(self, iters: int, residuals: np.ndarray):
         self.iters = iters
         self.residuals = residuals
-        super().__init__(
-            f"completion diverged after {iters} iterations "
-            f"(relative residual {residuals[-1]:.3g})"
-        )
+        last = f" (relative residual {residuals[-1]:.3g})" if len(residuals) else ""
+        super().__init__(f"completion diverged after {iters} iterations{last}")
 
 
 class SvtZeroIterateError(RuntimeError):
@@ -135,8 +134,8 @@ def svt_iterate(
     being "residual", "change" or "max_iters".  The traces end at the
     stopping iterate, so their length is the iteration count.  The solver sees
     only the observed values; how they were produced does not enter.  Raises
-    SvtDivergenceError when the residual runs away and SvtZeroIterateError
-    when nonzero data leaves the iterate at zero.
+    SvtDivergenceError when the residual runs away or the iterate overflows,
+    and SvtZeroIterateError when nonzero data leaves the iterate at zero.
     """
     values = np.asarray(values, dtype=np.complex128)
     observed = np.asarray(observed, dtype=bool)
@@ -159,7 +158,11 @@ def svt_iterate(
     y = np.zeros(m_obs, dtype=np.complex128)
     scratch = np.zeros_like(values)
     scratch[observed] = step * b
-    zero_iters = _certified_zero_iterations(np.linalg.norm(scratch, 2), tau, n1 * n2)
+    sigma_c = np.linalg.norm(scratch, 2)
+    if not math.isfinite(sigma_c):
+        # step * b overflows: the first dual update is already unbounded.
+        raise SvtDivergenceError(0, np.zeros(0))
+    zero_iters = _certified_zero_iterations(sigma_c, tau, n1 * n2)
     residuals: list[float] = []
     ranks: list[int] = []
     x = zero
@@ -172,7 +175,11 @@ def svt_iterate(
         if k < zero_iters:
             x, rank = zero, 0
         else:
-            x, rank = linalg.shrink(scratch, tau, cfg.rank_cap)
+            try:
+                x, rank = linalg.shrink(scratch, tau, cfg.rank_cap)
+            except np.linalg.LinAlgError:
+                # y overflowed (a step far too large): the SVD cannot converge.
+                raise SvtDivergenceError(len(residuals), np.asarray(residuals)) from None
         r = b - x[observed]
         resid = float(np.linalg.norm(r)) / b_norm
         residuals.append(resid)

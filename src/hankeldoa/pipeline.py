@@ -69,14 +69,11 @@ from .theory import (
     check_seed,
     l1_norm,
     random_low_rank,
-    recovery_error_bound,
-    recovery_probability_floor,
     verify_dither_identity,
     verify_embedding,
     verify_sampling_identity,
 )
 
-DIAGNOSTIC_EPS = 0.05
 DITHER_GRID = ((0.7, 0.2, 1.0), (3.2, -1.1, 0.5), (-2.0, -2.0, 0.25))
 EMBEDDING_SPEC = LowRankSpec(n1=16, n2=16, rank=2, alpha=1.0)
 EMBEDDING_M_PRIME = 128
@@ -195,10 +192,9 @@ class RunSummary:
     delta1: float
     delta2: float
     iters: int
-    converged: bool
+    stop_reason: str
     final_residual: float
     data_residual: float
-    truncate_rank: int
     peaks: list[tuple[float, float]]
     peaks_complete: bool
     sidelobe_sla_db: float
@@ -206,27 +202,16 @@ class RunSummary:
     sidelobe_margin_db: float
     max_error_deg: float | None
     l1_error: float
-    l1_bound: float
-    probability_floor: float
-
-    def stop_reason(self, tol: float) -> str:
-        """The rule that stopped the solver (completion.svt_iterate), given
-        the scenario's tol: the residual rule is tested first."""
-        if not self.converged:
-            return "max_iters"
-        return "residual" if self.final_residual <= tol else "change"
 
 
-# runs.csv columns and their conversions: every RunSummary field but the
-# peaks, which go to peaks.csv, with the stop reason after converged.  The
-# field annotations are strings here (postponed evaluation); an int or bool
-# field is written with %d, any other with %.17g.
-_RUNS_COLUMNS = {}
-for _field in fields(RunSummary):
-    if _field.name not in ("peaks", "peaks_complete"):
-        _RUNS_COLUMNS[_field.name] = _INT if _field.type in ("int", "bool") else _FLOAT
-    if _field.name == "converged":
-        _RUNS_COLUMNS["stop_reason"] = _STR
+# runs.csv columns: every RunSummary field but the peaks, which go to
+# peaks.csv, converted by annotation (a string here, postponed evaluation):
+# int and bool with %d, str as it is, any other with %.17g.
+_RUNS_COLUMNS = {
+    f.name: {"int": _INT, "bool": _INT, "str": _STR}.get(f.type, _FLOAT)
+    for f in fields(RunSummary)
+    if f.name != "peaks"
+}
 
 
 @dataclass
@@ -392,19 +377,6 @@ def execute_run(scn: Scenario, geom, ind, run: int):
         max_err = None
     t["spectrum"] = time.perf_counter() - t0
 
-    x_true = lift(full).matrix
-    l1_err = l1_norm(x_true - result.matrix)
-    bound = recovery_error_bound(view.n1, view.n2, DIAGNOSTIC_EPS, DIAGNOSTIC_EPS)
-    floor = recovery_probability_floor(
-        DIAGNOSTIC_EPS,
-        DIAGNOSTIC_EPS,
-        int(view.omega1.sum()),
-        int(view.omega2.sum()),
-        scheme.delta1,
-        scheme.delta2,
-        scheme.levels,
-    )
-
     summary = RunSummary(
         run=run,
         seed_signal=s_sig,
@@ -412,19 +384,16 @@ def execute_run(scn: Scenario, geom, ind, run: int):
         delta1=scheme.delta1,
         delta2=scheme.delta2,
         iters=result.iters,
-        converged=result.converged,
+        stop_reason=result.stop_reason,
         final_residual=float(result.residuals[-1]),
         data_residual=result.data_residual,
-        truncate_rank=scn.model_order,
         peaks=[(float(a), float(b)) for a, b in peaks_comp.peaks],
         peaks_complete=peaks_comp.complete,
         sidelobe_sla_db=sll_sla,
         sidelobe_completed_db=sll_comp,
         sidelobe_margin_db=sll_sla - sll_comp,
         max_error_deg=max_err,
-        l1_error=l1_err,
-        l1_bound=bound,
-        probability_floor=floor,
+        l1_error=l1_norm(lift(full).matrix - result.matrix),
     )
     artifacts = {
         "spectra": [spec_sla, spec_comp],
@@ -510,11 +479,7 @@ def run_scenario(
             outputs.extend([spectra_name, trace_name])
             for order, (theta, level) in enumerate(summary.peaks, start=1):
                 peaks_rows.append((summary.run, order, theta, level))
-            values = (
-                summary.stop_reason(scn.tol) if c == "stop_reason"
-                else getattr(summary, c)
-                for c in _RUNS_COLUMNS
-            )
+            values = (getattr(summary, c) for c in _RUNS_COLUMNS)
             runs_rows.append(tuple(math.nan if v is None else v for v in values))
         _write_csv(
             os.path.join(scn.out_dir, "peaks.csv"),

@@ -51,7 +51,8 @@ class Scenario:
     TargetScene and SvtConfig, bits by the quantizer's word_levels,
     placement by placement_to_delta on the scenario's geometry and n_fft by
     the spectrum's check_n_fft.  Every number must be finite, except snr_db,
-    which may be inf (noiseless), and the seeds must be nonnegative.
+    which may be inf (noiseless) and otherwise lies within +-3000 dB, and the
+    seeds must be nonnegative.
     """
 
     name: str

@@ -23,7 +23,9 @@ class TargetScene:
 
     amplitudes=None draws unit-modulus amplitudes with uniform random phases
     from the snapshot seed.  snr_db=inf disables noise.  The SNR convention is
-    per-element: snr_db = 10*log10(mean |clean_i|^2 / sigma^2).
+    per-element: snr_db = 10*log10(mean |clean_i|^2 / sigma^2).  A finite
+    snr_db must lie within +-3000 dB, so that 10**(snr_db/10), which scales
+    the noise, stays a normal double (about 2.2e-308 to 1.8e308).
     """
 
     angles_deg: tuple[float, ...]
@@ -43,8 +45,8 @@ class TargetScene:
             if not np.all(np.isfinite(amps)):
                 raise ValueError("amplitudes must be finite")
             object.__setattr__(self, "amplitudes", amps)
-        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
-            raise ValueError("snr_db must be finite, or inf for no noise")
+        if not (abs(self.snr_db) <= 3000.0 or self.snr_db == math.inf):
+            raise ValueError("snr_db must lie within +-3000 dB, or be inf for no noise")
 
 
 @dataclass

@@ -263,24 +263,3 @@ def verify_embedding(
         bound_sharp=bound_sharp,
         passed=empirical <= bound,
     )
-
-
-def recovery_error_bound(n1: int, n2: int, eps1: float, eps2: float) -> float:
-    """l1 recovery error bound for consistent pairs: 2*n1*n2*(eps1 + eps2)."""
-    return 2.0 * n1 * n2 * (eps1 + eps2)
-
-
-def recovery_probability_floor(
-    eps1: float,
-    eps2: float,
-    m1: int,
-    m2: int,
-    delta1: float,
-    delta2: float,
-    levels: int,
-) -> float:
-    """Probability floor attached to recovery_error_bound: the worse of the two
-    per-class concentration failures, union-bounded over parts and sides."""
-    fail1 = math.exp(-(eps1**2) * m1 / delta1**2)
-    fail2 = math.exp(-(eps2**2) * m2 / (levels**2 * delta2**2))
-    return 1.0 - 4.0 * max(fail1, fail2)

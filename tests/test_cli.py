@@ -387,6 +387,41 @@ def test_divergence_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["1e200", "1e250", "1e300"])
+def test_overflowing_step_is_numerical_failure(tmp_path, capsys, step):
+    path = tmp_path / "overflow.ini"
+    path.write_text(DIVERGENT_INI.replace("400.0", step), encoding="utf-8")
+    with pytest.warns(RuntimeWarning):
+        code = main(["complete", str(path), "--out", str(tmp_path / "d")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: completion diverged" in err
+    assert "did not converge" not in err
+
+
+def _snr_ini(tmp_path, snr_db):
+    path = tmp_path / "snr.ini"
+    path.write_text(
+        f"[scene]\nangles_deg = -34.0, 18.0\nsnr_db = {snr_db}\n", encoding="utf-8"
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("snr_db", ["-4000", "3100"])
+def test_snr_beyond_range_is_usage_error(tmp_path, capsys, snr_db):
+    out = tmp_path / "s.csv"
+    assert main(["synth", _snr_ini(tmp_path, snr_db), "--out", str(out)]) == 2
+    assert "[scene] snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", ["-3000", "3000", "300"])
+def test_snr_at_the_range_ends_synthesizes(tmp_path, snr_db):
+    out = tmp_path / "s.csv"
+    assert main(["synth", _snr_ini(tmp_path, snr_db), "--out", str(out)]) == 0
+    assert np.all(np.isfinite(read_snapshot_csv(str(out)).values))
+
+
 @pytest.mark.parametrize("command", ["run", "complete"])
 def test_all_zero_completion_is_numerical_failure(tmp_path, capsys, command):
     path = tmp_path / "starved.ini"

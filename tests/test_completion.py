@@ -130,6 +130,27 @@ def test_divergence_detector_raises():
         svt_iterate(values, mask, SvtConfig(step=400.0, max_iters=200))
 
 
+@pytest.mark.parametrize("step", [1e200, 1e250, 1e300])
+def test_overflowing_iterate_is_divergence(step):
+    """A step so large that the dual variable overflows leaves the SVD
+    nothing to converge on: the solver reports divergence, not LinAlgError."""
+    truth, values, mask = rank_one_problem(seed=3)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(SvtDivergenceError) as exc:
+            svt_iterate(values, mask, SvtConfig(step=step))
+    assert exc.value.iters == 1
+    assert str(exc.value) == "completion diverged after 1 iterations (relative residual 1)"
+
+
+def test_overflowing_first_update_is_divergence_with_an_empty_trace():
+    truth, values, mask = rank_one_problem(seed=3)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(SvtDivergenceError) as exc:
+            svt_iterate(values, mask, SvtConfig(step=1.7e308))
+    assert exc.value.iters == 0 and exc.value.residuals.size == 0
+    assert str(exc.value) == "completion diverged after 0 iterations"
+
+
 def test_zero_iterate_on_nonzero_data_raises():
     truth, values, mask = rank_one_problem(seed=3)
     with pytest.raises(SvtZeroIterateError) as exc:

@@ -77,7 +77,7 @@ def test_single_run_quality(single_run_manifest):
     summary = single_run_manifest.runs[0]
     assert summary.run == 0
     assert (summary.seed_signal, summary.seed_dither) == (0, 1000)
-    assert summary.converged
+    assert summary.stop_reason == "change"
     assert summary.peaks_complete
     assert len(summary.peaks) == 2
     assert summary.max_error_deg is not None and summary.max_error_deg <= 1.0
@@ -86,7 +86,6 @@ def test_single_run_quality(single_run_manifest):
         summary.sidelobe_sla_db - summary.sidelobe_completed_db, abs=1e-12
     )
     assert summary.delta1 > summary.delta2 > 0
-    assert summary.l1_bound == pytest.approx(2 * 75 * 75 * 0.1, rel=1e-12)
     assert summary.l1_error > 0
 
 
@@ -149,14 +148,12 @@ def test_manifest_json_holds_every_field(first4_scenario, tmp_path):
     ],
 )
 def test_run_stop_reason(monkeypatch, first4_scenario, change_tol, max_iters, reason):
-    """The reason runs.csv and `run` report, derived from the hashed fields,
-    is the one the solver stopped by."""
+    """The reason runs.csv and `run` report is the one the solver stopped by."""
     monkeypatch.setattr(scenario, "CHANGE_TOL", change_tol)
     scn = dataclasses.replace(first4_scenario, max_iters=max_iters)
     geom, ind, _ = pipeline._structure(scn)
     summary, _, _ = pipeline.execute_run(scn, geom, ind, 0)
-    assert summary.stop_reason(scn.tol) == reason
-    assert summary.converged == (reason != "max_iters")
+    assert summary.stop_reason == reason
 
 
 def test_seed_overrides_enter_the_manifest(first4_scenario):
@@ -202,18 +199,15 @@ def test_written_batch_layout(first4_scenario, tmp_path):
         "delta1",
         "delta2",
         "iters",
-        "converged",
         "stop_reason",
         "final_residual",
         "data_residual",
-        "truncate_rank",
+        "peaks_complete",
         "sidelobe_sla_db",
         "sidelobe_completed_db",
         "sidelobe_margin_db",
         "max_error_deg",
         "l1_error",
-        "l1_bound",
-        "probability_floor",
     ]
     with open(out / "peaks.csv", encoding="utf-8") as fh:
         assert fh.readline().strip() == "run,order,theta_deg,level_db"
@@ -274,23 +268,24 @@ def test_hash_independent_of_worker_count(monkeypatch):
 # the numerical environment below; a refactor that keeps the outputs keeps
 # these hashes.  GOLDEN_HASHES are the scenarios with the solver's change
 # rule off (scenario.CHANGE_TOL = None), SHIPPED_HASHES with it on; both
-# were recorded with linalg.shrink thresholding through the Gram matrix.
+# were recorded with linalg.shrink thresholding through the Gram matrix and
+# with RunSummary carrying the solver's stop_reason.
 GOLDEN_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 GOLDEN_HASHES = {
-    "five_targets": "6b99ea4bf6aad445386af48a4d3000bf0ec7d0333b538fe3dc11876dc5d5ed3f",
-    "four_targets": "d2ca4464726771d332d3235a3a4941daac6dcd384825a85805e78efb727117b6",
-    "three_targets": "a10b4da2350d8924012672ac17a07ab7ea3462ac7f317992264850f7b0095009",
-    "two_targets_edges": "be49b368d9fbb0553bb81713bb11e7ce3b9f3c56d71dc9e71323777f56d0b78b",
-    "two_targets_first4": "3efac50d0fbe0790a84c71bc89c26fc9af8ac84d8a52d6cbf8b6a87c2388729e",
-    "two_targets_last4": "cb0e683836cd1b646b0376a478f26a7f3d7fdb587f24feaf5da7228e728b7eb2",
+    "five_targets": "a5f7ea58e6be0770f03d5cbd940719c100109216f982b1ab7d04939a1c14a013",
+    "four_targets": "73fb3ffd6595f2d9890d589a64f6772f7364a15c0ce1b9c7adfda75209cdceed",
+    "three_targets": "ba248ab9540b0d70056efdfa93cfeee2e01acd0f5705f53fb46f3c36d6149191",
+    "two_targets_edges": "26c9075ae3023431f91e3f10309f0f4508c6d01192fbeb55a51dc58a33d89426",
+    "two_targets_first4": "9f9529d048d784fcea4c20097afeddacc00bd3068c3c938d507577fc1dfb855a",
+    "two_targets_last4": "0a3ce9cfd4c59ceed6efbee5a49a0b1cc37d8ced901a6e76fc20ba0499f093bf",
 }
 SHIPPED_HASHES = {
-    "five_targets": "2a50b85acf01e40474fb8ce24c08adda7da2fa471caa03a082e64cd6ba3ad800",
-    "four_targets": "38c25cb7883a034a326d6cdd9ae8114bfdc91a318bb63b87f38655ac13c94c88",
-    "three_targets": "4d58dedfbbbd6c591fec316dad07382860f4eecc9f49e77c7957104201d443e5",
-    "two_targets_edges": "4513dcb7a1ceb6ed4e31010c7ec4babb0e3b5897bc7295fb132f182478887609",
-    "two_targets_first4": "5f8ff5493a77ebff811454411bb83d30c216f2be57273f1fb73f46b22bdcf92a",
-    "two_targets_last4": "f91e2579fe8e680c45730140d9a1e1eb3e933db040787720fa8720c4f65cf1f1",
+    "five_targets": "f97a2319dcfaaf3823a5a095e580447aceabf1d788687553c7a9705747da21a9",
+    "four_targets": "b22ed4f76034d215cd2c29ee63244d704583585335bec51a650d0b11c2e3830b",
+    "three_targets": "f3ced695a6c56efd484a862b36c5bfd57ee60e3d098079b6ba8139ecb9ae8e77",
+    "two_targets_edges": "f6285ba4bd84475ceed3125c786855c61e7527838a894aea00c892fe76e497e7",
+    "two_targets_first4": "576d80b5eae2ab6fa986d688c69f1bca171fe122a4028a29770dc1845e8391de",
+    "two_targets_last4": "4f9e6bb8782401b44e6b34bfa673c0a3a944752cd546fc162088e27ccb2d4972",
 }
 
 
@@ -313,7 +308,7 @@ GOLDEN_BATCH_DIGESTS = {
     "trace_run01.csv": "e9563f9cd8b8715d9f9a5e268bcbd67cddbf0b1880df94e8c9e6220d6c5f147b",
     "trace_run02.csv": "a44bde035e6b5dacd9563f0533a383d5340926d1b3e014a818efbfec322503b2",
     "peaks.csv": "cf24cf48d819f317f878593dbe64e2e257dbb71a3f6f9d76603d7e4b9eb05049",
-    "runs.csv": "21254cd33eeb43d032df492bef5b8e3d4bd8df16455668768e640b68aa7809c0",
+    "runs.csv": "0fdb6ed3a96c51bbd28419e69654f414d5ad924d5f49c8fd0e9ab8f34d61aa86",
 }
 
 
@@ -370,11 +365,11 @@ MARGIN_ATOL_DB = 1e-10
 RESIDUAL_RTOL = 1e-11
 
 
-def _run_record(summary, tol: float) -> dict:
+def _run_record(summary) -> dict:
     """The reference fields of one RunSummary."""
     return {
         "iters": summary.iters,
-        "stop_reason": summary.stop_reason(tol),
+        "stop_reason": summary.stop_reason,
         "peak_angles_deg": [theta for theta, _ in summary.peaks],
         "sidelobe_margin_db": summary.sidelobe_margin_db,
         "final_residual": summary.final_residual,
@@ -389,9 +384,8 @@ def record_run_reference() -> None:
     "import test_pipeline; test_pipeline.record_run_reference()"."""
     reference = {}
     for name in bundled_scenario_names():
-        scn = load_bundled(name)
-        manifest = run_scenario(scn, runs=3, write=False)
-        reference[name] = [_run_record(r, scn.tol) for r in manifest.runs]
+        manifest = run_scenario(load_bundled(name), runs=3, write=False)
+        reference[name] = [_run_record(r) for r in manifest.runs]
     RUN_REFERENCE.write_text(json.dumps(reference, indent=1) + "\n", encoding="utf-8")
 
 
@@ -399,10 +393,9 @@ def test_shipped_runs_match_the_reference(shipped_manifests):
     reference = json.loads(RUN_REFERENCE.read_text(encoding="utf-8"))
     assert sorted(reference) == sorted(shipped_manifests)
     for name, manifest in shipped_manifests.items():
-        tol = load_bundled(name).tol
         assert len(manifest.runs) == len(reference[name]), name
         for summary, want in zip(manifest.runs, reference[name]):
-            got = _run_record(summary, tol)
+            got = _run_record(summary)
             where = f"{name} run {summary.run}"
             assert got["iters"] == want["iters"], where
             assert got["stop_reason"] == want["stop_reason"], where
@@ -586,13 +579,13 @@ def test_batch_tables_match_the_per_cell_rule(first4_scenario, monkeypatch, tmp_
         summary = pipeline.RunSummary(
             run=run, seed_signal=np.int64(2**62 + run), seed_dither=run,
             delta1=5e-324, delta2=-0.0, iters=np.int64(7),
-            converged=np.bool_(run == 0), final_residual=np.float64(0.1),
-            data_residual=np.inf, truncate_rank=2,
+            stop_reason="change" if run == 0 else "max_iters",
+            final_residual=np.float64(0.1), data_residual=np.inf,
             peaks=[(-34.0 - run / 3.0, 0.0), (1e17, -np.inf)],
-            peaks_complete=run == 0, sidelobe_sla_db=-np.inf,
+            peaks_complete=np.bool_(run == 0), sidelobe_sla_db=-np.inf,
             sidelobe_completed_db=np.nan, sidelobe_margin_db=np.float64(1e17),
-            max_error_deg=0.25 if run == 0 else None, l1_error=-1.0 / 3.0,
-            l1_bound=1125.0, probability_floor=np.float64(-0.0),
+            max_error_deg=0.25 if run == 0 else None,
+            l1_error=-1.0 / 3.0 if run == 0 else np.float64(-0.0),
         )
         artifacts = {"spectra": [], "residuals": np.ones(1), "ranks": np.zeros(1, int)}
         return summary, artifacts, {}
@@ -602,10 +595,7 @@ def test_batch_tables_match_the_per_cell_rule(first4_scenario, monkeypatch, tmp_
     header = list(pipeline._RUNS_COLUMNS)
     rows = []
     for s in manifest.runs:
-        values = [
-            s.stop_reason(first4_scenario.tol) if c == "stop_reason" else getattr(s, c)
-            for c in header
-        ]
+        values = [getattr(s, c) for c in header]
         rows.append([np.nan if v is None else v for v in values])
     assert (tmp_path / "runs.csv").read_text(encoding="utf-8") == _per_cell_csv(
         header, rows

@@ -143,6 +143,12 @@ def test_word_length_beyond_range_is_a_quant_error():
     assert parse_scenario(MINIMAL + "\n[quant]\nbits = 32\n").bits == 32
 
 
+def test_snr_beyond_range_is_a_scene_error():
+    for snr_db in (-4000.0, 3100.0):
+        with pytest.raises(ScenarioError, match=r"\[scene\] snr_db"):
+            Scenario(name="x", angles_deg=(1.0,), snr_db=snr_db)
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [

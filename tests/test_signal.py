@@ -1,5 +1,7 @@
 """Steering vectors and snapshot synthesis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ def test_scene_validation():
         TargetScene((95.0,))
     with pytest.raises(ValueError):
         TargetScene((1.0, 2.0), amplitudes=(1 + 0j,))
+    for snr_db in (-4000.0, 3100.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="snr_db"):
+            TargetScene((0.0,), snr_db=snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [-3000.0, 3000.0, 300.0])
+def test_snr_at_the_range_ends_synthesizes(two_unit_geom, snr_db):
+    scene = TargetScene((0.0,), amplitudes=(1 + 0j,), snr_db=snr_db)
+    full, _ = synthesize_snapshot(scene, two_unit_geom, seed=0)
+    assert np.all(np.isfinite(full.values))
 
 
 def test_noiseless_single_broadside_target(two_unit_geom):

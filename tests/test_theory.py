@@ -14,8 +14,6 @@ from hankeldoa.theory import (
     LowRankSpec,
     l1_norm,
     random_low_rank,
-    recovery_error_bound,
-    recovery_probability_floor,
     verify_dither_identity,
     verify_embedding,
     verify_sampling_identity,
@@ -173,16 +171,3 @@ def test_battery_rejects_negative_seed_before_any_check(monkeypatch):
     monkeypatch.setattr(pipeline, "verify_dither_identity", unreached)
     with pytest.raises(ValueError, match="seed: must be nonnegative, got -1"):
         theory_battery(seed=-1)
-
-
-def test_recovery_bound_examples():
-    assert recovery_error_bound(2, 2, 0.1, 0.1) == pytest.approx(1.6, abs=1e-12)
-    assert recovery_error_bound(5, 5, 0.0, 0.0) == 0.0
-    assert recovery_error_bound(75, 75, 0.05, 0.05) == pytest.approx(1125.0, abs=1e-9)
-
-
-def test_probability_floor_monotone_in_samples():
-    lo = recovery_probability_floor(0.1, 0.1, 64, 64, 2.0, 0.25, 8)
-    hi = recovery_probability_floor(0.1, 0.1, 256, 256, 2.0, 0.25, 8)
-    assert hi >= lo
-    assert hi <= 1.0

@@ -89,7 +89,7 @@ class SvtConfig:
 
 class SvtDivergenceError(RuntimeError):
     """Residual sat above 10x its initial value for 20 straight iterations,
-    or the iterate overflowed so far that LAPACK could not converge on it."""
+    or the iteration overflowed."""
 
     def __init__(self, iters: int, residuals: np.ndarray):
         self.iters = iters
@@ -157,47 +157,52 @@ def svt_iterate(
 
     y = np.zeros(m_obs, dtype=np.complex128)
     scratch = np.zeros_like(values)
-    scratch[observed] = step * b
-    sigma_c = np.linalg.norm(scratch, 2)
-    if not math.isfinite(sigma_c):
-        # step * b overflows: the first dual update is already unbounded.
-        raise SvtDivergenceError(0, np.zeros(0))
-    zero_iters = _certified_zero_iterations(sigma_c, tau, n1 * n2)
     residuals: list[float] = []
     ranks: list[int] = []
     x = zero
     stop_reason = "max_iters"
     high_streak = 0
 
-    for k in range(cfg.max_iters):
-        scratch[observed] = y
-        x_prev = x
-        if k < zero_iters:
-            x, rank = zero, 0
-        else:
-            try:
-                x, rank = linalg.shrink(scratch, tau, cfg.rank_cap)
-            except np.linalg.LinAlgError:
-                # y overflowed (a step far too large): the SVD cannot converge.
-                raise SvtDivergenceError(len(residuals), np.asarray(residuals)) from None
-        r = b - x[observed]
-        resid = float(np.linalg.norm(r)) / b_norm
-        residuals.append(resid)
-        ranks.append(rank)
-        if resid <= cfg.tol:
-            stop_reason = "residual"
-            break
-        if (
-            cfg.change_tol is not None
-            and x_prev.any()
-            and np.linalg.norm(x - x_prev) <= cfg.change_tol * np.linalg.norm(x)
-        ):
-            stop_reason = "change"
-            break
-        high_streak = high_streak + 1 if resid > DIVERGENCE_FACTOR * residuals[0] else 0
-        if high_streak >= DIVERGENCE_PATIENCE:
-            raise SvtDivergenceError(len(residuals), np.asarray(residuals))
-        y += step * r
+    # An overflow or a NaN anywhere in the iteration means the dual variable
+    # ran away (a step far too large).  Raising at the first one reports the
+    # divergence without a warning and before LAPACK sees a non-finite matrix.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            scratch[observed] = step * b
+            sigma_c = float(np.linalg.norm(scratch, 2))
+            if not math.isfinite(sigma_c):
+                # step * b overflows: the first dual update is already unbounded.
+                raise SvtDivergenceError(0, np.zeros(0))
+            zero_iters = _certified_zero_iterations(sigma_c, tau, n1 * n2)
+            for k in range(cfg.max_iters):
+                scratch[observed] = y
+                x_prev = x
+                if k < zero_iters:
+                    x, rank = zero, 0
+                else:
+                    x, rank = linalg.shrink(scratch, tau, cfg.rank_cap)
+                r = b - x[observed]
+                resid = float(np.linalg.norm(r)) / b_norm
+                residuals.append(resid)
+                ranks.append(rank)
+                if resid <= cfg.tol:
+                    stop_reason = "residual"
+                    break
+                if (
+                    cfg.change_tol is not None
+                    and x_prev.any()
+                    and np.linalg.norm(x - x_prev) <= cfg.change_tol * np.linalg.norm(x)
+                ):
+                    stop_reason = "change"
+                    break
+                high_streak = (
+                    high_streak + 1 if resid > DIVERGENCE_FACTOR * residuals[0] else 0
+                )
+                if high_streak >= DIVERGENCE_PATIENCE:
+                    raise SvtDivergenceError(len(residuals), np.asarray(residuals))
+                y += step * r
+    except (FloatingPointError, np.linalg.LinAlgError):
+        raise SvtDivergenceError(len(residuals), np.asarray(residuals)) from None
 
     if not x.any():
         raise SvtZeroIterateError(len(residuals))

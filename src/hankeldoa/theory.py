@@ -22,8 +22,10 @@ SAMPLING_TRIALS = 2000
 EMBEDDING_TRIALS = 2000
 
 # Trials per numpy evaluation of verify_sampling_identity and
-# verify_embedding.  Every trial draws from its own generator, so the block
-# size changes no result; it bounds the memory a large trial count takes.
+# verify_embedding.  Each check spawns one generator per kind of draw from
+# SeedSequence(seed) and reads every stream row by row, one row per trial, so
+# the block size changes no result; it bounds the memory a large trial count
+# takes.
 MC_BLOCK = 256
 
 
@@ -95,10 +97,14 @@ def l1_norm(x: np.ndarray) -> float:
 
 def random_low_rank(spec: LowRankSpec, rng: np.random.Generator) -> np.ndarray:
     """Real Gaussian factor product rescaled so the largest magnitude is alpha."""
-    g1 = rng.standard_normal((spec.n1, spec.rank))
-    g2 = rng.standard_normal((spec.n2, spec.rank))
-    x = g1 @ g2.T
-    return x * (spec.alpha / np.abs(x).max())
+    return _factor_products(spec, rng.standard_normal((spec.n1 + spec.n2, spec.rank)))
+
+
+def _factor_products(spec: LowRankSpec, factors: np.ndarray) -> np.ndarray:
+    """g1 @ g2.T for stacked factors (..., n1 + n2, rank), g1 the first n1
+    rows, each product rescaled so its largest magnitude is alpha."""
+    x = factors[..., : spec.n1, :] @ np.swapaxes(factors[..., spec.n1 :, :], -1, -2)
+    return x * (spec.alpha / np.abs(x).max(axis=(-2, -1), keepdims=True))
 
 
 def _mc_estimate(samples: np.ndarray, expected: float) -> tuple[float, float, bool]:
@@ -122,11 +128,25 @@ def _trial_blocks(trials: int):
         yield range(start, min(start + MC_BLOCK, trials))
 
 
-def _draw_cells(rng, cells: int, m_prime: int, delta: float):
-    """m_prime of the cells drawn from rng without replacement, then one
-    dither per drawn cell: the cell indices and the dithers."""
-    omega = rng.choice(cells, size=m_prime, replace=False)
-    return omega, rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
+def _streams(seed: int, kinds: int) -> list[np.random.Generator]:
+    """One generator per kind of draw, spawned from SeedSequence(seed)."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(kinds)]
+
+
+def _cell_subsets(rng, rows: int, cells: int, m_prime: int) -> np.ndarray:
+    """rows uniform m_prime-subsets of range(cells), one row of rng.random
+    keys each: the cells of a row's m_prime smallest keys, in increasing
+    order.  The sort pins which dither goes with which cell, since the order
+    argpartition leaves may depend on the CPU."""
+    keys = rng.random((rows, cells))
+    return np.sort(np.argpartition(keys, m_prime - 1, axis=1)[:, :m_prime], axis=1)
+
+
+def _draw_cells(key_rng, dither_rng, rows: int, cells: int, m_prime: int, delta: float):
+    """rows trials of m_prime cells each, then one dither per drawn cell: the
+    rows x m_prime cell indices and dithers."""
+    omega = _cell_subsets(key_rng, rows, cells, m_prime)
+    return omega, dither_rng.uniform(-delta / 2.0, delta / 2.0, size=(rows, m_prime))
 
 
 def _quantized_gaps(x, y, tau, delta: float, levels: int | None = None) -> np.ndarray:
@@ -174,7 +194,10 @@ def verify_sampling_identity(
 ) -> SamplingIdentityReport:
     """MC check of the combined dither/sampling expectation: the mean over
     uniform cell draws and fresh dithers of ||Q(P(x)) - Q(P(y))||_1 equals
-    (m_prime / (n1*n2)) * ||x - y||_1."""
+    (m_prime / (n1*n2)) * ||x - y||_1.
+
+    Two streams spawned from SeedSequence(seed), cell keys and dithers, each
+    give one row per trial."""
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 2:
@@ -188,13 +211,10 @@ def verify_sampling_identity(
 
     x_re = x.real.ravel()
     y_re = y.real.ravel()
+    key_rng, dither_rng = _streams(seed, 2)
     sums = np.empty(trials)
     for block in _trial_blocks(trials):
-        omega = np.empty((len(block), m_prime), dtype=np.intp)
-        tau = np.empty((len(block), m_prime))
-        for i, t in enumerate(block):
-            rng = np.random.default_rng([seed, t])
-            omega[i], tau[i] = _draw_cells(rng, cells, m_prime, delta)
+        omega, tau = _draw_cells(key_rng, dither_rng, len(block), cells, m_prime, delta)
         gaps = _quantized_gaps(x_re[omega], y_re[omega], tau, delta)
         sums[block.start : block.stop] = gaps.sum(axis=1)
     expected = m_prime / cells * l1_norm(x.real - y.real)
@@ -220,7 +240,11 @@ def verify_embedding(
 ) -> EmbeddingReport:
     """Estimate how often the sampled quantized distance strays from the full
     normalized l1 distance by more than each epsilon, and compare the
-    frequencies one-sidedly against the concentration bounds."""
+    frequencies one-sidedly against the concentration bounds.
+
+    Three streams spawned from SeedSequence(seed), cell keys, dithers and
+    low-rank factors, each give one row per trial; a trial's factor row holds
+    what two random_low_rank calls would read, x's factors then y's."""
     cells = spec.n1 * spec.n2
     if not 1 <= m_prime <= cells:
         raise ValueError("m_prime must lie in 1..n1*n2")
@@ -231,17 +255,14 @@ def verify_embedding(
         raise ValueError("epsilons must be positive")
     check_seed(seed)
 
+    key_rng, dither_rng, factor_rng = _streams(seed, 3)
     deviations = np.empty(trials)
     for block in _trial_blocks(trials):
-        x = np.empty((len(block), cells))
-        y = np.empty((len(block), cells))
-        omega = np.empty((len(block), m_prime), dtype=np.intp)
-        tau = np.empty((len(block), m_prime))
-        for i, t in enumerate(block):
-            rng = np.random.default_rng([seed, t])
-            x[i] = random_low_rank(spec, rng).ravel()
-            y[i] = random_low_rank(spec, rng).ravel()
-            omega[i], tau[i] = _draw_cells(rng, cells, m_prime, delta)
+        shape = (len(block), 2, spec.n1 + spec.n2, spec.rank)
+        pairs = _factor_products(spec, factor_rng.standard_normal(shape))
+        x = pairs[:, 0].reshape(len(block), cells)
+        y = pairs[:, 1].reshape(len(block), cells)
+        omega, tau = _draw_cells(key_rng, dither_rng, len(block), cells, m_prime, delta)
         x_omega = np.take_along_axis(x, omega, axis=1)
         y_omega = np.take_along_axis(y, omega, axis=1)
         sampled = _quantized_gaps(x_omega, y_omega, tau, delta, levels).mean(axis=1)

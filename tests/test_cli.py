@@ -1,7 +1,10 @@
 """Command-line behavior: subcommands, stage chaining, exit codes."""
 
+import csv
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from hankeldoa.scenario import (
     geometry_of,
     load_bundled,
     placement_to_delta,
+    scenario_to_ini,
     scene_of,
     svt_config_of,
+    with_overrides,
 )
 from hankeldoa.signal import synthesize_snapshot
 
@@ -388,15 +393,18 @@ def test_divergence_is_numerical_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("step", ["1e200", "1e250", "1e300"])
-def test_overflowing_step_is_numerical_failure(tmp_path, capsys, step):
+def test_overflowing_step_is_numerical_failure(tmp_path, capfd, step):
     path = tmp_path / "overflow.ini"
     path.write_text(DIVERGENT_INI.replace("400.0", step), encoding="utf-8")
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["complete", str(path), "--out", str(tmp_path / "d")])
     assert code == 3
-    err = capsys.readouterr().err
+    assert caught == []
+    err = capfd.readouterr().err
     assert "numerical failure: completion diverged" in err
     assert "did not converge" not in err
+    assert "DLASCL" not in err
 
 
 def _snr_ini(tmp_path, snr_db):
@@ -420,6 +428,42 @@ def test_snr_at_the_range_ends_synthesizes(tmp_path, snr_db):
     out = tmp_path / "s.csv"
     assert main(["synth", _snr_ini(tmp_path, snr_db), "--out", str(out)]) == 0
     assert np.all(np.isfinite(read_snapshot_csv(str(out)).values))
+
+
+def test_lowest_snr_completes_with_finite_residuals(tmp_path, capfd):
+    """At snr_db = -3000 the observations sit near 1e150 and their squared
+    norms near 1e300.  With the bundled solver settings the run still stops
+    on the change rule with a finite trace, and nothing overflows."""
+    scn = with_overrides(load_bundled("two_targets_first4"), snr_db=-3000.0, runs=1)
+    path = tmp_path / "low_snr.ini"
+    path.write_text(scenario_to_ini(scn, include_output=False), encoding="utf-8")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path), "--out", str(out)]) == 0
+    assert caught == []
+    assert "DLASCL" not in capfd.readouterr().err
+    with open(out / "runs.csv", encoding="utf-8") as f:
+        (run,) = csv.DictReader(f)
+    assert run["stop_reason"] == "change"
+    assert math.isfinite(float(run["final_residual"]))
+    trace = np.loadtxt(out / "trace_run00.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(trace) == int(run["iters"]) and np.all(np.isfinite(trace))
+
+
+def test_lowest_snr_with_the_default_step_is_divergence(tmp_path, capfd):
+    """The size-derived default step is above 2 here, and tau is negligible
+    against data near 1e150, so nothing is shrunk and the dual update
+    y <- (1 - step) y + step b grows every iteration.  The run fails as a
+    divergence at the first overflow, not as a stop on the change rule."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", _snr_ini(tmp_path, "-3000"), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert caught == []
+    err = capfd.readouterr().err
+    assert "numerical failure: completion diverged after 5 iterations" in err
+    assert "DLASCL" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "complete"])

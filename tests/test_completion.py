@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,23 +131,28 @@ def test_divergence_detector_raises():
         svt_iterate(values, mask, SvtConfig(step=400.0, max_iters=200))
 
 
-@pytest.mark.parametrize("step", [1e200, 1e250, 1e300])
+@pytest.mark.parametrize("step", [1e200, 1e250, 1e300, 1e307])
 def test_overflowing_iterate_is_divergence(step):
-    """A step so large that the dual variable overflows leaves the SVD
-    nothing to converge on: the solver reports divergence, not LinAlgError."""
+    """A step so large that the dual variable overflows: the solver reports
+    divergence at the first overflow, without a warning and before LAPACK
+    sees a non-finite matrix."""
     truth, values, mask = rank_one_problem(seed=3)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(SvtDivergenceError) as exc:
             svt_iterate(values, mask, SvtConfig(step=step))
+    assert caught == []
     assert exc.value.iters == 1
     assert str(exc.value) == "completion diverged after 1 iterations (relative residual 1)"
 
 
 def test_overflowing_first_update_is_divergence_with_an_empty_trace():
     truth, values, mask = rank_one_problem(seed=3)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(SvtDivergenceError) as exc:
             svt_iterate(values, mask, SvtConfig(step=1.7e308))
+    assert caught == []
     assert exc.value.iters == 0 and exc.value.residuals.size == 0
     assert str(exc.value) == "completion diverged after 0 iterations"
 

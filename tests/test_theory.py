@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hankeldoa import pipeline
+from hankeldoa import pipeline, theory
 from hankeldoa.pipeline import EMBEDDING_SPEC, theory_battery
 from hankeldoa.quant import uniform_quantize
 from hankeldoa.theory import (
     MC_BLOCK,
     LowRankSpec,
+    _cell_subsets,
     l1_norm,
     random_low_rank,
     verify_dither_identity,
@@ -73,11 +74,19 @@ def test_embedding_report_small_run():
     assert np.allclose(report.bound, bound, rtol=1e-12)
 
 
-def plain_sampled_gaps(x, y, m_prime, delta, rng, levels=None):
-    """One trial of the sampled-pair kernel: cells drawn without replacement,
-    then one dither per cell shared between x and y."""
-    omega = rng.choice(x.size, size=m_prime, replace=False)
-    tau = rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
+def trial_streams(seed, kinds):
+    """The checks' generators: one per kind of draw, spawned from
+    SeedSequence(seed)."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(kinds)]
+
+
+def plain_sampled_gaps(x, y, m_prime, delta, key_rng, dither_rng, levels=None):
+    """One trial of the sampled-pair kernel, reading one row of each stream:
+    the cells of the m_prime smallest keys, in increasing order, then one
+    dither per cell shared between x and y."""
+    keys = key_rng.random(x.size)
+    omega = np.sort(np.argsort(keys, kind="stable")[:m_prime])
+    tau = dither_rng.uniform(-delta / 2.0, delta / 2.0, size=m_prime)
     qx = uniform_quantize(x.ravel()[omega].real, delta, tau, levels)
     qy = uniform_quantize(y.ravel()[omega].real, delta, tau, levels)
     return np.abs(qx - qy)
@@ -89,24 +98,25 @@ def plain_mean_stderr(samples):
 
 def plain_sampling(x, y, m_prime, delta, trials, seed):
     """verify_sampling_identity's estimate, one trial at a time."""
+    key_rng, dither_rng = trial_streams(seed, 2)
     sums = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        sums[t] = plain_sampled_gaps(x, y, m_prime, delta, rng).sum()
+        sums[t] = plain_sampled_gaps(x, y, m_prime, delta, key_rng, dither_rng).sum()
     return plain_mean_stderr(sums)
 
 
 def plain_embedding(spec, m_prime, delta, levels, epsilons, trials, seed):
-    """verify_embedding's violation frequencies, one trial at a time."""
+    """verify_embedding's violation frequencies, one trial at a time; each
+    trial's pair comes from two random_low_rank calls on the factor stream."""
     cells = spec.n1 * spec.n2
+    key_rng, dither_rng, factor_rng = trial_streams(seed, 3)
     deviations = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        x = random_low_rank(spec, rng)
-        y = random_low_rank(spec, rng)
-        sampled = plain_sampled_gaps(x, y, m_prime, delta, rng, levels).mean()
+        x = random_low_rank(spec, factor_rng)
+        y = random_low_rank(spec, factor_rng)
+        gaps = plain_sampled_gaps(x, y, m_prime, delta, key_rng, dither_rng, levels)
         full = l1_norm(x.real - y.real) / cells
-        deviations[t] = abs(sampled - full)
+        deviations[t] = abs(gaps.mean() - full)
     return np.array([(deviations > e).mean() for e in epsilons])
 
 
@@ -133,6 +143,41 @@ def test_embedding_equals_per_trial_loop(trials, levels, seed):
                               epsilons=eps, trials=trials, seed=seed)
     expected = plain_embedding(spec, 128, 1.0 / 8, levels, eps, trials, seed)
     assert np.array_equal(report.empirical, expected)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
+    spec = LowRankSpec(16, 16, 2)
+    x = random_low_rank(spec, np.random.default_rng(1))
+    y = random_low_rank(spec, np.random.default_rng(2))
+    eps = np.array([0.005, 0.01, 0.02])  # violated in 18, 11 and 4 of 30 trials
+
+    def reports():
+        sampling = verify_sampling_identity(x, y, m_prime=128, delta=0.5, trials=30, seed=3)
+        embedding = verify_embedding(spec, m_prime=128, delta=1.0 / 8, levels=8,
+                                     epsilons=eps, trials=30, seed=3)
+        return (sampling.mc_mean, sampling.stderr), embedding.empirical.tolist()
+
+    default = reports()
+    monkeypatch.setattr(theory, "MC_BLOCK", block)
+    assert reports() == default
+
+
+@pytest.mark.parametrize("cells,m_prime", [(40, 13), (40, 1), (40, 40)])
+def test_cell_subsets_are_sorted_distinct_and_uniform(cells, m_prime):
+    rows = 20_000
+    omega = _cell_subsets(np.random.default_rng(8), rows, cells, m_prime)
+    assert omega.shape == (rows, m_prime)
+    assert np.all(np.diff(omega, axis=1) > 0)
+    assert omega.min() >= 0 and omega.max() < cells
+    p = m_prime / cells
+    frequency = np.bincount(omega.ravel(), minlength=cells) / rows
+    assert np.all(np.abs(frequency - p) <= 5.0 * math.sqrt(p * (1.0 - p) / rows))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_battery_passes_at_default_trials(seed):
+    assert theory_battery(seed=seed).all_passed
 
 
 def test_embedding_memory_does_not_grow_with_trials():

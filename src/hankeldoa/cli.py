@@ -30,28 +30,27 @@ from .scenario import (
     placement_to_delta,
     with_overrides,
 )
-from .spectrum import SpectrumSource, angle_spectrum, find_peaks
+from .spectrum import angle_spectrum, find_peaks
 from .theory import DITHER_TRIALS, EMBEDDING_TRIALS, SAMPLING_TRIALS
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(low: int, message: str):
+    """An argparse type: an integer no smaller than low, else message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+_positive_int = _int_at_least(1, "must be a positive integer")
+_nonnegative_int = _int_at_least(0, "must be nonnegative")
 
 
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
@@ -132,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="angle spectrum of a snapshot CSV")
     p_spec.add_argument("--snapshot", required=True, help="input snapshot CSV")
     p_spec.add_argument("--n-fft", type=_positive_int, default=1024)
-    p_spec.add_argument(
-        "--source",
-        choices=["auto", "sla_zero_filled", "completed"],
-        default="auto",
-        help="source tag for the CSV (auto: by mask occupancy)",
-    )
     p_spec.add_argument(
         "--peaks", type=_nonnegative_int, default=0,
         help="also print the strongest N peaks",
@@ -272,8 +265,7 @@ def cmd_complete(args) -> int:
 
 def cmd_spectrum(args) -> int:
     snap = pipeline.read_snapshot_csv(args.snapshot)
-    source = None if args.source == "auto" else SpectrumSource(args.source)
-    spec = angle_spectrum(snap, args.n_fft, source)
+    spec = angle_spectrum(snap, args.n_fft)
     pipeline.write_spectra_csv(args.out, [spec])
     print(f"wrote {args.out} ({spec.source.value}, {args.n_fft} bins)")
     if args.peaks:

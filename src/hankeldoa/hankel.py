@@ -22,6 +22,11 @@ def hankel_shape(m: int) -> tuple[int, int]:
     return n1, m + 1 - n1
 
 
+def antenna_index(n1: int, n2: int) -> np.ndarray:
+    """The n1 x n2 grid of the 0-based antenna i + j feeding each cell (i, j)."""
+    return np.add.outer(np.arange(n1), np.arange(n2))
+
+
 @dataclass
 class HankelView:
     """Hankel matrix plus boolean cell masks for the observed anti-diagonals.
@@ -57,16 +62,11 @@ class HankelView:
     def n2(self) -> int:
         return self.matrix.shape[1]
 
-    def antenna_index(self, i: int, j: int) -> int:
-        """0-based antenna feeding cell (i, j)."""
-        return i + j
-
 
 def lift(y: Snapshot, delta_indicator: np.ndarray | None = None) -> HankelView:
     """Lift a snapshot into its HankelView, deriving cell masks from the snapshot
     mask and the optional multi-bit indicator."""
-    n1, n2 = hankel_shape(y.m)
-    idx = np.add.outer(np.arange(n1), np.arange(n2))
+    idx = antenna_index(*hankel_shape(y.m))
     matrix = y.values[idx]
     omega = y.mask.astype(bool)[idx]
     if delta_indicator is None:
@@ -86,7 +86,7 @@ def dehankelize(matrix: np.ndarray) -> Snapshot:
         raise ValueError("matrix must be 2-d")
     n1, n2 = matrix.shape
     m = n1 + n2 - 1
-    idx = np.add.outer(np.arange(n1), np.arange(n2)).ravel()
+    idx = antenna_index(n1, n2).ravel()
     counts = np.bincount(idx, minlength=m)
     sums = (
         np.bincount(idx, weights=matrix.real.ravel(), minlength=m)

@@ -3,10 +3,9 @@ iteration, its SVD and Hermitian eigendecomposition kernels, and the BLAS
 thread pin that makes the solver's floating-point output independent of how
 many threads OpenBLAS would otherwise use.
 
-shrink with tau > 0 thresholds through eigh of the Gram matrix A^H A, which
-costs less than the SVD of A and never forms U; it falls back to the SVD
-when u * (sigma_1 / tau)^2 exceeds GRAM_ROUNDING_LIMIT (see shrink).  tau = 0,
-the rank projection, always takes the SVD.
+shrink thresholds through eigh of the Gram matrix A^H A, which costs less
+than the SVD of A and never forms U; it falls back to the SVD when
+u * (sigma_1 / tau)^2 exceeds GRAM_ROUNDING_LIMIT (see shrink).
 """
 
 from __future__ import annotations
@@ -45,16 +44,13 @@ def eigh(a: np.ndarray):
     return np.linalg.eigh(a)
 
 
-def shrink(
-    x: np.ndarray, tau: float, rank_cap: int | None = None
-) -> tuple[np.ndarray, int]:
-    """Singular value soft-thresholding: subtract tau from every singular value,
-    clip at zero, keep at most rank_cap of them, reconstruct.
+def shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
+    """Singular value soft-thresholding: subtract tau > 0 from every singular
+    value, clip at zero, reconstruct.
 
     Returns the matrix and its rank, the number of singular values kept.
-    tau = 0 with a rank_cap is the truncated SVD.
 
-    For tau > 0 the singular values come from eigh of the Gram matrix
+    The singular values come from eigh of the Gram matrix
     A^H A = V diag(lambda) V^H: sigma_k = sqrt(lambda_k) is kept for
     lambda_k > tau^2, and the result is A V_k diag(1 - tau / sigma_k) V_k^H,
     so U is never formed.  When lambda_max <= tau^2 the result is an exact
@@ -62,28 +58,22 @@ def shrink(
     u * sigma_1^2 (u = 2^-53), so sigma_k > tau carries an absolute error of
     about u * sigma_1^2 / sigma_k, and the result a relative error, against
     sigma_1, of about u * (sigma_1 / tau)^2.  When that bound exceeds
-    GRAM_ROUNDING_LIMIT, and for tau = 0, the singular values come from the
-    SVD of A instead.
+    GRAM_ROUNDING_LIMIT the singular values come from the SVD of A instead.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not tau > 0:
+        raise ValueError("tau must be positive")
     x = np.asarray(x)
-    if tau > 0:
-        lam, v = eigh(x.conj().T @ x)
-        floor = tau * tau
-        if lam[-1] <= floor:
-            return np.zeros_like(x), 0
-        if _U * lam[-1] <= GRAM_ROUNDING_LIMIT * floor:
-            rank = int(np.count_nonzero(lam > floor))
-            if rank_cap is not None:
-                rank = min(rank, rank_cap)
-            v = v[:, lam.size - rank:]
-            scaled = v * (1.0 - tau / np.sqrt(lam[lam.size - rank:]))
-            return (x @ scaled) @ v.conj().T, rank
+    lam, v = eigh(x.conj().T @ x)
+    floor = tau * tau
+    if lam[-1] <= floor:
+        return np.zeros_like(x), 0
+    if _U * lam[-1] <= GRAM_ROUNDING_LIMIT * floor:
+        rank = int(np.count_nonzero(lam > floor))
+        v = v[:, lam.size - rank:]
+        scaled = v * (1.0 - tau / np.sqrt(lam[lam.size - rank:]))
+        return (x @ scaled) @ v.conj().T, rank
     u, sigma, vh = svd(x)
     kept = np.maximum(sigma - tau, 0.0)
-    if rank_cap is not None:
-        kept[rank_cap:] = 0.0
     return (u * kept) @ vh, int(np.count_nonzero(kept))
 
 

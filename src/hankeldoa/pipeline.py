@@ -53,7 +53,6 @@ from .scenario import (
 from .signal import Snapshot, SnapshotKind, synthesize_snapshot
 from .spectrum import (
     AngleSpectrum,
-    SpectrumSource,
     angle_spectrum,
     find_peaks,
     max_sidelobe_db,
@@ -362,8 +361,8 @@ def execute_run(scn: Scenario, geom, ind, run: int):
     t["complete"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spec_sla = angle_spectrum(masked, scn.n_fft, SpectrumSource.SLA_ZERO_FILLED)
-    spec_comp = angle_spectrum(snap_hat, scn.n_fft, SpectrumSource.COMPLETED)
+    spec_sla = angle_spectrum(masked, scn.n_fft)
+    spec_comp = angle_spectrum(snap_hat, scn.n_fft)
     p = len(scn.angles_deg)
     peaks_comp = find_peaks(spec_comp, p)
     peaks_sla = find_peaks(spec_sla, p)

@@ -43,16 +43,14 @@ class Scenario:
 
     amplitudes=None leaves the source amplitudes to the signal model's seeded
     random phases; a tuple fixes them.  placement is one of the named rules
-    or an explicit tuple of 1-based virtual antenna indices.  truncate_rank
-    is the model order of the final rank projection and defaults to the
-    number of targets.  tau/step stay None to take the solver's size-derived
-    defaults, and tol/max_iters default to the solver's.  The geometry,
-    scene and solver fields are validated by the grid-position rule,
-    TargetScene and SvtConfig, bits by the quantizer's word_levels,
-    placement by placement_to_delta on the scenario's geometry and n_fft by
-    the spectrum's check_n_fft.  Every number must be finite, except snr_db,
-    which may be inf (noiseless) and otherwise lies within +-3000 dB, and the
-    seeds must be nonnegative.
+    or an explicit tuple of 1-based virtual antenna indices.  tau/step stay
+    None to take the solver's size-derived defaults, and tol/max_iters
+    default to the solver's.  The geometry, scene and solver fields are
+    validated by the grid-position rule, TargetScene and SvtConfig, bits by
+    the quantizer's word_levels, placement by placement_to_delta on the
+    scenario's geometry and n_fft by the spectrum's check_n_fft.  Every
+    number must be finite, except snr_db, which may be inf (noiseless) and
+    otherwise lies within +-3000 dB, and the seeds must be nonnegative.
     """
 
     name: str
@@ -70,8 +68,6 @@ class Scenario:
     step: float | None = None
     tol: float = SvtConfig.tol
     max_iters: int = SvtConfig.max_iters
-    rank_cap: int | None = None
-    truncate_rank: int | None = None
     n_fft: int = 1024
     runs: int = 20
     seed_signal: int = 0
@@ -117,8 +113,6 @@ class Scenario:
             svt_config_of(self)
         except ValueError as exc:
             fail(f"[svt] {exc}")
-        if self.truncate_rank is not None and self.truncate_rank < 1:
-            fail("[svt] truncate_rank: must be at least 1")
         try:
             check_n_fft(self.n_fft, geom.m)
         except ValueError as exc:
@@ -133,9 +127,7 @@ class Scenario:
 
     @property
     def model_order(self) -> int:
-        """Rank of the final projection; the target count unless overridden."""
-        if self.truncate_rank is not None:
-            return self.truncate_rank
+        """Rank of the final projection: the target count."""
         return len(self.angles_deg)
 
 
@@ -170,7 +162,6 @@ def svt_config_of(scn: Scenario) -> SvtConfig:
         step=scn.step,
         tol=scn.tol,
         max_iters=scn.max_iters,
-        rank_cap=scn.rank_cap,
         change_tol=CHANGE_TOL,
     )
 
@@ -301,8 +292,6 @@ _KEYS = (
     ("svt", "step", "step", float, _optional(_format_float)),
     ("svt", "tol", "tol", float, _format_float),
     ("svt", "max_iters", "max_iters", int, str),
-    ("svt", "rank_cap", "rank_cap", int, _optional(str)),
-    ("svt", "truncate_rank", "truncate_rank", int, _optional(str)),
     ("spectrum", "n_fft", "n_fft", int, str),
     ("seeds", "signal", "seed_signal", int, str),
     ("seeds", "dither", "seed_dither", int, str),

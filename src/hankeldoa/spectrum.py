@@ -10,6 +10,10 @@ import numpy as np
 from .signal import Snapshot, SnapshotKind
 
 
+# Bins on each side of a peak that max_sidelobe_db counts as its mainlobe.
+GUARD_BINS = 2
+
+
 class SpectrumSource(str, Enum):
     SLA_ZERO_FILLED = "sla_zero_filled"
     COMPLETED = "completed"
@@ -45,17 +49,16 @@ def check_n_fft(n_fft: int, m: int) -> None:
         raise ValueError(f"n_fft: {n_fft} is shorter than the aperture {m}")
 
 
-def angle_spectrum(
-    snap: Snapshot, n_fft: int = 1024, source: SpectrumSource | str | None = None
-) -> AngleSpectrum:
-    """FFT magnitude of a snapshot; unobserved antennas contribute zeros."""
+def angle_spectrum(snap: Snapshot, n_fft: int = 1024) -> AngleSpectrum:
+    """FFT magnitude of a snapshot; unobserved antennas contribute zeros.
+
+    A full snapshot is tagged completed, a masked one sla_zero_filled."""
     check_n_fft(n_fft, snap.m)
-    if source is None:
-        source = (
-            SpectrumSource.COMPLETED
-            if snap.kind is SnapshotKind.FULL
-            else SpectrumSource.SLA_ZERO_FILLED
-        )
+    source = (
+        SpectrumSource.COMPLETED
+        if snap.kind is SnapshotKind.FULL
+        else SpectrumSource.SLA_ZERO_FILLED
+    )
     mag = np.abs(np.fft.fftshift(np.fft.fft(snap.values, n_fft)))
     top = float(mag.max())
     if top == 0.0:
@@ -63,7 +66,7 @@ def angle_spectrum(
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(mag / top)
     u = np.fft.fftshift(np.fft.fftfreq(n_fft, d=0.5))
-    return AngleSpectrum(u, db, SpectrumSource(source))
+    return AngleSpectrum(u, db, source)
 
 
 def local_maxima(spec: AngleSpectrum) -> np.ndarray:
@@ -91,21 +94,17 @@ def find_peaks(spec: AngleSpectrum, count: int) -> PeakSet:
     return PeakSet(peaks, bins=chosen, complete=len(peaks) == count)
 
 
-def max_sidelobe_db(
-    spec: AngleSpectrum, peaks: PeakSet, guard_bins: int = 2
-) -> float:
+def max_sidelobe_db(spec: AngleSpectrum, peaks: PeakSet) -> float:
     """Largest local-maximum level away from the given peaks.
 
-    Only strict local maxima more than guard_bins bins from every peak count
+    Only strict local maxima more than GUARD_BINS bins from every peak count
     as sidelobes, so the shoulder bins of a mainlobe never register.  Returns
     -inf when no qualifying maximum exists.
     """
-    if guard_bins < 0:
-        raise ValueError("guard_bins must be nonnegative")
     idx = local_maxima(spec)
     keep = np.ones(idx.size, dtype=bool)
     for p in peaks.bins:
-        keep &= np.abs(idx - p) > guard_bins
+        keep &= np.abs(idx - p) > GUARD_BINS
     if not np.any(keep):
         return float("-inf")
     return float(spec.magnitude_db[idx[keep]].max())

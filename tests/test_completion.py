@@ -18,7 +18,7 @@ from hankeldoa.completion import (
     svt_complete,
     svt_iterate,
 )
-from hankeldoa.hankel import HankelView, lift
+from hankeldoa.hankel import HankelView, dehankelize, lift
 from hankeldoa.linalg import shrink
 from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales
 from hankeldoa.scenario import (
@@ -53,8 +53,6 @@ def test_config_defaults_and_validation():
         SvtConfig(max_iters=0)
     with pytest.raises(ValueError):
         SvtConfig(step=-1.0)
-    with pytest.raises(ValueError):
-        SvtConfig(rank_cap=0)
     assert cfg.change_tol is None
     assert SvtConfig(change_tol=1e-2).change_tol == 1e-2
     for bad in (0.0, -1.0, np.inf, np.nan):
@@ -87,12 +85,6 @@ def test_residuals_are_positive_and_final_below_tol():
     assert np.all(residuals > 0)
     assert residuals[-1] <= 1e-4
     assert len(ranks) == len(residuals)
-
-
-def test_rank_cap_limits_iterate_rank():
-    truth, values, mask = rank_one_problem(seed=3)
-    _, _, ranks, _ = svt_iterate(values, mask, SvtConfig(rank_cap=1))
-    assert max(int(r) for r in ranks) <= 1
 
 
 def test_change_rule_waits_for_a_nonzero_iterate_and_yields_to_the_residual():
@@ -168,7 +160,9 @@ def tau_and_step(values, observed, cfg):
     """The solver's threshold and step, with the size-derived defaults."""
     n1, n2 = values.shape
     tau = cfg.tau if cfg.tau is not None else 5.0 * np.sqrt(n1 * n2)
-    step = cfg.step if cfg.step is not None else 1.2 * n1 * n2 / int(observed.sum())
+    step = cfg.step if cfg.step is not None else min(
+        1.2 * n1 * n2 / int(observed.sum()), 1.9
+    )
     return tau, step
 
 
@@ -185,7 +179,7 @@ def plain_svt(values, observed, cfg):
     for _ in range(cfg.max_iters):
         scratch[observed] = y
         x_prev = x
-        x, rank = shrink(scratch, tau, cfg.rank_cap)
+        x, rank = shrink(scratch, tau)
         r = b - x[observed]
         residuals.append(float(np.linalg.norm(r)) / b_norm)
         ranks.append(rank)
@@ -221,9 +215,9 @@ def shrink_calls(monkeypatch):
     """One entry per linalg.shrink call svt_iterate makes (one SVD each)."""
     calls = []
 
-    def counting(x, tau, rank_cap=None):
+    def counting(x, tau):
         calls.append(tau)
-        return shrink(x, tau, rank_cap)
+        return shrink(x, tau)
 
     monkeypatch.setattr(linalg, "shrink", counting)
     return calls
@@ -260,9 +254,7 @@ def test_zero_iterate_skip_is_bit_identical_on_bundled_run0(name, shrink_calls):
         assert (len(ranks), len(shrink_calls)) == (37, 30)
 
 
-@pytest.mark.parametrize(
-    "cfg", [SvtConfig(), SvtConfig(rank_cap=1)], ids=["change_rule_off", "rank_cap"]
-)
+@pytest.mark.parametrize("cfg", [SvtConfig()], ids=["change_rule_off"])
 def test_zero_iterate_skip_is_bit_identical_on_rank_one_oracle(cfg, shrink_calls):
     _, values, mask = rank_one_problem(seed=3)
     skipped = skipped_iterations(values, mask, cfg)
@@ -460,6 +452,34 @@ def test_rank_projection_denoises_toward_truth(two_unit_geom):
     before = np.linalg.norm(noisy.values - clean.values)
     after = np.linalg.norm(projected.values - clean.values)
     assert after < before
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5])
+def test_rank_projection_is_the_truncated_svd_bit_for_bit(two_unit_geom, monkeypatch, rank):
+    """The projection is one SVD of the re-lifted average with every singular
+    value past the rank set to zero, computed at one BLAS thread."""
+    noisy = TargetScene((-34.0, 18.0), amplitudes=(1 + 0j, 1 + 0j), snr_db=10.0)
+    full, _ = synthesize_snapshot(noisy, two_unit_geom, seed=0)
+    rng = np.random.default_rng(9)
+    matrix = lift(full).matrix + 0.1 * (
+        rng.standard_normal((75, 75)) + 1j * rng.standard_normal((75, 75))
+    )
+    with linalg.single_thread_blas():
+        u, sigma, vh = np.linalg.svd(lift(dehankelize(matrix)).matrix, full_matrices=False)
+        sigma[rank:] = 0.0
+        want = dehankelize((u * sigma) @ vh)
+    calls = []
+    real = linalg.svd
+
+    def counting(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(linalg, "svd", counting)
+    got = rank_projected_snapshot(matrix, rank)
+    assert calls == [(75, 75)]
+    assert np.array_equal(got.values, want.values)
+    assert got.kind is SnapshotKind.FULL
 
 
 def test_rank_projection_validates_rank():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hankeldoa.hankel import HankelView, dehankelize, hankel_shape, lift
+from hankeldoa.hankel import HankelView, antenna_index, dehankelize, hankel_shape, lift
 from hankeldoa.scenario import placement_to_delta
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
@@ -32,10 +32,12 @@ def test_lift_places_entry_by_antenna_sum():
     y = np.arange(1, 8, dtype=complex)
     view = lift(full_snapshot(y))
     n1, n2 = view.matrix.shape
+    antenna = antenna_index(n1, n2)
+    assert antenna.shape == (n1, n2)
     for i in range(n1):
         for j in range(n2):
             assert view.matrix[i, j] == y[i + j]
-            assert view.antenna_index(i, j) == i + j
+            assert antenna[i, j] == i + j
 
 
 def test_lift_masked_reference_counts(two_unit_geom):

@@ -32,7 +32,6 @@ def test_random_reconstruction():
     x = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
     u, sigma, vh = svd(x)
     assert np.max(np.abs((u * sigma) @ vh - x)) <= 1e-10
-    assert np.max(np.abs(shrink(x, 0.0)[0] - x)) <= 1e-10
     assert np.all(np.diff(sigma) <= 1e-12)
 
 
@@ -45,22 +44,19 @@ def test_factor_columns_are_orthonormal():
     assert np.allclose(vh @ vh.conj().T, np.eye(7), atol=1e-10)
 
 
-def shrunk_sigma(x, tau, rank_cap=None):
-    return np.linalg.svd(shrink(x, tau, rank_cap)[0], compute_uv=False)
+def shrunk_sigma(x, tau):
+    return np.linalg.svd(shrink(x, tau)[0], compute_uv=False)
 
 
 def test_shrink_examples():
     x = np.diag([5.0, 3.0, 1.0]).astype(complex)
     assert np.allclose(shrunk_sigma(x, 2.0), [3.0, 1.0, 0.0], atol=1e-10)
     assert shrink(x, 2.0)[1] == 2
-    assert np.allclose(shrink(x, 0.0)[0], x, atol=1e-12)
-    assert shrink(x, 0.0)[1] == 3
+    assert np.allclose(shrunk_sigma(x, 0.5), [4.5, 2.5, 0.5], atol=1e-10)
+    assert shrink(x, 0.5)[1] == 3
     assert np.max(np.abs(shrink(x, 5.0)[0])) <= 1e-10
     assert shrink(x, 5.0)[1] == 0
     assert np.max(np.abs(shrink(x, 7.5)[0])) <= 1e-10
-    assert np.allclose(shrunk_sigma(x, 0.5, rank_cap=2), [4.5, 2.5, 0.0], atol=1e-10)
-    assert shrink(x, 0.5, rank_cap=2)[1] == 2
-    assert shrink(x, 2.0, rank_cap=3)[1] == 2
 
 
 def test_shrink_never_increases_rank():
@@ -101,16 +97,15 @@ def test_shrink_solves_the_nuclear_norm_prox():
 
 
 def test_shrink_validates_tau():
-    with pytest.raises(ValueError):
-        shrink(np.eye(2, dtype=complex), -1.0)
+    for tau in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            shrink(np.eye(2, dtype=complex), tau)
 
 
-def svd_shrink(x, tau, rank_cap=None):
+def svd_shrink(x, tau):
     """The shrinkage computed from the SVD of x, the rule shrink implements."""
     u, sigma, vh = np.linalg.svd(x, full_matrices=False)
     kept = np.maximum(sigma - tau, 0.0)
-    if rank_cap is not None:
-        kept[rank_cap:] = 0.0
     return (u * kept) @ vh, int(np.count_nonzero(kept))
 
 
@@ -137,29 +132,18 @@ def complex_normal(rng, *shape):
 GRAM_MATCH_RTOL = 1e-13
 
 
-@pytest.mark.parametrize("rank_cap", [None, 3])
 @pytest.mark.parametrize("rank", [75, 5], ids=["random", "rank5"])
-def test_gram_path_matches_the_svd_rule(svd_calls, rank, rank_cap):
+def test_gram_path_matches_the_svd_rule(svd_calls, rank):
     rng = np.random.default_rng(5)
     x = complex_normal(rng, 75, rank) @ complex_normal(rng, rank, 75)
     sigma = np.linalg.svd(x, compute_uv=False)
     # Thresholds at half of sigma_1, and between the 4th and 5th values.
     for tau in (sigma[0] / 2, 0.5 * (sigma[3] + sigma[4])):
-        got, got_rank = shrink(x, tau, rank_cap)
-        want, want_rank = svd_shrink(x, tau, rank_cap)
+        got, got_rank = shrink(x, tau)
+        want, want_rank = svd_shrink(x, tau)
         assert got_rank == want_rank
         assert np.max(np.abs(got - want)) <= GRAM_MATCH_RTOL * sigma[0]
     assert svd_calls == []
-
-
-def test_zero_tau_takes_the_svd(svd_calls, monkeypatch):
-    monkeypatch.setattr(linalg, "eigh", None)
-    x = complex_normal(np.random.default_rng(6), 75, 75)
-    got, rank = shrink(x, 0.0, 3)
-    want, _ = svd_shrink(x, 0.0, 3)
-    assert rank == 3
-    assert np.max(np.abs(got - want)) <= 1e-12
-    assert svd_calls == [(75, 75)]
 
 
 def test_threshold_above_sigma_1_is_an_exact_zero(svd_calls):

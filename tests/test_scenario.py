@@ -69,8 +69,6 @@ def test_round_trip_identity_fully_explicit():
         step=1.7,
         tol=1e-5,
         max_iters=900,
-        rank_cap=6,
-        truncate_rank=3,
         n_fft=2048,
         runs=7,
         seed_signal=42,
@@ -97,6 +95,9 @@ def test_unknown_section_and_key_rejected():
         parse_scenario(MINIMAL + "\n[mystery]\nx = 1\n")
     with pytest.raises(ScenarioError):
         parse_scenario(MINIMAL + "\n[quant]\nwidth = 3\n")
+    for key in ("rank_cap", "truncate_rank"):
+        with pytest.raises(ScenarioError, match=f"unknown key '{key}' in section \\[svt\\]"):
+            parse_scenario(MINIMAL + f"\n[svt]\n{key} = 2\n")
 
 
 def test_missing_angles_rejected():
@@ -215,8 +216,6 @@ def test_negative_seed_is_rejected_at_load(key):
 def test_model_order_defaults_to_target_count():
     scn = Scenario(name="x", angles_deg=(1.0, 2.0, 3.0))
     assert scn.model_order == 3
-    capped = Scenario(name="x", angles_deg=(1.0, 2.0, 3.0), truncate_rank=2)
-    assert capped.model_order == 2
 
 
 def test_placement_rules_on_reference_geometry(two_unit_geom):

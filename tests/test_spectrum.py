@@ -5,6 +5,7 @@ import pytest
 
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 from hankeldoa.spectrum import (
+    GUARD_BINS,
     AngleSpectrum,
     SpectrumSource,
     angle_spectrum,
@@ -66,8 +67,6 @@ def test_source_defaults_follow_snapshot_kind(two_unit_geom):
     )
     assert angle_spectrum(full, 1024).source is SpectrumSource.COMPLETED
     assert angle_spectrum(masked, 1024).source is SpectrumSource.SLA_ZERO_FILLED
-    forced = angle_spectrum(full, 1024, source="sla_zero_filled")
-    assert forced.source is SpectrumSource.SLA_ZERO_FILLED
 
 
 def test_transform_preserves_energy(two_unit_geom):
@@ -149,8 +148,10 @@ def test_sidelobe_excludes_guard_band():
     spec = crafted(db)
     peaks = find_peaks(spec, 1)
     assert peaks.bins == [10]
-    assert max_sidelobe_db(spec, peaks, guard_bins=2) == -5.0
-    assert max_sidelobe_db(spec, peaks, guard_bins=1) == -1.0
+    assert GUARD_BINS == 2
+    assert max_sidelobe_db(spec, peaks) == -5.0
+    db[7] = -3.0  # three bins from the peak: just outside the guard
+    assert max_sidelobe_db(crafted(db), peaks) == -3.0
 
 
 def test_sidelobe_with_no_qualifying_maxima():
@@ -158,14 +159,5 @@ def test_sidelobe_with_no_qualifying_maxima():
     db[4] = 0.0
     spec = crafted(db)
     peaks = find_peaks(spec, 1)
-    assert max_sidelobe_db(spec, peaks, guard_bins=2) == -np.inf
-
-
-def test_sidelobe_guard_validation():
-    db = np.full(8, -30.0)
-    db[4] = 0.0
-    spec = crafted(db)
-    peaks = find_peaks(spec, 1)
-    with pytest.raises(ValueError):
-        max_sidelobe_db(spec, peaks, guard_bins=-1)
+    assert max_sidelobe_db(spec, peaks) == -np.inf
 

@@ -1,7 +1,8 @@
 """The singular value shrinkage the completion solver runs on every
-iteration, its SVD and Hermitian eigendecomposition kernels, and the BLAS
+iteration, its SVD and Hermitian eigendecomposition kernels, the BLAS
 thread pin that makes the solver's floating-point output independent of how
-many threads OpenBLAS would otherwise use.
+many threads OpenBLAS would otherwise use, and the name of the kernel set
+OpenBLAS picked for the CPU.
 
 shrink thresholds through eigh of the Gram matrix A^H A, which costs less
 than the SVD of A and never forms U; it falls back to the SVD when
@@ -16,11 +17,20 @@ from contextlib import contextmanager
 
 import numpy as np
 
-# (get, set) symbol pairs of the OpenBLAS builds numpy ships with or links.
+# (get threads, set threads, kernel set name) symbols of the OpenBLAS builds
+# numpy ships with or links.
 _OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    (
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_set_num_threads64_",
+        "scipy_openblas_get_corename64_",
+    ),
+    (
+        "openblas_get_num_threads64_",
+        "openblas_set_num_threads64_",
+        "openblas_get_corename64_",
+    ),
+    ("openblas_get_num_threads", "openblas_set_num_threads", "openblas_get_corename"),
 )
 
 
@@ -79,7 +89,8 @@ def shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
 
 class _OpenBlasThreads:
     """The thread count of the OpenBLAS numpy loaded, pinned to one thread
-    while any caller holds the pin.
+    while any caller holds the pin, and the name of the kernel set it picked
+    for this CPU.
 
     The count is process-wide, so entries are reference-counted under a lock:
     the first entry saves the count and sets 1, the last exit restores it.
@@ -93,9 +104,11 @@ class _OpenBlasThreads:
         self._looked_up = False
         self._get = None
         self._set = None
+        self._core = None
 
     def _lookup(self) -> None:
-        """Find the get/set pair once; call with the lock held."""
+        """Find the get/set pair and read the kernel set name once; call
+        with the lock held."""
         if self._looked_up:
             return
         self._looked_up = True
@@ -111,7 +124,7 @@ class _OpenBlasThreads:
                 lib = ctypes.CDLL(path)
             except OSError:  # a mapping that is not a loadable library
                 continue
-            for get_name, set_name in _OPENBLAS_SYMBOLS:
+            for get_name, set_name, core_name in _OPENBLAS_SYMBOLS:
                 get_fn = getattr(lib, get_name, None)
                 set_fn = getattr(lib, set_name, None)
                 if get_fn is not None and set_fn is not None:
@@ -120,6 +133,12 @@ class _OpenBlasThreads:
                     set_fn.argtypes = [ctypes.c_int]
                     set_fn.restype = None
                     self._get, self._set = get_fn, set_fn
+                    core_fn = getattr(lib, core_name, None)
+                    if core_fn is not None:
+                        core_fn.argtypes = []
+                        core_fn.restype = ctypes.c_char_p
+                        core = core_fn()
+                        self._core = None if core is None else core.decode("ascii")
                     return
 
     def threads(self) -> int | None:
@@ -127,6 +146,13 @@ class _OpenBlasThreads:
         with self._lock:
             self._lookup()
             return None if self._get is None else self._get()
+
+    def core(self) -> str | None:
+        """The kernel set OpenBLAS picked for this CPU, such as SkylakeX or
+        Haswell, or None when no OpenBLAS or no kernel set name is found."""
+        with self._lock:
+            self._lookup()
+            return self._core
 
     @contextmanager
     def pinned(self):
@@ -157,4 +183,5 @@ class _OpenBlasThreads:
 
 _OPENBLAS = _OpenBlasThreads()
 blas_threads = _OPENBLAS.threads
+blas_core = _OPENBLAS.core
 single_thread_blas = _OPENBLAS.pinned

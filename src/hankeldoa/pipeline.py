@@ -9,7 +9,9 @@ of a batch are independent and execute concurrently on threads, with
 OpenBLAS pinned to one thread, so the hash depends on neither the BLAS
 thread count nor the worker count.  The theory battery bundles the
 Monte-Carlo checks of the quantizer identities and the embedding bound
-behind one call.
+behind one call; its dither grid runs on the calling thread while the
+sampling and embedding checks run beside it on one worker thread, under the
+same pin and worker-count rule as a batch.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .completion import (
 )
 from .geometry import masking_vector
 from .hankel import HankelView, lift
-from .linalg import single_thread_blas
+from .linalg import blas_core, single_thread_blas
 from .quant import QuantScheme, design_scales, word_levels
 # Not called here; the benchmark's tracer looks the name up on this module.
 from .quant import quantize_mixed
@@ -294,8 +296,9 @@ def _structure(scn: Scenario):
 
 
 def _environment(solver_blas_threads: int | None, workers: int) -> dict:
-    """The numerical environment a batch ran in: numpy, its BLAS build, the
-    solver's BLAS thread count (None when unpinned) and the worker count."""
+    """The numerical environment a batch ran in: numpy, its BLAS build and
+    kernel set (None when unknown), the solver's BLAS thread count (None when
+    unpinned) and the worker count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_build = f"{blas.get('name')} {blas.get('version')}"
@@ -304,9 +307,18 @@ def _environment(solver_blas_threads: int | None, workers: int) -> dict:
     return {
         "numpy": np.__version__,
         "blas": blas_build,
+        "blas_core": blas_core(),
         "solver_blas_threads": solver_blas_threads,
         "workers": workers,
     }
+
+
+def _worker_count(jobs: int, pinned: int | None) -> int:
+    """Threads for jobs independent jobs: one per CPU in the affinity set, at
+    most one per job, and one when OpenBLAS could not be pinned (pinned is
+    None), since unpinned BLAS calls on several threads oversubscribe the
+    CPUs."""
+    return min(jobs, len(os.sched_getaffinity(0))) if pinned else 1
 
 
 def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
@@ -440,7 +452,7 @@ def run_scenario(
         out_dir=scn.out_dir,
     )
     with single_thread_blas() as pinned:
-        workers = min(scn.runs, len(os.sched_getaffinity(0))) if pinned else 1
+        workers = _worker_count(scn.runs, pinned)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(partial(execute_run, scn, geom, ind), range(scn.runs))
@@ -520,19 +532,20 @@ class TheoryBattery:
         )
 
 
-def theory_battery(
-    dither_trials: int = DITHER_TRIALS,
-    sampling_trials: int = SAMPLING_TRIALS,
-    embedding_trials: int = EMBEDDING_TRIALS,
-    seed: int = 0,
-) -> TheoryBattery:
-    """Run the dither-identity grid, the uniform-sampling identity on random
-    rank-2 pairs, and the embedding concentration check."""
-    check_seed(seed)
-    dither = [
-        verify_dither_identity(a, b, delta, trials=dither_trials, seed=seed + i)
+def _dither_checks(trials: int, seed: int) -> list[DitherIdentityReport]:
+    """The dither identity at every DITHER_GRID point, point i at seed + i."""
+    return [
+        verify_dither_identity(a, b, delta, trials=trials, seed=seed + i)
         for i, (a, b, delta) in enumerate(DITHER_GRID)
     ]
+
+
+def _sampling_and_embedding_checks(
+    sampling_trials: int, embedding_trials: int, seed: int
+) -> tuple[list[SamplingIdentityReport], EmbeddingReport]:
+    """The sampling identity on SAMPLING_PAIRS random rank-2 pairs, pair k
+    drawn from default_rng([seed, 7000 + k]) and checked at seed + 100 + k,
+    then the embedding check at seed + 500."""
     sampling = []
     for k in range(SAMPLING_PAIRS):
         rng = np.random.default_rng([seed, 7000 + k])
@@ -557,6 +570,40 @@ def theory_battery(
         trials=embedding_trials,
         seed=seed + 500,
     )
+    return sampling, embedding
+
+
+def theory_battery(
+    dither_trials: int = DITHER_TRIALS,
+    sampling_trials: int = SAMPLING_TRIALS,
+    embedding_trials: int = EMBEDDING_TRIALS,
+    seed: int = 0,
+) -> TheoryBattery:
+    """Run the dither-identity grid, the uniform-sampling identity on random
+    rank-2 pairs, and the embedding concentration check.
+
+    Every check draws from its own seed, so the two groups run at the same
+    time, with OpenBLAS pinned to one thread: the dither grid on the calling
+    thread, the sampling and embedding checks on one worker.  The dither
+    grid's trials-long arrays stay on the calling thread, which keeps them
+    out of a second thread's malloc arena.  With one CPU in the affinity set,
+    or no OpenBLAS to pin, the groups run one after the other.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # as in run_scenario
+
+    check_seed(seed)
+    others = partial(
+        _sampling_and_embedding_checks, sampling_trials, embedding_trials, seed
+    )
+    with single_thread_blas() as pinned:
+        if _worker_count(2, pinned) == 1:
+            dither = _dither_checks(dither_trials, seed)
+            sampling, embedding = others()
+        else:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                future = pool.submit(others)
+                dither = _dither_checks(dither_trials, seed)
+                sampling, embedding = future.result()
     return TheoryBattery(dither=dither, sampling=sampling, embedding=embedding)
 
 

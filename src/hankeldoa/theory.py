@@ -5,6 +5,11 @@ cells sampled uniformly at random, shared dithers between the two matrices of
 a pair.  The expectation identities use the unsaturated quantizer; the
 embedding check uses the saturating one, whose outputs live on the finite
 ADC alphabet.
+
+Every check reads its generators in sequence and evaluates its trials in
+fixed-size pieces (MC_BLOCK trials of the sampling and embedding checks,
+DITHER_CHUNK of the dither identity), so the piece sizes bound memory and
+change no report.
 """
 
 from __future__ import annotations
@@ -27,6 +32,12 @@ EMBEDDING_TRIALS = 2000
 # the block size changes no result; it bounds the memory a large trial count
 # takes.
 MC_BLOCK = 256
+
+# Trials per numpy evaluation of verify_dither_identity.  The dithers come
+# from one generator read in sequence, so the chunk size changes no result;
+# it keeps the per-chunk temporaries (512 KiB each) in cache, beside the one
+# trials-long array of samples.
+DITHER_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -122,10 +133,10 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed: must be nonnegative, got {seed}")
 
 
-def _trial_blocks(trials: int):
-    """Consecutive ranges of trial indices, MC_BLOCK at most each."""
-    for start in range(0, trials, MC_BLOCK):
-        yield range(start, min(start + MC_BLOCK, trials))
+def _trial_blocks(trials: int, size: int):
+    """Consecutive ranges of trial indices, size at most each."""
+    for start in range(0, trials, size):
+        yield range(start, min(start + size, trials))
 
 
 def _streams(seed: int, kinds: int) -> list[np.random.Generator]:
@@ -163,13 +174,18 @@ def verify_dither_identity(
     uniform dither, using the unsaturated quantizer.
 
     Passes when the MC mean sits within 4 standard errors of |a - b|.
+    The dithers come from default_rng(seed), DITHER_CHUNK trials at a time.
     """
     if trials < 10_000:
         raise ValueError("trials must be at least 10000")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    tau = rng.uniform(-delta / 2.0, delta / 2.0, size=trials)
-    diffs = np.abs(uniform_quantize(a, delta, tau) - uniform_quantize(b, delta, tau))
+    diffs = np.empty(trials)
+    for chunk in _trial_blocks(trials, DITHER_CHUNK):
+        tau = rng.uniform(-delta / 2.0, delta / 2.0, size=len(chunk))
+        qa = uniform_quantize(a, delta, tau)
+        qb = uniform_quantize(b, delta, tau)
+        diffs[chunk.start : chunk.stop] = np.abs(qa - qb)
     expected = abs(a - b)
     mean, stderr, passed = _mc_estimate(diffs, expected)
     return DitherIdentityReport(
@@ -213,7 +229,7 @@ def verify_sampling_identity(
     y_re = y.real.ravel()
     key_rng, dither_rng = _streams(seed, 2)
     sums = np.empty(trials)
-    for block in _trial_blocks(trials):
+    for block in _trial_blocks(trials, MC_BLOCK):
         omega, tau = _draw_cells(key_rng, dither_rng, len(block), cells, m_prime, delta)
         gaps = _quantized_gaps(x_re[omega], y_re[omega], tau, delta)
         sums[block.start : block.stop] = gaps.sum(axis=1)
@@ -257,7 +273,7 @@ def verify_embedding(
 
     key_rng, dither_rng, factor_rng = _streams(seed, 3)
     deviations = np.empty(trials)
-    for block in _trial_blocks(trials):
+    for block in _trial_blocks(trials, MC_BLOCK):
         shape = (len(block), 2, spec.n1 + spec.n2, spec.rank)
         pairs = _factor_products(spec, factor_rng.standard_normal(shape))
         x = pairs[:, 0].reshape(len(block), cells)

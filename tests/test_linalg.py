@@ -180,6 +180,7 @@ def test_blas_pin_is_available():
     # A renamed OpenBLAS symbol must fail here rather than silently leave
     # the solver on the thread-count-dependent path.
     assert blas_threads() is not None
+    assert linalg.blas_core()  # the kernel set name, e.g. SkylakeX
     with single_thread_blas() as pinned:
         assert pinned == 1
         assert blas_threads() == 1
@@ -193,6 +194,7 @@ def test_blas_pin_without_openblas_changes_nothing(monkeypatch):
         assert pinned is None
         assert blas_threads() == before
     assert pin.threads() is None
+    assert pin.core() is None
 
 
 def test_blas_pin_restores_on_last_exit_only(two_blas_threads):

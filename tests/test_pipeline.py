@@ -186,7 +186,7 @@ def test_written_batch_layout(first4_scenario, tmp_path):
     assert len(payload["runs"]) == 2
     assert "wall" in payload["timings"]
     env = payload["environment"]
-    assert set(env) == {"numpy", "blas", "solver_blas_threads", "workers"}
+    assert set(env) == {"numpy", "blas", "blas_core", "solver_blas_threads", "workers"}
     assert env["numpy"] == np.__version__
     assert env["solver_blas_threads"] == 1
     assert env == manifest.environment
@@ -293,6 +293,17 @@ SHIPPED_HASHES = {
 # recorded with the numerical environment above.
 GOLDEN_THEORY_DIGESTS = {
     "theory_report.csv": "dd10bfb3df942fca8151a973f94431b5f70e0e0d34fd9a97ec12afe3116df3a9",
+    "embedding.csv": "0572fbd5eca41240f4fdcdad7c98ce7200a5b22abb245d08f327e163ad5f4d4f",
+}
+
+
+# sha256 of the two theory CSVs from theory_battery(seed=0) at its default
+# trials, recorded with the numerical environment above.  The 1_000_000
+# dither trials span many DITHER_CHUNK chunks, so a fault at a chunk
+# boundary moves theory_report.csv.  No default-trial embedding rate exceeds
+# 0, so embedding.csv is the same as at 50 trials.
+GOLDEN_THEORY_DEFAULT_DIGESTS = {
+    "theory_report.csv": "2aa01ddf39d0445ea9c0166caf57d575e7a652b973c74a247d17a05588069c33",
     "embedding.csv": "0572fbd5eca41240f4fdcdad7c98ce7200a5b22abb245d08f327e163ad5f4d4f",
 }
 
@@ -420,6 +431,16 @@ def test_theory_report_is_pinned(tmp_path):
         for name in names
     }
     assert digests == GOLDEN_THEORY_DIGESTS
+
+
+def test_theory_report_at_default_trials_is_pinned(tmp_path):
+    _skip_unless_golden_environment()
+    names = write_theory_csvs(theory_battery(seed=0), str(tmp_path))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in names
+    }
+    assert digests == GOLDEN_THEORY_DEFAULT_DIGESTS
 
 
 def test_written_batch_is_pinned(tmp_path):

@@ -1,15 +1,27 @@
 """Monte-Carlo verification helpers for the quantization identities."""
 
+import dataclasses
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hankeldoa import pipeline, theory
-from hankeldoa.pipeline import EMBEDDING_SPEC, theory_battery
+from hankeldoa.pipeline import (
+    DITHER_GRID,
+    EMBEDDING_SPEC,
+    SAMPLING_DELTA,
+    SAMPLING_M_PRIME,
+    SAMPLING_PAIRS,
+    theory_battery,
+)
 from hankeldoa.quant import uniform_quantize
 from hankeldoa.theory import (
+    DITHER_CHUNK,
+    DITHER_TRIALS,
     MC_BLOCK,
     LowRankSpec,
     _cell_subsets,
@@ -120,6 +132,27 @@ def plain_embedding(spec, m_prime, delta, levels, epsilons, trials, seed):
     return np.array([(deviations > e).mean() for e in epsilons])
 
 
+def plain_dither(a, b, delta, trials, seed):
+    """verify_dither_identity's report fields, every dither drawn in one
+    call."""
+    tau = np.random.default_rng(seed).uniform(-delta / 2.0, delta / 2.0, size=trials)
+    diffs = np.abs(uniform_quantize(a, delta, tau) - uniform_quantize(b, delta, tau))
+    mean, stderr = plain_mean_stderr(diffs)
+    expected = abs(a - b)
+    return {"a": a, "b": b, "delta": delta, "trials": trials, "mc_mean": mean,
+            "stderr": stderr, "expected": expected,
+            "passed": abs(mean - expected) <= 4.0 * stderr}
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+@pytest.mark.parametrize("trials", [10_000, DITHER_CHUNK, 1_000_003])
+def test_dither_identity_equals_one_draw(monkeypatch, trials, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(theory, "DITHER_CHUNK", chunk)
+    report = verify_dither_identity(3.2, -1.1, 0.5, trials=trials, seed=5)
+    assert dataclasses.asdict(report) == plain_dither(3.2, -1.1, 0.5, trials, 5)
+
+
 @pytest.mark.parametrize("trials", [2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
 @pytest.mark.parametrize("seed", [0, 37])
 def test_sampling_identity_equals_per_trial_loop(trials, seed):
@@ -180,17 +213,91 @@ def test_battery_passes_at_default_trials(seed):
     assert theory_battery(seed=seed).all_passed
 
 
+def traced_peak(check):
+    """The tracemalloc peak, in bytes, of one call of check."""
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_embedding_memory_does_not_grow_with_trials():
     def peak(trials):
-        tracemalloc.start()
-        verify_embedding(EMBEDDING_SPEC, m_prime=128, delta=1.0 / 8, levels=8,
-                         epsilons=np.array([0.1]), trials=trials, seed=0)
-        peak_bytes = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        return peak_bytes
+        return traced_peak(
+            lambda: verify_embedding(EMBEDDING_SPEC, m_prime=128, delta=1.0 / 8,
+                                     levels=8, epsilons=np.array([0.1]),
+                                     trials=trials, seed=0)
+        )
 
     peak(MC_BLOCK)  # first call: numpy's one-time allocations
     assert peak(8 * MC_BLOCK) <= 2 * peak(MC_BLOCK)
+
+
+def test_dither_memory_is_bounded_by_the_samples():
+    """One default-trial dither check holds its trials-long samples, the
+    mean's deviations from them in the standard error, and chunk-sized
+    temporaries: within 2.5 arrays of trials doubles."""
+    a, b, delta = DITHER_GRID[1]
+    peak = traced_peak(lambda: verify_dither_identity(a, b, delta, seed=0))
+    assert peak <= 2.5 * 8 * DITHER_TRIALS
+
+
+def battery_fields(battery):
+    """Every report field of a battery, arrays as lists, comparable with ==."""
+    reports = [*battery.dither, *battery.sampling, battery.embedding]
+    return [
+        {k: np.asarray(v).tolist() for k, v in dataclasses.asdict(r).items()}
+        for r in reports
+    ]
+
+
+def battery_one_check_at_a_time(seed):
+    """theory_battery at default trials, its checks called one after another
+    on this thread with their own seeds."""
+    dither = [verify_dither_identity(a, b, delta, seed=seed + i)
+              for i, (a, b, delta) in enumerate(DITHER_GRID)]
+    sampling = []
+    for k in range(SAMPLING_PAIRS):
+        rng = np.random.default_rng([seed, 7000 + k])
+        x = random_low_rank(EMBEDDING_SPEC, rng)
+        y = random_low_rank(EMBEDDING_SPEC, rng)
+        sampling.append(verify_sampling_identity(
+            x, y, m_prime=SAMPLING_M_PRIME, delta=SAMPLING_DELTA, seed=seed + 100 + k))
+    embedding = verify_embedding(
+        EMBEDDING_SPEC, m_prime=pipeline.EMBEDDING_M_PRIME,
+        delta=pipeline.EMBEDDING_DELTA, levels=pipeline.EMBEDDING_LEVELS,
+        epsilons=np.asarray(pipeline.EMBEDDING_EPSILONS), seed=seed + 500)
+    return pipeline.TheoryBattery(dither, sampling, embedding)
+
+
+def test_concurrent_battery_changes_no_result(monkeypatch):
+    want = battery_fields(battery_one_check_at_a_time(3))
+    threads = []
+
+    def on_thread(check):
+        def recorded(*args, **kwargs):
+            threads.append((check.__name__, threading.get_ident()))
+            return check(*args, **kwargs)
+        return recorded
+
+    for name in ("verify_dither_identity", "verify_sampling_identity",
+                 "verify_embedding"):
+        monkeypatch.setattr(pipeline, name, on_thread(getattr(pipeline, name)))
+    caller = threading.get_ident()
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        threads.clear()
+        assert battery_fields(theory_battery(seed=3)) == want
+        ran_on = {name: {ident for n, ident in threads if n == name}
+                  for name, _ in threads}
+        # The dither grid always runs on the calling thread; the other
+        # checks share it on one CPU and one worker thread on two.
+        assert ran_on["verify_dither_identity"] == {caller}
+        others = ran_on["verify_sampling_identity"] | ran_on["verify_embedding"]
+        assert len(others) == 1
+        assert (others == {caller}) == (cpus == {0})
 
 
 @pytest.mark.parametrize(

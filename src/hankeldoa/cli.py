@@ -3,8 +3,9 @@
 Subcommands: `run` executes a whole seeded scenario batch and persists the
 CSVs plus manifest; `verify-theory` runs the Monte-Carlo identity and bound
 checks; `synth`, `complete` and `spectrum` run one run's pipeline a slice at
-a time (the stages pipeline.synthesize_run, quantize_run and complete_run,
-then the spectrum) through the snapshot CSV interchange format; `scenarios`
+a time (the stages pipeline.synthesize_run, quantize_run and complete_run
+on the loaded scenario and --run, then the spectrum, whose --n-fft defaults
+to Scenario.n_fft) through the snapshot CSV interchange format; `scenarios`
 lists the bundled scenario names.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
@@ -25,9 +26,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     bundled_scenario_names,
-    geometry_of,
     load_scenario,
-    placement_to_delta,
     with_overrides,
 )
 from .spectrum import angle_spectrum, find_peaks
@@ -130,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="angle spectrum of a snapshot CSV")
     p_spec.add_argument("--snapshot", required=True, help="input snapshot CSV")
-    p_spec.add_argument("--n-fft", type=_positive_int, default=1024)
+    p_spec.add_argument("--n-fft", type=_positive_int, default=Scenario.n_fft)
     p_spec.add_argument(
         "--peaks", type=_nonnegative_int, default=0,
         help="also print the strongest N peaks",
@@ -155,11 +154,11 @@ def _load(args) -> Scenario:
 
 def _stage_input(args):
     """What a stage command works on: the scenario with the command's seed
-    overrides, the run index (--run, default 0), the multi-bit indicator,
-    and the masked snapshot, read from --snapshot when given and synthesized
-    from the run's seed otherwise.  A --snapshot input needs --run, since the
-    CSV does not record its run and the run picks the dither seed, and must
-    fit the indicator (quant.check_precision_classes, the quantizer's own
+    overrides, the run index (--run, default 0), and the masked snapshot,
+    read from --snapshot when given and synthesized from the run's seed
+    otherwise.  A --snapshot input needs --run, since the CSV does not record
+    its run and the run picks the dither seed, and must fit the scenario's
+    multi-bit indicator (quant.check_precision_classes, the quantizer's own
     check), failing with its path named."""
     scn = _load(args)
     snapshot = getattr(args, "snapshot", None)
@@ -169,17 +168,15 @@ def _stage_input(args):
             "run it holds, and the run index picks the dither seed"
         )
     run = args.run or 0
-    geom = geometry_of(scn)
-    ind = placement_to_delta(scn.placement, geom)
     if snapshot:
         masked = pipeline.read_snapshot_csv(snapshot)
         try:
-            check_precision_classes(masked, ind)
+            check_precision_classes(masked, scn.multi_bit)
         except ValueError as exc:
             raise ValueError(f"{snapshot}: {exc}") from None
     else:
-        _, masked = pipeline.synthesize_run(scn, geom, run)
-    return scn, run, ind, masked
+        _, masked = pipeline.synthesize_run(scn, run)
+    return scn, run, masked
 
 
 def cmd_run(args) -> int:
@@ -247,8 +244,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    scn, run, ind, masked = _stage_input(args)
-    _, view = pipeline.quantize_run(scn, ind, masked, run)
+    scn, run, masked = _stage_input(args)
+    _, view = pipeline.quantize_run(scn, masked, run)
     result, snap_hat = pipeline.complete_run(scn, view)
     os.makedirs(args.out, exist_ok=True)
     completed_path = os.path.join(args.out, "completed.csv")

@@ -1,13 +1,15 @@
 """Scenario execution and persistence.
 
-execute_run takes one seeded run through the stages synthesize_run,
-quantize_run (cell-level quantization) and complete_run (completion and
-rank projection), then the spectra; the stage commands of the CLI call the
-same stages.  run_scenario drives a batch of runs, then writes the CSV
-outputs and a manifest whose hash covers every deterministic field.  The runs
-of a batch are independent and execute concurrently on threads, with
-OpenBLAS pinned to one thread, so the hash depends on neither the BLAS
-thread count nor the worker count.  The theory battery bundles the
+execute_run(scn, run) takes one seeded run through the stages
+synthesize_run, quantize_run (cell-level quantization) and complete_run
+(completion and rank projection), then the spectra; the stage commands of
+the CLI call the same stages.  The stages read the scene, geometry,
+multi-bit indicator and solver settings the Scenario resolved when it was
+built.  run_scenario drives a batch of runs, then writes the CSV outputs and
+a manifest whose hash covers every deterministic field.  The runs of a batch
+are independent and execute concurrently on threads, with OpenBLAS pinned to
+one thread, so the hash depends on neither the BLAS thread count nor the
+worker count.  The theory battery bundles the
 Monte-Carlo checks of the quantizer identities and the embedding bound
 behind one call; its dither grid runs on the calling thread while the
 sampling and embedding checks run beside it on one worker thread, under the
@@ -42,16 +44,7 @@ from .linalg import blas_core, single_thread_blas
 from .quant import QuantScheme, design_scales, word_levels
 # Not called here; the benchmark's tracer looks the name up on this module.
 from .quant import quantize_mixed
-from .scenario import (
-    Scenario,
-    geometry_of,
-    placement_to_delta,
-    scenario_hash,
-    scenario_to_ini,
-    scene_of,
-    svt_config_of,
-    with_overrides,
-)
+from .scenario import Scenario, scenario_hash, scenario_to_ini, with_overrides
 from .signal import Snapshot, SnapshotKind, synthesize_snapshot
 from .spectrum import (
     AngleSpectrum,
@@ -270,29 +263,25 @@ def _json_safe(obj):
     return obj
 
 
-def _structure(scn: Scenario):
-    """Geometry, the multi-bit indicator, and the cell bookkeeping shared by
-    every run of a scenario."""
-    geom = geometry_of(scn)
-    ind = placement_to_delta(scn.placement, geom)
-    mask = masking_vector(geom)
+def _derived(scn: Scenario) -> dict:
+    """The manifest's cell bookkeeping, shared by every run of a scenario."""
+    mask = masking_vector(scn.geometry)
     probe = Snapshot(
         np.where(mask == 1, 1.0 + 0.0j, 0.0), mask, SnapshotKind.MASKED
     )
-    view = lift(probe, ind)
-    derived = {
-        "m": geom.m,
+    view = lift(probe, scn.multi_bit)
+    return {
+        "m": scn.geometry.m,
         "n1": view.n1,
         "n2": view.n2,
         "observed_antennas": int(mask.sum()),
-        "multi_bit_antennas": [int(a) for a in (np.flatnonzero(ind == 1) + 1)],
+        "multi_bit_antennas": (np.flatnonzero(scn.multi_bit) + 1).tolist(),
         "omega_cells": int(view.omega.sum()),
         "omega1_cells": int(view.omega1.sum()),
         "omega2_cells": int(view.omega2.sum()),
         "mixed_rate": float(view.omega2.sum() / view.omega1.sum()),
         "model_order": scn.model_order,
     }
-    return geom, ind, derived
 
 
 def _environment(solver_blas_threads: int | None, workers: int) -> dict:
@@ -326,33 +315,33 @@ def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
     return scn.seed_signal + run, scn.seed_dither + run
 
 
-def synthesize_run(scn: Scenario, geom, run: int) -> tuple[Snapshot, Snapshot]:
+def synthesize_run(scn: Scenario, run: int) -> tuple[Snapshot, Snapshot]:
     """The full and masked snapshots of one run, drawn from its signal seed."""
     seed_signal, _ = seeds_for(scn, run)
-    return synthesize_snapshot(scene_of(scn), geom, seed=seed_signal)
+    return synthesize_snapshot(scn.scene, scn.geometry, seed=seed_signal)
 
 
 def quantize_run(
-    scn: Scenario, ind, masked: Snapshot, run: int
+    scn: Scenario, masked: Snapshot, run: int
 ) -> tuple[QuantScheme, HankelView]:
     """The cell-wise mixed-precision quantization of one run's masked
     snapshot: steps sized from the observed data with the scenario's word
-    length and margin, the multi-bit indicator ind, and the run's dither
-    seed.  Returns the QuantScheme and the quantized HankelView."""
+    length and margin, its multi-bit indicator, and the run's dither seed.
+    Returns the QuantScheme and the quantized HankelView."""
     _, seed_dither = seeds_for(scn, run)
     d1, d2 = design_scales(masked, scn.margin, word_levels(scn.bits))
-    scheme = QuantScheme(d1, d2, scn.bits, ind, dither_seed=seed_dither)
+    scheme = QuantScheme(d1, d2, scn.bits, scn.multi_bit, dither_seed=seed_dither)
     return scheme, build_quantized_hankel(masked, scheme)
 
 
 def complete_run(scn: Scenario, view: HankelView) -> tuple[CompletionResult, Snapshot]:
     """SVT completion of a quantized view with the scenario's solver
     settings, and the rank-model_order projection of its result."""
-    result = svt_complete(view, svt_config_of(scn))
+    result = svt_complete(view, scn.svt)
     return result, rank_projected_snapshot(result.matrix, scn.model_order)
 
 
-def execute_run(scn: Scenario, geom, ind, run: int):
+def execute_run(scn: Scenario, run: int):
     """One seeded pass from synthesis to spectra.
 
     Returns the RunSummary plus the artifacts the writers need (spectra and
@@ -361,11 +350,11 @@ def execute_run(scn: Scenario, geom, ind, run: int):
     s_sig, s_dith = seeds_for(scn, run)
     t = {}
     t0 = time.perf_counter()
-    full, masked = synthesize_run(scn, geom, run)
+    full, masked = synthesize_run(scn, run)
     t["synthesize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scheme, view = quantize_run(scn, ind, masked, run)
+    scheme, view = quantize_run(scn, masked, run)
     t["quantize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -441,22 +430,19 @@ def run_scenario(
         out_dir=out_dir,
     )
 
-    geom, ind, derived = _structure(scn)
     manifest = RunManifest(
         scenario_name=scn.name,
         scenario_hash=scenario_hash(scn),
         version=__version__,
         scenario_ini=scenario_to_ini(scn, include_output=False),
-        derived=derived,
+        derived=_derived(scn),
         runs=[],
         out_dir=scn.out_dir,
     )
     with single_thread_blas() as pinned:
         workers = _worker_count(scn.runs, pinned)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(partial(execute_run, scn, geom, ind), range(scn.runs))
-            )
+            results = list(pool.map(partial(execute_run, scn), range(scn.runs)))
     manifest.environment = _environment(pinned, workers)
 
     # Stage times are summed over runs, which overlap on the pool, so their

@@ -32,6 +32,12 @@ from .spectrum import check_n_fft
 
 NAMED_PLACEMENTS = ("edges", "last4", "first4")
 
+# The solver's change rule for every scenario (completion.svt_iterate).  A
+# scenario completes quantized data, whose distance from the truth sits far
+# above the residual rule's tol, so the iterations after the iterate settles
+# fit quantization noise; the rank projection discards what they add.
+CHANGE_TOL = 1e-2
+
 
 class ScenarioError(ValueError):
     """A scenario file or field failed validation."""
@@ -51,6 +57,13 @@ class Scenario:
     scenario's geometry and n_fft by the spectrum's check_n_fft.  Every
     number must be finite, except snr_db, which may be inf (noiseless) and
     otherwise lies within +-3000 dB, and the seeds must be nonnegative.
+
+    Validation keeps what it builds as four derived attributes, which are
+    not fields, so equality, repr and the INI text ignore them: scene (the
+    TargetScene), geometry (the ArrayGeometry, by geometry_of), multi_bit
+    (the read-only indicator, by placement_to_delta) and svt (the SvtConfig,
+    with the change rule at CHANGE_TOL as it stood when the scenario was
+    built).
     """
 
     name: str
@@ -81,9 +94,10 @@ class Scenario:
         if not self.name or not self.name.strip():
             raise ScenarioError("scenario name must be nonempty")
         try:
-            scene = scene_of(self)
+            scene = TargetScene(self.angles_deg, self.amplitudes, self.snr_db)
         except ValueError as exc:
             fail(f"[scene] {exc}")
+        object.__setattr__(self, "scene", scene)
         object.__setattr__(self, "angles_deg", scene.angles_deg)
         object.__setattr__(self, "amplitudes", scene.amplitudes)
         for key in ("tx1", "rx1", "tx2", "rx2"):
@@ -92,7 +106,7 @@ class Scenario:
             except ValueError as exc:
                 fail(f"[geometry] {key}: {exc}")
         try:
-            geom = geometry_of(self)
+            object.__setattr__(self, "geometry", geometry_of(self))
         except ValueError as exc:
             fail(f"[geometry] {exc}")
         try:
@@ -106,15 +120,22 @@ class Scenario:
         if not isinstance(self.placement, str):
             object.__setattr__(self, "placement", tuple(int(a) for a in self.placement))
         try:
-            placement_to_delta(self.placement, geom)
+            multi_bit = placement_to_delta(self.placement, self.geometry)
         except ScenarioError as exc:
             fail(f"[quant] placement: {exc}")
+        # The runs of a batch share it across threads.
+        multi_bit.flags.writeable = False
+        object.__setattr__(self, "multi_bit", multi_bit)
         try:
-            svt_config_of(self)
+            svt = SvtConfig(
+                tau=self.tau, step=self.step, tol=self.tol,
+                max_iters=self.max_iters, change_tol=CHANGE_TOL,
+            )
         except ValueError as exc:
             fail(f"[svt] {exc}")
+        object.__setattr__(self, "svt", svt)
         try:
-            check_n_fft(self.n_fft, geom.m)
+            check_n_fft(self.n_fft, self.geometry.m)
         except ValueError as exc:
             fail(f"[spectrum] {exc}")
         if self.runs < 1:
@@ -138,31 +159,9 @@ def with_overrides(scn: Scenario, **overrides) -> Scenario:
 
 
 def geometry_of(scn: Scenario) -> ArrayGeometry:
+    """The virtual array of the scenario's two radar units."""
     return synthesize_virtual_array(
         RadarUnit(scn.tx1, scn.rx1), RadarUnit(scn.tx2, scn.rx2)
-    )
-
-
-def scene_of(scn: Scenario) -> TargetScene:
-    return TargetScene(
-        angles_deg=scn.angles_deg, amplitudes=scn.amplitudes, snr_db=scn.snr_db
-    )
-
-
-# The solver's change rule for every scenario (completion.svt_iterate).  A
-# scenario completes quantized data, whose distance from the truth sits far
-# above the residual rule's tol, so the iterations after the iterate settles
-# fit quantization noise; the rank projection discards what they add.
-CHANGE_TOL = 1e-2
-
-
-def svt_config_of(scn: Scenario) -> SvtConfig:
-    return SvtConfig(
-        tau=scn.tau,
-        step=scn.step,
-        tol=scn.tol,
-        max_iters=scn.max_iters,
-        change_tol=CHANGE_TOL,
     )
 
 

@@ -49,7 +49,7 @@ def check_n_fft(n_fft: int, m: int) -> None:
         raise ValueError(f"n_fft: {n_fft} is shorter than the aperture {m}")
 
 
-def angle_spectrum(snap: Snapshot, n_fft: int = 1024) -> AngleSpectrum:
+def angle_spectrum(snap: Snapshot, n_fft: int) -> AngleSpectrum:
     """FFT magnitude of a snapshot; unobserved antennas contribute zeros.
 
     A full snapshot is tagged completed, a masked one sla_zero_filled."""

@@ -19,15 +19,7 @@ from hankeldoa.completion import (
 )
 from hankeldoa.pipeline import read_snapshot_csv
 from hankeldoa.quant import QuantScheme, design_scales, word_levels
-from hankeldoa.scenario import (
-    geometry_of,
-    load_bundled,
-    placement_to_delta,
-    scenario_to_ini,
-    scene_of,
-    svt_config_of,
-    with_overrides,
-)
+from hankeldoa.scenario import load_bundled, scenario_to_ini, with_overrides
 from hankeldoa.signal import synthesize_snapshot
 
 DIVERGENT_INI = """
@@ -239,12 +231,10 @@ def test_stage_seed_overrides_add_the_run_index(tmp_path):
     """--seed-signal/--seed-dither replace the base seeds and --run adds to
     both, as in a batch: run 2 from bases (5, 9) uses seeds (7, 11)."""
     scn = load_bundled("two_targets_first4")
-    geom = geometry_of(scn)
-    _, masked = synthesize_snapshot(scene_of(scn), geom, seed=7)
+    _, masked = synthesize_snapshot(scn.scene, scn.geometry, seed=7)
     d1, d2 = design_scales(masked, scn.margin, word_levels(scn.bits))
-    ind = placement_to_delta(scn.placement, geom)
-    scheme = QuantScheme(d1, d2, scn.bits, ind, dither_seed=11)
-    result = svt_complete(build_quantized_hankel(masked, scheme), svt_config_of(scn))
+    scheme = QuantScheme(d1, d2, scn.bits, scn.multi_bit, dither_seed=11)
+    result = svt_complete(build_quantized_hankel(masked, scheme), scn.svt)
     ref = tmp_path / "ref"
     ref.mkdir()
     pipeline.write_snapshot_csv(str(ref / "masked.csv"), masked)
@@ -485,10 +475,10 @@ def test_all_zero_completion_is_numerical_failure(tmp_path, capsys, command):
 def test_failure_in_a_later_run_is_numerical_failure(tmp_path, capsys, monkeypatch):
     real = pipeline.execute_run
 
-    def failing(scn, geom, ind, run):
+    def failing(scn, run):
         if run == 1:
             raise SvtDivergenceError(30, np.array([1.0, 50.0]))
-        return real(scn, geom, ind, run)
+        return real(scn, run)
 
     monkeypatch.setattr(pipeline, "execute_run", failing)
     code = main(["run", "two_targets_first4", "--out", str(tmp_path / "o"),

@@ -21,13 +21,7 @@ from hankeldoa.completion import (
 from hankeldoa.hankel import HankelView, dehankelize, lift
 from hankeldoa.linalg import shrink
 from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales
-from hankeldoa.scenario import (
-    bundled_scenario_names,
-    geometry_of,
-    load_bundled,
-    placement_to_delta,
-    svt_config_of,
-)
+from hankeldoa.scenario import bundled_scenario_names, load_bundled
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
 from conftest import constant_masked
@@ -226,11 +220,9 @@ def shrink_calls(monkeypatch):
 def run0_view(name):
     """The quantized Hankel observation of run 0 of a bundled scenario."""
     scn = load_bundled(name)
-    geom = geometry_of(scn)
-    ind = placement_to_delta(scn.placement, geom)
-    _, masked = pipeline.synthesize_run(scn, geom, 0)
-    _, view = pipeline.quantize_run(scn, ind, masked, 0)
-    return view, svt_config_of(scn)
+    _, masked = pipeline.synthesize_run(scn, 0)
+    _, view = pipeline.quantize_run(scn, masked, 0)
+    return view, scn.svt
 
 
 def assert_same_as_plain_svt(values, observed, cfg, shrink_calls, skipped):
@@ -303,7 +295,7 @@ def paper_view_and_scheme(two_unit_geom, seed_signal=0, seed_dither=1000):
 
 def test_change_rule_stops_when_the_iterate_settles(two_unit_geom):
     _, view, _ = paper_view_and_scheme(two_unit_geom)
-    cfg = svt_config_of(load_bundled("two_targets_first4"))
+    cfg = load_bundled("two_targets_first4").svt
     assert cfg.change_tol == 1e-2
     x, residuals, ranks, reason = svt_iterate(view.matrix, view.omega, cfg)
     off = dataclasses.replace(cfg, change_tol=None)

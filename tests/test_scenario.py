@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hankeldoa.completion import SvtConfig
 from hankeldoa.scenario import (
     CHANGE_TOL,
     NAMED_PLACEMENTS,
@@ -18,10 +19,9 @@ from hankeldoa.scenario import (
     placement_to_delta,
     scenario_hash,
     scenario_to_ini,
-    scene_of,
-    svt_config_of,
     with_overrides,
 )
+from hankeldoa.signal import TargetScene
 
 MINIMAL = """
 [scenario]
@@ -186,7 +186,7 @@ def test_bad_geometry_is_rejected_at_load():
 
 
 def test_every_scenario_runs_the_change_rule():
-    assert svt_config_of(parse_scenario(MINIMAL)).change_tol == CHANGE_TOL == 1e-2
+    assert parse_scenario(MINIMAL).svt.change_tol == CHANGE_TOL == 1e-2
 
 
 def test_unobserved_placement_is_rejected_at_load():
@@ -271,12 +271,42 @@ def test_bundled_scenarios_load_and_validate(name):
     assert scn.runs == 20
     assert scn.amplitudes == (1 + 0j,) * len(scn.angles_deg)
     assert scn.seed_signal == 0 and scn.seed_dither == 1000
+    assert scn.geometry.m == 149
+    assert scn.scene.snr_db == 20.0
+    assert scn.svt.step == 1.9 and scn.svt.max_iters == 1500
+
+
+DERIVED = ("scene", "geometry", "multi_bit", "svt")
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_scenario_keeps_what_it_resolves(name):
+    """The derived attributes are the rules' own results, built once; they
+    are not fields, so they stay out of equality, repr and the INI text."""
+    scn = load_bundled(name)
     geom = geometry_of(scn)
-    assert geom.m == 149
-    scene = scene_of(scn)
-    assert scene.snr_db == 20.0
-    cfg = svt_config_of(scn)
-    assert cfg.step == 1.9 and cfg.max_iters == 1500
+    assert scn.geometry == geom
+    assert np.array_equal(scn.multi_bit, placement_to_delta(scn.placement, geom))
+    assert scn.multi_bit.dtype == np.int8
+    assert scn.scene == TargetScene(scn.angles_deg, scn.amplitudes, scn.snr_db)
+    assert scn.svt == SvtConfig(
+        tau=scn.tau, step=scn.step, tol=scn.tol, max_iters=scn.max_iters,
+        change_tol=CHANGE_TOL,
+    )
+    with pytest.raises(ValueError, match="read-only"):
+        scn.multi_bit[0] = 1 - scn.multi_bit[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.svt = None
+    two_runs = with_overrides(scn, runs=2)
+    assert two_runs.runs == 2
+    assert two_runs.scene == scn.scene and two_runs.geometry == scn.geometry
+    assert two_runs.svt == scn.svt
+    assert np.array_equal(two_runs.multi_bit, scn.multi_bit)
+    field_names = {f.name for f in dataclasses.fields(Scenario)}
+    assert field_names.isdisjoint(DERIVED)
+    ini = scenario_to_ini(scn)
+    assert not any(f"{attr} =" in ini for attr in DERIVED)
+    assert not any(f"{attr}=" in repr(scn) for attr in DERIVED)
 
 
 def test_two_target_bundles_differ_only_in_placement():

@@ -337,18 +337,20 @@ def _skip_unless_golden_environment():
 # GOLDEN_BATCH_DIGESTS) were recorded on.  OpenBLAS picks its kernels from
 # the CPU, and OPENBLAS_CORETYPE forces another set.  The last bits of the
 # solver's eigh and matrix products depend on the kernel set, and the batch
-# pins cover them; the theory pins do not, and hold under every set.
+# pins cover them; the theory pins do not, and hold under every set.  The
+# kernel set is checked first, so a forced set is named in the skip message
+# whatever the numpy and BLAS versions.
 GOLDEN_BLAS_CORE = "SkylakeX"
 
 
 def _skip_unless_golden_kernels():
-    _skip_unless_golden_environment()
     core = blas_core()
     if core != GOLDEN_BLAS_CORE:
         pytest.skip(
             f"batch pins were recorded on OpenBLAS's {GOLDEN_BLAS_CORE} kernels, "
             f"this is {core}; the solver's last bits depend on the kernel set"
         )
+    _skip_unless_golden_environment()
 
 
 def test_bundled_manifest_hashes_are_pinned(monkeypatch):

@@ -1,9 +1,9 @@
 """Virtual array synthesis for a pair of colinear MIMO radar units.
 
-Element positions live on an integer grid with half-wavelength pitch.  Each
-TX/RX propagation path (two monostatic, two bistatic) contributes virtual
-elements at the pairwise position sums; the union, re-indexed to start at 1,
-is the sparse linear array the rest of the toolkit operates on.
+Element positions live on an integer grid with half-wavelength pitch.  Every
+TX of either unit with every RX of either unit puts a virtual element at the
+sum of their positions; the distinct sums, re-indexed to start at 1, are the
+sparse linear array the rest of the toolkit operates on.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from itertools import product
 
 import numpy as np
 
-PATH_ORDER = ("mono1", "mono2", "bi12", "bi21")
+# The largest virtual aperture m a geometry may span.  The SVT iterate is
+# about m/2 x m/2 complex, 64 MiB at this bound, and its Gram and eigh cost
+# grows as m**3.
+MAX_APERTURE = 4096
 
 
 @dataclass(frozen=True)
@@ -53,65 +56,40 @@ class ArrayGeometry:
     """Synthesized virtual array.
 
     Attributes:
-        m: virtual aperture length after re-indexing (largest virtual index).
+        m: virtual aperture length after re-indexing (largest virtual index),
+            at most MAX_APERTURE.
         omega_prime: sorted 1-based indices of the occupied virtual elements.
-        path_labels: occupied index -> contributing path name; when several
-            paths coincide on one index, the first in PATH_ORDER wins.
-        d0: empty grid slots between the two units (informative only).
-        multiplicity: raw virtual element count before de-duplication.
+        multiplicity: raw TX+RX sum count before de-duplication.
     """
 
     m: int
     omega_prime: tuple[int, ...]
-    path_labels: dict[int, str]
-    d0: int
     multiplicity: int
 
     def __post_init__(self):
         if self.omega_prime[0] != 1 or self.omega_prime[-1] != self.m:
             raise ValueError("omega_prime must be re-indexed to span 1..m")
+        if self.m > MAX_APERTURE:
+            raise ValueError(
+                f"virtual aperture {self.m} exceeds the largest supported "
+                f"aperture {MAX_APERTURE}"
+            )
         if len(self.omega_prime) > self.multiplicity:
             raise ValueError("more distinct elements than raw path sums")
 
 
 def synthesize_virtual_array(radar1: RadarUnit, radar2: RadarUnit) -> ArrayGeometry:
-    """Form the virtual sparse array from the four TX/RX path combinations.
-
-    The unit whose first TX element sits further left is treated as unit 1,
-    so the result is invariant under swapping the arguments.
-    """
-    first, second = sorted(
-        (radar1, radar2), key=lambda r: (r.tx_positions, r.rx_positions)
-    )
-    paths = {
-        "mono1": (first.tx_positions, first.rx_positions),
-        "mono2": (second.tx_positions, second.rx_positions),
-        "bi12": (first.tx_positions, second.rx_positions),
-        "bi21": (second.tx_positions, first.rx_positions),
-    }
-    labels: dict[int, str] = {}
-    multiplicity = 0
-    for name in PATH_ORDER:
-        tx, rx = paths[name]
-        for t, r in product(tx, rx):
-            multiplicity += 1
-            labels.setdefault(t + r, name)
-
-    positions = sorted(labels)
+    """Form the virtual sparse array from every TX+RX position sum over both
+    units: the two monostatic and the two bistatic paths.  The sums do not
+    depend on which unit comes first, so neither does the result."""
+    tx = radar1.tx_positions + radar2.tx_positions
+    rx = radar1.rx_positions + radar2.rx_positions
+    sums = [t + r for t, r in product(tx, rx)]
+    positions = sorted(set(sums))
     offset = positions[0] - 1
     omega_prime = tuple(p - offset for p in positions)
-    path_labels = {p - offset: labels[p] for p in positions}
-    d0 = (
-        min(second.tx_positions + second.rx_positions)
-        - max(first.tx_positions + first.rx_positions)
-        - 1
-    )
     return ArrayGeometry(
-        m=omega_prime[-1],
-        omega_prime=omega_prime,
-        path_labels=path_labels,
-        d0=d0,
-        multiplicity=multiplicity,
+        m=omega_prime[-1], omega_prime=omega_prime, multiplicity=len(sums)
     )
 
 

@@ -52,9 +52,10 @@ class Scenario:
     or an explicit tuple of 1-based virtual antenna indices.  tau/step stay
     None to take the solver's size-derived defaults, and tol/max_iters
     default to the solver's.  The geometry, scene and solver fields are
-    validated by the grid-position rule, TargetScene and SvtConfig, bits by
-    the quantizer's word_levels, placement by placement_to_delta on the
-    scenario's geometry and n_fft by the spectrum's check_n_fft.  Every
+    validated by the grid-position rule and ArrayGeometry's aperture bound,
+    TargetScene and SvtConfig, bits by the quantizer's word_levels,
+    placement by placement_to_delta on the scenario's geometry and n_fft by
+    the spectrum's check_n_fft; each failure names its INI section.  Every
     number must be finite, except snr_db, which may be inf (noiseless) and
     otherwise lies within +-3000 dB, and the seeds must be nonnegative.
 
@@ -91,53 +92,42 @@ class Scenario:
         def fail(msg):
             raise ScenarioError(f"scenario {self.name!r}: {msg}")
 
+        def checked(prefix, check, *args, **kwargs):
+            """check(*args, **kwargs); its ValueError fails the scenario with
+            the message after prefix, which names the INI section."""
+            try:
+                return check(*args, **kwargs)
+            except ValueError as exc:
+                fail(f"{prefix}{exc}")
+
         if not self.name or not self.name.strip():
             raise ScenarioError("scenario name must be nonempty")
-        try:
-            scene = TargetScene(self.angles_deg, self.amplitudes, self.snr_db)
-        except ValueError as exc:
-            fail(f"[scene] {exc}")
+        scene = checked(
+            "[scene] ", TargetScene, self.angles_deg, self.amplitudes, self.snr_db
+        )
         object.__setattr__(self, "scene", scene)
         object.__setattr__(self, "angles_deg", scene.angles_deg)
         object.__setattr__(self, "amplitudes", scene.amplitudes)
         for key in ("tx1", "rx1", "tx2", "rx2"):
-            try:
-                object.__setattr__(self, key, grid_positions(getattr(self, key)))
-            except ValueError as exc:
-                fail(f"[geometry] {key}: {exc}")
-        try:
-            object.__setattr__(self, "geometry", geometry_of(self))
-        except ValueError as exc:
-            fail(f"[geometry] {exc}")
-        try:
-            word_levels(self.bits)
-        except ValueError as exc:
-            fail(f"[quant] bits: {exc}")
-        try:
-            check_margin(self.margin)
-        except ValueError as exc:
-            fail(f"[quant] {exc}")
+            pos = checked(f"[geometry] {key}: ", grid_positions, getattr(self, key))
+            object.__setattr__(self, key, pos)
+        object.__setattr__(self, "geometry", checked("[geometry] ", geometry_of, self))
+        checked("[quant] bits: ", word_levels, self.bits)
+        checked("[quant] ", check_margin, self.margin)
         if not isinstance(self.placement, str):
             object.__setattr__(self, "placement", tuple(int(a) for a in self.placement))
-        try:
-            multi_bit = placement_to_delta(self.placement, self.geometry)
-        except ScenarioError as exc:
-            fail(f"[quant] placement: {exc}")
+        multi_bit = checked(
+            "[quant] placement: ", placement_to_delta, self.placement, self.geometry
+        )
         # The runs of a batch share it across threads.
         multi_bit.flags.writeable = False
         object.__setattr__(self, "multi_bit", multi_bit)
-        try:
-            svt = SvtConfig(
-                tau=self.tau, step=self.step, tol=self.tol,
-                max_iters=self.max_iters, change_tol=CHANGE_TOL,
-            )
-        except ValueError as exc:
-            fail(f"[svt] {exc}")
+        svt = checked(
+            "[svt] ", SvtConfig, tau=self.tau, step=self.step, tol=self.tol,
+            max_iters=self.max_iters, change_tol=CHANGE_TOL,
+        )
         object.__setattr__(self, "svt", svt)
-        try:
-            check_n_fft(self.n_fft, self.geometry.m)
-        except ValueError as exc:
-            fail(f"[spectrum] {exc}")
+        checked("[spectrum] ", check_n_fft, self.n_fft, self.geometry.m)
         if self.runs < 1:
             fail("[scenario] runs: must be at least 1")
         for key, seed in (("signal", self.seed_signal), ("dither", self.seed_dither)):

@@ -93,7 +93,8 @@ def synthesize_snapshot(
 
     Draw order from the seeded generator is fixed: amplitude phases first
     (only when the scene leaves amplitudes unset), then noise, so identical
-    seeds give bitwise-identical snapshots.
+    seeds give bitwise-identical snapshots.  A scene whose signal, signal
+    power or noise scale overflows a double raises ValueError.
     """
     p = len(scene.angles_deg)
     if p > geom.m:
@@ -104,17 +105,25 @@ def synthesize_snapshot(
         amps = np.exp(2j * np.pi * rng.random(p))
     else:
         amps = np.asarray(scene.amplitudes, dtype=np.complex128)
-    clean = a @ amps
-
-    if math.isinf(scene.snr_db):
-        noise = np.zeros(geom.m, dtype=np.complex128)
-    else:
-        sig_power = float(np.mean(np.abs(clean) ** 2))
-        sigma2 = sig_power / (10.0 ** (scene.snr_db / 10.0))
-        scale = math.sqrt(sigma2 / 2.0)
-        noise = scale * (rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m))
-
-    full_values = clean + noise
+    # An overflow anywhere below leaves an inf or nan in full_values, which
+    # the check after the block reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = a @ amps
+        if math.isinf(scene.snr_db):
+            noise = np.zeros(geom.m, dtype=np.complex128)
+        else:
+            sig_power = float(np.mean(np.abs(clean) ** 2))
+            sigma2 = sig_power / (10.0 ** (scene.snr_db / 10.0))
+            scale = math.sqrt(sigma2 / 2.0)
+            noise = scale * (
+                rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)
+            )
+        full_values = clean + noise
+    if not np.all(np.isfinite(full_values)):
+        raise ValueError(
+            f"amplitudes {scene.amplitudes} at snr_db {scene.snr_db} overflow "
+            "the snapshot: the signal, its power or the noise scale is not finite"
+        )
     mask = masking_vector(geom)
     full = Snapshot(full_values, np.ones(geom.m, dtype=np.int8), SnapshotKind.FULL)
     masked = Snapshot(full_values * mask, mask, SnapshotKind.MASKED)

@@ -13,6 +13,10 @@ from .signal import Snapshot, SnapshotKind
 # Bins on each side of a peak that max_sidelobe_db counts as its mainlobe.
 GUARD_BINS = 2
 
+# The longest transform check_n_fft allows: 16 times the largest aperture
+# (geometry.MAX_APERTURE), a 1 MiB complex spectrum.
+MAX_N_FFT = 65536
+
 
 class SpectrumSource(str, Enum):
     SLA_ZERO_FILLED = "sla_zero_filled"
@@ -42,9 +46,11 @@ class PeakSet:
 
 def check_n_fft(n_fft: int, m: int) -> None:
     """The transform-length rule: a power of two no shorter than the
-    aperture length m."""
+    aperture length m and no longer than MAX_N_FFT."""
     if n_fft < 2 or n_fft & (n_fft - 1) != 0:
         raise ValueError("n_fft: must be a power of two")
+    if n_fft > MAX_N_FFT:
+        raise ValueError(f"n_fft: {n_fft} exceeds the longest transform {MAX_N_FFT}")
     if n_fft < m:
         raise ValueError(f"n_fft: {n_fft} is shorter than the aperture {m}")
 

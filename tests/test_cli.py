@@ -398,18 +398,19 @@ def test_overflowing_step_is_numerical_failure(tmp_path, capfd, step):
     assert "DLASCL" not in err
 
 
-def _snr_ini(tmp_path, snr_db):
-    path = tmp_path / "snr.ini"
-    path.write_text(
-        f"[scene]\nangles_deg = -34.0, 18.0\nsnr_db = {snr_db}\n", encoding="utf-8"
-    )
+def _ini(tmp_path, extra):
+    """A two-target scenario file, scenario.ini, whose [scene] section is
+    followed by the INI text extra."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(f"[scene]\nangles_deg = -34.0, 18.0\n{extra}", encoding="utf-8")
     return str(path)
 
 
 @pytest.mark.parametrize("snr_db", ["-4000", "3100"])
 def test_snr_beyond_range_is_usage_error(tmp_path, capsys, snr_db):
     out = tmp_path / "s.csv"
-    assert main(["synth", _snr_ini(tmp_path, snr_db), "--out", str(out)]) == 2
+    path = _ini(tmp_path, f"snr_db = {snr_db}\n")
+    assert main(["synth", path, "--out", str(out)]) == 2
     assert "[scene] snr_db" in capsys.readouterr().err
     assert not out.exists()
 
@@ -417,7 +418,8 @@ def test_snr_beyond_range_is_usage_error(tmp_path, capsys, snr_db):
 @pytest.mark.parametrize("snr_db", ["-3000", "3000", "300"])
 def test_snr_at_the_range_ends_synthesizes(tmp_path, snr_db):
     out = tmp_path / "s.csv"
-    assert main(["synth", _snr_ini(tmp_path, snr_db), "--out", str(out)]) == 0
+    path = _ini(tmp_path, f"snr_db = {snr_db}\n")
+    assert main(["synth", path, "--out", str(out)]) == 0
     assert np.all(np.isfinite(read_snapshot_csv(str(out)).values))
 
 
@@ -448,10 +450,11 @@ def test_low_snr_with_the_default_step_completes(tmp_path, capfd, snr_db):
     at first and the dual update y <- (1 - step) y + step b contracts only
     for step < 2.  The size-derived step is about 3.57 on this geometry; the
     default caps it at 1.9, so every run completes with a finite trace."""
+    path = _ini(tmp_path, f"snr_db = {snr_db}\n")
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["run", _snr_ini(tmp_path, snr_db), "--runs", "2", "--out", str(out)])
+        code = main(["run", path, "--runs", "2", "--out", str(out)])
     assert code == 0
     assert caught == []
     assert "DLASCL" not in capfd.readouterr().err
@@ -460,6 +463,61 @@ def test_low_snr_with_the_default_step_completes(tmp_path, capfd, snr_db):
     assert len(runs) == 2
     for run in runs:
         assert math.isfinite(float(run["final_residual"]))
+
+
+@pytest.mark.parametrize(
+    "amplitudes, snr_db",
+    [("1e200, 1e200", "20"), ("1e5, 1e5", "-3000")],
+    ids=["signal", "noise"],
+)
+def test_overflowing_scene_is_its_own_error(tmp_path, capfd, amplitudes, snr_db):
+    """The signal power (1e400) or the noise variance (1e310) of these scenes
+    overflows a double; the run names the scene instead of failing later on
+    an unrelated check, and no numpy warning is printed."""
+    path = _ini(tmp_path, f"amplitudes = {amplitudes}\nsnr_db = {snr_db}\n")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    (line,) = capfd.readouterr().err.splitlines()
+    assert line.startswith("error: amplitudes (")
+    assert line.endswith(
+        f"at snr_db {float(snr_db)} overflow the snapshot: the signal, its power "
+        "or the noise scale is not finite"
+    )
+
+
+# Each asks for arrays of terabytes and fails with one line before
+# allocating them.
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("[spectrum]\nn_fft = 1099511627776\n",
+         "[spectrum] n_fft: 1099511627776 exceeds the longest transform 65536"),
+        ("[geometry]\ntx2 = 51, 67, 1000000000000\n",
+         "[geometry] virtual aperture 1000000000074 exceeds the largest supported "
+         "aperture 4096"),
+    ],
+    ids=["n_fft", "aperture"],
+)
+def test_oversized_scenario_is_usage_error(tmp_path, capfd, extra, message):
+    out = tmp_path / "out"
+    assert main(["run", _ini(tmp_path, extra), "--out", str(out)]) == 2
+    assert capfd.readouterr().err.splitlines() == [
+        f"configuration error: scenario 'scenario': {message}"
+    ]
+    assert not out.exists()
+
+
+def test_oversized_transform_is_usage_error(tmp_path, capfd):
+    snap = tmp_path / "s.csv"
+    assert main(["synth", "two_targets_first4", "--out", str(snap)]) == 0
+    capfd.readouterr()
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--snapshot", str(snap), "--n-fft", str(2**40), "--out", str(out)]
+    assert main(argv) == 2
+    assert capfd.readouterr().err.splitlines() == [
+        "error: n_fft: 1099511627776 exceeds the longest transform 65536"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "complete"])

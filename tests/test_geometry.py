@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hankeldoa.geometry import (
+    MAX_APERTURE,
     ArrayGeometry,
     RadarUnit,
     masking_vector,
@@ -28,10 +29,6 @@ def test_reference_counts(two_unit_geom):
     assert hankel_shape(two_unit_geom.m) == (75, 75)
 
 
-def test_reference_gap_between_units(two_unit_geom):
-    assert two_unit_geom.d0 == 25
-
-
 def test_first_and_last_occupied_positions(two_unit_geom):
     assert two_unit_geom.omega_prime[:4] == (1, 6, 7, 8)
     assert two_unit_geom.omega_prime[-4:] == (142, 143, 144, 149)
@@ -40,20 +37,10 @@ def test_first_and_last_occupied_positions(two_unit_geom):
 def test_single_coincidence_from_both_bistatic_paths(two_unit_geom):
     assert two_unit_geom.multiplicity - len(two_unit_geom.omega_prime) == 1
     # raw position 76 = 1+75 (bi12) = 75+1 (bi21); re-indexed by the offset 1
-    assert two_unit_geom.path_labels[75] == "bi12"
+    assert 75 in two_unit_geom.omega_prime
     raw_bi12 = {t + r for t in TX1 for r in RX2}
     raw_bi21 = {t + r for t in TX2 for r in RX1}
     assert 76 in raw_bi12 and 76 in raw_bi21
-
-
-def test_path_labels_cover_all_elements(two_unit_geom):
-    assert set(two_unit_geom.path_labels) == set(two_unit_geom.omega_prime)
-    assert set(two_unit_geom.path_labels.values()) <= {
-        "mono1",
-        "mono2",
-        "bi12",
-        "bi21",
-    }
 
 
 def test_argument_order_invariance():
@@ -72,16 +59,17 @@ def test_reindexing_preserves_pairwise_gaps(two_unit_geom):
 
 
 def test_masking_vector_small_cases():
-    g2 = ArrayGeometry(
-        m=2, omega_prime=(1, 2), path_labels={1: "mono1", 2: "mono1"},
-        d0=0, multiplicity=2,
-    )
+    g2 = ArrayGeometry(m=2, omega_prime=(1, 2), multiplicity=2)
     assert masking_vector(g2).tolist() == [1, 1]
-    g3 = ArrayGeometry(
-        m=3, omega_prime=(1, 3), path_labels={1: "mono1", 3: "mono1"},
-        d0=0, multiplicity=2,
-    )
+    g3 = ArrayGeometry(m=3, omega_prime=(1, 3), multiplicity=2)
     assert masking_vector(g3).tolist() == [1, 0, 1]
+
+
+def test_aperture_is_bounded():
+    top = MAX_APERTURE
+    assert ArrayGeometry(m=top, omega_prime=(1, top), multiplicity=2).m == top
+    with pytest.raises(ValueError, match="virtual aperture 4097 exceeds the largest"):
+        ArrayGeometry(m=top + 1, omega_prime=(1, top + 1), multiplicity=2)
 
 
 def test_masking_vector_reference(two_unit_geom):

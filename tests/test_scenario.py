@@ -114,26 +114,49 @@ def test_unparseable_values_rejected():
         parse_scenario(MINIMAL.replace("-34.0, 18.0", "north"))
 
 
+# Every section-prefixed message Scenario gives, in full: (fields, message).
+SECTION_MESSAGES = [
+    ({"angles_deg": (1.0, 2.0), "amplitudes": (1 + 0j,)},
+     "[scene] amplitudes and angles must have equal length"),
+    ({"snr_db": -4000.0},
+     "[scene] snr_db must lie within +-3000 dB, or be inf for no noise"),
+    ({"tx1": (0, 2)}, "[geometry] tx1: must be positive, got (0, 2)"),
+    ({"tx1": ()}, "[geometry] tx1: must contain at least one element"),
+    ({"tx1": (1.5,)}, "[geometry] tx1: must be integers, got (1.5,)"),
+    ({"rx2": (5, 3)}, "[geometry] rx2: must be strictly increasing, got (5, 3)"),
+    ({"tx2": (51, 67, 10**12)},
+     "[geometry] virtual aperture 1000000000074 exceeds the largest supported "
+     "aperture 4096"),
+    ({"bits": 1}, "[quant] bits: word length must lie in 2..32 bits, got 1"),
+    ({"margin": -0.05}, "[quant] margin: must be nonnegative and finite"),
+    ({"margin": np.nan}, "[quant] margin: must be nonnegative and finite"),
+    ({"margin": np.inf}, "[quant] margin: must be nonnegative and finite"),
+    ({"placement": "middle4"},
+     "[quant] placement: 'middle4' is not one of ('edges', 'last4', 'first4') "
+     "or an explicit antenna list"),
+    ({"placement": (3, 3)}, "[quant] placement: explicit list has repeats"),
+    ({"placement": ()}, "[quant] placement: explicit list must be nonempty"),
+    ({"placement": (2,)},
+     "[quant] placement: antennas [2] are not observed virtual elements"),
+    ({"tau": -1.0}, "[svt] tau must be positive and finite"),
+    ({"step": np.nan}, "[svt] step must be positive and finite"),
+    ({"tol": 0.0}, "[svt] tol must be positive and finite"),
+    ({"max_iters": 0}, "[svt] max_iters must be at least 1"),
+    ({"n_fft": 1000}, "[spectrum] n_fft: must be a power of two"),
+    ({"n_fft": 128}, "[spectrum] n_fft: 128 is shorter than the aperture 149"),
+    ({"n_fft": 2**40},
+     "[spectrum] n_fft: 1099511627776 exceeds the longest transform 65536"),
+    ({"runs": 0}, "[scenario] runs: must be at least 1"),
+    ({"seed_signal": -1}, "[seeds] signal: must be nonnegative"),
+    ({"seed_dither": -1}, "[seeds] dither: must be nonnegative"),
+]
+
+
 def test_field_validation_messages_name_section():
-    with pytest.raises(ScenarioError, match=r"\[quant\] bits"):
-        Scenario(name="x", angles_deg=(1.0,), bits=1)
-    for margin in (-0.05, np.nan, np.inf):
-        with pytest.raises(
-            ScenarioError, match=r"\[quant\] margin: must be nonnegative and finite"
-        ):
-            Scenario(name="x", angles_deg=(1.0,), margin=margin)
-    with pytest.raises(ScenarioError, match=r"\[svt\] tol"):
-        Scenario(name="x", angles_deg=(1.0,), tol=0.0)
-    with pytest.raises(ScenarioError, match=r"\[spectrum\] n_fft"):
-        Scenario(name="x", angles_deg=(1.0,), n_fft=1000)
-    with pytest.raises(ScenarioError, match=r"\[scenario\] runs"):
-        Scenario(name="x", angles_deg=(1.0,), runs=0)
-    with pytest.raises(ScenarioError, match=r"\[quant\] placement"):
-        Scenario(name="x", angles_deg=(1.0,), placement="middle4")
-    with pytest.raises(ScenarioError, match=r"\[quant\] placement"):
-        Scenario(name="x", angles_deg=(1.0,), placement=(3, 3))
-    with pytest.raises(ScenarioError, match=r"\[scene\] amplitudes"):
-        Scenario(name="x", angles_deg=(1.0, 2.0), amplitudes=(1 + 0j,))
+    for fields, message in SECTION_MESSAGES:
+        with pytest.raises(ScenarioError) as caught:
+            Scenario(**{"name": "x", "angles_deg": (1.0,), **fields})
+        assert str(caught.value) == f"scenario 'x': {message}"
 
 
 def test_word_length_beyond_range_is_a_quant_error():

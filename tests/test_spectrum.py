@@ -6,6 +6,7 @@ import pytest
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 from hankeldoa.spectrum import (
     GUARD_BINS,
+    MAX_N_FFT,
     AngleSpectrum,
     SpectrumSource,
     angle_spectrum,
@@ -94,6 +95,9 @@ def test_validation_errors(two_unit_geom):
             check_n_fft(n_fft, 1)
         with pytest.raises(ValueError, match="n_fft: must be a power of two"):
             angle_spectrum(full, n_fft)
+    check_n_fft(MAX_N_FFT, 1)
+    with pytest.raises(ValueError, match="n_fft: 131072 exceeds the longest transform"):
+        angle_spectrum(full, 2 * MAX_N_FFT)
     zero = Snapshot(
         np.zeros(4, dtype=complex), np.ones(4, dtype=np.int8), SnapshotKind.FULL
     )

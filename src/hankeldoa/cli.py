@@ -9,18 +9,19 @@ to Scenario.n_fft) through the snapshot CSV interchange format; `scenarios`
 lists the bundled scenario names.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
-(divergence, an all-zero completion, dynamic-range violation, or a failed
-theory check).
+(divergence, nonzero data whose norm underflows, an all-zero completion,
+dynamic-range violation, or a failed theory check).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import pipeline
-from .completion import SvtDivergenceError, SvtZeroIterateError
+from .completion import SvtDivergenceError, SvtUnderflowError, SvtZeroIterateError
 from .quant import DynamicRangeViolation, check_precision_classes
 from .scenario import (
     Scenario,
@@ -141,6 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=cmd_scenarios)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser: built by build_parser on the first call, then reused,
+    so in-process callers of main pay for the build once.  The parser binds
+    each subcommand's cmd_* handler when it is built: a cmd_* function
+    replaced after the first call is not the one main runs."""
+    return build_parser()
 
 
 def _load(args) -> Scenario:
@@ -281,11 +291,12 @@ def cmd_scenarios(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SvtDivergenceError, SvtZeroIterateError, DynamicRangeViolation) as exc:
+    except (
+        SvtDivergenceError, SvtUnderflowError, SvtZeroIterateError, DynamicRangeViolation
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ScenarioError as exc:

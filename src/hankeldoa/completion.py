@@ -111,6 +111,18 @@ class SvtZeroIterateError(RuntimeError):
         )
 
 
+class SvtUnderflowError(RuntimeError):
+    """The observed data is nonzero, but its norm underflows to 0, so the
+    solver has no scale for its relative residual."""
+
+    def __init__(self, peak: float):
+        self.peak = peak
+        super().__init__(
+            f"the norm of the observed data underflows to 0 (largest magnitude "
+            f"{peak:.3g}); the relative residual is undefined"
+        )
+
+
 @dataclass
 class CompletionResult:
     matrix: np.ndarray
@@ -135,8 +147,10 @@ def svt_iterate(
     being "residual", "change" or "max_iters".  The traces end at the
     stopping iterate, so their length is the iteration count.  The solver sees
     only the observed values; how they were produced does not enter.  Raises
-    SvtDivergenceError when the residual runs away or the iterate overflows,
-    and SvtZeroIterateError when nonzero data leaves the iterate at zero.
+    SvtDivergenceError when the data's norm, the residual or the iterate runs
+    away or overflows, SvtUnderflowError when the norm of nonzero data
+    underflows to 0, and SvtZeroIterateError when nonzero data leaves the
+    iterate at zero.
     """
     values = np.asarray(values, dtype=np.complex128)
     observed = np.asarray(observed, dtype=bool)
@@ -153,9 +167,8 @@ def svt_iterate(
     )
 
     b = values[observed]
-    b_norm = float(np.linalg.norm(b))
     zero = np.zeros_like(values)
-    if b_norm == 0.0:
+    if not b.any():
         return zero, np.zeros(1), np.zeros(1, dtype=np.int64), "residual"
 
     y = np.zeros(m_obs, dtype=np.complex128)
@@ -166,11 +179,15 @@ def svt_iterate(
     stop_reason = "max_iters"
     high_streak = 0
 
-    # An overflow or a NaN anywhere in the iteration means the dual variable
-    # ran away (a step far too large).  Raising at the first one reports the
+    # An overflow or a NaN anywhere, from the data's norm on, means the data's
+    # squared norm or the dual variable left a double's range (data near 1e154
+    # and up, or a step far too large).  Raising at the first one reports the
     # divergence without a warning and before LAPACK sees a non-finite matrix.
     try:
         with np.errstate(over="raise", invalid="raise"):
+            b_norm = float(np.linalg.norm(b))
+            if b_norm == 0.0:
+                raise SvtUnderflowError(float(np.abs(b).max()))
             scratch[observed] = step * b
             sigma_c = float(np.linalg.norm(scratch, 2))
             if not math.isfinite(sigma_c):

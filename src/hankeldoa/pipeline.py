@@ -27,7 +27,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -142,32 +141,33 @@ def read_snapshot_csv(path: str) -> Snapshot:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_text(dtype: str, shape: tuple, data: bytes) -> tuple[tuple, tuple]:
-    """The u and theta_deg columns of a spectrum grid, given by its dtype,
-    shape and bytes, as %.17g text.  Cached: the spectra of a batch share
-    one grid."""
+def _spectrum_template(dtype: str, shape: tuple, data: bytes, source: str) -> str:
+    """The rows of a spectrum on the grid given by its dtype, shape and
+    bytes, as one % template: u and theta_deg as %.17g text, a %.17g
+    conversion for each magnitude, and the source tag (a SpectrumSource
+    value, which holds no %).  Cached: the spectra of a batch share one grid
+    and two sources."""
     u = np.frombuffer(data, dtype=dtype).reshape(shape)
     theta = np.degrees(np.arcsin(u))
-    return tuple(_FLOAT % v for v in u.tolist()), tuple(_FLOAT % v for v in theta.tolist())
+    return "".join(
+        f"{_FLOAT % a},{_FLOAT % b},{_FLOAT},{source}\n"
+        for a, b in zip(u.tolist(), theta.tolist())
+    )
 
 
 def write_spectra_csv(path: str, spectra: list[AngleSpectrum]) -> None:
-    """Spectrum export: (u, theta_deg, magnitude_db, source)."""
+    """Spectrum export: (u, theta_deg, magnitude_db, source), each spectrum
+    filled into its grid's cached template with one %."""
 
-    def grid_text(u):
-        return _grid_text(u.dtype.str, u.shape, u.tobytes())
+    def rows(spec):
+        u = spec.u_grid
+        template = _spectrum_template(u.dtype.str, u.shape, u.tobytes(), spec.source.value)
+        return template % tuple(spec.magnitude_db.tolist())
 
-    rows = chain.from_iterable(
-        zip(
-            *grid_text(spec.u_grid),
-            spec.magnitude_db.tolist(),
-            repeat(spec.source.value),
-        )
-        for spec in spectra
-    )
-    # u and theta_deg arrive as text already.
-    columns = {"u": _STR, "theta_deg": _STR, "magnitude_db": _FLOAT, "source": _STR}
-    _write_csv(path, columns, rows)
+    body = "".join(rows(spec) for spec in spectra)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("u,theta_deg,magnitude_db,source\n")
+        fh.write(body)
 
 
 def write_trace_csv(path: str, residuals: np.ndarray, ranks: np.ndarray) -> None:

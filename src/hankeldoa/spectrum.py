@@ -90,12 +90,13 @@ def find_peaks(spec: AngleSpectrum, count: int) -> PeakSet:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    db = spec.magnitude_db
+    db, u = spec.magnitude_db, spec.u_grid
     idx = local_maxima(spec)
-    order = sorted(idx, key=lambda i: (-db[i], abs(spec.u_grid[i])))
-    chosen = [int(i) for i in order[:count]]
+    # lexsort sorts by its last key first and is stable, so maxima of equal
+    # level and equal |u| (mirrored +-u bins) stay in index order.
+    chosen = idx[np.lexsort((np.abs(u[idx]), -db[idx]))][:count].tolist()
     peaks = [
-        (float(np.degrees(np.arcsin(spec.u_grid[i]))), float(db[i])) for i in chosen
+        (float(np.degrees(np.arcsin(u[i]))), float(db[i])) for i in chosen
     ]
     return PeakSet(peaks, bins=chosen, complete=len(peaks) == count)
 

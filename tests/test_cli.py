@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hankeldoa import pipeline
-from hankeldoa.cli import main
+from hankeldoa import cli, pipeline
+from hankeldoa.cli import build_parser, main
 from hankeldoa.completion import (
     SvtDivergenceError,
     build_quantized_hankel,
@@ -21,6 +21,7 @@ from hankeldoa.pipeline import read_snapshot_csv
 from hankeldoa.quant import QuantScheme, design_scales, word_levels
 from hankeldoa.scenario import load_bundled, scenario_to_ini, with_overrides
 from hankeldoa.signal import synthesize_snapshot
+from hankeldoa.spectrum import angle_spectrum
 
 DIVERGENT_INI = """
 [scenario]
@@ -485,6 +486,28 @@ def test_overflowing_scene_is_its_own_error(tmp_path, capfd, amplitudes, snr_db)
     )
 
 
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ("1e200, 1e200", "completion diverged after 0 iterations"),
+        ("1e-300, 1e-300", "the norm of the observed data underflows to 0 ("),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_data_norm_out_of_range_is_numerical_failure(tmp_path, capfd, amplitudes,
+                                                      message):
+    """The squared norm of these noiseless scenes' observations overflows or
+    underflows a double.  Either is a typed completion failure: one line on
+    stderr and no numpy warning."""
+    path = _ini(tmp_path, f"amplitudes = {amplitudes}\nsnr_db = inf\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", path, "--runs", "1", "--out", str(tmp_path / "out")])
+    assert code == 3
+    (line,) = capfd.readouterr().err.splitlines()
+    assert line.startswith(f"numerical failure: {message}")
+
+
 # Each asks for arrays of terabytes and fails with one line before
 # allocating them.
 @pytest.mark.parametrize(
@@ -543,6 +566,42 @@ def test_failure_in_a_later_run_is_numerical_failure(tmp_path, capsys, monkeypat
                  "--runs", "2"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_spectrum_after_a_usage_error(tmp_path, capsys):
+    """main's parser is reused: a call that exits 2 in argparse leaves it
+    able to parse the next."""
+    snap = tmp_path / "s.csv"
+    assert main(["synth", "two_targets_first4", "--out", str(snap)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum"])
+    assert exc.value.code == 2
+    assert "--snapshot" in capsys.readouterr().err
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--snapshot", str(snap), "--peaks", "2", "--out", str(out)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        f"wrote {out} (sla_zero_filled, 1024 bins)", "peak 1", "peak 2"
+    ]
+    direct = tmp_path / "direct.csv"
+    pipeline.write_spectra_csv(str(direct), [angle_spectrum(read_snapshot_csv(str(snap)), 1024)])
+    assert out.read_bytes() == direct.read_bytes()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    builds = []
+
+    def counting():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert main(["scenarios"]) == 0
+        assert main(["scenarios"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
 
 
 def test_argparse_rejects_zero_trials():

@@ -573,6 +573,67 @@ def test_spectra_csv_schema(first4_scenario, tmp_path, two_unit_geom):
     assert float(theta0) == -90.0
 
 
+def _per_row_spectra_csv(spectra) -> str:
+    """One % conversion per row: the rule write_spectra_csv's cached row
+    templates must reproduce byte for byte."""
+    lines = ["u,theta_deg,magnitude_db,source\n"]
+    for spec in spectra:
+        theta = np.degrees(np.arcsin(spec.u_grid))
+        for u, t, db in zip(spec.u_grid.tolist(), theta.tolist(), spec.magnitude_db.tolist()):
+            lines.append("%.17g,%.17g,%.17g,%s\n" % (u, t, db, spec.source.value))
+    return "".join(lines)
+
+
+def _two_snapshots(two_unit_geom, seed=0):
+    return synthesize_snapshot(
+        TargetScene((-34.0, 18.0), amplitudes=(1 + 0j, 1 + 0j), snr_db=20.0),
+        two_unit_geom,
+        seed=seed,
+    )
+
+
+def test_spectra_csv_two_sources_on_one_grid(tmp_path, two_unit_geom):
+    from hankeldoa.spectrum import angle_spectrum
+
+    full, masked = _two_snapshots(two_unit_geom)
+    spectra = [angle_spectrum(masked, 1024), angle_spectrum(full, 1024)]
+    path = tmp_path / "spec.csv"
+    write_spectra_csv(str(path), spectra)
+    assert path.read_text(encoding="utf-8") == _per_row_spectra_csv(spectra)
+
+
+def test_spectra_csv_alternating_grids(tmp_path, two_unit_geom):
+    """Grids of 512 and 1024 points, written in turn by one process, each
+    get their own row template."""
+    from hankeldoa.spectrum import angle_spectrum
+
+    path = tmp_path / "spec.csv"
+    for seed, n_fft in enumerate([512, 1024, 512, 1024, 1024, 512]):
+        full, masked = _two_snapshots(two_unit_geom, seed)
+        spectra = [angle_spectrum(masked, n_fft), angle_spectrum(full, n_fft)]
+        write_spectra_csv(str(path), spectra)
+        assert path.read_text(encoding="utf-8") == _per_row_spectra_csv(spectra)
+    mixed = [angle_spectrum(full, 1024), angle_spectrum(masked, 512)]
+    write_spectra_csv(str(path), mixed)
+    assert path.read_text(encoding="utf-8") == _per_row_spectra_csv(mixed)
+
+
+def test_spectra_csv_spells_minus_infinity(tmp_path):
+    """An exact spectral null has magnitude_db -inf."""
+    from hankeldoa.spectrum import AngleSpectrum, SpectrumSource
+
+    u = np.fft.fftshift(np.fft.fftfreq(16, d=0.5))
+    db = np.full(16, -12.5)
+    db[[0, 7, 15]] = -np.inf
+    db[8] = 0.0
+    spec = AngleSpectrum(u, db, SpectrumSource.COMPLETED)
+    path = tmp_path / "spec.csv"
+    write_spectra_csv(str(path), [spec])
+    text = path.read_text(encoding="utf-8")
+    assert text == _per_row_spectra_csv([spec])
+    assert text.count(",-inf,completed\n") == 3
+
+
 def test_trace_csv_is_one_based(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), np.array([0.5, 0.25]), np.array([3, 2]))

@@ -135,6 +135,25 @@ def test_find_peaks_breaks_ties_toward_broadside():
     assert abs(spec.u_grid[peaks.bins[0]]) < abs(spec.u_grid[peaks.bins[1]])
 
 
+def test_find_peaks_keeps_index_order_for_mirrored_ties():
+    """Maxima of equal level at mirrored +-u bins have equal |u|: the lower
+    index comes first, as a stable sort on (-level, |u|) puts it."""
+    spec = crafted([-30.0, -30.0, -5.0, -30.0, -30.0, -30.0, -5.0, -30.0])
+    assert spec.u_grid[2] == -spec.u_grid[6]
+    assert find_peaks(spec, 2).bins == [2, 6]
+
+
+def test_find_peaks_order_matches_a_stable_sort():
+    """Levels drawn from three values tie often, mirrored bins included."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        spec = crafted(rng.integers(-3, 0, 64).astype(float))
+        db, u = spec.magnitude_db, spec.u_grid
+        idx = local_maxima(spec)
+        oracle = sorted(idx.tolist(), key=lambda i: (-db[i], abs(u[i])))
+        assert find_peaks(spec, idx.size).bins == oracle
+
+
 def test_peak_angles_match_grid():
     spec = crafted([-30.0, -10.0, -30.0, -30.0, 0.0, -30.0, -30.0, -30.0])
     peaks = find_peaks(spec, 1)

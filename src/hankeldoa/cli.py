@@ -20,8 +20,11 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from . import pipeline
 from .completion import SvtDivergenceError, SvtUnderflowError, SvtZeroIterateError
+from .geometry import masking_vector
 from .quant import DynamicRangeViolation, check_precision_classes
 from .scenario import (
     Scenario,
@@ -30,6 +33,7 @@ from .scenario import (
     load_scenario,
     with_overrides,
 )
+from .signal import SnapshotKind
 from .spectrum import angle_spectrum, find_peaks
 from .theory import DITHER_TRIALS, EMBEDDING_TRIALS, SAMPLING_TRIALS
 
@@ -180,6 +184,10 @@ def _stage_input(args):
     run = args.run or 0
     if snapshot:
         masked = pipeline.read_snapshot_csv(snapshot)
+        if np.array_equal(masked.mask, masking_vector(scn.geometry)):
+            # read_snapshot_csv types an all-ones mask as full, and on a
+            # gapless geometry that is the scenario's own mask.
+            masked.kind = SnapshotKind.MASKED
         try:
             check_precision_classes(masked, scn.multi_bit)
         except ValueError as exc:
@@ -208,8 +216,7 @@ def cmd_run(args) -> int:
             f"sidelobe margin {r.sidelobe_margin_db:5.2f} dB, "
             f"iters {r.iters} ({r.stop_reason})"
         )
-    out_dir = args.out if args.out else scn.out_dir
-    print(f"wrote {len(manifest.outputs)} files to {out_dir}")
+    print(f"wrote {len(manifest.outputs)} files to {manifest.out_dir}")
     print(f"manifest hash {manifest.manifest_hash}")
     return 0
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .hankel import HankelView, antenna_index, dehankelize, lift
+from .hankel import HankelView, dehankelize, lift
 from .quant import QuantScheme, check_one_bit_range, check_precision_classes, quantize_cells
 # Not called here; the benchmark's tracer looks the name up on this module.
 from .quant import uniform_quantize
@@ -266,13 +266,16 @@ def build_quantized_hankel(masked: Snapshot, scheme: QuantScheme) -> HankelView:
     The step size of a cell follows its antenna's precision class.  Dithers
     are two full-grid uniform fields, one per step size, drawn from
     scheme.dither_seed in a fixed order, so the output is a pure function of
-    (masked, scheme).
+    (masked, scheme).  The one-bit range is checked on the antennas before
+    the lift: each cell repeats its antenna's value, and the smallest
+    offending antenna holds the first offending cell in row-major order.
     """
-    check_precision_classes(masked, scheme.delta_indicator)
-    view = lift(masked, scheme.delta_indicator)
+    ind = scheme.delta_indicator
+    check_precision_classes(masked, ind)
+    coarse = (masked.mask == 1) & (ind == 0)
+    check_one_bit_range(masked.values, coarse, scheme.delta1 / 2.0)
+    view = lift(masked, ind)
     n1, n2 = view.n1, view.n2
-    antenna = antenna_index(n1, n2) + 1
-    check_one_bit_range(view.matrix, view.omega1, scheme.delta1 / 2.0, antenna)
 
     rng = np.random.default_rng(scheme.dither_seed)
     tau1 = scheme.delta1 * (
@@ -283,7 +286,7 @@ def build_quantized_hankel(masked: Snapshot, scheme: QuantScheme) -> HankelView:
     )
     tau = np.where(view.omega2, tau2, tau1)
     q = quantize_cells(view.matrix, view.omega, view.omega2, tau, scheme)
-    return HankelView(q, view.omega, view.omega1, view.omega2)
+    return HankelView(q, view.omega, view.omega2)
 
 
 def rank_projected_snapshot(matrix: np.ndarray, rank: int) -> Snapshot:

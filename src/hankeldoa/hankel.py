@@ -31,28 +31,30 @@ def antenna_index(n1: int, n2: int) -> np.ndarray:
 class HankelView:
     """Hankel matrix plus boolean cell masks for the observed anti-diagonals.
 
-    omega marks all observed cells; omega2 the multi-bit ones, omega1 the
-    one-bit remainder (omega = omega1 | omega2, disjoint).
+    omega marks all observed cells and omega2, inside it, the multi-bit ones;
+    the one-bit cells omega1 are the rest of omega.
     """
 
     matrix: np.ndarray
     omega: np.ndarray
-    omega1: np.ndarray
     omega2: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
         if self.matrix.ndim != 2:
             raise ValueError("matrix must be 2-d")
-        for name in ("omega", "omega1", "omega2"):
+        for name in ("omega", "omega2"):
             arr = np.asarray(getattr(self, name), dtype=bool)
             if arr.shape != self.matrix.shape:
                 raise ValueError(f"{name} mask shape must match the matrix")
             setattr(self, name, arr)
-        if np.any(self.omega1 & self.omega2):
-            raise ValueError("omega1 and omega2 must be disjoint")
-        if np.any((self.omega1 | self.omega2) != self.omega):
-            raise ValueError("omega must be the union of omega1 and omega2")
+        if np.any(self.omega2 & ~self.omega):
+            raise ValueError("omega2 must lie inside omega")
+
+    @property
+    def omega1(self) -> np.ndarray:
+        """The one-bit cells, omega without omega2."""
+        return self.omega & ~self.omega2
 
     @property
     def n1(self) -> int:
@@ -76,7 +78,7 @@ def lift(y: Snapshot, delta_indicator: np.ndarray | None = None) -> HankelView:
         if ind.shape != (y.m,):
             raise ValueError("delta_indicator length does not match the snapshot")
         omega2 = ind[idx] & omega
-    return HankelView(matrix, omega, omega & ~omega2, omega2)
+    return HankelView(matrix, omega, omega2)
 
 
 def dehankelize(matrix: np.ndarray) -> Snapshot:

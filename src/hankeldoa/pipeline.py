@@ -364,9 +364,8 @@ def execute_run(scn: Scenario, run: int):
     t0 = time.perf_counter()
     spec_sla = angle_spectrum(masked, scn.n_fft)
     spec_comp = angle_spectrum(snap_hat, scn.n_fft)
-    p = len(scn.angles_deg)
-    peaks_comp = find_peaks(spec_comp, p)
-    peaks_sla = find_peaks(spec_sla, p)
+    peaks_comp = find_peaks(spec_comp, scn.model_order)
+    peaks_sla = find_peaks(spec_sla, scn.model_order)
     sll_comp = max_sidelobe_db(spec_comp, peaks_comp)
     sll_sla = max_sidelobe_db(spec_sla, peaks_sla)
     if peaks_comp.complete:
@@ -430,30 +429,15 @@ def run_scenario(
         out_dir=out_dir,
     )
 
-    manifest = RunManifest(
-        scenario_name=scn.name,
-        scenario_hash=scenario_hash(scn),
-        version=__version__,
-        scenario_ini=scenario_to_ini(scn, include_output=False),
-        derived=_derived(scn),
-        runs=[],
-        out_dir=scn.out_dir,
-    )
     with single_thread_blas() as pinned:
         workers = _worker_count(scn.runs, pinned)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(execute_run, scn), range(scn.runs)))
-    manifest.environment = _environment(pinned, workers)
+    summaries, all_artifacts, stage_times = zip(*results)
 
     # Stage times are summed over runs, which overlap on the pool, so their
     # total can exceed the batch's own duration, recorded as "wall".
-    timings: dict[str, float] = {}
-    all_artifacts = []
-    for summary, artifacts, t in results:
-        manifest.runs.append(summary)
-        all_artifacts.append(artifacts)
-        for key, val in t.items():
-            timings[key] = timings.get(key, 0.0) + val
+    timings = {key: sum(t[key] for t in stage_times) for key in stage_times[0]}
 
     outputs = []
     if write:
@@ -461,7 +445,7 @@ def run_scenario(
         os.makedirs(scn.out_dir, exist_ok=True)
         runs_rows = []
         peaks_rows = []
-        for summary, artifacts in zip(manifest.runs, all_artifacts):
+        for summary, artifacts in zip(summaries, all_artifacts):
             tag = f"{summary.run:02d}"
             spectra_name = f"spectra_run{tag}.csv"
             trace_name = f"trace_run{tag}.csv"
@@ -488,8 +472,18 @@ def run_scenario(
         timings["write"] = time.perf_counter() - t0
 
     timings["wall"] = time.perf_counter() - t_start
-    manifest.outputs = sorted(outputs)
-    manifest.timings = {k: round(v, 6) for k, v in timings.items()}
+    manifest = RunManifest(
+        scenario_name=scn.name,
+        scenario_hash=scenario_hash(scn),
+        version=__version__,
+        scenario_ini=scenario_to_ini(scn, include_output=False),
+        derived=_derived(scn),
+        runs=list(summaries),
+        out_dir=scn.out_dir,
+        outputs=sorted(outputs),
+        timings={k: round(v, 6) for k, v in timings.items()},
+        environment=_environment(pinned, workers),
+    )
     manifest.manifest_hash = manifest.compute_hash()
 
     if write:

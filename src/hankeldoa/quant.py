@@ -92,16 +92,17 @@ def uniform_quantize(x, delta: float, tau, levels: int | None = None):
     return delta * (cell + 0.5)
 
 
-def check_one_bit_range(values, coarse, limit: float, antenna) -> None:
-    """Raise DynamicRangeViolation for the first one-bit cell, in row-major
+def check_one_bit_range(values, coarse, limit: float) -> None:
+    """Raise DynamicRangeViolation for the first one-bit antenna, in index
     order, whose real part (checked first) or imaginary part exceeds limit in
-    magnitude.  antenna gives each cell's 1-based antenna index."""
+    magnitude; coarse marks the one-bit antennas, and the error names the
+    antenna as index + 1."""
     values = np.asarray(values)
     for part, data in (("real", values.real), ("imag", values.imag)):
         bad = coarse & (np.abs(data) > limit)
         if np.any(bad):
-            cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise DynamicRangeViolation(int(antenna[cell]), float(data[cell]), limit, part)
+            index = int(np.argmax(bad))
+            raise DynamicRangeViolation(index + 1, float(data.flat[index]), limit, part)
 
 
 def quantize_cells(values, observed, fine, tau, scheme: QuantScheme) -> np.ndarray:
@@ -176,8 +177,7 @@ def quantize_mixed(masked: Snapshot, scheme: QuantScheme) -> Snapshot:
     mask = masked.mask
     observed = mask == 1
     fine = observed & (scheme.delta_indicator == 1)
-    antenna = np.arange(1, masked.m + 1)
-    check_one_bit_range(masked.values, observed & ~fine, scheme.delta1 / 2.0, antenna)
+    check_one_bit_range(masked.values, observed & ~fine, scheme.delta1 / 2.0)
     tau = dither_field(scheme, masked.m)
     out = quantize_cells(masked.values, observed, fine, tau, scheme)
     return Snapshot(out, mask.copy(), SnapshotKind.QUANTIZED)

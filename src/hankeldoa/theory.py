@@ -64,7 +64,6 @@ class DitherIdentityReport:
     a: float
     b: float
     delta: float
-    trials: int
     mc_mean: float
     stderr: float
     expected: float
@@ -74,7 +73,6 @@ class DitherIdentityReport:
 @dataclass
 class SamplingIdentityReport:
     m_prime: int
-    trials: int
     mc_mean: float
     stderr: float
     expected: float
@@ -86,10 +84,6 @@ class EmbeddingReport:
     """Per-epsilon violation frequencies against both exponent variants of the
     concentration bound; pass/fail is judged on the looser one."""
 
-    m_prime: int
-    delta: float
-    levels: int
-    trials: int
     epsilons: np.ndarray
     empirical: np.ndarray
     bound: np.ndarray
@@ -183,16 +177,13 @@ def verify_dither_identity(
     diffs = np.empty(trials)
     for chunk in _trial_blocks(trials, DITHER_CHUNK):
         tau = rng.uniform(-delta / 2.0, delta / 2.0, size=len(chunk))
-        qa = uniform_quantize(a, delta, tau)
-        qb = uniform_quantize(b, delta, tau)
-        diffs[chunk.start : chunk.stop] = np.abs(qa - qb)
+        diffs[chunk.start : chunk.stop] = _quantized_gaps(a, b, tau, delta)
     expected = abs(a - b)
     mean, stderr, passed = _mc_estimate(diffs, expected)
     return DitherIdentityReport(
         a=a,
         b=b,
         delta=delta,
-        trials=trials,
         mc_mean=mean,
         stderr=stderr,
         expected=expected,
@@ -237,7 +228,6 @@ def verify_sampling_identity(
     mean, stderr, passed = _mc_estimate(sums, expected)
     return SamplingIdentityReport(
         m_prime=m_prime,
-        trials=trials,
         mc_mean=mean,
         stderr=stderr,
         expected=expected,
@@ -290,10 +280,6 @@ def verify_embedding(
     bound = 2.0 * np.exp(-expo)
     bound_sharp = 2.0 * np.exp(-2.0 * expo)
     return EmbeddingReport(
-        m_prime=m_prime,
-        delta=delta,
-        levels=levels,
-        trials=trials,
         epsilons=epsilons,
         empirical=empirical,
         bound=bound,

@@ -37,7 +37,7 @@ def one_bit(x: float, delta1: float, tau: float) -> float:
     """Sign quantizer scaled to +/- delta1/2; valid only when |x| <= delta1/2,
     checked as antenna 1.  The scalar reference that the vectorized one-bit
     cells are tested against."""
-    check_one_bit_range(x, True, delta1 / 2.0, np.asarray(1))
+    check_one_bit_range(x, True, delta1 / 2.0)
     return delta1 / 2.0 if x + tau >= 0 else -delta1 / 2.0
 
 

@@ -50,6 +50,22 @@ angles_deg = -34.0, 18.0
 max_iters = 3
 """
 
+# Two units whose virtual antennas 1..5 and 2..6 cover the whole aperture.
+GAPLESS_INI = """
+[scenario]
+name = gapless
+runs = 1
+
+[geometry]
+tx1 = 1
+rx1 = 1, 2, 3, 4, 5
+tx2 = 2
+rx2 = 1, 2, 3, 4, 5
+
+[scene]
+angles_deg = -20, 30
+"""
+
 
 def test_scenarios_lists_bundled(capsys):
     assert main(["scenarios"]) == 0
@@ -353,6 +369,23 @@ def test_full_snapshot_rejected_for_stages(tmp_path, capsys):
     assert "masked" in err
     assert f"{completed}: expected a masked snapshot, got a full one" in err
     assert not (tmp_path / "again").exists()
+
+
+def test_stage_round_trip_on_a_gapless_geometry(tmp_path):
+    """Every antenna of a gapless geometry is observed, so synth writes an
+    all-ones mask; complete --snapshot reads it back as the masked snapshot
+    and writes the trace complete writes from the seeds."""
+    path = tmp_path / "gapless.ini"
+    path.write_text(GAPLESS_INI, encoding="utf-8")
+    snap = tmp_path / "s.csv"
+    assert main(["synth", str(path), "--out", str(snap)]) == 0
+    assert read_snapshot_csv(str(snap)).mask.tolist() == [1] * 6
+    assert main(["complete", str(path), "--run", "0", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "cs")]) == 0
+    assert main(["complete", str(path), "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "cs" / "trace.csv").read_bytes() == (
+        tmp_path / "c" / "trace.csv"
+    ).read_bytes()
 
 
 def test_snapshot_of_the_wrong_length_is_usage_error(tmp_path, capsys):

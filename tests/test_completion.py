@@ -389,6 +389,18 @@ def test_quantized_hankel_range_violation_names_antenna(two_unit_geom):
     with pytest.raises(DynamicRangeViolation) as exc:
         build_quantized_hankel(snap, QuantScheme(1.0, 0.01, 10, delta_indicator=ind))
     assert (exc.value.part, exc.value.antenna_index) == ("real", later + 1)
+    # the only violation on the last observed antenna: its first offending
+    # cell in row-major order lies below row 0
+    last = np.flatnonzero(masked.mask)[-1]
+    snap = constant_masked(masked, 0.1 + 0.1j)
+    snap.values[last] = 0.1 - 3.0j
+    with pytest.raises(DynamicRangeViolation) as exc:
+        build_quantized_hankel(snap, QuantScheme(1.0, 0.01, 10, delta_indicator=ind))
+    view = lift(snap)
+    i, j = np.argwhere(view.omega & (np.abs(view.matrix.imag) > 0.5))[0]
+    assert (last + 1, i) == (149, 74)
+    assert (exc.value.part, exc.value.antenna_index) == ("imag", i + j + 1)
+    assert exc.value.value == -3.0
 
 
 def test_quantized_hankel_rejects_full_kind(two_unit_geom):
@@ -405,7 +417,6 @@ def test_svt_complete_ignores_subset_labeling(two_unit_geom):
     _, view, _ = paper_view_and_scheme(two_unit_geom)
     relabeled = HankelView(
         view.matrix.copy(),
-        view.omega.copy(),
         view.omega.copy(),
         np.zeros_like(view.omega),
     )

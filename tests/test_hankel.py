@@ -101,9 +101,10 @@ def test_noiseless_lift_has_rank_p(two_unit_geom, p):
 def test_view_validation_rejects_inconsistent_subsets():
     m = np.zeros((2, 2), dtype=complex)
     omega = np.array([[True, False], [False, True]])
-    bad_overlap = np.array([[True, False], [False, False]])
-    with pytest.raises(ValueError):
-        HankelView(m, omega, bad_overlap, bad_overlap)
-    bad_union = np.array([[False, True], [False, False]])
-    with pytest.raises(ValueError):
-        HankelView(m, omega, bad_union, np.zeros((2, 2), dtype=bool))
+    outside = np.array([[False, True], [False, False]])
+    with pytest.raises(ValueError, match="omega2 must lie inside omega"):
+        HankelView(m, omega, outside)
+    omega2 = np.array([[False, False], [False, True]])
+    view = HankelView(m, omega, omega2)
+    assert np.array_equal(view.omega1, omega & ~omega2)
+    assert np.array_equal(view.omega1, [[True, False], [False, False]])

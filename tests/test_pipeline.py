@@ -763,15 +763,15 @@ def test_theory_writers_match_the_per_cell_rule(tmp_path):
     )
 
     dither = [
-        DitherIdentityReport(-0.0, 5e-324, 1e17, 1, np.nan, 0.0, -np.inf, np.bool_(False)),
-        DitherIdentityReport(0.1, -1.0 / 3.0, 0.5, 1, 0.25, 0.0, 0.25, np.bool_(True)),
+        DitherIdentityReport(-0.0, 5e-324, 1e17, np.nan, 0.0, -np.inf, np.bool_(False)),
+        DitherIdentityReport(0.1, -1.0 / 3.0, 0.5, 0.25, 0.0, 0.25, np.bool_(True)),
     ]
-    sampling = [SamplingIdentityReport(np.int64(128), 1, 1e17, 0.0, np.inf, True)]
+    sampling = [SamplingIdentityReport(np.int64(128), 1e17, 0.0, np.inf, True)]
     eps = np.array([0.1, 5e-324, -0.0])
     emp = np.array([np.nan, -0.0, 1e17])
     bound = np.array([np.inf, 1e17, -1.0 / 3.0])
     sharp = np.array([-np.inf, 0.3, np.nan])
-    embedding = EmbeddingReport(128, 0.125, 8, 1, eps, emp, bound, sharp, emp <= bound)
+    embedding = EmbeddingReport(eps, emp, bound, sharp, emp <= bound)
     battery = pipeline.TheoryBattery(dither, sampling, embedding)
     write_theory_csvs(battery, str(tmp_path))
 

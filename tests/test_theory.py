@@ -139,7 +139,7 @@ def plain_dither(a, b, delta, trials, seed):
     diffs = np.abs(uniform_quantize(a, delta, tau) - uniform_quantize(b, delta, tau))
     mean, stderr = plain_mean_stderr(diffs)
     expected = abs(a - b)
-    return {"a": a, "b": b, "delta": delta, "trials": trials, "mc_mean": mean,
+    return {"a": a, "b": b, "delta": delta, "mc_mean": mean,
             "stderr": stderr, "expected": expected,
             "passed": abs(mean - expected) <= 4.0 * stderr}
 

@@ -11,9 +11,9 @@ are independent and execute concurrently on threads, with OpenBLAS pinned to
 one thread, so the hash depends on neither the BLAS thread count nor the
 worker count.  The theory battery bundles the
 Monte-Carlo checks of the quantizer identities and the embedding bound
-behind one call; its dither grid runs on the calling thread while the
-sampling and embedding checks run beside it on one worker thread, under the
-same pin and worker-count rule as a batch.
+behind one call, in two lanes under the same pin and worker-count rule as a
+batch: the calling thread runs the dither grid and one worker thread the
+embedding check, then both claim the sampling pairs from one shared queue.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -284,10 +285,24 @@ def _derived(scn: Scenario) -> dict:
     }
 
 
+def _numpy_dispatch() -> list[str] | None:
+    """The SIMD targets numpy dispatches its loops to on this CPU, as
+    np.show_runtime() lists them: the build's dispatch targets the CPU has
+    and NPY_DISABLE_CPU_FEATURES leaves on (None when numpy does not say)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy before 2.0
+        try:
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:
+            return None
+    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+
+
 def _environment(solver_blas_threads: int | None, workers: int) -> dict:
-    """The numerical environment a batch ran in: numpy, its BLAS build and
-    kernel set (None when unknown), the solver's BLAS thread count (None when
-    unpinned) and the worker count."""
+    """The numerical environment a batch ran in: numpy and its SIMD dispatch,
+    its BLAS build and kernel set (None when unknown), the solver's BLAS
+    thread count (None when unpinned) and the worker count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_build = f"{blas.get('name')} {blas.get('version')}"
@@ -295,6 +310,7 @@ def _environment(solver_blas_threads: int | None, workers: int) -> dict:
         blas_build = None
     return {
         "numpy": np.__version__,
+        "numpy_dispatch": _numpy_dispatch(),
         "blas": blas_build,
         "blas_core": blas_core(),
         "solver_blas_threads": solver_blas_threads,
@@ -520,37 +536,33 @@ def _dither_checks(trials: int, seed: int) -> list[DitherIdentityReport]:
     ]
 
 
-def _sampling_and_embedding_checks(
-    sampling_trials: int, embedding_trials: int, seed: int
-) -> tuple[list[SamplingIdentityReport], EmbeddingReport]:
-    """The sampling identity on SAMPLING_PAIRS random rank-2 pairs, pair k
-    drawn from default_rng([seed, 7000 + k]) and checked at seed + 100 + k,
-    then the embedding check at seed + 500."""
-    sampling = []
-    for k in range(SAMPLING_PAIRS):
-        rng = np.random.default_rng([seed, 7000 + k])
-        x = random_low_rank(EMBEDDING_SPEC, rng)
-        y = random_low_rank(EMBEDDING_SPEC, rng)
-        sampling.append(
-            verify_sampling_identity(
-                x,
-                y,
-                m_prime=SAMPLING_M_PRIME,
-                delta=SAMPLING_DELTA,
-                trials=sampling_trials,
-                seed=seed + 100 + k,
-            )
-        )
-    embedding = verify_embedding(
+def _sampling_check(k: int, trials: int, seed: int) -> SamplingIdentityReport:
+    """The sampling identity on random rank-2 pair k, drawn from
+    default_rng([seed, 7000 + k]) and checked at seed + 100 + k."""
+    rng = np.random.default_rng([seed, 7000 + k])
+    x = random_low_rank(EMBEDDING_SPEC, rng)
+    y = random_low_rank(EMBEDDING_SPEC, rng)
+    return verify_sampling_identity(
+        x,
+        y,
+        m_prime=SAMPLING_M_PRIME,
+        delta=SAMPLING_DELTA,
+        trials=trials,
+        seed=seed + 100 + k,
+    )
+
+
+def _embedding_check(trials: int, seed: int) -> EmbeddingReport:
+    """The embedding concentration check at seed + 500."""
+    return verify_embedding(
         EMBEDDING_SPEC,
         m_prime=EMBEDDING_M_PRIME,
         delta=EMBEDDING_DELTA,
         levels=EMBEDDING_LEVELS,
         epsilons=np.asarray(EMBEDDING_EPSILONS),
-        trials=embedding_trials,
+        trials=trials,
         seed=seed + 500,
     )
-    return sampling, embedding
 
 
 def theory_battery(
@@ -559,31 +571,50 @@ def theory_battery(
     embedding_trials: int = EMBEDDING_TRIALS,
     seed: int = 0,
 ) -> TheoryBattery:
-    """Run the dither-identity grid, the uniform-sampling identity on random
-    rank-2 pairs, and the embedding concentration check.
+    """Run the dither-identity grid, the uniform-sampling identity on
+    SAMPLING_PAIRS random rank-2 pairs, and the embedding concentration
+    check.
 
-    Every check draws from its own seed, so the two groups run at the same
-    time, with OpenBLAS pinned to one thread: the dither grid on the calling
-    thread, the sampling and embedding checks on one worker.  The dither
-    grid's trials-long arrays stay on the calling thread, which keeps them
-    out of a second thread's malloc arena.  With one CPU in the affinity set,
-    or no OpenBLAS to pin, the groups run one after the other.
+    Every check draws from its own seed, so two lanes run them at the same
+    time, with OpenBLAS pinned to one thread: the calling thread runs the
+    dither grid and one worker the embedding check, then each claims
+    sampling pairs from one shared queue until none is left.  Which lane
+    runs a pair changes no report, and the reports are kept in pair order.
+    The dither grid's trials-long arrays stay on the calling thread, which
+    keeps them out of a second thread's malloc arena.  With one CPU in the
+    affinity set, or no OpenBLAS to pin, the calling thread runs the dither
+    grid, the embedding check and the pairs one after the other.
     """
     from concurrent.futures import ThreadPoolExecutor  # as in run_scenario
 
     check_seed(seed)
-    others = partial(
-        _sampling_and_embedding_checks, sampling_trials, embedding_trials, seed
-    )
+    sampling: list[SamplingIdentityReport | None] = [None] * SAMPLING_PAIRS
+    pairs = iter(range(SAMPLING_PAIRS))
+    queue_lock = threading.Lock()
+
+    def claim_pairs() -> None:
+        while True:
+            with queue_lock:
+                k = next(pairs, None)
+            if k is None:
+                return
+            sampling[k] = _sampling_check(k, sampling_trials, seed)
+
+    def embedding_lane() -> EmbeddingReport:
+        embedding = _embedding_check(embedding_trials, seed)
+        claim_pairs()
+        return embedding
+
     with single_thread_blas() as pinned:
         if _worker_count(2, pinned) == 1:
             dither = _dither_checks(dither_trials, seed)
-            sampling, embedding = others()
+            embedding = embedding_lane()
         else:
             with ThreadPoolExecutor(max_workers=1) as pool:
-                future = pool.submit(others)
+                future = pool.submit(embedding_lane)
                 dither = _dither_checks(dither_trials, seed)
-                sampling, embedding = future.result()
+                claim_pairs()
+                embedding = future.result()
     return TheoryBattery(dither=dither, sampling=sampling, embedding=embedding)
 
 

@@ -114,9 +114,18 @@ def _factor_products(spec: LowRankSpec, factors: np.ndarray) -> np.ndarray:
 
 def _mc_estimate(samples: np.ndarray, expected: float) -> tuple[float, float, bool]:
     """Monte-Carlo mean of the samples, its standard error, and whether the
-    mean sits within 4 standard errors of expected."""
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(samples.size))
+    mean sits within 4 standard errors of expected.
+
+    Overwrites samples with the squared deviations from the mean: the steps
+    of numpy's mean and std(ddof=1), done in place, so the results equal
+    theirs bit for bit without a second trials-long array."""
+    n = samples.size
+    mean = np.add.reduce(samples) / n
+    np.subtract(samples, mean, out=samples)
+    np.square(samples, out=samples)
+    var = np.add.reduce(samples) / (n - 1)
+    stderr = float(np.sqrt(var) / math.sqrt(n))
+    mean = float(mean)
     return mean, stderr, abs(mean - expected) <= 4.0 * stderr
 
 

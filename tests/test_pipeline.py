@@ -186,8 +186,12 @@ def test_written_batch_layout(first4_scenario, tmp_path):
     assert len(payload["runs"]) == 2
     assert "wall" in payload["timings"]
     env = payload["environment"]
-    assert set(env) == {"numpy", "blas", "blas_core", "solver_blas_threads", "workers"}
+    assert set(env) == {
+        "numpy", "numpy_dispatch", "blas", "blas_core", "solver_blas_threads",
+        "workers",
+    }
     assert env["numpy"] == np.__version__
+    assert env["numpy_dispatch"] == pipeline._numpy_dispatch()
     assert env["solver_blas_threads"] == 1
     assert env == manifest.environment
     with open(out / "runs.csv", encoding="utf-8") as fh:
@@ -333,22 +337,29 @@ def _skip_unless_golden_environment():
         )
 
 
-# The OpenBLAS kernel set the batch pins (GOLDEN_HASHES, SHIPPED_HASHES and
-# GOLDEN_BATCH_DIGESTS) were recorded on.  OpenBLAS picks its kernels from
-# the CPU, and OPENBLAS_CORETYPE forces another set.  The last bits of the
-# solver's eigh and matrix products depend on the kernel set, and the batch
-# pins cover them; the theory pins do not, and hold under every set.  The
-# kernel set is checked first, so a forced set is named in the skip message
-# whatever the numpy and BLAS versions.
+# The OpenBLAS kernel set and the numpy SIMD target the batch pins
+# (GOLDEN_HASHES, SHIPPED_HASHES and GOLDEN_BATCH_DIGESTS) were recorded on.
+# OpenBLAS picks its kernels from the CPU, and OPENBLAS_CORETYPE forces
+# another set; numpy picks its loops from the CPU, and
+# NPY_DISABLE_CPU_FEATURES turns targets off.  The last bits of the solver's
+# eigh and matrix products depend on the kernel set, and those of the
+# spectrum's log10 and arcsin on whether numpy dispatches to its X86_V4
+# (AVX-512) loops; the batch pins cover both, the theory pins neither, and
+# hold under every set.  Both are checked first, so the skip message names
+# them whatever the numpy and BLAS versions.
 GOLDEN_BLAS_CORE = "SkylakeX"
+GOLDEN_DISPATCH = "X86_V4"
 
 
 def _skip_unless_golden_kernels():
     core = blas_core()
-    if core != GOLDEN_BLAS_CORE:
+    dispatch = pipeline._numpy_dispatch()
+    if core != GOLDEN_BLAS_CORE or GOLDEN_DISPATCH not in (dispatch or ()):
         pytest.skip(
-            f"batch pins were recorded on OpenBLAS's {GOLDEN_BLAS_CORE} kernels, "
-            f"this is {core}; the solver's last bits depend on the kernel set"
+            f"batch pins were recorded on OpenBLAS's {GOLDEN_BLAS_CORE} kernels "
+            f"with numpy's {GOLDEN_DISPATCH} loops, this is {core}; numpy "
+            f"dispatches to {dispatch}; the last bits of the solver depend on "
+            "the kernel set and those of the spectrum on the dispatch"
         )
     _skip_unless_golden_environment()
 
@@ -483,19 +494,18 @@ KERNEL_SET_TESTS = {
 }
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_reference_holds_under_another_kernel_set(tmp_path, coretype):
-    """Under another OpenBLAS kernel set, down to Prescott, the oldest, every
-    shipped run still matches the per-run reference, and the batch pins skip,
-    naming the kernel set, rather than fail.  The skip names the set OpenBLAS
-    reports, which need not be the one asked for (Prescott reports Katmai)."""
-    if blas_core() is None:
-        pytest.skip("no OpenBLAS kernel set to switch")
+def _kernel_set_outcomes(tmp_path, **forced):
+    """Run KERNEL_SET_TESTS in a subprocess with the forced environment
+    variables: their outcomes by name, after checking that every skip names
+    the kernel set and the numpy dispatch the subprocess runs with."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hankeldoa.__file__)))
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env = dict(os.environ, **forced)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = "from hankeldoa.linalg import blas_core; print(blas_core())"
-    core = subprocess.run(
+    probe = (
+        "from hankeldoa import pipeline; from hankeldoa.linalg import blas_core; "
+        "print(f'{blas_core()}; numpy dispatches to {pipeline._numpy_dispatch()};')"
+    )
+    found = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout.strip()
@@ -513,9 +523,30 @@ def test_reference_holds_under_another_kernel_set(tmp_path, coretype):
             "passed",
         )
         if outcome == "skipped":
-            assert f"this is {core};" in case.find("skipped").get("message")
+            assert f"this is {found}" in case.find("skipped").get("message")
         outcomes[case.get("name")] = outcome
     assert outcomes == KERNEL_SET_TESTS, proc.stdout
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_reference_holds_under_another_kernel_set(tmp_path, coretype):
+    """Under another OpenBLAS kernel set, down to Prescott, the oldest, every
+    shipped run still matches the per-run reference, and the batch pins skip,
+    naming the kernel set, rather than fail.  The skip names the set OpenBLAS
+    reports, which need not be the one asked for (Prescott reports Katmai)."""
+    if blas_core() is None:
+        pytest.skip("no OpenBLAS kernel set to switch")
+    _kernel_set_outcomes(tmp_path, OPENBLAS_CORETYPE=coretype)
+
+
+def test_reference_holds_without_numpy_x86_v4(tmp_path):
+    """With numpy's X86_V4 loops turned off, the spectrum's log10 and arcsin
+    round differently: every shipped run still matches the per-run
+    reference, and the batch pins skip, naming the dispatch, rather than
+    fail."""
+    if GOLDEN_DISPATCH not in (pipeline._numpy_dispatch() or ()):
+        pytest.skip(f"numpy does not dispatch to {GOLDEN_DISPATCH} here")
+    _kernel_set_outcomes(tmp_path, NPY_DISABLE_CPU_FEATURES=GOLDEN_DISPATCH)
 
 
 def test_unpinned_batch_runs_one_run_at_a_time(monkeypatch):

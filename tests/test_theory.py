@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -236,12 +237,44 @@ def test_embedding_memory_does_not_grow_with_trials():
 
 
 def test_dither_memory_is_bounded_by_the_samples():
-    """One default-trial dither check holds its trials-long samples, the
-    mean's deviations from them in the standard error, and chunk-sized
-    temporaries: within 2.5 arrays of trials doubles."""
+    """One default-trial dither check holds its trials-long samples, which
+    the mean and standard error reduce in place, and chunk-sized
+    temporaries: within 1.5 arrays of trials doubles.  A second trials-long
+    temporary, such as the one samples.std() allocates, would exceed it."""
     a, b, delta = DITHER_GRID[1]
     peak = traced_peak(lambda: verify_dither_identity(a, b, delta, seed=0))
-    assert peak <= 2.5 * 8 * DITHER_TRIALS
+    assert peak <= 1.5 * 8 * DITHER_TRIALS
+
+
+def dither_gaps(n):
+    """The two-valued gaps of n dither trials at (3.2, -1.1, 0.5): 4.0 or
+    4.5, |a - b| = 4.3 being 8.6 steps."""
+    tau = np.random.default_rng(2).uniform(-0.25, 0.25, size=n)
+    return theory._quantized_gaps(3.2, -1.1, tau, 0.5)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda n: np.random.default_rng(1).standard_normal(n) * 3.0 + 1.0,
+        lambda n: np.full(n, 0.5),
+        dither_gaps,
+    ],
+    ids=["normal", "constant", "dither_gaps"],
+)
+@pytest.mark.parametrize("n", [2, MC_BLOCK, 2000, 1_000_003])
+def test_mc_estimate_equals_numpy_mean_and_std(draw, n):
+    """The in-place estimate is numpy's mean and std(ddof=1) / sqrt(n) bit
+    for bit, and leaves the squared deviations from the mean in place of
+    the samples."""
+    samples = draw(n)
+    original = samples.copy()
+    mean, stderr, passed = theory._mc_estimate(samples, 0.0)
+    assert (mean, stderr) == plain_mean_stderr(original)
+    assert passed == (abs(mean) <= 4.0 * stderr)
+    assert np.array_equal(samples, np.square(original - original.mean()))
+    if np.all(original == original[0]):
+        assert stderr == 0.0
 
 
 def battery_fields(battery):
@@ -272,32 +305,111 @@ def battery_one_check_at_a_time(seed):
     return pipeline.TheoryBattery(dither, sampling, embedding)
 
 
-def test_concurrent_battery_changes_no_result(monkeypatch):
-    want = battery_fields(battery_one_check_at_a_time(3))
-    threads = []
+def record_checks(monkeypatch, wait_for_pairs=None):
+    """Patch the battery's three checks on pipeline to log (check name,
+    thread, seed) of every call into the returned list.  The check named by
+    wait_for_pairs first waits until every sampling pair has been claimed,
+    which holds its lane back until the other lane has claimed them all."""
+    calls = []
+    pairs_claimed = threading.Event()
 
-    def on_thread(check):
-        def recorded(*args, **kwargs):
-            threads.append((check.__name__, threading.get_ident()))
+    def recorded(name):
+        check = getattr(theory, name)
+
+        def call(*args, **kwargs):
+            if name == wait_for_pairs:
+                assert pairs_claimed.wait(timeout=60), "no lane claimed the pairs"
+            calls.append((name, threading.get_ident(), kwargs["seed"]))
+            pairs = [c for c in calls if c[0] == "verify_sampling_identity"]
+            if len(pairs) == SAMPLING_PAIRS:
+                pairs_claimed.set()
             return check(*args, **kwargs)
-        return recorded
+        return call
 
     for name in ("verify_dither_identity", "verify_sampling_identity",
                  "verify_embedding"):
-        monkeypatch.setattr(pipeline, name, on_thread(getattr(pipeline, name)))
+        monkeypatch.setattr(pipeline, name, recorded(name))
+    return calls
+
+
+def threads_of(calls, name):
+    return {ident for n, ident, _ in calls if n == name}
+
+
+def pair_seeds(calls):
+    """The check seeds of the sampling pairs that ran, in seed order."""
+    return sorted(seed for n, _, seed in calls if n == "verify_sampling_identity")
+
+
+def test_concurrent_battery_changes_no_result(monkeypatch):
+    want = battery_fields(battery_one_check_at_a_time(3))
     caller = threading.get_ident()
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        threads.clear()
+        calls = record_checks(monkeypatch)
         assert battery_fields(theory_battery(seed=3)) == want
-        ran_on = {name: {ident for n, ident in threads if n == name}
-                  for name, _ in threads}
-        # The dither grid always runs on the calling thread; the other
-        # checks share it on one CPU and one worker thread on two.
-        assert ran_on["verify_dither_identity"] == {caller}
-        others = ran_on["verify_sampling_identity"] | ran_on["verify_embedding"]
-        assert len(others) == 1
-        assert (others == {caller}) == (cpus == {0})
+        # The dither grid runs on the calling thread, and every pair exactly
+        # once.  On one CPU every check runs there; on two the embedding
+        # check runs on the worker, and a pair on either thread.
+        assert threads_of(calls, "verify_dither_identity") == {caller}
+        assert pair_seeds(calls) == [3 + 100 + k for k in range(SAMPLING_PAIRS)]
+        if cpus == {0}:
+            assert {ident for _, ident, _ in calls} == {caller}
+        else:
+            (worker,) = threads_of(calls, "verify_embedding")
+            assert worker != caller
+            assert threads_of(calls, "verify_sampling_identity") <= {caller, worker}
+
+
+@pytest.mark.parametrize(
+    "held_back,claimant",
+    [("verify_embedding", "caller"), ("verify_dither_identity", "worker")],
+)
+def test_either_lane_can_claim_every_pair(monkeypatch, held_back, claimant):
+    """While one lane's first check is held back, the other lane claims all
+    five pairs from the shared queue, and the reports are unchanged."""
+    want = battery_fields(battery_one_check_at_a_time(3))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = record_checks(monkeypatch, wait_for_pairs=held_back)
+    assert battery_fields(theory_battery(seed=3)) == want
+    caller = threading.get_ident()
+    (worker,) = threads_of(calls, "verify_embedding")
+    assert worker != caller
+    assert pair_seeds(calls) == [3 + 100 + k for k in range(SAMPLING_PAIRS)]
+    expected = {"caller": caller, "worker": worker}[claimant]
+    assert threads_of(calls, "verify_sampling_identity") == {expected}
+
+
+def test_concurrent_batteries_claim_each_pair_once(monkeypatch):
+    """Four small batteries on four threads, two lanes each on two CPUs,
+    with the interpreter switching threads as often as it can: each battery
+    runs each of its pairs exactly once, and its reports equal the one-CPU
+    ones."""
+    seeds = (0, 1000, 2000, 3000)  # disjoint check seeds per battery
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = {s: battery_fields(theory_battery(10_000, 50, 50, seed=s)) for s in seeds}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = record_checks(monkeypatch)
+    got = {}
+
+    def battery(seed):
+        got[seed] = battery_fields(theory_battery(10_000, 50, 50, seed=seed))
+
+    threads = [threading.Thread(target=battery, args=(s,)) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert pair_seeds(calls) == sorted(
+        s + 100 + k for s in seeds for k in range(SAMPLING_PAIRS)
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,12 @@ multi-bit indicator and solver settings the Scenario resolved when it was
 built.  run_scenario drives a batch of runs, then writes the CSV outputs and
 a manifest whose hash covers every deterministic field.  The runs of a batch
 are independent and execute concurrently on threads, with OpenBLAS pinned to
-one thread, so the hash depends on neither the BLAS thread count nor the
-worker count.  The theory battery bundles the
-Monte-Carlo checks of the quantizer identities and the embedding bound
-behind one call, in two lanes under the same pin and worker-count rule as a
-batch: the calling thread runs the dither grid and one worker thread the
+one thread: one thread per CPU in the affinity set, plus one for each run a
+last partial round would start alone (_worker_count).  The hash depends on
+neither the BLAS thread count nor the worker count.  The theory battery
+bundles the Monte-Carlo checks of the quantizer identities and the embedding
+bound behind one call, in two lanes under the same pin and worker-count rule
+as a batch: the calling thread runs the dither grid and one worker thread the
 embedding check, then both claim the sampling pairs from one shared queue.
 """
 
@@ -24,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -85,13 +87,26 @@ SAMPLING_DELTA = 0.5
 _FLOAT, _INT, _STR = "%.17g", "%d", "%s"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, over the file's old bytes, then cut a
+    regular file to the new length.  Opening with "w" would truncate the
+    file to zero first, and ext4 (auto_da_alloc) flushes a file that was
+    truncated to zero and rewritten when it is closed, which costs more than
+    the write.  A path that is not a regular file, such as /dev/null, is
+    never truncated; a symlink is written through."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def _write_csv(path: str, columns: dict[str, str], rows) -> None:
     """Write a CSV headed by the keys of columns, one line per row: each row
     is a tuple formatted by the columns' % conversions in one join."""
     line = ",".join(columns.values()) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.write("".join(line % row for row in rows))
+    header = ",".join(columns) + "\n"
+    _write_text(path, header + "".join(line % row for row in rows))
 
 
 def write_snapshot_csv(path: str, snap: Snapshot) -> None:
@@ -166,9 +181,7 @@ def write_spectra_csv(path: str, spectra: list[AngleSpectrum]) -> None:
         return template % tuple(spec.magnitude_db.tolist())
 
     body = "".join(rows(spec) for spec in spectra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("u,theta_deg,magnitude_db,source\n")
-        fh.write(body)
+    _write_text(path, "u,theta_deg,magnitude_db,source\n" + body)
 
 
 def write_trace_csv(path: str, residuals: np.ndarray, ranks: np.ndarray) -> None:
@@ -239,14 +252,18 @@ class RunManifest:
         """Every field, made JSON-safe; the content of manifest.json."""
         return _json_safe(asdict(self))
 
-    def hashed_payload(self) -> dict:
-        """The manifest minus its volatile fields."""
-        payload = self.to_json().items()
-        return {k: v for k, v in payload if k not in self.VOLATILE_FIELDS}
-
     def compute_hash(self) -> str:
-        text = json.dumps(self.hashed_payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return _payload_hash(self.to_json())
+
+
+def _payload_hash(payload: dict) -> str:
+    """The SHA-256 of a manifest's to_json() payload minus its volatile
+    fields, as compact sorted JSON."""
+    hashed = {
+        k: v for k, v in payload.items() if k not in RunManifest.VOLATILE_FIELDS
+    }
+    text = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _json_safe(obj):
@@ -302,7 +319,8 @@ def _numpy_dispatch() -> list[str] | None:
 def _environment(solver_blas_threads: int | None, workers: int) -> dict:
     """The numerical environment a batch ran in: numpy and its SIMD dispatch,
     its BLAS build and kernel set (None when unknown), the solver's BLAS
-    thread count (None when unpinned) and the worker count."""
+    thread count (None when unpinned), the CPUs in the affinity set and the
+    worker count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_build = f"{blas.get('name')} {blas.get('version')}"
@@ -314,16 +332,29 @@ def _environment(solver_blas_threads: int | None, workers: int) -> dict:
         "blas": blas_build,
         "blas_core": blas_core(),
         "solver_blas_threads": solver_blas_threads,
+        "cpus": len(os.sched_getaffinity(0)),
         "workers": workers,
     }
 
 
 def _worker_count(jobs: int, pinned: int | None) -> int:
-    """Threads for jobs independent jobs: one per CPU in the affinity set, at
-    most one per job, and one when OpenBLAS could not be pinned (pinned is
-    None), since unpinned BLAS calls on several threads oversubscribe the
-    CPUs."""
-    return min(jobs, len(os.sched_getaffinity(0))) if pinned else 1
+    """Threads for jobs independent jobs on the C CPUs of the affinity set:
+    min(jobs, C + jobs % C), and one when OpenBLAS could not be pinned
+    (pinned is None), since unpinned BLAS calls on several threads
+    oversubscribe the CPUs.
+
+    With C threads, J jobs of about equal length run in ceil(J / C) rounds,
+    and the last round holds only J % C of them while the other CPUs idle.
+    Starting those J % C jobs together with the first round lets the OS
+    share all C CPUs among them instead: 3 jobs on 2 CPUs take about 1.5 job
+    lengths, not 2.  When C divides J the rule gives C threads, as before,
+    and no batch starts more than 2C - 1 threads.  Two jobs, as the theory
+    battery's lanes, get one thread on one CPU and two otherwise.
+    """
+    if not pinned:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return min(jobs, cpus + jobs % cpus)
 
 
 def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
@@ -432,9 +463,12 @@ def run_scenario(
     manifest always describes exactly what ran.  write=False computes the
     manifest without touching the filesystem.
 
-    Runs execute on up to one thread per CPU in the affinity set, with
-    OpenBLAS pinned to one thread; results are collected in run order.  When
-    no OpenBLAS can be pinned, the runs execute one after another.
+    Runs execute on _worker_count(runs, pinned) threads, with OpenBLAS
+    pinned to one thread: one per CPU in the affinity set, and the runs of a
+    last partial round start with the first, so the OS shares every CPU
+    among them rather than leave CPUs idle behind them.  Results are
+    collected in run order.  When no OpenBLAS can be pinned, the runs
+    execute one after another.
     """
     # Imported here to keep the executor's import off `import hankeldoa`.
     from concurrent.futures import ThreadPoolExecutor
@@ -500,14 +534,14 @@ def run_scenario(
         timings={k: round(v, 6) for k, v in timings.items()},
         environment=_environment(pinned, workers),
     )
-    manifest.manifest_hash = manifest.compute_hash()
-
+    # One payload serves the hash and manifest.json.
+    payload = manifest.to_json()
+    manifest.manifest_hash = payload["manifest_hash"] = _payload_hash(payload)
     if write:
-        with open(
-            os.path.join(scn.out_dir, "manifest.json"), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(manifest.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(
+            os.path.join(scn.out_dir, "manifest.json"),
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        )
     return manifest
 
 

@@ -8,13 +8,13 @@ multi-bit indicator and solver settings the Scenario resolved when it was
 built.  run_scenario drives a batch of runs, then writes the CSV outputs and
 a manifest whose hash covers every deterministic field.  The runs of a batch
 are independent and execute concurrently on threads, with OpenBLAS pinned to
-one thread: one thread per CPU in the affinity set, plus one for each run a
-last partial round would start alone (_worker_count).  The hash depends on
-neither the BLAS thread count nor the worker count.  The theory battery
-bundles the Monte-Carlo checks of the quantizer identities and the embedding
-bound behind one call, in two lanes under the same pin and worker-count rule
-as a batch: the calling thread runs the dither grid and one worker thread the
-embedding check, then both claim the sampling pairs from one shared queue.
+one thread: one thread per CPU in the affinity set, or one per run when the
+batch has fewer than twice as many runs as CPUs (_worker_count).  The hash
+depends on neither the BLAS thread count nor the worker count.  The theory
+battery bundles the Monte-Carlo checks of the quantizer identities and the
+embedding bound behind one call, in two lanes under the same pin and
+worker-count rule as a batch: the calling thread runs the dither grid and one
+worker thread the embedding check, then both claim the sampling pairs from one shared queue.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import hashlib
 import json
 import math
 import os
-import stat
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -87,26 +86,13 @@ SAMPLING_DELTA = 0.5
 _FLOAT, _INT, _STR = "%.17g", "%d", "%s"
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text to path as UTF-8, over the file's old bytes, then cut a
-    regular file to the new length.  Opening with "w" would truncate the
-    file to zero first, and ext4 (auto_da_alloc) flushes a file that was
-    truncated to zero and rewritten when it is closed, which costs more than
-    the write.  A path that is not a regular file, such as /dev/null, is
-    never truncated; a symlink is written through."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
-
-
 def _write_csv(path: str, columns: dict[str, str], rows) -> None:
     """Write a CSV headed by the keys of columns, one line per row: each row
     is a tuple formatted by the columns' % conversions in one join."""
     line = ",".join(columns.values()) + "\n"
-    header = ",".join(columns) + "\n"
-    _write_text(path, header + "".join(line % row for row in rows))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.write("".join(line % row for row in rows))
 
 
 def write_snapshot_csv(path: str, snap: Snapshot) -> None:
@@ -181,7 +167,9 @@ def write_spectra_csv(path: str, spectra: list[AngleSpectrum]) -> None:
         return template % tuple(spec.magnitude_db.tolist())
 
     body = "".join(rows(spec) for spec in spectra)
-    _write_text(path, "u,theta_deg,magnitude_db,source\n" + body)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("u,theta_deg,magnitude_db,source\n")
+        fh.write(body)
 
 
 def write_trace_csv(path: str, residuals: np.ndarray, ranks: np.ndarray) -> None:
@@ -316,7 +304,7 @@ def _numpy_dispatch() -> list[str] | None:
     return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
 
 
-def _environment(solver_blas_threads: int | None, workers: int) -> dict:
+def _environment(solver_blas_threads: int | None, cpus: int, workers: int) -> dict:
     """The numerical environment a batch ran in: numpy and its SIMD dispatch,
     its BLAS build and kernel set (None when unknown), the solver's BLAS
     thread count (None when unpinned), the CPUs in the affinity set and the
@@ -332,29 +320,30 @@ def _environment(solver_blas_threads: int | None, workers: int) -> dict:
         "blas": blas_build,
         "blas_core": blas_core(),
         "solver_blas_threads": solver_blas_threads,
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": cpus,
         "workers": workers,
     }
 
 
-def _worker_count(jobs: int, pinned: int | None) -> int:
-    """Threads for jobs independent jobs on the C CPUs of the affinity set:
-    min(jobs, C + jobs % C), and one when OpenBLAS could not be pinned
-    (pinned is None), since unpinned BLAS calls on several threads
-    oversubscribe the CPUs.
+def _worker_count(jobs: int, pinned: int | None, cpus: int) -> int:
+    """Threads for jobs independent jobs on cpus CPUs: one per job when there
+    are fewer than twice as many jobs as CPUs, else one per CPU, and one when
+    OpenBLAS could not be pinned (pinned is None), since unpinned BLAS calls
+    on several threads oversubscribe the CPUs.
 
-    With C threads, J jobs of about equal length run in ceil(J / C) rounds,
-    and the last round holds only J % C of them while the other CPUs idle.
-    Starting those J % C jobs together with the first round lets the OS
-    share all C CPUs among them instead: 3 jobs on 2 CPUs take about 1.5 job
-    lengths, not 2.  When C divides J the rule gives C threads, as before,
-    and no batch starts more than 2C - 1 threads.  Two jobs, as the theory
-    battery's lanes, get one thread on one CPU and two otherwise.
+    With C threads, J jobs of about equal length run in ceil(J / C) rounds.
+    For C < J < 2C the second round holds only J - C jobs while the other
+    CPUs idle; starting all J jobs at once lets the OS share every CPU among
+    them instead, so they end together after J / C job lengths, the ideal:
+    3 jobs on 2 CPUs take about 1.5 job lengths, not 2.  From 2C jobs on,
+    one thread per CPU idles less than a third of the batch, a share that
+    shrinks as jobs grow, so the rule keeps C threads there and no batch
+    starts more than 2C - 1.  Two jobs, as the theory battery's lanes, get
+    one thread on one CPU and two otherwise.
     """
     if not pinned:
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    return min(jobs, cpus + jobs % cpus)
+    return jobs if jobs < 2 * cpus else cpus
 
 
 def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
@@ -463,10 +452,10 @@ def run_scenario(
     manifest always describes exactly what ran.  write=False computes the
     manifest without touching the filesystem.
 
-    Runs execute on _worker_count(runs, pinned) threads, with OpenBLAS
-    pinned to one thread: one per CPU in the affinity set, and the runs of a
-    last partial round start with the first, so the OS shares every CPU
-    among them rather than leave CPUs idle behind them.  Results are
+    Runs execute on _worker_count threads, with OpenBLAS pinned to one
+    thread: one per CPU in the affinity set, or one per run when there are
+    fewer than twice as many runs as CPUs, so the OS shares every CPU among
+    them rather than leave CPUs idle behind a short last round.  Results are
     collected in run order.  When no OpenBLAS can be pinned, the runs
     execute one after another.
     """
@@ -480,7 +469,8 @@ def run_scenario(
     )
 
     with single_thread_blas() as pinned:
-        workers = _worker_count(scn.runs, pinned)
+        cpus = len(os.sched_getaffinity(0))
+        workers = _worker_count(scn.runs, pinned, cpus)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(execute_run, scn), range(scn.runs)))
     summaries, all_artifacts, stage_times = zip(*results)
@@ -532,16 +522,16 @@ def run_scenario(
         out_dir=scn.out_dir,
         outputs=sorted(outputs),
         timings={k: round(v, 6) for k, v in timings.items()},
-        environment=_environment(pinned, workers),
+        environment=_environment(pinned, cpus, workers),
     )
     # One payload serves the hash and manifest.json.
     payload = manifest.to_json()
     manifest.manifest_hash = payload["manifest_hash"] = _payload_hash(payload)
     if write:
-        _write_text(
-            os.path.join(scn.out_dir, "manifest.json"),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
+        with open(
+            os.path.join(scn.out_dir, "manifest.json"), "w", encoding="utf-8"
+        ) as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -640,7 +630,7 @@ def theory_battery(
         return embedding
 
     with single_thread_blas() as pinned:
-        if _worker_count(2, pinned) == 1:
+        if _worker_count(2, pinned, len(os.sched_getaffinity(0))) == 1:
             dither = _dither_checks(dither_trials, seed)
             embedding = embedding_lane()
         else:

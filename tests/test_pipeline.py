@@ -260,8 +260,8 @@ def test_hash_independent_of_blas_thread_env():
 
 
 def test_hash_independent_of_worker_count(monkeypatch):
-    """Three runs: serial on one CPU, all at once on two (the third run is
-    not left to start alone) and on three."""
+    """Three runs: serial on one CPU, and all at once on two (the third run
+    is not left to start alone) and on three."""
     scn = load_bundled("five_targets")
     manifests = []
     for cpus in ({0}, {0, 1}, {0, 1, 2}):
@@ -273,19 +273,18 @@ def test_hash_independent_of_worker_count(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_worker_count_rule(monkeypatch, cpus):
-    """The runs of a last partial round start with the first: never more
-    threads than jobs or than 2C - 1, C threads when C divides the jobs, and
-    one thread when OpenBLAS is not pinned."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+def test_worker_count_rule(cpus):
+    """One thread per job below 2C jobs, so no CPU idles behind a short
+    second round, and one per CPU from there on: never more threads than
+    jobs or than 2C - 1, C threads when C divides the jobs, and one thread
+    when OpenBLAS is not pinned."""
     for jobs in range(1, 41):
-        workers = pipeline._worker_count(jobs, 1)
+        workers = pipeline._worker_count(jobs, 1, cpus)
         assert 1 <= workers <= min(jobs, 2 * cpus - 1), jobs
         if jobs >= cpus and jobs % cpus == 0:
             assert workers == cpus, jobs
-        if jobs < 2 * cpus:
-            assert workers == jobs, jobs
-        assert pipeline._worker_count(jobs, None) == 1
+        assert workers == (jobs if jobs < 2 * cpus else cpus), jobs
+        assert pipeline._worker_count(jobs, None, cpus) == 1
 
 
 # Seed-0 manifest hashes of every bundled scenario at runs=3, recorded with
@@ -348,7 +347,7 @@ GOLDEN_BATCH_DIGESTS = {
 
 
 def _skip_unless_golden_environment():
-    env = pipeline._environment(None, 1)
+    env = pipeline._environment(None, 1, 1)
     recorded = {key: env[key] for key in GOLDEN_ENVIRONMENT}
     if recorded != GOLDEN_ENVIRONMENT:
         pytest.skip(
@@ -683,31 +682,6 @@ def test_spectra_csv_spells_minus_infinity(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text == _per_row_spectra_csv([spec])
     assert text.count(",-inf,completed\n") == 3
-
-
-def test_rewrite_leaves_only_the_new_bytes(tmp_path):
-    path = tmp_path / "out.csv"
-    pipeline._write_text(str(path), "a,b\n" + "1,2\n" * 100)
-    pipeline._write_text(str(path), "a,b\n3,4\n")
-    assert path.read_bytes() == b"a,b\n3,4\n"
-    pipeline._write_text(str(path), "")
-    assert path.read_bytes() == b""
-
-
-def test_rewrite_follows_a_symlink(tmp_path):
-    target = tmp_path / "target.csv"
-    target.write_text("old text, longer than the new\n")
-    link = tmp_path / "link.csv"
-    link.symlink_to(target)
-    write_trace_csv(str(link), np.array([0.5]), np.array([1]))
-    assert link.is_symlink()
-    assert target.read_text() == "k,residual,rank\n1,0.5,1\n"
-
-
-def test_write_to_dev_null():
-    """A character device takes the bytes and is not truncated, which
-    would raise EINVAL."""
-    pipeline._write_text(os.devnull, "k,residual,rank\n")
 
 
 def test_trace_csv_is_one_based(tmp_path):

@@ -35,7 +35,14 @@ from .scenario import (
 )
 from .signal import SnapshotKind
 from .spectrum import angle_spectrum, find_peaks
-from .theory import DITHER_TRIALS, EMBEDDING_TRIALS, SAMPLING_TRIALS
+from .theory import (
+    DITHER_MIN_TRIALS,
+    DITHER_TRIALS,
+    EMBEDDING_MIN_TRIALS,
+    EMBEDDING_TRIALS,
+    SAMPLING_MIN_TRIALS,
+    SAMPLING_TRIALS,
+)
 
 
 def _int_at_least(low: int, message: str):
@@ -55,6 +62,11 @@ def _int_at_least(low: int, message: str):
 
 _positive_int = _int_at_least(1, "must be a positive integer")
 _nonnegative_int = _int_at_least(0, "must be nonnegative")
+
+
+def _trials(least: int):
+    """An argparse type for a check's trial count: theory's minimum for it."""
+    return _int_at_least(least, f"must be at least {least}")
 
 
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
@@ -100,15 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-theory", help="Monte-Carlo checks of the quantizer identities"
     )
     p_theory.add_argument(
-        "--dither-trials", type=_positive_int, default=DITHER_TRIALS,
+        "--dither-trials", type=_trials(DITHER_MIN_TRIALS), default=DITHER_TRIALS,
         help="trials per dither-identity point (default %(default)s)",
     )
     p_theory.add_argument(
-        "--sampling-trials", type=_positive_int, default=SAMPLING_TRIALS,
+        "--sampling-trials", type=_trials(SAMPLING_MIN_TRIALS), default=SAMPLING_TRIALS,
         help="draws per sampling-identity pair (default %(default)s)",
     )
     p_theory.add_argument(
-        "--embedding-trials", type=_positive_int, default=EMBEDDING_TRIALS,
+        "--embedding-trials", type=_trials(EMBEDDING_MIN_TRIALS), default=EMBEDDING_TRIALS,
         help="random pairs for the embedding check (default %(default)s)",
     )
     p_theory.add_argument("--seed", type=_nonnegative_int, default=0)

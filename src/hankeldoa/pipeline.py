@@ -12,9 +12,9 @@ one thread: one thread per CPU in the affinity set, or one per run when the
 batch has fewer than twice as many runs as CPUs (_worker_count).  The hash
 depends on neither the BLAS thread count nor the worker count.  The theory
 battery bundles the Monte-Carlo checks of the quantizer identities and the
-embedding bound behind one call, in two lanes under the same pin and
-worker-count rule as a batch: the calling thread runs the dither grid and one
-worker thread the embedding check, then both claim the sampling pairs from one shared queue.
+embedding bound behind one call, under the same pin and worker-count rule as
+a batch: the calling thread runs the dither grid, then it and a helper lane
+(none on one CPU) claim the embedding check and the pairs from one queue.
 """
 
 from __future__ import annotations
@@ -54,14 +54,18 @@ from .spectrum import (
     max_sidelobe_db,
 )
 from .theory import (
+    DITHER_MIN_TRIALS,
     DITHER_TRIALS,
+    EMBEDDING_MIN_TRIALS,
     EMBEDDING_TRIALS,
+    SAMPLING_MIN_TRIALS,
     SAMPLING_TRIALS,
     DitherIdentityReport,
     EmbeddingReport,
     LowRankSpec,
     SamplingIdentityReport,
     check_seed,
+    check_trials,
     l1_norm,
     random_low_rank,
     verify_dither_identity,
@@ -110,7 +114,8 @@ def read_snapshot_csv(path: str) -> Snapshot:
     """Read the snapshot interchange format back; kind is full when every
     antenna is observed, masked otherwise.  Rows must carry the indices 1..m
     in order, finite values and a mask of 0 or 1, with value 0 where the mask
-    is 0; a bad row raises a ValueError naming the file and line."""
+    is 0; a bad row raises a ValueError naming the file and line, and a file
+    with no rows one naming the file."""
     values = []
     mask = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -136,6 +141,8 @@ def read_snapshot_csv(path: str) -> Snapshot:
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             values.append(z)
+    if not values:
+        raise ValueError(f"{path}: the snapshot CSV holds no antenna rows")
     values_arr = np.asarray(values, dtype=np.complex128)
     mask_arr = np.asarray(mask, dtype=np.int8)
     kind = SnapshotKind.FULL if np.all(mask_arr == 1) else SnapshotKind.MASKED
@@ -239,9 +246,6 @@ class RunManifest:
     def to_json(self) -> dict:
         """Every field, made JSON-safe; the content of manifest.json."""
         return _json_safe(asdict(self))
-
-    def compute_hash(self) -> str:
-        return _payload_hash(self.to_json())
 
 
 def _payload_hash(payload: dict) -> str:
@@ -599,47 +603,46 @@ def theory_battery(
     SAMPLING_PAIRS random rank-2 pairs, and the embedding concentration
     check.
 
-    Every check draws from its own seed, so two lanes run them at the same
-    time, with OpenBLAS pinned to one thread: the calling thread runs the
-    dither grid and one worker the embedding check, then each claims
-    sampling pairs from one shared queue until none is left.  Which lane
-    runs a pair changes no report, and the reports are kept in pair order.
-    The dither grid's trials-long arrays stay on the calling thread, which
-    keeps them out of a second thread's malloc arena.  With one CPU in the
-    affinity set, or no OpenBLAS to pin, the calling thread runs the dither
-    grid, the embedding check and the pairs one after the other.
+    Every check draws from its own seed, so lanes run them at the same time,
+    with OpenBLAS pinned to one thread.  One queue holds the embedding check,
+    then the pairs.  The calling thread starts _worker_count(2, ...) - 1
+    helper lanes, which claim from the queue: none on one CPU or with no
+    OpenBLAS to pin, else one.  It then runs the dither grid and claims from
+    the queue itself until it is empty, so on one CPU the checks run one
+    after the other.  Which lane runs a check changes no report.  The dither
+    grid's trials-long arrays stay on the calling thread, which keeps them
+    out of a second thread's malloc arena.
     """
     from concurrent.futures import ThreadPoolExecutor  # as in run_scenario
 
     check_seed(seed)
-    sampling: list[SamplingIdentityReport | None] = [None] * SAMPLING_PAIRS
-    pairs = iter(range(SAMPLING_PAIRS))
+    check_trials(dither_trials, DITHER_MIN_TRIALS, "dither_trials")
+    check_trials(sampling_trials, SAMPLING_MIN_TRIALS, "sampling_trials")
+    check_trials(embedding_trials, EMBEDDING_MIN_TRIALS, "embedding_trials")
+    checks = [partial(_embedding_check, embedding_trials, seed)] + [
+        partial(_sampling_check, k, sampling_trials, seed) for k in range(SAMPLING_PAIRS)
+    ]
+    reports = [None] * len(checks)
+    queue = iter(range(len(checks)))
     queue_lock = threading.Lock()
 
-    def claim_pairs() -> None:
+    def claim() -> None:
         while True:
             with queue_lock:
-                k = next(pairs, None)
-            if k is None:
+                i = next(queue, None)
+            if i is None:
                 return
-            sampling[k] = _sampling_check(k, sampling_trials, seed)
-
-    def embedding_lane() -> EmbeddingReport:
-        embedding = _embedding_check(embedding_trials, seed)
-        claim_pairs()
-        return embedding
+            reports[i] = checks[i]()
 
     with single_thread_blas() as pinned:
-        if _worker_count(2, pinned, len(os.sched_getaffinity(0))) == 1:
+        helpers = _worker_count(2, pinned, len(os.sched_getaffinity(0))) - 1
+        with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+            lanes = [pool.submit(claim) for _ in range(helpers)]
             dither = _dither_checks(dither_trials, seed)
-            embedding = embedding_lane()
-        else:
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                future = pool.submit(embedding_lane)
-                dither = _dither_checks(dither_trials, seed)
-                claim_pairs()
-                embedding = future.result()
-    return TheoryBattery(dither=dither, sampling=sampling, embedding=embedding)
+            claim()
+            for lane in lanes:
+                lane.result()
+    return TheoryBattery(dither=dither, sampling=reports[1:], embedding=reports[0])
 
 
 def write_theory_csvs(battery: TheoryBattery, out_dir: str) -> list[str]:

@@ -58,15 +58,20 @@ def check_n_fft(n_fft: int, m: int) -> None:
 def angle_spectrum(snap: Snapshot, n_fft: int) -> AngleSpectrum:
     """FFT magnitude of a snapshot; unobserved antennas contribute zeros.
 
-    A full snapshot is tagged completed, a masked one sla_zero_filled."""
+    A full snapshot is tagged completed, a masked one sla_zero_filled.  A
+    snapshot whose spectrum is all zero, or whose peak overflows, cannot be
+    normalized and raises a ValueError."""
     check_n_fft(n_fft, snap.m)
     source = (
         SpectrumSource.COMPLETED
         if snap.kind is SnapshotKind.FULL
         else SpectrumSource.SLA_ZERO_FILLED
     )
-    mag = np.abs(np.fft.fftshift(np.fft.fft(snap.values, n_fft)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.abs(np.fft.fftshift(np.fft.fft(snap.values, n_fft)))
     top = float(mag.max())
+    if not np.isfinite(top):
+        raise ValueError("cannot normalize a spectrum whose peak overflows")
     if top == 0.0:
         raise ValueError("cannot normalize the spectrum of an all-zero snapshot")
     with np.errstate(divide="ignore"):

@@ -26,6 +26,12 @@ DITHER_TRIALS = 1_000_000
 SAMPLING_TRIALS = 2000
 EMBEDDING_TRIALS = 2000
 
+# The fewest trials each check accepts (check_trials): the dither identity
+# judges its mean on many, a standard error needs two.
+DITHER_MIN_TRIALS = 10_000
+SAMPLING_MIN_TRIALS = 2
+EMBEDDING_MIN_TRIALS = 1
+
 # Trials per numpy evaluation of verify_sampling_identity and
 # verify_embedding.  Each check spawns one generator per kind of draw from
 # SeedSequence(seed) and reads every stream row by row, one row per trial, so
@@ -136,6 +142,12 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed: must be nonnegative, got {seed}")
 
 
+def check_trials(trials: int, least: int, name: str = "trials") -> None:
+    """The trial-count rule of the Monte-Carlo checks: at least least."""
+    if trials < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def _trial_blocks(trials: int, size: int):
     """Consecutive ranges of trial indices, size at most each."""
     for start in range(0, trials, size):
@@ -179,8 +191,7 @@ def verify_dither_identity(
     Passes when the MC mean sits within 4 standard errors of |a - b|.
     The dithers come from default_rng(seed), DITHER_CHUNK trials at a time.
     """
-    if trials < 10_000:
-        raise ValueError("trials must be at least 10000")
+    check_trials(trials, DITHER_MIN_TRIALS)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     diffs = np.empty(trials)
@@ -221,8 +232,7 @@ def verify_sampling_identity(
     cells = x.size
     if not 1 <= m_prime <= cells:
         raise ValueError("m_prime must lie in 1..n1*n2")
-    if trials < 2:
-        raise ValueError("trials must be at least 2")
+    check_trials(trials, SAMPLING_MIN_TRIALS)
     check_seed(seed)
 
     x_re = x.real.ravel()
@@ -263,8 +273,7 @@ def verify_embedding(
     cells = spec.n1 * spec.n2
     if not 1 <= m_prime <= cells:
         raise ValueError("m_prime must lie in 1..n1*n2")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_trials(trials, EMBEDDING_MIN_TRIALS)
     epsilons = np.asarray(epsilons, dtype=np.float64)
     if epsilons.size == 0 or np.any(epsilons <= 0):
         raise ValueError("epsilons must be positive")

@@ -576,6 +576,22 @@ def test_oversized_transform_is_usage_error(tmp_path, capfd):
     assert not out.exists()
 
 
+def test_overflowing_spectrum_is_usage_error(tmp_path, capfd):
+    snap = tmp_path / "big.csv"
+    snap.write_text("index,re,im,mask\n1,1e308,1e308,1\n2,1e308,1e308,1\n",
+                    encoding="utf-8")
+    out = tmp_path / "spectrum.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["spectrum", "--snapshot", str(snap), "--out", str(out)])
+    assert code == 2
+    assert caught == []
+    assert capfd.readouterr().err.splitlines() == [
+        "error: cannot normalize a spectrum whose peak overflows"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "complete"])
 def test_all_zero_completion_is_numerical_failure(tmp_path, capsys, command):
     path = tmp_path / "starved.ini"
@@ -641,6 +657,27 @@ def test_argparse_rejects_zero_trials():
     with pytest.raises(SystemExit) as exc:
         main(["verify-theory", "--dither-trials", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--dither-trials", "5000", 10_000), ("--sampling-trials", "1", 2),
+     ("--embedding-trials", "0", 1)],
+)
+def test_too_few_trials_is_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch,
+                                                       flag, value, least):
+    """Each flag takes its check's minimum (theory's *_MIN_TRIALS), so the
+    usage error names the flag and no check starts."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(pipeline, "theory_battery", unreached)
+    out = tmp_path / "theory"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theory", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {least}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_seed_override_changes_hash(tmp_path, capsys):

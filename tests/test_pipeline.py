@@ -21,6 +21,7 @@ from hankeldoa.pipeline import (
     DITHER_GRID,
     EMBEDDING_EPSILONS,
     RunManifest,
+    _payload_hash,
     read_snapshot_csv,
     run_scenario,
     seeds_for,
@@ -68,7 +69,7 @@ def test_manifest_identity_fields(first4_scenario, single_run_manifest):
     assert manifest.scenario_name == "two_targets_first4"
     assert "[output]" not in manifest.scenario_ini
     assert "runs = 1" in manifest.scenario_ini
-    assert manifest.manifest_hash == manifest.compute_hash()
+    assert manifest.manifest_hash == _payload_hash(manifest.to_json())
     assert manifest.outputs == []
     base_hash = scenario_hash(first4_scenario)
     assert manifest.scenario_hash != base_hash
@@ -104,7 +105,7 @@ def test_hash_ignores_volatile_fields(single_run_manifest):
         timings={"synthesize": 99.0},
         environment={"workers": 7},
     )
-    assert relocated.compute_hash() == manifest.compute_hash()
+    assert _payload_hash(relocated.to_json()) == _payload_hash(manifest.to_json())
     renamed = RunManifest(
         scenario_name="other",
         scenario_hash=manifest.scenario_hash,
@@ -113,7 +114,7 @@ def test_hash_ignores_volatile_fields(single_run_manifest):
         derived=manifest.derived,
         runs=manifest.runs,
     )
-    assert renamed.compute_hash() != manifest.compute_hash()
+    assert _payload_hash(renamed.to_json()) != _payload_hash(manifest.to_json())
 
 
 def _altered(value):
@@ -137,7 +138,7 @@ def test_manifest_json_holds_every_field(first4_scenario, tmp_path):
     hashed = [name for name in names if name not in volatile]
     for name in hashed:
         changed = dataclasses.replace(manifest, **{name: _altered(getattr(manifest, name))})
-        assert changed.compute_hash() != manifest.compute_hash(), name
+        assert _payload_hash(changed.to_json()) != _payload_hash(manifest.to_json()), name
 
 
 @pytest.mark.parametrize(
@@ -505,12 +506,19 @@ def test_written_batch_is_pinned(tmp_path):
     assert digests == GOLDEN_BATCH_DIGESTS
 
 
+# Outcomes off the golden kernels: the per-run reference passes, and the
+# batch pins, the "skipped" entries, skip.  The theory pins run on every
+# kernel set and dispatch.  CI's "Batch pins ran" step reads both.
 KERNEL_SET_TESTS = {
     "test_shipped_runs_match_the_reference": "passed",
     "test_bundled_manifest_hashes_are_pinned": "skipped",
     "test_shipped_manifest_hashes_are_pinned": "skipped",
     "test_written_batch_is_pinned": "skipped",
 }
+THEORY_PIN_TESTS = (
+    "test_theory_report_is_pinned",
+    "test_theory_report_at_default_trials_is_pinned",
+)
 
 
 def _kernel_set_outcomes(tmp_path, **forced):
@@ -873,6 +881,14 @@ def test_read_snapshot_rejects_bad_rows(tmp_path, rows, line, reason):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(["index,re,im,mask"] + rows) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"bad\.csv, line {line}: .*{reason}"):
+        read_snapshot_csv(str(path))
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"], ids=["header_only", "blank_lines"])
+def test_read_snapshot_rejects_a_file_with_no_rows(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("index,re,im,mask\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=r"empty\.csv: the snapshot CSV holds no antenna rows"):
         read_snapshot_csv(str(path))
 
 

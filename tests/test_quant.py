@@ -1,5 +1,7 @@
 """Dithered uniform and one-bit quantizers, scale design, mixed application."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hankeldoa.quant import (
     QuantScheme,
     design_scales,
     dither_field,
+    quantize_cells,
     quantize_mixed,
     uniform_quantize,
     word_levels,
@@ -230,3 +233,88 @@ def test_mixed_quantization_requires_masked_kind(two_target_masked):
     scheme = QuantScheme(delta1, delta2, 10, delta_indicator=ind)
     with pytest.raises(ValueError):
         quantize_mixed(full, scheme)
+
+
+# A 3-bit scheme for the quantize_cells tests: 4 levels per sign, so a
+# multi-bit part lands on one of the odd multiples of delta2/2 up to
+# +-(4 - 1/2) * delta2 = +-0.875.  quantize_cells reads the steps and the
+# levels; the indicator is the caller's.
+CELL_SCHEME = QuantScheme(2.0, 0.25, 3, np.array([1, 0], dtype=np.int8))
+
+
+def saturating(x: float, delta: float, tau: float, levels: int) -> float:
+    """The scalar multi-bit rule: cell floor((x + tau) / delta), clamped to
+    [-levels, levels - 1], quantized to delta * (cell + 1/2)."""
+    cell = min(max(math.floor((x + tau) / delta), -levels), levels - 1)
+    return delta * (cell + 0.5)
+
+
+def reference_cells(values, observed, fine, tau, scheme):
+    """quantize_cells one cell and one part at a time: one_bit on the one-bit
+    cells, saturating on the multi-bit ones, 0 on the unobserved ones, each
+    part with its own dither part."""
+    out = np.zeros(values.shape, dtype=complex)
+    d1, d2, levels = scheme.delta1, scheme.delta2, scheme.levels
+    for i in np.ndindex(values.shape):
+        x, t = values[i], tau[i]
+        if fine[i]:
+            out[i] = complex(saturating(x.real, d2, t.real, levels),
+                             saturating(x.imag, d2, t.imag, levels))
+        elif observed[i]:
+            out[i] = complex(one_bit(x.real, d1, t.real), one_bit(x.imag, d1, t.imag))
+    return out
+
+
+def cell_inputs(observed, fine, seed):
+    """Cells for CELL_SCHEME: one-bit parts inside +-delta1/2, multi-bit parts
+    up to 1.5 times past the saturating level, unobserved cells nonzero, and
+    independent dither parts inside each class's half-cell."""
+    rng = np.random.default_rng(seed)
+    d1, d2, levels = CELL_SCHEME.delta1, CELL_SCHEME.delta2, CELL_SCHEME.levels
+    reach = np.where(fine, 1.5 * levels * d2, np.where(observed, d1 / 2, 5.0))
+    half = np.where(fine, d2 / 2, d1 / 2)
+    values = rng.uniform(-reach, reach) + 1j * rng.uniform(-reach, reach)
+    tau = rng.uniform(-half, half) + 1j * rng.uniform(-half, half)
+    return values, tau
+
+
+def test_quantize_cells_follows_the_rule_cell_by_cell():
+    rng = np.random.default_rng(11)
+    observed = rng.random((7, 9)) < 0.7
+    fine = observed & (rng.random(observed.shape) < 0.4)
+    values, tau = cell_inputs(observed, fine, seed=12)
+    out = quantize_cells(values, observed, fine, tau, CELL_SCHEME)
+    assert np.array_equal(out, reference_cells(values, observed, fine, tau, CELL_SCHEME))
+    assert np.all(out[~observed] == 0) and np.any(values[~observed] != 0)
+    top = (CELL_SCHEME.levels - 0.5) * CELL_SCHEME.delta2
+    assert np.all(np.abs(out.real[fine]) <= top) and np.all(np.abs(out.imag[fine]) <= top)
+    # Some multi-bit inputs lie past the saturating cells, and saturate.
+    beyond = np.abs(values.real) > CELL_SCHEME.levels * CELL_SCHEME.delta2
+    assert np.any(beyond & fine)
+    assert np.all(np.abs(out.real[beyond & fine]) == top)
+
+
+def test_quantize_cells_dithers_each_part_with_its_own_draw():
+    """Equal real and imaginary parts under different dither parts: each
+    output part follows its own dither, so the two parts differ somewhere
+    in each class."""
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-0.9, 0.9, size=64)
+    observed = np.ones(x.size, dtype=bool)
+    for fine, half in ((np.zeros(x.size, dtype=bool), 1.0), (observed, 0.125)):
+        tau = rng.uniform(-half, half, size=x.size) + 1j * rng.uniform(-half, half, size=x.size)
+        out = quantize_cells(x + 1j * x, observed, fine, tau, CELL_SCHEME)
+        assert np.array_equal(out, reference_cells(x + 1j * x, observed, fine, tau, CELL_SCHEME))
+        assert np.any(out.real != out.imag)
+
+
+@pytest.mark.parametrize("empty", ["multi_bit", "one_bit", "both"])
+def test_quantize_cells_with_an_empty_class(empty):
+    observed = np.random.default_rng(14).random((5, 6)) < 0.6
+    if empty == "both":
+        observed[:] = False
+    fine = observed if empty == "one_bit" else np.zeros_like(observed)
+    values, tau = cell_inputs(observed, fine, seed=15)
+    out = quantize_cells(values, observed, fine, tau, CELL_SCHEME)
+    assert np.array_equal(out, reference_cells(values, observed, fine, tau, CELL_SCHEME))
+    assert np.all(out[~observed] == 0)

@@ -1,5 +1,7 @@
 """Angle spectrum, peak picking, sidelobe measurement."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,17 @@ def test_validation_errors(two_unit_geom):
     )
     with pytest.raises(ValueError):
         angle_spectrum(zero, 8)
+
+
+def test_overflowing_spectrum_is_rejected():
+    """Two antennas at 1e308 + 1e308j sum past the largest double in the
+    transform.  The peak is not finite, so nothing can be normalized to it:
+    a ValueError, and no numpy warning."""
+    big = Snapshot(np.full(2, 1e308 + 1e308j), np.ones(2, dtype=np.int8), SnapshotKind.FULL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spectrum whose peak overflows"):
+            angle_spectrum(big, 8)
 
 
 def test_local_maxima_are_strict_interior():

@@ -435,3 +435,22 @@ def test_battery_rejects_negative_seed_before_any_check(monkeypatch):
     monkeypatch.setattr(pipeline, "verify_dither_identity", unreached)
     with pytest.raises(ValueError, match="seed: must be nonnegative, got -1"):
         theory_battery(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "trials, message",
+    [
+        ({"dither_trials": 9_999}, "dither_trials must be at least 10000"),
+        ({"sampling_trials": 1}, "sampling_trials must be at least 2"),
+        ({"embedding_trials": 0}, "embedding_trials must be at least 1"),
+    ],
+    ids=["dither", "sampling", "embedding"],
+)
+def test_battery_rejects_too_few_trials_before_any_check(monkeypatch, trials, message):
+    def unreached(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in ("verify_dither_identity", "verify_sampling_identity", "verify_embedding"):
+        monkeypatch.setattr(pipeline, name, unreached)
+    with pytest.raises(ValueError, match=message):
+        theory_battery(**trials)

@@ -80,16 +80,30 @@ def check_margin(margin: float) -> None:
         raise ValueError("margin: must be nonnegative and finite")
 
 
-def uniform_quantize(x, delta: float, tau, levels: int | None = None):
-    """Dithered mid-rise quantizer on real data; levels=None means no saturation."""
+def uniform_quantize(x, delta: float, tau, levels: int | None = None, out=None):
+    """Dithered mid-rise quantizer on real data; levels=None means no saturation.
+
+    With out, a float64 array of the broadcast shape of x and tau, the add,
+    divide, floor, clip, +1/2 and *delta steps run in out, in the same order
+    and so to the same bits, and out is returned.  out may be x or tau
+    itself, which is then overwritten.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    cell = np.floor((np.asarray(x, dtype=np.float64) + tau) / delta)
+    if levels is not None and levels < 1:
+        raise ValueError("levels must be at least 1")
+    if out is None:
+        cell = np.floor((np.asarray(x, dtype=np.float64) + tau) / delta)
+        if levels is not None:
+            cell = np.clip(cell, -levels, levels - 1)
+        return delta * (cell + 0.5)
+    np.add(np.asarray(x, dtype=np.float64), tau, out=out)
+    np.divide(out, delta, out=out)
+    np.floor(out, out=out)
     if levels is not None:
-        if levels < 1:
-            raise ValueError("levels must be at least 1")
-        cell = np.clip(cell, -levels, levels - 1)
-    return delta * (cell + 0.5)
+        np.clip(out, -levels, levels - 1, out=out)
+    np.add(out, 0.5, out=out)
+    return np.multiply(delta, out, out=out)
 
 
 def check_one_bit_range(values, coarse, limit: float) -> None:

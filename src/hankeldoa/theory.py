@@ -9,7 +9,11 @@ ADC alphabet.
 Every check reads its generators in sequence and evaluates its trials in
 fixed-size pieces (MC_BLOCK trials of the sampling and embedding checks,
 DITHER_CHUNK of the dither identity), so the piece sizes bound memory and
-change no report.
+change no report.  Each piece is quantized in place: Q(x) into a buffer the
+check owns (the dither check's slice of its samples, the sampled cells of
+the others) and Q(y) into the piece's dithers, with the allocating
+quantizer's operations in its order, so the same bits.  A trial count whose
+samples numpy cannot allocate is a ValueError naming the trials parameter.
 """
 
 from __future__ import annotations
@@ -154,6 +158,17 @@ def _trial_blocks(trials: int, size: int):
         yield range(start, min(start + size, trials))
 
 
+def _samples(trials: int) -> np.ndarray:
+    """An empty trials-long float64 array; a size numpy cannot allocate is a
+    ValueError naming the trials parameter."""
+    try:
+        return np.empty(trials)
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"trials: cannot allocate {trials} samples ({8 * trials:.3g} bytes)"
+        ) from None
+
+
 def _streams(seed: int, kinds: int) -> list[np.random.Generator]:
     """One generator per kind of draw, spawned from SeedSequence(seed)."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(kinds)]
@@ -175,11 +190,16 @@ def _draw_cells(key_rng, dither_rng, rows: int, cells: int, m_prime: int, delta:
     return omega, dither_rng.uniform(-delta / 2.0, delta / 2.0, size=(rows, m_prime))
 
 
-def _quantized_gaps(x, y, tau, delta: float, levels: int | None = None) -> np.ndarray:
-    """|Q(x) - Q(y)| elementwise, the dither tau shared between x and y."""
-    qx = uniform_quantize(x, delta, tau, levels)
-    qy = uniform_quantize(y, delta, tau, levels)
-    return np.abs(qx - qy)
+def _quantized_gaps(x, y, tau, delta: float, out: np.ndarray, levels: int | None = None):
+    """|Q(x) - Q(y)| elementwise, the dither tau shared between x and y.
+
+    Q(x) goes into out, which may be x itself, and Q(y) into tau, which this
+    overwrites; the gaps are formed in out, which is returned.  These are the
+    allocating quantizer's operations in its order, so its bits."""
+    uniform_quantize(x, delta, tau, levels, out=out)
+    uniform_quantize(y, delta, tau, levels, out=tau)
+    np.subtract(out, tau, out=out)
+    return np.abs(out, out=out)
 
 
 def verify_dither_identity(
@@ -194,10 +214,10 @@ def verify_dither_identity(
     check_trials(trials, DITHER_MIN_TRIALS)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    diffs = np.empty(trials)
+    diffs = _samples(trials)
     for chunk in _trial_blocks(trials, DITHER_CHUNK):
         tau = rng.uniform(-delta / 2.0, delta / 2.0, size=len(chunk))
-        diffs[chunk.start : chunk.stop] = _quantized_gaps(a, b, tau, delta)
+        _quantized_gaps(a, b, tau, delta, out=diffs[chunk.start : chunk.stop])
     expected = abs(a - b)
     mean, stderr, passed = _mc_estimate(diffs, expected)
     return DitherIdentityReport(
@@ -238,10 +258,11 @@ def verify_sampling_identity(
     x_re = x.real.ravel()
     y_re = y.real.ravel()
     key_rng, dither_rng = _streams(seed, 2)
-    sums = np.empty(trials)
+    sums = _samples(trials)
     for block in _trial_blocks(trials, MC_BLOCK):
         omega, tau = _draw_cells(key_rng, dither_rng, len(block), cells, m_prime, delta)
-        gaps = _quantized_gaps(x_re[omega], y_re[omega], tau, delta)
+        x_omega = x_re[omega]
+        gaps = _quantized_gaps(x_omega, y_re[omega], tau, delta, out=x_omega)
         sums[block.start : block.stop] = gaps.sum(axis=1)
     expected = m_prime / cells * l1_norm(x.real - y.real)
     mean, stderr, passed = _mc_estimate(sums, expected)
@@ -280,18 +301,22 @@ def verify_embedding(
     check_seed(seed)
 
     key_rng, dither_rng, factor_rng = _streams(seed, 3)
-    deviations = np.empty(trials)
+    deviations = _samples(trials)
     for block in _trial_blocks(trials, MC_BLOCK):
-        shape = (len(block), 2, spec.n1 + spec.n2, spec.rank)
+        rows = len(block)
+        shape = (rows, 2, spec.n1 + spec.n2, spec.rank)
         pairs = _factor_products(spec, factor_rng.standard_normal(shape))
-        x = pairs[:, 0].reshape(len(block), cells)
-        y = pairs[:, 1].reshape(len(block), cells)
-        omega, tau = _draw_cells(key_rng, dither_rng, len(block), cells, m_prime, delta)
-        x_omega = np.take_along_axis(x, omega, axis=1)
-        y_omega = np.take_along_axis(y, omega, axis=1)
-        sampled = _quantized_gaps(x_omega, y_omega, tau, delta, levels).mean(axis=1)
-        full = np.abs(x - y).sum(axis=1) / cells
-        deviations[block.start : block.stop] = np.abs(sampled - full)
+        omega, tau = _draw_cells(key_rng, dither_rng, rows, cells, m_prime, delta)
+        # Row t of pairs holds x_t's cells, then y_t's: gather both by flat
+        # index, y's from the view that starts one matrix later.
+        flat = pairs.ravel()
+        omega += (2 * cells) * np.arange(rows)[:, None]
+        x_omega = flat[omega]
+        y_omega = flat[cells:][omega]
+        gaps = _quantized_gaps(x_omega, y_omega, tau, delta, out=x_omega, levels=levels)
+        full = np.subtract(pairs[:, 0], pairs[:, 1]).reshape(rows, cells)
+        full = np.abs(full, out=full).sum(axis=1) / cells
+        deviations[block.start : block.stop] = np.abs(gaps.mean(axis=1) - full)
 
     empirical = np.array([(deviations > e).mean() for e in epsilons])
     expo = epsilons**2 * m_prime / (levels**2 * delta**2)

@@ -680,6 +680,19 @@ def test_too_few_trials_is_usage_error_naming_the_flag(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--dither-trials", "--sampling-trials", "--embedding-trials"])
+def test_unallocatable_trials_are_one_error_line(tmp_path, capfd, flag):
+    """More samples than numpy can allocate: one error line, exit 2, and no
+    output directory."""
+    out = tmp_path / "huge"
+    fewest = ["--dither-trials", "10000", "--sampling-trials", "2", "--embedding-trials", "1"]
+    assert main(["verify-theory", *fewest, flag, "1000000000000000000", "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: trials: cannot allocate 1000000000000000000 samples")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_seed_override_changes_hash(tmp_path, capsys):
     a = main(["run", "two_targets_first4", "--out", str(tmp_path / "a"),
               "--runs", "1"])

@@ -318,3 +318,54 @@ def test_quantize_cells_with_an_empty_class(empty):
     out = quantize_cells(values, observed, fine, tau, CELL_SCHEME)
     assert np.array_equal(out, reference_cells(values, observed, fine, tau, CELL_SCHEME))
     assert np.all(out[~observed] == 0)
+
+
+def test_quantize_cells_leaves_its_arguments_unmodified():
+    rng = np.random.default_rng(16)
+    observed = rng.random((6, 7)) < 0.7
+    fine = observed & (rng.random(observed.shape) < 0.5)
+    values, tau = cell_inputs(observed, fine, seed=17)
+    kept = values.copy(), tau.copy()
+    quantize_cells(values, observed, fine, tau, CELL_SCHEME)
+    assert np.array_equal(values, kept[0]) and np.array_equal(tau, kept[1])
+
+
+def quantize_inputs(x_kind):
+    """x (the scalar 3.2 or 400 draws reaching past 512 levels of step 0.1)
+    and a dither of the same length.  The first 100 draws sit on cell edges
+    k * 0.1 with no dither, where a reciprocal multiply would floor some of
+    them differently from the divide."""
+    rng = np.random.default_rng(18)
+    tau = rng.uniform(-0.05, 0.05, size=400)
+    if x_kind == "scalar":
+        return 3.2, tau
+    x = rng.uniform(-60.0, 60.0, size=400)
+    x[:100] = 0.1 * np.arange(-498, 502, 10)
+    tau[:100] = 0.0
+    return x, tau
+
+
+@pytest.mark.parametrize("levels", [None, 1, 512])
+@pytest.mark.parametrize(
+    "x_kind, into",
+    [("scalar", "separate"), ("scalar", "tau"), ("array", "separate"), ("array", "tau"),
+     ("array", "x")],
+)
+def test_uniform_quantize_into_out_is_bit_identical(x_kind, into, levels):
+    """The in-place steps give the allocating call's bits, whether out is a
+    separate array or aliases the dither or the input."""
+    x, tau = quantize_inputs(x_kind)
+    expected = uniform_quantize(x, 0.1, tau, levels)
+    out = {"separate": np.empty(tau.size), "tau": tau, "x": x}[into]
+    result = uniform_quantize(x, 0.1, tau, levels, out=out)
+    assert result is out
+    assert np.array_equal(result.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("levels", [None, 1, 512])
+def test_uniform_quantize_scalar_into_out_is_bit_identical(levels):
+    for x, tau in ((3.2, -0.05), (-1e6, 0.01), (-50.3, 0.0)):
+        out = np.empty(())
+        result = uniform_quantize(x, 0.1, tau, levels, out=out)
+        assert result is out
+        assert result.tobytes() == np.float64(uniform_quantize(x, 0.1, tau, levels)).tobytes()

@@ -246,11 +246,48 @@ def test_dither_memory_is_bounded_by_the_samples():
     assert peak <= 1.5 * 8 * DITHER_TRIALS
 
 
+def test_dither_check_quantizes_in_place():
+    """One default-trial dither check peaks at its trials-long samples plus
+    at most 3 chunks of doubles: the chunk's dithers and the generator's own
+    temporaries.  A quantizer that allocates at each step holds 5."""
+    a, b, delta = DITHER_GRID[1]
+    peak = traced_peak(lambda: verify_dither_identity(a, b, delta, seed=0))
+    assert peak <= 8 * (DITHER_TRIALS + 3 * DITHER_CHUNK)
+
+
+# More samples than numpy can allocate: it refuses them without allocating.
+HUGE_TRIALS = 10**18
+HUGE_MESSAGE = f"trials: cannot allocate {HUGE_TRIALS} samples"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify_dither_identity(0.7, 0.2, 1.0, trials=HUGE_TRIALS),
+        lambda: verify_sampling_identity(np.eye(4), np.zeros((4, 4)), 8, 0.5,
+                                         trials=HUGE_TRIALS),
+        lambda: verify_embedding(LowRankSpec(4, 4, 1), 8, 0.5, 2, [0.1],
+                                 trials=HUGE_TRIALS),
+    ],
+    ids=["dither", "sampling", "embedding"],
+)
+def test_unallocatable_trials_are_a_value_error(check):
+    with pytest.raises(ValueError, match=HUGE_MESSAGE):
+        check()
+
+
+@pytest.mark.parametrize("name", ["dither_trials", "sampling_trials", "embedding_trials"])
+def test_battery_raises_the_checks_allocation_error(name):
+    trials = {"dither_trials": 10_000, "sampling_trials": 2, "embedding_trials": 1}
+    with pytest.raises(ValueError, match=HUGE_MESSAGE):
+        theory_battery(**{**trials, name: HUGE_TRIALS})
+
+
 def dither_gaps(n):
     """The two-valued gaps of n dither trials at (3.2, -1.1, 0.5): 4.0 or
     4.5, |a - b| = 4.3 being 8.6 steps."""
     tau = np.random.default_rng(2).uniform(-0.25, 0.25, size=n)
-    return theory._quantized_gaps(3.2, -1.1, tau, 0.5)
+    return theory._quantized_gaps(3.2, -1.1, tau, 0.5, out=np.empty(n))
 
 
 @pytest.mark.parametrize(

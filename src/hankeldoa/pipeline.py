@@ -68,6 +68,7 @@ from .theory import (
     check_trials,
     l1_norm,
     random_low_rank,
+    trial_samples,
     verify_dither_identity,
     verify_embedding,
     verify_sampling_identity,
@@ -616,9 +617,15 @@ def theory_battery(
     from concurrent.futures import ThreadPoolExecutor  # as in run_scenario
 
     check_seed(seed)
-    check_trials(dither_trials, DITHER_MIN_TRIALS, "dither_trials")
-    check_trials(sampling_trials, SAMPLING_MIN_TRIALS, "sampling_trials")
-    check_trials(embedding_trials, EMBEDDING_MIN_TRIALS, "embedding_trials")
+    for trials, least, name in (
+        (dither_trials, DITHER_MIN_TRIALS, "dither_trials"),
+        (sampling_trials, SAMPLING_MIN_TRIALS, "sampling_trials"),
+        (embedding_trials, EMBEDDING_MIN_TRIALS, "embedding_trials"),
+    ):
+        check_trials(trials, least, name)
+        # Allocate and drop each count's samples, untouched, so a count numpy
+        # cannot allocate fails by name before any lane starts.
+        trial_samples(trials, name)
     checks = [partial(_embedding_check, embedding_trials, seed)] + [
         partial(_sampling_check, k, sampling_trials, seed) for k in range(SAMPLING_PAIRS)
     ]

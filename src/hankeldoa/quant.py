@@ -83,27 +83,25 @@ def check_margin(margin: float) -> None:
 def uniform_quantize(x, delta: float, tau, levels: int | None = None, out=None):
     """Dithered mid-rise quantizer on real data; levels=None means no saturation.
 
-    With out, a float64 array of the broadcast shape of x and tau, the add,
-    divide, floor, clip, +1/2 and *delta steps run in out, in the same order
-    and so to the same bits, and out is returned.  out may be x or tau
-    itself, which is then overwritten.
+    The add, divide, floor, clip, +1/2 and *delta steps run in one float64
+    array of the broadcast shape of x and tau, which is returned: out if
+    given, which may be x or tau itself and is then overwritten, else a new
+    array, or its np.float64 value when x and tau are scalars.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if levels is not None and levels < 1:
         raise ValueError("levels must be at least 1")
-    if out is None:
-        cell = np.floor((np.asarray(x, dtype=np.float64) + tau) / delta)
-        if levels is not None:
-            cell = np.clip(cell, -levels, levels - 1)
-        return delta * (cell + 0.5)
-    np.add(np.asarray(x, dtype=np.float64), tau, out=out)
+    fresh = out is None
+    # With out None the sum is a new array, or a scalar that asarray makes 0-d.
+    out = np.asarray(np.add(np.asarray(x, dtype=np.float64), tau, out=out))
     np.divide(out, delta, out=out)
     np.floor(out, out=out)
     if levels is not None:
-        np.clip(out, -levels, levels - 1, out=out)
+        out.clip(-levels, levels - 1, out=out)
     np.add(out, 0.5, out=out)
-    return np.multiply(delta, out, out=out)
+    np.multiply(delta, out, out=out)
+    return out[()] if fresh and out.ndim == 0 else out
 
 
 def check_one_bit_range(values, coarse, limit: float) -> None:

@@ -9,10 +9,10 @@ ADC alphabet.
 Every check reads its generators in sequence and evaluates its trials in
 fixed-size pieces (MC_BLOCK trials of the sampling and embedding checks,
 DITHER_CHUNK of the dither identity), so the piece sizes bound memory and
-change no report.  Each piece is quantized in place: Q(x) into a buffer the
-check owns (the dither check's slice of its samples, the sampled cells of
-the others) and Q(y) into the piece's dithers, with the allocating
-quantizer's operations in its order, so the same bits.  A trial count whose
+change no report.  Each piece is quantized in place: Q(x) into a float64
+buffer the check owns (the dither check's slice of its samples, the sampled
+cells of the others) and Q(y) into the piece's dithers, the quantizer's
+steps in their order, so the bits of a new array.  A trial count whose
 samples numpy cannot allocate is a ValueError naming the trials parameter.
 """
 
@@ -158,14 +158,14 @@ def _trial_blocks(trials: int, size: int):
         yield range(start, min(start + size, trials))
 
 
-def _samples(trials: int) -> np.ndarray:
+def trial_samples(trials: int, name: str = "trials") -> np.ndarray:
     """An empty trials-long float64 array; a size numpy cannot allocate is a
-    ValueError naming the trials parameter."""
+    ValueError led by name, the parameter that gave trials."""
     try:
         return np.empty(trials)
     except (MemoryError, ValueError):
         raise ValueError(
-            f"trials: cannot allocate {trials} samples ({8 * trials:.3g} bytes)"
+            f"{name}: cannot allocate {trials} samples ({8 * trials:.3g} bytes)"
         ) from None
 
 
@@ -193,9 +193,9 @@ def _draw_cells(key_rng, dither_rng, rows: int, cells: int, m_prime: int, delta:
 def _quantized_gaps(x, y, tau, delta: float, out: np.ndarray, levels: int | None = None):
     """|Q(x) - Q(y)| elementwise, the dither tau shared between x and y.
 
-    Q(x) goes into out, which may be x itself, and Q(y) into tau, which this
-    overwrites; the gaps are formed in out, which is returned.  These are the
-    allocating quantizer's operations in its order, so its bits."""
+    Q(x) goes into out, a float64 array which may be x itself, and Q(y) into
+    tau, which this overwrites; the gaps are formed in out, which is
+    returned, with the bits new arrays would hold."""
     uniform_quantize(x, delta, tau, levels, out=out)
     uniform_quantize(y, delta, tau, levels, out=tau)
     np.subtract(out, tau, out=out)
@@ -214,7 +214,7 @@ def verify_dither_identity(
     check_trials(trials, DITHER_MIN_TRIALS)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    diffs = _samples(trials)
+    diffs = trial_samples(trials)
     for chunk in _trial_blocks(trials, DITHER_CHUNK):
         tau = rng.uniform(-delta / 2.0, delta / 2.0, size=len(chunk))
         _quantized_gaps(a, b, tau, delta, out=diffs[chunk.start : chunk.stop])
@@ -255,10 +255,10 @@ def verify_sampling_identity(
     check_trials(trials, SAMPLING_MIN_TRIALS)
     check_seed(seed)
 
-    x_re = x.real.ravel()
-    y_re = y.real.ravel()
+    x_re = np.asarray(x.real, dtype=np.float64).ravel()
+    y_re = np.asarray(y.real, dtype=np.float64).ravel()
     key_rng, dither_rng = _streams(seed, 2)
-    sums = _samples(trials)
+    sums = trial_samples(trials)
     for block in _trial_blocks(trials, MC_BLOCK):
         omega, tau = _draw_cells(key_rng, dither_rng, len(block), cells, m_prime, delta)
         x_omega = x_re[omega]
@@ -301,7 +301,7 @@ def verify_embedding(
     check_seed(seed)
 
     key_rng, dither_rng, factor_rng = _streams(seed, 3)
-    deviations = _samples(trials)
+    deviations = trial_samples(trials)
     for block in _trial_blocks(trials, MC_BLOCK):
         rows = len(block)
         shape = (rows, 2, spec.n1 + spec.n2, spec.rank)

@@ -688,7 +688,8 @@ def test_unallocatable_trials_are_one_error_line(tmp_path, capfd, flag):
     fewest = ["--dither-trials", "10000", "--sampling-trials", "2", "--embedding-trials", "1"]
     assert main(["verify-theory", *fewest, flag, "1000000000000000000", "--out", str(out)]) == 2
     err = capfd.readouterr().err
-    assert err.startswith("error: trials: cannot allocate 1000000000000000000 samples")
+    name = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: {name}: cannot allocate 1000000000000000000 samples")
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -345,27 +345,41 @@ def quantize_inputs(x_kind):
     return x, tau
 
 
+def quantize_reference(x, delta, tau, levels):
+    """The quantizer as one numpy expression, a new array at each step."""
+    cell = np.floor((np.asarray(x, dtype=np.float64) + tau) / delta)
+    if levels is not None:
+        cell = np.clip(cell, -levels, levels - 1)
+    return delta * (cell + 0.5)
+
+
 @pytest.mark.parametrize("levels", [None, 1, 512])
 @pytest.mark.parametrize(
     "x_kind, into",
-    [("scalar", "separate"), ("scalar", "tau"), ("array", "separate"), ("array", "tau"),
-     ("array", "x")],
+    [("scalar", None), ("scalar", "separate"), ("scalar", "tau"), ("array", None),
+     ("array", "separate"), ("array", "tau"), ("array", "x")],
 )
-def test_uniform_quantize_into_out_is_bit_identical(x_kind, into, levels):
-    """The in-place steps give the allocating call's bits, whether out is a
-    separate array or aliases the dither or the input."""
+def test_uniform_quantize_is_bit_identical_to_the_expression(x_kind, into, levels):
+    """The in-place steps give the expression's bits, into a new array or
+    into out, whether out is a separate array or aliases the dither or the
+    input."""
     x, tau = quantize_inputs(x_kind)
-    expected = uniform_quantize(x, 0.1, tau, levels)
-    out = {"separate": np.empty(tau.size), "tau": tau, "x": x}[into]
+    expected = quantize_reference(x, 0.1, tau, levels)
+    out = {None: None, "separate": np.empty(tau.size), "tau": tau, "x": x}[into]
     result = uniform_quantize(x, 0.1, tau, levels, out=out)
-    assert result is out
+    if out is not None:
+        assert result is out
     assert np.array_equal(result.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("levels", [None, 1, 512])
-def test_uniform_quantize_scalar_into_out_is_bit_identical(levels):
+def test_uniform_quantize_scalar_is_bit_identical_to_the_expression(levels):
+    """Scalars give an np.float64, or fill a 0-d out, with the expression's
+    bits."""
     for x, tau in ((3.2, -0.05), (-1e6, 0.01), (-50.3, 0.0)):
+        expected = np.float64(quantize_reference(x, 0.1, tau, levels)).tobytes()
+        result = uniform_quantize(x, 0.1, tau, levels)
+        assert type(result) is np.float64 and result.tobytes() == expected
         out = np.empty(())
-        result = uniform_quantize(x, 0.1, tau, levels, out=out)
-        assert result is out
-        assert result.tobytes() == np.float64(uniform_quantize(x, 0.1, tau, levels)).tobytes()
+        assert uniform_quantize(x, 0.1, tau, levels, out=out) is out
+        assert out.tobytes() == expected

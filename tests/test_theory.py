@@ -167,6 +167,18 @@ def test_sampling_identity_equals_per_trial_loop(trials, seed):
     assert report.expected == 100 / 240 * l1_norm(x.real - y.real)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64])
+def test_sampling_identity_quantizes_in_float64(dtype):
+    """Integer and single-precision pairs are sampled and quantized as their
+    float64 values, the quantizer's dtype."""
+    rng = np.random.default_rng(8)
+    x, y = (rng.standard_normal((2, 8, 10)) * 3.0).astype(dtype)
+    report = verify_sampling_identity(x, y, m_prime=30, delta=0.1, trials=300, seed=3)
+    wide = verify_sampling_identity(x.real.astype(np.float64), y.real.astype(np.float64),
+                                    m_prime=30, delta=0.1, trials=300, seed=3)
+    assert (report.mc_mean, report.stderr) == (wide.mc_mean, wide.stderr)
+
+
 @pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
 @pytest.mark.parametrize("levels", [2, 8])
 @pytest.mark.parametrize("seed", [0, 37])
@@ -257,7 +269,7 @@ def test_dither_check_quantizes_in_place():
 
 # More samples than numpy can allocate: it refuses them without allocating.
 HUGE_TRIALS = 10**18
-HUGE_MESSAGE = f"trials: cannot allocate {HUGE_TRIALS} samples"
+HUGE_MESSAGE = f"cannot allocate {HUGE_TRIALS} samples"
 
 
 @pytest.mark.parametrize(
@@ -272,14 +284,21 @@ HUGE_MESSAGE = f"trials: cannot allocate {HUGE_TRIALS} samples"
     ids=["dither", "sampling", "embedding"],
 )
 def test_unallocatable_trials_are_a_value_error(check):
-    with pytest.raises(ValueError, match=HUGE_MESSAGE):
+    with pytest.raises(ValueError, match=f"^trials: {HUGE_MESSAGE}"):
         check()
 
 
 @pytest.mark.parametrize("name", ["dither_trials", "sampling_trials", "embedding_trials"])
-def test_battery_raises_the_checks_allocation_error(name):
+def test_battery_names_the_unallocatable_count_before_any_check(monkeypatch, name):
+    """The battery's error names the count it cannot allocate, and comes
+    before any check starts: none waits behind a lane."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for check in ("verify_dither_identity", "verify_sampling_identity", "verify_embedding"):
+        monkeypatch.setattr(pipeline, check, unreached)
     trials = {"dither_trials": 10_000, "sampling_trials": 2, "embedding_trials": 1}
-    with pytest.raises(ValueError, match=HUGE_MESSAGE):
+    with pytest.raises(ValueError, match=f"^{name}: {HUGE_MESSAGE}"):
         theory_battery(**{**trials, name: HUGE_TRIALS})
 
 

@@ -47,8 +47,8 @@ class QuantScheme:
     dither_seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.delta1 < np.inf and 0 < self.delta2 < np.inf):
-            raise ValueError("quantizer step sizes must be positive and finite")
+        check_step(self.delta1, "delta1")
+        check_step(self.delta2, "delta2")
         word_levels(self.bits)  # raises on a word length out of range
         ind = np.asarray(self.delta_indicator, dtype=np.int8)
         if ind.ndim != 1 or not np.all((ind == 0) | (ind == 1)):
@@ -80,6 +80,20 @@ def check_margin(margin: float) -> None:
         raise ValueError("margin: must be nonnegative and finite")
 
 
+def check_step(delta: float, name: str = "delta") -> None:
+    """The quantizer step rule: 0 < delta < inf.  A nan or infinite step
+    would quantize every value to nan or inf, and a uniform dither across it
+    cannot be drawn."""
+    if not 0 < delta < np.inf:
+        raise ValueError(f"{name}: must be positive and finite, got {delta}")
+
+
+def check_levels(levels: int) -> None:
+    """The saturation rule of the quantizer: at least one cell per sign."""
+    if levels < 1:
+        raise ValueError(f"levels: must be at least 1, got {levels}")
+
+
 def uniform_quantize(x, delta: float, tau, levels: int | None = None, out=None):
     """Dithered mid-rise quantizer on real data; levels=None means no saturation.
 
@@ -88,10 +102,9 @@ def uniform_quantize(x, delta: float, tau, levels: int | None = None, out=None):
     given, which may be x or tau itself and is then overwritten, else a new
     array, or its np.float64 value when x and tau are scalars.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if levels is not None and levels < 1:
-        raise ValueError("levels must be at least 1")
+    check_step(delta)
+    if levels is not None:
+        check_levels(levels)
     fresh = out is None
     # With out None the sum is a new array, or a scalar that asarray makes 0-d.
     out = np.asarray(np.add(np.asarray(x, dtype=np.float64), tau, out=out))

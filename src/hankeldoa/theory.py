@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import uniform_quantize
+from .quant import check_levels, check_step, uniform_quantize
 
 # Default Monte-Carlo trial counts of the three checks.
 DITHER_TRIALS = 1_000_000
@@ -176,11 +176,29 @@ def _streams(seed: int, kinds: int) -> list[np.random.Generator]:
 
 def _cell_subsets(rng, rows: int, cells: int, m_prime: int) -> np.ndarray:
     """rows uniform m_prime-subsets of range(cells), one row of rng.random
-    keys each: the cells of a row's m_prime smallest keys, in increasing
-    order.  The sort pins which dither goes with which cell, since the order
-    argpartition leaves may depend on the CPU."""
+    keys each: the cells of a row's m_prime smallest keys, ties going to the
+    lower cell, in increasing order, which pins which dither goes with which
+    cell.
+
+    One partition per block finds each row's m_prime-th smallest key; the
+    keys at or below it, read in row-major order, are the cells in
+    increasing order.  A row where another key ties that threshold holds
+    more than m_prime of them and is re-picked by a stable argsort; the keys
+    are multiples of 2**-53, so that happens about (cells - 1) * 2**-53 of
+    the time."""
     keys = rng.random((rows, cells))
-    return np.sort(np.argpartition(keys, m_prime - 1, axis=1)[:, :m_prime], axis=1)
+    kth = np.partition(keys, m_prime - 1, axis=1)[:, m_prime - 1 : m_prime]
+    picked = keys <= kth
+    flat = np.flatnonzero(picked)
+    if flat.size != rows * m_prime:
+        tied = np.count_nonzero(picked, axis=1) != m_prime
+        picked[tied] = False
+        lowest = np.argsort(keys[tied], axis=1, kind="stable")[:, :m_prime]
+        picked[np.flatnonzero(tied)[:, None], lowest] = True
+        flat = np.flatnonzero(picked)
+    omega = flat.reshape(rows, m_prime)
+    omega -= cells * np.arange(rows)[:, None]
+    return omega
 
 
 def _draw_cells(key_rng, dither_rng, rows: int, cells: int, m_prime: int, delta: float):
@@ -211,6 +229,7 @@ def verify_dither_identity(
     Passes when the MC mean sits within 4 standard errors of |a - b|.
     The dithers come from default_rng(seed), DITHER_CHUNK trials at a time.
     """
+    check_step(delta)
     check_trials(trials, DITHER_MIN_TRIALS)
     check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -252,6 +271,7 @@ def verify_sampling_identity(
     cells = x.size
     if not 1 <= m_prime <= cells:
         raise ValueError("m_prime must lie in 1..n1*n2")
+    check_step(delta)
     check_trials(trials, SAMPLING_MIN_TRIALS)
     check_seed(seed)
 
@@ -294,6 +314,8 @@ def verify_embedding(
     cells = spec.n1 * spec.n2
     if not 1 <= m_prime <= cells:
         raise ValueError("m_prime must lie in 1..n1*n2")
+    check_step(delta)
+    check_levels(levels)
     check_trials(trials, EMBEDDING_MIN_TRIALS)
     epsilons = np.asarray(epsilons, dtype=np.float64)
     if epsilons.size == 0 or np.any(epsilons <= 0):

@@ -347,9 +347,14 @@ GOLDEN_BATCH_DIGESTS = {
 }
 
 
-def _skip_unless_golden_environment():
+def _recorded_environment() -> dict:
+    """This process's values of the GOLDEN_ENVIRONMENT keys."""
     env = pipeline._environment(None, 1, 1)
-    recorded = {key: env[key] for key in GOLDEN_ENVIRONMENT}
+    return {key: env[key] for key in GOLDEN_ENVIRONMENT}
+
+
+def _skip_unless_golden_environment():
+    recorded = _recorded_environment()
     if recorded != GOLDEN_ENVIRONMENT:
         pytest.skip(
             f"hashes were recorded under {GOLDEN_ENVIRONMENT}, this is {recorded}; "
@@ -508,7 +513,8 @@ def test_written_batch_is_pinned(tmp_path):
 
 # Outcomes off the golden kernels: the per-run reference passes, and the
 # batch pins, the "skipped" entries, skip.  The theory pins run on every
-# kernel set and dispatch.  CI's "Batch pins ran" step reads both.
+# kernel set and dispatch: in the golden environment _kernel_set_outcomes
+# expects them to pass too.  CI's "Batch pins ran" step reads both.
 KERNEL_SET_TESTS = {
     "test_shipped_runs_match_the_reference": "passed",
     "test_bundled_manifest_hashes_are_pinned": "skipped",
@@ -522,9 +528,13 @@ THEORY_PIN_TESTS = (
 
 
 def _kernel_set_outcomes(tmp_path, **forced):
-    """Run KERNEL_SET_TESTS in a subprocess with the forced environment
-    variables: their outcomes by name, after checking that every skip names
-    the kernel set and the numpy dispatch the subprocess runs with."""
+    """Run KERNEL_SET_TESTS, and in the golden environment THEORY_PIN_TESTS,
+    in a subprocess with the forced environment variables: check their
+    outcomes by name, and that every skip names the kernel set and the numpy
+    dispatch the subprocess runs with."""
+    expected = dict(KERNEL_SET_TESTS)
+    if _recorded_environment() == GOLDEN_ENVIRONMENT:
+        expected.update(dict.fromkeys(THEORY_PIN_TESTS, "passed"))
     src = os.path.dirname(os.path.dirname(os.path.abspath(hankeldoa.__file__)))
     env = dict(os.environ, **forced)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -539,7 +549,7 @@ def _kernel_set_outcomes(tmp_path, **forced):
     report = tmp_path / "report.xml"
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"--junitxml={report}", __file__, "-k", " or ".join(KERNEL_SET_TESTS)],
+         f"--junitxml={report}", __file__, "-k", " or ".join(expected)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert report.exists(), proc.stdout + proc.stderr
@@ -552,15 +562,16 @@ def _kernel_set_outcomes(tmp_path, **forced):
         if outcome == "skipped":
             assert f"this is {found}" in case.find("skipped").get("message")
         outcomes[case.get("name")] = outcome
-    assert outcomes == KERNEL_SET_TESTS, proc.stdout
+    assert outcomes == expected, proc.stdout
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_reference_holds_under_another_kernel_set(tmp_path, coretype):
     """Under another OpenBLAS kernel set, down to Prescott, the oldest, every
-    shipped run still matches the per-run reference, and the batch pins skip,
-    naming the kernel set, rather than fail.  The skip names the set OpenBLAS
-    reports, which need not be the one asked for (Prescott reports Katmai)."""
+    shipped run still matches the per-run reference, the theory pins hold,
+    and the batch pins skip, naming the kernel set, rather than fail.  The
+    skip names the set OpenBLAS reports, which need not be the one asked for
+    (Prescott reports Katmai)."""
     if blas_core() is None:
         pytest.skip("no OpenBLAS kernel set to switch")
     _kernel_set_outcomes(tmp_path, OPENBLAS_CORETYPE=coretype)
@@ -569,8 +580,8 @@ def test_reference_holds_under_another_kernel_set(tmp_path, coretype):
 def test_reference_holds_without_numpy_x86_v4(tmp_path):
     """With numpy's X86_V4 loops turned off, the spectrum's log10 and arcsin
     round differently: every shipped run still matches the per-run
-    reference, and the batch pins skip, naming the dispatch, rather than
-    fail."""
+    reference, the theory pins hold, and the batch pins skip, naming the
+    dispatch, rather than fail."""
     if GOLDEN_DISPATCH not in (pipeline._numpy_dispatch() or ()):
         pytest.skip(f"numpy does not dispatch to {GOLDEN_DISPATCH} here")
     _kernel_set_outcomes(tmp_path, NPY_DISABLE_CPU_FEATURES=GOLDEN_DISPATCH)

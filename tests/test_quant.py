@@ -37,6 +37,21 @@ def test_saturation_clamps_to_extreme_levels():
     assert uniform_quantize(-1e6, 1.0, 0.0, 512) == -511.5
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -1.0])
+def test_quantizer_rejects_a_bad_step(delta):
+    """A nan or infinite step would quantize to nan or inf; none is taken."""
+    with pytest.raises(ValueError, match="^delta: must be positive and finite"):
+        uniform_quantize(0.3, delta, 0.1)
+    with pytest.raises(ValueError, match="^delta: must be positive and finite"):
+        uniform_quantize(np.zeros(3), delta, np.zeros(3), 4)
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_quantizer_rejects_too_few_levels(levels):
+    with pytest.raises(ValueError, match="^levels: must be at least 1"):
+        uniform_quantize(0.3, 1.0, 0.1, levels)
+
+
 def test_outputs_are_odd_multiples_of_half_cell():
     rng = np.random.default_rng(0)
     delta = 0.125
@@ -148,9 +163,9 @@ def test_scheme_levels_and_validation():
     with pytest.raises(ValueError):
         QuantScheme(4.0, 0.0, 10, ind)
     for step in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="^delta1: must be positive and finite"):
             QuantScheme(step, 0.01, 10, ind)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="^delta2: must be positive and finite"):
             QuantScheme(4.0, step, 10, ind)
     with pytest.raises(ValueError):
         QuantScheme(4.0, 0.01, 10, delta_indicator=np.array([0, 2, 1]))

@@ -221,6 +221,59 @@ def test_cell_subsets_are_sorted_distinct_and_uniform(cells, m_prime):
     assert np.all(np.abs(frequency - p) <= 5.0 * math.sqrt(p * (1.0 - p) / rows))
 
 
+@pytest.mark.parametrize(
+    "rows, cells, m_prime, seeds",
+    [
+        (256, 256, 128, 40),
+        (256, 256, 1, 40),
+        (256, 256, 256, 20),
+        (1, 256, 100, 200),
+        (37, 10, 3, 200),
+        (32, 5625, 1893, 4),
+    ],
+)
+def test_cell_subsets_match_the_sorted_argpartition(rows, cells, m_prime, seeds):
+    """Untied keys pick the cells the sorted argpartition of the same keys
+    picks, bit for bit."""
+    for seed in range(seeds):
+        keys = np.random.default_rng(seed).random((rows, cells))
+        want = np.sort(np.argpartition(keys, m_prime - 1, axis=1)[:, :m_prime], axis=1)
+        got = _cell_subsets(np.random.default_rng(seed), rows, cells, m_prime)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+
+
+class FixedKeys:
+    """A generator stub whose random() returns the given keys."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=np.float64)
+
+    def random(self, shape):
+        assert shape == self.keys.shape
+        return self.keys.copy()
+
+
+@pytest.mark.parametrize("m_prime", [1, 3, 6])
+def test_cell_subsets_of_equal_keys_are_the_lowest_cells(m_prime):
+    omega = _cell_subsets(FixedKeys(np.full((2, 6), 0.5)), 2, 6, m_prime)
+    np.testing.assert_array_equal(omega, np.tile(np.arange(m_prime), (2, 1)))
+
+
+def test_a_tie_at_the_threshold_goes_to_the_lower_cells():
+    """Row 1's third smallest key, 0.5, ties two others: the lower cells win.
+    Rows 0 and 2, untied, keep their cells, and row 3's tie below the
+    threshold needs no tie rule."""
+    keys = [
+        [0.9, 0.2, 0.7, 0.1, 0.4, 0.8],
+        [0.5, 0.6, 0.5, 0.1, 0.5, 0.3],
+        [0.3, 0.1, 0.2, 0.9, 0.8, 0.7],
+        [0.2, 0.2, 0.9, 0.6, 0.4, 0.8],
+    ]
+    omega = _cell_subsets(FixedKeys(keys), 4, 6, 3)
+    np.testing.assert_array_equal(omega, [[1, 3, 4], [0, 3, 5], [0, 1, 2], [0, 1, 4]])
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_battery_passes_at_default_trials(seed):
     assert theory_battery(seed=seed).all_passed
@@ -491,6 +544,40 @@ def test_battery_rejects_negative_seed_before_any_check(monkeypatch):
     monkeypatch.setattr(pipeline, "verify_dither_identity", unreached)
     with pytest.raises(ValueError, match="seed: must be nonnegative, got -1"):
         theory_battery(seed=-1)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if a check allocates its samples or makes a generator."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("samples were allocated or a generator made")
+
+    for name in ("trial_samples", "_streams"):
+        monkeypatch.setattr(theory, name, unreached)
+    monkeypatch.setattr(np.random, "default_rng", unreached)
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda delta: verify_dither_identity(0.7, 0.2, delta, trials=10_000),
+        lambda delta: verify_sampling_identity(np.eye(4), np.zeros((4, 4)), 8, delta,
+                                               trials=2),
+        lambda delta: verify_embedding(LowRankSpec(4, 4, 1), 8, delta, 2, [0.1],
+                                       trials=1),
+    ],
+    ids=["dither", "sampling", "embedding"],
+)
+def test_bad_step_is_rejected_before_any_draw(no_draws, check, delta):
+    with pytest.raises(ValueError, match="^delta: must be positive and finite"):
+        check(delta)
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_embedding_rejects_too_few_levels_before_any_draw(no_draws, levels):
+    with pytest.raises(ValueError, match="^levels: must be at least 1"):
+        verify_embedding(LowRankSpec(4, 4, 1), 8, 0.5, levels, [0.1], trials=1)
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,16 @@ the CLI call the same stages.  The stages read the scene, geometry,
 multi-bit indicator and solver settings the Scenario resolved when it was
 built.  run_scenario drives a batch of runs, then writes the CSV outputs and
 a manifest whose hash covers every deterministic field.  The runs of a batch
-are independent and execute concurrently on threads, with OpenBLAS pinned to
-one thread: one thread per CPU in the affinity set, or one per run when the
-batch has fewer than twice as many runs as CPUs (_worker_count).  The hash
-depends on neither the BLAS thread count nor the worker count.  The theory
-battery bundles the Monte-Carlo checks of the quantizer identities and the
-embedding bound behind one call, under the same pin and worker-count rule as
-a batch: the calling thread runs the dither grid, then it and a helper lane
-(none on one CPU) claim the embedding check and the pairs from one queue.
+are independent and execute concurrently on lanes, with OpenBLAS pinned to
+one thread: the calling thread plus threads of one process-wide pool, which
+start on first need and are reused by every later batch (_run_lanes).  There
+is one lane per CPU in the affinity set, or one per run when the batch has
+fewer than twice as many runs as CPUs (_worker_count).  The hash depends on
+neither the BLAS thread count nor the lane count.  The theory battery
+bundles the Monte-Carlo checks of the quantizer identities and the embedding
+bound behind one call, under the same pin and lane rule as a batch: the
+calling thread runs the dither grid, then it and a helper lane (none on one
+CPU) claim the embedding check and the pairs in turn.
 """
 
 from __future__ import annotations
@@ -281,6 +283,7 @@ def _derived(scn: Scenario) -> dict:
         np.where(mask == 1, 1.0 + 0.0j, 0.0), mask, SnapshotKind.MASKED
     )
     view = lift(probe, scn.multi_bit)
+    omega1, omega2 = int(view.omega1.sum()), int(view.omega2.sum())
     return {
         "m": scn.geometry.m,
         "n1": view.n1,
@@ -288,24 +291,20 @@ def _derived(scn: Scenario) -> dict:
         "observed_antennas": int(mask.sum()),
         "multi_bit_antennas": (np.flatnonzero(scn.multi_bit) + 1).tolist(),
         "omega_cells": int(view.omega.sum()),
-        "omega1_cells": int(view.omega1.sum()),
-        "omega2_cells": int(view.omega2.sum()),
-        "mixed_rate": float(view.omega2.sum() / view.omega1.sum()),
+        "omega1_cells": omega1,
+        "omega2_cells": omega2,
+        # inf when every observed antenna is multi-bit (null in manifest.json).
+        "mixed_rate": omega2 / omega1 if omega1 else math.inf,
         "model_order": scn.model_order,
     }
 
 
-def _numpy_dispatch() -> list[str] | None:
+def _numpy_dispatch() -> list[str]:
     """The SIMD targets numpy dispatches its loops to on this CPU, as
     np.show_runtime() lists them: the build's dispatch targets the CPU has
-    and NPY_DISABLE_CPU_FEATURES leaves on (None when numpy does not say)."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy before 2.0
-        try:
-            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-        except ImportError:
-            return None
+    and NPY_DISABLE_CPU_FEATURES leaves on."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
     return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
 
 
@@ -313,16 +312,12 @@ def _environment(solver_blas_threads: int | None, cpus: int, workers: int) -> di
     """The numerical environment a batch ran in: numpy and its SIMD dispatch,
     its BLAS build and kernel set (None when unknown), the solver's BLAS
     thread count (None when unpinned), the CPUs in the affinity set and the
-    worker count."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_build = f"{blas.get('name')} {blas.get('version')}"
-    except TypeError:  # numpy before 1.25 has no dict mode
-        blas_build = None
+    lane count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "numpy_dispatch": _numpy_dispatch(),
-        "blas": blas_build,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_core": blas_core(),
         "solver_blas_threads": solver_blas_threads,
         "cpus": cpus,
@@ -331,24 +326,93 @@ def _environment(solver_blas_threads: int | None, cpus: int, workers: int) -> di
 
 
 def _worker_count(jobs: int, pinned: int | None, cpus: int) -> int:
-    """Threads for jobs independent jobs on cpus CPUs: one per job when there
+    """Lanes for jobs independent jobs on cpus CPUs: one per job when there
     are fewer than twice as many jobs as CPUs, else one per CPU, and one when
     OpenBLAS could not be pinned (pinned is None), since unpinned BLAS calls
-    on several threads oversubscribe the CPUs.
+    on several threads oversubscribe the CPUs.  A lane is the calling thread
+    or a thread of the shared pool (_run_lanes).
 
-    With C threads, J jobs of about equal length run in ceil(J / C) rounds.
+    With C lanes, J jobs of about equal length run in ceil(J / C) rounds.
     For C < J < 2C the second round holds only J - C jobs while the other
     CPUs idle; starting all J jobs at once lets the OS share every CPU among
     them instead, so they end together after J / C job lengths, the ideal:
     3 jobs on 2 CPUs take about 1.5 job lengths, not 2.  From 2C jobs on,
-    one thread per CPU idles less than a third of the batch, a share that
-    shrinks as jobs grow, so the rule keeps C threads there and no batch
-    starts more than 2C - 1.  Two jobs, as the theory battery's lanes, get
-    one thread on one CPU and two otherwise.
+    one lane per CPU idles less than a third of the batch, a share that
+    shrinks as jobs grow, so the rule keeps C lanes there and no call asks
+    for more than 2C - 1, so for more than 2C - 2 pool threads.  Two jobs,
+    as the theory battery's, get one lane on one CPU and two otherwise.
     """
     if not pinned:
         return 1
     return jobs if jobs < 2 * cpus else cpus
+
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The process's one thread pool, created on first use: room for the
+    2C - 2 helper lanes _worker_count can ask for on the machine's C CPUs,
+    each thread started only when a lane finds no idle one."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # Imported here to keep the executor's import off `import hankeldoa`.
+            from concurrent.futures import ThreadPoolExecutor
+
+            helpers = 2 * (os.cpu_count() or 1) - 2
+            _POOL = ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="hankeldoa")
+        return _POOL
+
+
+def _run_lanes(fn, n: int, lanes: int, first=None) -> tuple:
+    """fn(0), ..., fn(n - 1) on the calling thread plus lanes - 1 pool
+    threads, as (first(), [fn(0), ..., fn(n - 1)]); first, when given, runs
+    on the calling thread before it starts claiming (None otherwise).
+
+    Each lane claims the next index from one counter until none is left.
+    After a failure no lane claims another index, so every index below the
+    failed one has been claimed; the calling thread then cancels the helper
+    lanes that have not started, waits for the rest and raises first's error,
+    else that of the lowest index, as list(pool.map(...)) would.  A helper
+    lane the pool cannot start (every thread busy, a nested call, a forked
+    child without the threads) is cancelled the same way once the calling
+    thread has claimed every index itself.
+    """
+    results = [None] * n
+    errors = {}
+    indices = iter(range(n))
+    lock = threading.Lock()
+
+    def claim() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+                return
+
+    futures = [_pool().submit(claim) for _ in range(min(lanes, n) - 1)]
+    head = None
+    try:
+        if first is not None:
+            head = first()
+    except BaseException as exc:
+        with lock:
+            errors[-1] = exc
+    claim()
+    for future in futures:
+        if not future.cancel():
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return head, results
 
 
 def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
@@ -457,16 +521,13 @@ def run_scenario(
     manifest always describes exactly what ran.  write=False computes the
     manifest without touching the filesystem.
 
-    Runs execute on _worker_count threads, with OpenBLAS pinned to one
-    thread: one per CPU in the affinity set, or one per run when there are
-    fewer than twice as many runs as CPUs, so the OS shares every CPU among
-    them rather than leave CPUs idle behind a short last round.  Results are
-    collected in run order.  When no OpenBLAS can be pinned, the runs
-    execute one after another.
+    Runs execute on _worker_count lanes (_run_lanes: the calling thread plus
+    pool threads), with OpenBLAS pinned to one thread: one lane per CPU in the
+    affinity set, or one per run when there are fewer than twice as many runs
+    as CPUs, so the OS shares every CPU among them rather than leave CPUs idle
+    behind a short last round.  Results are collected in run order.  When no
+    OpenBLAS can be pinned, the calling thread runs them one after another.
     """
-    # Imported here to keep the executor's import off `import hankeldoa`.
-    from concurrent.futures import ThreadPoolExecutor
-
     t_start = time.perf_counter()
     scn = with_overrides(
         scn, runs=runs, seed_signal=seed_signal, seed_dither=seed_dither,
@@ -476,8 +537,7 @@ def run_scenario(
     with single_thread_blas() as pinned:
         cpus = len(os.sched_getaffinity(0))
         workers = _worker_count(scn.runs, pinned, cpus)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(execute_run, scn), range(scn.runs)))
+        _, results = _run_lanes(partial(execute_run, scn), scn.runs, workers)
     summaries, all_artifacts, stage_times = zip(*results)
 
     # Stage times are summed over runs, which overlap on the pool, so their
@@ -605,17 +665,16 @@ def theory_battery(
     check.
 
     Every check draws from its own seed, so lanes run them at the same time,
-    with OpenBLAS pinned to one thread.  One queue holds the embedding check,
-    then the pairs.  The calling thread starts _worker_count(2, ...) - 1
-    helper lanes, which claim from the queue: none on one CPU or with no
-    OpenBLAS to pin, else one.  It then runs the dither grid and claims from
-    the queue itself until it is empty, so on one CPU the checks run one
-    after the other.  Which lane runs a check changes no report.  The dither
-    grid's trials-long arrays stay on the calling thread, which keeps them
-    out of a second thread's malloc arena.
+    with OpenBLAS pinned to one thread.  The checks run on _worker_count(2,
+    ...) lanes (_run_lanes): the calling thread, plus one pool thread unless
+    the affinity set has one CPU or no OpenBLAS can be pinned.  The calling
+    thread runs the dither grid first, while the helper lane claims the
+    embedding check, then the pairs, in turn; the calling thread then claims
+    what is left, so on one CPU the checks run one after the other.  Which
+    lane runs a check changes no report.  The dither grid's trials-long
+    arrays stay on the calling thread, which keeps them out of a second
+    thread's malloc arena.
     """
-    from concurrent.futures import ThreadPoolExecutor  # as in run_scenario
-
     check_seed(seed)
     for trials, least, name in (
         (dither_trials, DITHER_MIN_TRIALS, "dither_trials"),
@@ -629,26 +688,12 @@ def theory_battery(
     checks = [partial(_embedding_check, embedding_trials, seed)] + [
         partial(_sampling_check, k, sampling_trials, seed) for k in range(SAMPLING_PAIRS)
     ]
-    reports = [None] * len(checks)
-    queue = iter(range(len(checks)))
-    queue_lock = threading.Lock()
-
-    def claim() -> None:
-        while True:
-            with queue_lock:
-                i = next(queue, None)
-            if i is None:
-                return
-            reports[i] = checks[i]()
-
     with single_thread_blas() as pinned:
-        helpers = _worker_count(2, pinned, len(os.sched_getaffinity(0))) - 1
-        with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
-            lanes = [pool.submit(claim) for _ in range(helpers)]
-            dither = _dither_checks(dither_trials, seed)
-            claim()
-            for lane in lanes:
-                lane.result()
+        lanes = _worker_count(2, pinned, len(os.sched_getaffinity(0)))
+        dither, reports = _run_lanes(
+            lambda i: checks[i](), len(checks), lanes,
+            first=partial(_dither_checks, dither_trials, seed),
+        )
     return TheoryBattery(dither=dither, sampling=reports[1:], embedding=reports[0])
 
 

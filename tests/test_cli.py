@@ -17,6 +17,7 @@ from hankeldoa.completion import (
     rank_projected_snapshot,
     svt_complete,
 )
+from hankeldoa.geometry import masking_vector
 from hankeldoa.pipeline import read_snapshot_csv
 from hankeldoa.quant import QuantScheme, design_scales, word_levels
 from hankeldoa.scenario import load_bundled, scenario_to_ini, with_overrides
@@ -242,6 +243,29 @@ def test_unobserved_placement_is_rejected_at_load(tmp_path, capsys):
     assert main(["synth", str(path), "--out", str(tmp_path / "s.csv")]) == 2
     assert "[quant] placement" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_placement_of_every_observed_antenna_runs(tmp_path, capsys):
+    """A placement naming every observed antenna leaves no one-bit cell: the
+    run succeeds without a warning, the mixed rate prints as inf and is null
+    in manifest.json, which has no inf."""
+    scn = load_bundled("two_targets_first4")
+    observed = np.flatnonzero(masking_vector(scn.geometry)) + 1
+    assert observed.size == 47
+    ini = scenario_to_ini(scn).replace(
+        "placement = first4", "placement = " + ", ".join(map(str, observed))
+    )
+    assert ini != scenario_to_ini(scn)
+    path = tmp_path / "all.ini"
+    path.write_text(ini, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--runs", "1", "--out", str(out_dir)]) == 0
+    assert "(|omega1|=0, |omega2|=1893), mixed rate inf" in capsys.readouterr().out
+    derived = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["derived"]
+    assert derived["omega1_cells"] == 0
+    assert derived["mixed_rate"] is None
 
 
 def test_stage_seed_overrides_add_the_run_index(tmp_path):

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 from xml.etree import ElementTree
 
 import numpy as np
@@ -379,7 +380,7 @@ GOLDEN_DISPATCH = "X86_V4"
 def _skip_unless_golden_kernels():
     core = blas_core()
     dispatch = pipeline._numpy_dispatch()
-    if core != GOLDEN_BLAS_CORE or GOLDEN_DISPATCH not in (dispatch or ()):
+    if core != GOLDEN_BLAS_CORE or GOLDEN_DISPATCH not in dispatch:
         pytest.skip(
             f"batch pins were recorded on OpenBLAS's {GOLDEN_BLAS_CORE} kernels "
             f"with numpy's {GOLDEN_DISPATCH} loops, this is {core}; numpy "
@@ -582,7 +583,7 @@ def test_reference_holds_without_numpy_x86_v4(tmp_path):
     round differently: every shipped run still matches the per-run
     reference, the theory pins hold, and the batch pins skip, naming the
     dispatch, rather than fail."""
-    if GOLDEN_DISPATCH not in (pipeline._numpy_dispatch() or ()):
+    if GOLDEN_DISPATCH not in pipeline._numpy_dispatch():
         pytest.skip(f"numpy does not dispatch to {GOLDEN_DISPATCH} here")
     _kernel_set_outcomes(tmp_path, NPY_DISABLE_CPU_FEATURES=GOLDEN_DISPATCH)
 
@@ -620,6 +621,150 @@ def test_typed_failure_in_a_later_run(first4_scenario, monkeypatch, two_blas_thr
         run_scenario(first4_scenario, runs=2, write=False)
     assert raised.value is error
     assert blas_threads() == 2
+
+
+@pytest.fixture
+def two_cpu_pool(monkeypatch):
+    """A new shared pool sized for two CPUs, and a two-CPU affinity set:
+    pool threads started by earlier tests are out of the picture.  The pool
+    is shut down afterwards and the previous one restored."""
+    monkeypatch.setattr(pipeline, "_POOL", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield
+    if pipeline._POOL is not None:
+        pipeline._POOL.shutdown(wait=True, cancel_futures=True)
+
+
+def serial_hash(scn, runs, monkeypatch):
+    """The manifest hash of a batch on one CPU: every run on this thread."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        manifest = run_scenario(scn, runs=runs, write=False)
+    assert manifest.environment["workers"] == 1
+    return manifest.manifest_hash
+
+
+def record_run_threads(monkeypatch, barriers=()):
+    """Patch execute_run to log (run, thread) of every run it starts.  Runs
+    listed together in one of barriers wait for each other before they
+    start, so each of them has to be on a lane of its own."""
+    real = pipeline.execute_run
+    calls = []
+    waits = {run: barrier for runs, barrier in
+             ((runs, threading.Barrier(len(runs), timeout=60)) for runs in barriers)
+             for run in runs}
+
+    def recorded(scn, run):
+        calls.append((run, threading.get_ident()))
+        if run in waits:
+            waits[run].wait()
+        return real(scn, run)
+
+    monkeypatch.setattr(pipeline, "execute_run", recorded)
+    return calls
+
+
+def test_batches_reuse_the_pool_threads(two_cpu_pool, monkeypatch):
+    """Three runs on two CPUs take three lanes: the calling thread and two
+    pool threads, the same two in every batch, so five batches start no
+    thread after the first."""
+    scn = load_bundled("five_targets")
+    want = serial_hash(scn, 3, monkeypatch)
+    calls = record_run_threads(monkeypatch, barriers=[(0, 1, 2)])
+    caller = threading.get_ident()
+    lanes, active = [], []
+    for _ in range(5):
+        calls.clear()
+        manifest = run_scenario(scn, runs=3, write=False)
+        assert manifest.environment["workers"] == 3
+        assert manifest.manifest_hash == want
+        assert sorted(run for run, _ in calls) == [0, 1, 2]
+        lanes.append({ident for _, ident in calls})
+        active.append(threading.active_count())
+    assert caller in lanes[0] and len(lanes[0]) == 3
+    assert all(threads == lanes[0] for threads in lanes)
+    assert active == [active[0]] * 5
+
+
+def test_two_lanes_claiming_several_runs_keep_the_hash(two_cpu_pool, monkeypatch):
+    """Five runs on two CPUs take two lanes, each of which claims at least
+    two runs: the hash is the one-CPU hash."""
+    scn = load_bundled("five_targets")
+    want = serial_hash(scn, 5, monkeypatch)
+    calls = record_run_threads(monkeypatch, barriers=[(0, 1), (2, 3)])
+    manifest = run_scenario(scn, runs=5, write=False)
+    assert manifest.environment["workers"] == 2
+    assert manifest.manifest_hash == want
+    assert sorted(run for run, _ in calls) == [0, 1, 2, 3, 4]
+    per_lane = [sum(1 for _, i in calls if i == ident) for ident in {i for _, i in calls}]
+    assert len(per_lane) == 2 and min(per_lane) >= 2
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_lowest_failed_run_raises_and_stops_the_claims(two_cpu_pool, monkeypatch, cpus):
+    """Runs 1 and 3 raise different errors.  Run 1's error is raised, also
+    on two CPUs, where run 3 raises first while run 1 is still running, and
+    no lane starts run 4 after a failure."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    run3_raised = threading.Event()
+    started = []
+
+    def failing(scn, run):
+        started.append(run)
+        if run == 1:
+            if len(cpus) > 1:
+                assert run3_raised.wait(timeout=60), "run 3 never raised"
+            raise SvtZeroIterateError(3)
+        if run == 3:
+            run3_raised.set()
+            raise SvtDivergenceError(30, np.array([1.0, 50.0]))
+        return None
+
+    monkeypatch.setattr(pipeline, "execute_run", failing)
+    with pytest.raises(SvtZeroIterateError):
+        run_scenario(load_bundled("five_targets"), runs=5, write=False)
+    assert 4 not in started
+    assert sorted(started) == ([0, 1] if len(cpus) == 1 else [0, 1, 2, 3])
+
+
+def test_batch_completes_while_the_pool_is_busy(two_cpu_pool, monkeypatch):
+    """With both pool threads held busy, the helper lanes of a three-run
+    batch cannot start: the calling thread runs every run itself, cancels
+    them, and the hash is the one-CPU hash."""
+    scn = load_bundled("five_targets")
+    want = serial_hash(scn, 3, monkeypatch)
+    busy = threading.Barrier(3, timeout=60)
+    release = threading.Event()
+
+    def hold():
+        busy.wait()
+        assert release.wait(timeout=120)
+
+    holders = [pipeline._pool().submit(hold) for _ in range(2)]
+    busy.wait()
+    try:
+        calls = record_run_threads(monkeypatch)
+        manifest = run_scenario(scn, runs=3, write=False)
+    finally:
+        release.set()
+    for holder in holders:
+        holder.result(timeout=60)
+    assert manifest.environment["workers"] == 3
+    assert manifest.manifest_hash == want
+    assert calls == [(run, threading.get_ident()) for run in range(3)]
+
+
+def test_import_leaves_the_executor_out():
+    """`import hankeldoa` does not import concurrent.futures: the pool and
+    its import wait for the first call that needs a helper lane."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hankeldoa.__file__)))
+    code = "import sys, hankeldoa; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_spectra_csv_schema(first4_scenario, tmp_path, two_unit_geom):

@@ -310,7 +310,7 @@ def _numpy_dispatch() -> list[str]:
 
 def _environment(solver_blas_threads: int | None, cpus: int, workers: int) -> dict:
     """The numerical environment a batch ran in: numpy and its SIMD dispatch,
-    its BLAS build and kernel set (None when unknown), the solver's BLAS
+    its BLAS build, the BLAS kernel set (None when unknown), the solver's BLAS
     thread count (None when unpinned), the CPUs in the affinity set and the
     lane count."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -374,8 +374,8 @@ def _run_lanes(fn, n: int, lanes: int, first=None) -> tuple:
     Each lane claims the next index from one counter until none is left.
     After a failure no lane claims another index, so every index below the
     failed one has been claimed; the calling thread then cancels the helper
-    lanes that have not started, waits for the rest and raises first's error,
-    else that of the lowest index, as list(pool.map(...)) would.  A helper
+    lanes that have not started, waits for the rest and re-raises first's
+    error, else that of the lowest index, as list(pool.map(...)) would.  A helper
     lane the pool cannot start (every thread busy, a nested call, a forked
     child without the threads) is cancelled the same way once the calling
     thread has claimed every index itself.
@@ -540,7 +540,7 @@ def run_scenario(
         _, results = _run_lanes(partial(execute_run, scn), scn.runs, workers)
     summaries, all_artifacts, stage_times = zip(*results)
 
-    # Stage times are summed over runs, which overlap on the pool, so their
+    # Stage times are summed over runs, which overlap on the lanes, so their
     # total can exceed the batch's own duration, recorded as "wall".
     timings = {key: sum(t[key] for t in stage_times) for key in stage_times[0]}
 

@@ -728,6 +728,26 @@ def test_lowest_failed_run_raises_and_stops_the_claims(two_cpu_pool, monkeypatch
     assert sorted(started) == ([0, 1] if len(cpus) == 1 else [0, 1, 2, 3])
 
 
+def test_a_lane_that_finishes_after_a_failure_claims_nothing(two_cpu_pool):
+    """On two lanes index 1 raises while the other lane is still on index
+    0; that lane then finishes index 0 and claims no further index."""
+    failed = threading.Event()
+    called = []
+
+    def fn(i):
+        called.append(i)
+        if i == 1:
+            failed.set()
+            raise ValueError("index 1")
+        if i == 0:
+            assert failed.wait(timeout=60), "index 1 never ran"
+        return i
+
+    with pytest.raises(ValueError, match="index 1"):
+        pipeline._run_lanes(fn, 6, 2)
+    assert sorted(called) == [0, 1]
+
+
 def test_batch_completes_while_the_pool_is_busy(two_cpu_pool, monkeypatch):
     """With both pool threads held busy, the helper lanes of a three-run
     batch cannot start: the calling thread runs every run itself, cancels
@@ -753,6 +773,37 @@ def test_batch_completes_while_the_pool_is_busy(two_cpu_pool, monkeypatch):
     assert manifest.environment["workers"] == 3
     assert manifest.manifest_hash == want
     assert calls == [(run, threading.get_ident()) for run in range(3)]
+
+
+def test_concurrent_callers_share_the_pool(two_cpu_pool):
+    """Eight callers on eight threads ask for three lanes each from a pool
+    of two threads, with the interpreter switching threads as often as it
+    can: every caller gets each of its indices computed exactly once, in
+    order, whichever lanes started."""
+    calls = {}
+    got = {}
+
+    def caller(c):
+        def fn(i):
+            calls[c].append(i)
+            return (c, i * i)
+        calls[c] = []
+        got[c] = pipeline._run_lanes(fn, 40, 3, first=lambda: c)
+
+    threads = [threading.Thread(target=caller, args=(c,)) for c in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for c in range(8):
+        assert got[c] == (c, [(c, i * i) for i in range(40)])
+        assert sorted(calls[c]) == list(range(40))
 
 
 def test_import_leaves_the_executor_out():

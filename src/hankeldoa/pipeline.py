@@ -405,7 +405,7 @@ def _run_lanes(fn, n: int, lanes: int, first=None) -> tuple:
             head = first()
     except BaseException as exc:
         with lock:
-            errors[-1] = exc
+            errors[-1] = exc  # below every index, so first's error is raised
     claim()
     for future in futures:
         if not future.cancel():

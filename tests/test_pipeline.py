@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 from xml.etree import ElementTree
 
 import numpy as np
@@ -651,9 +652,9 @@ def record_run_threads(monkeypatch, barriers=()):
     start, so each of them has to be on a lane of its own."""
     real = pipeline.execute_run
     calls = []
-    waits = {run: barrier for runs, barrier in
-             ((runs, threading.Barrier(len(runs), timeout=60)) for runs in barriers)
-             for run in runs}
+    waits = {}
+    for runs in barriers:
+        waits.update(dict.fromkeys(runs, threading.Barrier(len(runs), timeout=60)))
 
     def recorded(scn, run):
         calls.append((run, threading.get_ident()))
@@ -746,6 +747,38 @@ def test_a_lane_that_finishes_after_a_failure_claims_nothing(two_cpu_pool):
     with pytest.raises(ValueError, match="index 1"):
         pipeline._run_lanes(fn, 6, 2)
     assert sorted(called) == [0, 1]
+
+
+def test_an_error_in_the_first_task_is_raised_and_stops_the_claims(two_cpu_pool):
+    """When the calling thread's first task raises, its error is raised, and
+    the helper lane, busy with index 0 meanwhile, claims no further index."""
+    first_raising = threading.Event()
+    called = []
+
+    def fn(i):
+        called.append(i)
+        if i == 0:
+            assert first_raising.wait(timeout=60), "the first task never ran"
+            time.sleep(0.2)  # ample time for the caller to record the error
+        return i
+
+    def first():
+        assert _wait_until(lambda: called == [0]), "no lane claimed index 0"
+        first_raising.set()
+        raise RuntimeError("first")
+
+    with pytest.raises(RuntimeError, match="first"):
+        pipeline._run_lanes(fn, 6, 2, first=first)
+    assert called == [0]
+
+
+def _wait_until(condition, timeout=60.0):
+    end = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.001)
+    return True
 
 
 def test_batch_completes_while_the_pool_is_busy(two_cpu_pool, monkeypatch):

@@ -8,15 +8,15 @@ multi-bit indicator and solver settings the Scenario resolved when it was
 built.  run_scenario drives a batch of runs, then writes the CSV outputs and
 a manifest whose hash covers every deterministic field.  The runs of a batch
 are independent and execute concurrently on lanes, with OpenBLAS pinned to
-one thread: the calling thread plus threads of one process-wide pool, which
-start on first need and are reused by every later batch (_run_lanes).  There
-is one lane per CPU in the affinity set, or one per run when the batch has
-fewer than twice as many runs as CPUs (_worker_count).  The hash depends on
-neither the BLAS thread count nor the lane count.  The theory battery
-bundles the Monte-Carlo checks of the quantizer identities and the embedding
-bound behind one call, under the same pin and lane rule as a batch: the
-calling thread runs the dither grid, then it and a helper lane (none on one
-CPU) claim the embedding check and the pairs in turn.
+one thread: the calling thread, which runs run 0 first, plus threads of one
+process-wide pool, which start on first need and are reused by every later
+batch (_run_lanes).  There is one lane per CPU in the affinity set, or one
+per run when the batch has fewer than twice as many runs as CPUs
+(_worker_count).  The hash depends on neither the BLAS thread count nor the
+lane count.  The theory battery bundles the Monte-Carlo checks of the
+quantizer identities and the embedding bound behind one call, under the same
+pin and lane rule: the calling thread runs its task 0, the dither grid, then
+it and a helper lane (none on one CPU) claim the other checks in turn.
 """
 
 from __future__ import annotations
@@ -118,32 +118,36 @@ def read_snapshot_csv(path: str) -> Snapshot:
     antenna is observed, masked otherwise.  Rows must carry the indices 1..m
     in order, finite values and a mask of 0 or 1, with value 0 where the mask
     is 0; a bad row raises a ValueError naming the file and line, and a file
-    with no rows one naming the file."""
+    with no rows, or that is not UTF-8 text, one naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    header = lines[0].strip().split(",")
+    if header != ["index", "re", "im", "mask"]:
+        raise ValueError(f"{path}: not a snapshot CSV (header {header})")
     values = []
     mask = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["index", "re", "im", "mask"]:
-            raise ValueError(f"{path}: not a snapshot CSV (header {header})")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                index, re_s, im_s, mask_s = line.strip().split(",")
-                z = complex(float(re_s), float(im_s))
-                if int(index) != len(values) + 1:
-                    raise ValueError(f"index {index}, expected {len(values) + 1}")
-                if not cmath.isfinite(z):
-                    raise ValueError(f"value {z} is not finite")
-                observed = int(mask_s)
-                if observed not in (0, 1):
-                    raise ValueError(f"mask {observed} is not 0 or 1")
-                if z and not observed:
-                    raise ValueError(f"value {z} is not 0 where the mask is 0")
-                mask.append(observed)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            values.append(z)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            index, re_s, im_s, mask_s = line.strip().split(",")
+            z = complex(float(re_s), float(im_s))
+            if int(index) != len(values) + 1:
+                raise ValueError(f"index {index}, expected {len(values) + 1}")
+            if not cmath.isfinite(z):
+                raise ValueError(f"value {z} is not finite")
+            observed = int(mask_s)
+            if observed not in (0, 1):
+                raise ValueError(f"mask {observed} is not 0 or 1")
+            if z and not observed:
+                raise ValueError(f"value {z} is not 0 where the mask is 0")
+            mask.append(observed)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        values.append(z)
     if not values:
         raise ValueError(f"{path}: the snapshot CSV holds no antenna rows")
     values_arr = np.asarray(values, dtype=np.complex128)
@@ -366,53 +370,48 @@ def _pool():
         return _POOL
 
 
-def _run_lanes(fn, n: int, lanes: int, first=None) -> tuple:
-    """fn(0), ..., fn(n - 1) on the calling thread plus lanes - 1 pool
-    threads, as (first(), [fn(0), ..., fn(n - 1)]); first, when given, runs
-    on the calling thread before it starts claiming (None otherwise).
+def _run_lanes(fn, n: int, lanes: int) -> list:
+    """[fn(0), ..., fn(n - 1)] on the calling thread plus lanes - 1 pool
+    threads.  The calling thread takes index 0 before any helper lane is
+    submitted and runs it first, so work that must stay on the caller goes at
+    index 0.  Then each lane, the calling thread too, claims the next index
+    from one counter until none is left.
 
-    Each lane claims the next index from one counter until none is left.
     After a failure no lane claims another index, so every index below the
     failed one has been claimed; the calling thread then cancels the helper
-    lanes that have not started, waits for the rest and re-raises first's
-    error, else that of the lowest index, as list(pool.map(...)) would.  A helper
-    lane the pool cannot start (every thread busy, a nested call, a forked
-    child without the threads) is cancelled the same way once the calling
-    thread has claimed every index itself.
+    lanes that have not started, waits for the rest and re-raises the error
+    of the lowest index, as list(pool.map(...)) would.  A helper lane the
+    pool cannot start (every thread busy, a nested call, a forked child
+    without the threads) is cancelled the same way once the calling thread
+    has claimed every index itself.
     """
     results = [None] * n
     errors = {}
-    indices = iter(range(n))
+    indices = iter(range(1, n))  # index 0 is the calling thread's
     lock = threading.Lock()
 
-    def claim() -> None:
-        while True:
-            with lock:
-                i = None if errors else next(indices, None)
-            if i is None:
-                return
+    def next_index():
+        with lock:
+            return None if errors else next(indices, None)
+
+    def claim(i) -> None:
+        while i is not None:
             try:
                 results[i] = fn(i)
             except BaseException as exc:
                 with lock:
                     errors[i] = exc
                 return
+            i = next_index()
 
-    futures = [_pool().submit(claim) for _ in range(min(lanes, n) - 1)]
-    head = None
-    try:
-        if first is not None:
-            head = first()
-    except BaseException as exc:
-        with lock:
-            errors[-1] = exc  # below every index, so first's error is raised
-    claim()
+    futures = [_pool().submit(lambda: claim(next_index())) for _ in range(min(lanes, n) - 1)]
+    claim(0 if n else None)
     for future in futures:
         if not future.cancel():
             future.result()
     if errors:
         raise errors[min(errors)]
-    return head, results
+    return results
 
 
 def seeds_for(scn: Scenario, run: int) -> tuple[int, int]:
@@ -521,12 +520,12 @@ def run_scenario(
     manifest always describes exactly what ran.  write=False computes the
     manifest without touching the filesystem.
 
-    Runs execute on _worker_count lanes (_run_lanes: the calling thread plus
-    pool threads), with OpenBLAS pinned to one thread: one lane per CPU in the
-    affinity set, or one per run when there are fewer than twice as many runs
-    as CPUs, so the OS shares every CPU among them rather than leave CPUs idle
-    behind a short last round.  Results are collected in run order.  When no
-    OpenBLAS can be pinned, the calling thread runs them one after another.
+    Runs execute on _worker_count lanes (_run_lanes: the calling thread, which
+    runs run 0 first, plus pool threads), with OpenBLAS pinned to one thread:
+    one lane per CPU in the affinity set, or one per run when there are fewer
+    than twice as many runs as CPUs, so the OS shares every CPU among them
+    rather than leave CPUs idle behind a short last round; results come in run
+    order.  With no OpenBLAS to pin, the calling thread runs them in turn.
     """
     t_start = time.perf_counter()
     scn = with_overrides(
@@ -537,7 +536,7 @@ def run_scenario(
     with single_thread_blas() as pinned:
         cpus = len(os.sched_getaffinity(0))
         workers = _worker_count(scn.runs, pinned, cpus)
-        _, results = _run_lanes(partial(execute_run, scn), scn.runs, workers)
+        results = _run_lanes(partial(execute_run, scn), scn.runs, workers)
     summaries, all_artifacts, stage_times = zip(*results)
 
     # Stage times are summed over runs, which overlap on the lanes, so their
@@ -665,15 +664,15 @@ def theory_battery(
     check.
 
     Every check draws from its own seed, so lanes run them at the same time,
-    with OpenBLAS pinned to one thread.  The checks run on _worker_count(2,
-    ...) lanes (_run_lanes): the calling thread, plus one pool thread unless
-    the affinity set has one CPU or no OpenBLAS can be pinned.  The calling
-    thread runs the dither grid first, while the helper lane claims the
-    embedding check, then the pairs, in turn; the calling thread then claims
-    what is left, so on one CPU the checks run one after the other.  Which
-    lane runs a check changes no report.  The dither grid's trials-long
-    arrays stay on the calling thread, which keeps them out of a second
-    thread's malloc arena.
+    with OpenBLAS pinned to one thread.  The tasks, in order, are the dither
+    grid, the embedding check and the pairs, on _worker_count(2, ...) lanes
+    (_run_lanes): the calling thread, plus one pool thread unless the
+    affinity set has one CPU or no OpenBLAS can be pinned.  The calling
+    thread runs task 0, the dither grid, first, while the helper lane claims
+    the embedding check, then the pairs, in turn; the calling thread then
+    claims what is left, so on one CPU the checks run one after the other.
+    Which lane runs a check changes no report.  The dither grid's trials-long
+    arrays stay on the calling thread, out of a second thread's malloc arena.
     """
     check_seed(seed)
     for trials, least, name in (
@@ -685,16 +684,13 @@ def theory_battery(
         # Allocate and drop each count's samples, untouched, so a count numpy
         # cannot allocate fails by name before any lane starts.
         trial_samples(trials, name)
-    checks = [partial(_embedding_check, embedding_trials, seed)] + [
-        partial(_sampling_check, k, sampling_trials, seed) for k in range(SAMPLING_PAIRS)
-    ]
+    pairs = [partial(_sampling_check, k, sampling_trials, seed) for k in range(SAMPLING_PAIRS)]
+    checks = [partial(_dither_checks, dither_trials, seed),
+              partial(_embedding_check, embedding_trials, seed), *pairs]
     with single_thread_blas() as pinned:
         lanes = _worker_count(2, pinned, len(os.sched_getaffinity(0)))
-        dither, reports = _run_lanes(
-            lambda i: checks[i](), len(checks), lanes,
-            first=partial(_dither_checks, dither_trials, seed),
-        )
-    return TheoryBattery(dither=dither, sampling=reports[1:], embedding=reports[0])
+        dither, embedding, *sampling = _run_lanes(lambda i: checks[i](), len(checks), lanes)
+    return TheoryBattery(dither=dither, sampling=sampling, embedding=embedding)
 
 
 def write_theory_csvs(battery: TheoryBattery, out_dir: str) -> list[str]:

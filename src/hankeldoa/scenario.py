@@ -375,8 +375,11 @@ def load_bundled(name: str) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     """Load from a filesystem path, falling back to the bundled set by name."""
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            raise ScenarioError(f"{path}: not UTF-8 text") from None
         stem = os.path.splitext(os.path.basename(path))[0]
         return parse_scenario(text, fallback_name=stem)
     return load_bundled(path)

@@ -367,6 +367,30 @@ def test_missing_snapshot_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectrum", "--snapshot", "{path}"],
+        ["complete", "two_targets_first4", "--run", "0", "--snapshot", "{path}"],
+        ["run", "{path}"],
+    ],
+    ids=["spectrum", "complete", "run"],
+)
+def test_non_utf8_input_names_its_path(tmp_path, capsys, command):
+    """A 0xE9 byte (Latin-1 e-acute) in a snapshot CSV or a scenario file:
+    exit 2 with one error line naming the file."""
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"[scenario]\nname = caf\xe9\n" if command[0] == "run"
+                     else b"index,re,im,mask\n1,0.5,0,1 # caf\xe9\n")
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}: not UTF-8 text" in err
+    assert not out.exists()
+
+
 def test_snapshot_with_bad_mask_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad_mask.csv"
     path.write_text("index,re,im,mask\n1,1,0,1\n2,1,0,2\n", encoding="utf-8")

@@ -688,6 +688,43 @@ def test_batches_reuse_the_pool_threads(two_cpu_pool, monkeypatch):
     assert active == [active[0]] * 5
 
 
+def test_the_calling_thread_runs_run_0(two_cpu_pool, monkeypatch):
+    """Run 0 of a three-run batch on two CPUs runs on the calling thread,
+    and runs 1 and 2 on two pool threads."""
+    calls = record_run_threads(monkeypatch, barriers=[(0, 1, 2)])
+    manifest = run_scenario(load_bundled("five_targets"), runs=3, write=False)
+    assert manifest.environment["workers"] == 3
+    threads = dict(calls)
+    assert sorted(threads) == [0, 1, 2]
+    assert threads[0] == threading.get_ident()
+    assert len(set(threads.values())) == 3
+
+
+def test_the_calling_thread_runs_the_dither_grid(two_cpu_pool, monkeypatch):
+    """The dither grid is the battery's task 0: it runs on the calling
+    thread, while the helper lane claims the embedding check."""
+    embedding_started = threading.Event()
+    threads = {}
+
+    def recorded(name):
+        check = getattr(pipeline, name)
+
+        def call(trials, seed):
+            threads[name] = threading.get_ident()
+            if name == "_embedding_check":
+                embedding_started.set()
+            else:
+                assert embedding_started.wait(timeout=60), "no lane claimed the embedding"
+            return check(trials, seed)
+        return call
+
+    for name in ("_dither_checks", "_embedding_check"):
+        monkeypatch.setattr(pipeline, name, recorded(name))
+    assert theory_battery(10_000, 50, 50, seed=0).all_passed
+    assert threads["_dither_checks"] == threading.get_ident()
+    assert threads["_embedding_check"] != threading.get_ident()
+
+
 def test_two_lanes_claiming_several_runs_keep_the_hash(two_cpu_pool, monkeypatch):
     """Five runs on two CPUs take two lanes, each of which claims at least
     two runs: the hash is the one-CPU hash."""
@@ -750,26 +787,24 @@ def test_a_lane_that_finishes_after_a_failure_claims_nothing(two_cpu_pool):
 
 
 def test_an_error_in_the_first_task_is_raised_and_stops_the_claims(two_cpu_pool):
-    """When the calling thread's first task raises, its error is raised, and
-    the helper lane, busy with index 0 meanwhile, claims no further index."""
-    first_raising = threading.Event()
+    """Index 0 raises on the calling thread while the helper lane is busy
+    with index 1: index 0's error is raised, and no lane claims a further
+    index."""
     called = []
 
     def fn(i):
-        called.append(i)
+        called.append((i, threading.get_ident()))
         if i == 0:
-            assert first_raising.wait(timeout=60), "the first task never ran"
-            time.sleep(0.2)  # ample time for the caller to record the error
+            assert _wait_until(lambda: len(called) == 2), "no lane claimed index 1"
+            raise RuntimeError("index 0")
+        time.sleep(0.2)  # ample time for the caller to record the error
         return i
 
-    def first():
-        assert _wait_until(lambda: called == [0]), "no lane claimed index 0"
-        first_raising.set()
-        raise RuntimeError("first")
-
-    with pytest.raises(RuntimeError, match="first"):
-        pipeline._run_lanes(fn, 6, 2, first=first)
-    assert called == [0]
+    with pytest.raises(RuntimeError, match="index 0"):
+        pipeline._run_lanes(fn, 6, 2)
+    threads = dict(called)
+    assert sorted(threads) == [0, 1]
+    assert threads[0] == threading.get_ident() != threads[1]
 
 
 def _wait_until(condition, timeout=60.0):
@@ -812,16 +847,18 @@ def test_concurrent_callers_share_the_pool(two_cpu_pool):
     """Eight callers on eight threads ask for three lanes each from a pool
     of two threads, with the interpreter switching threads as often as it
     can: every caller gets each of its indices computed exactly once, in
-    order, whichever lanes started."""
+    order, whichever lanes started, and index 0 on its own thread."""
     calls = {}
     got = {}
+    callers = {}
 
     def caller(c):
         def fn(i):
-            calls[c].append(i)
+            calls[c].append((i, threading.get_ident()))
             return (c, i * i)
         calls[c] = []
-        got[c] = pipeline._run_lanes(fn, 40, 3, first=lambda: c)
+        callers[c] = threading.get_ident()
+        got[c] = pipeline._run_lanes(fn, 40, 3)
 
     threads = [threading.Thread(target=caller, args=(c,)) for c in range(8)]
     interval = sys.getswitchinterval()
@@ -835,8 +872,9 @@ def test_concurrent_callers_share_the_pool(two_cpu_pool):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for c in range(8):
-        assert got[c] == (c, [(c, i * i) for i in range(40)])
-        assert sorted(calls[c]) == list(range(40))
+        assert got[c] == [(c, i * i) for i in range(40)]
+        assert sorted(i for i, _ in calls[c]) == list(range(40))
+        assert dict(calls[c])[0] == callers[c]
 
 
 def test_import_leaves_the_executor_out():

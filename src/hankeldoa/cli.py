@@ -183,9 +183,11 @@ def _stage_input(args):
     overrides, the run index (--run, default 0), and the masked snapshot,
     read from --snapshot when given and synthesized from the run's seed
     otherwise.  A --snapshot input needs --run, since the CSV does not record
-    its run and the run picks the dither seed, and must fit the scenario's
-    multi-bit indicator (quant.check_precision_classes, the quantizer's own
-    check), failing with its path named."""
+    its run and the run picks the dither seed.  It is taken as masked
+    whatever its mask, must fit the scenario's multi-bit indicator
+    (quant.check_precision_classes, the quantizer's own check) and may
+    observe only antennas the scenario's array observes, failing with its
+    path named."""
     scn = _load(args)
     snapshot = getattr(args, "snapshot", None)
     if snapshot and args.run is None:
@@ -196,14 +198,21 @@ def _stage_input(args):
     run = args.run or 0
     if snapshot:
         masked = pipeline.read_snapshot_csv(snapshot)
-        if np.array_equal(masked.mask, masking_vector(scn.geometry)):
-            # read_snapshot_csv types an all-ones mask as full, and on a
-            # gapless geometry that is the scenario's own mask.
-            masked.kind = SnapshotKind.MASKED
+        # read_snapshot_csv types an all-ones mask as full, but on a gapless
+        # geometry that is the scenario's own mask; the mask check below,
+        # not the kind, rejects a snapshot that observes too much.
+        masked.kind = SnapshotKind.MASKED
         try:
             check_precision_classes(masked, scn.multi_bit)
         except ValueError as exc:
             raise ValueError(f"{snapshot}: {exc}") from None
+        extra = np.flatnonzero(masked.mask > masking_vector(scn.geometry)) + 1
+        if extra.size:
+            more = f" and {extra.size - 5} more" if extra.size > 5 else ""
+            raise ValueError(
+                f"{snapshot}: observed antennas outside the scenario's array: "
+                f"{extra[:5].tolist()}{more}"
+            )
     else:
         _, masked = pipeline.synthesize_run(scn, run)
     return scn, run, masked

@@ -71,7 +71,7 @@ MAX_DEFAULT_STEP = 1.9
 class SvtConfig:
     """Solver knobs; tau and step stay None to take the size-derived defaults
     5*sqrt(n1*n2) and min(1.2*n1*n2/|omega|, MAX_DEFAULT_STEP), change_tol
-    stays None to leave the change rule off."""
+    stays None to leave the change rule off, and tol lies in (0, 1)."""
 
     tau: float | None = None
     step: float | None = None
@@ -84,6 +84,10 @@ class SvtConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.tol >= 1:
+            # Iteration 1's iterate is zero, at relative residual exactly 1,
+            # so a tol of 1 or more would stop every run there.
+            raise ValueError("tol must be below 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -126,11 +130,15 @@ class SvtUnderflowError(RuntimeError):
 @dataclass
 class CompletionResult:
     matrix: np.ndarray
-    iters: int
     residuals: np.ndarray
     ranks: np.ndarray
     stop_reason: str
     data_residual: float
+
+    @property
+    def iters(self) -> int:
+        """The iteration count: the traces end at the stopping iterate."""
+        return len(self.residuals)
 
     @property
     def converged(self) -> bool:
@@ -138,24 +146,19 @@ class CompletionResult:
         return self.stop_reason != "max_iters"
 
 
-def svt_iterate(
-    values: np.ndarray, observed: np.ndarray, cfg: SvtConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Core solver on an arbitrary (values, observed-mask) pair.
+def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
+    """Complete a Hankel observation from its observed cells.
 
-    Returns (x_hat, residual trace, rank trace, stop reason), the reason
-    being "residual", "change" or "max_iters".  The traces end at the
-    stopping iterate, so their length is the iteration count.  The solver sees
-    only the observed values; how they were produced does not enter.  Raises
-    SvtDivergenceError when the data's norm, the residual or the iterate runs
-    away or overflows, SvtUnderflowError when the norm of nonzero data
-    underflows to 0, and SvtZeroIterateError when nonzero data leaves the
-    iterate at zero.
+    The result holds the completed matrix, the residual and rank traces, the
+    stop reason ("residual", "change" or "max_iters") and the data residual
+    ||b - x_omega|| of the stopping iterate.  The solver sees only the
+    observed values; how they were produced, and which are multi-bit, does
+    not enter.  Raises SvtDivergenceError when the data's norm, the residual
+    or the iterate runs away or overflows, SvtUnderflowError when the norm of
+    nonzero data underflows to 0, and SvtZeroIterateError when nonzero data
+    leaves the iterate at zero.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    observed = np.asarray(observed, dtype=bool)
-    if values.shape != observed.shape or values.ndim != 2:
-        raise ValueError("values and observed must be matching 2-d arrays")
+    values, observed = view.matrix, view.omega
     m_obs = int(observed.sum())
     if m_obs == 0:
         raise ValueError("nothing observed")
@@ -169,7 +172,9 @@ def svt_iterate(
     b = values[observed]
     zero = np.zeros_like(values)
     if not b.any():
-        return zero, np.zeros(1), np.zeros(1, dtype=np.int64), "residual"
+        return CompletionResult(
+            zero, np.zeros(1), np.zeros(1, dtype=np.int64), "residual", 0.0
+        )
 
     y = np.zeros(m_obs, dtype=np.complex128)
     scratch = np.zeros_like(values)
@@ -184,7 +189,7 @@ def svt_iterate(
     # and up, or a step far too large).  Raising at the first one reports the
     # divergence without a warning and before LAPACK sees a non-finite matrix.
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with linalg.single_thread_blas(), np.errstate(over="raise", invalid="raise"):
             b_norm = float(np.linalg.norm(b))
             if b_norm == 0.0:
                 raise SvtUnderflowError(float(np.abs(b).max()))
@@ -202,7 +207,8 @@ def svt_iterate(
                 else:
                     x, rank = linalg.shrink(scratch, tau)
                 r = b - x[observed]
-                resid = float(np.linalg.norm(r)) / b_norm
+                r_norm = float(np.linalg.norm(r))
+                resid = r_norm / b_norm
                 residuals.append(resid)
                 ranks.append(rank)
                 if resid <= cfg.tol:
@@ -226,7 +232,13 @@ def svt_iterate(
 
     if not x.any():
         raise SvtZeroIterateError(len(residuals))
-    return x, np.asarray(residuals), np.asarray(ranks, dtype=np.int64), stop_reason
+    return CompletionResult(
+        matrix=x,
+        residuals=np.asarray(residuals),
+        ranks=np.asarray(ranks, dtype=np.int64),
+        stop_reason=stop_reason,
+        data_residual=r_norm,
+    )
 
 
 def _certified_zero_iterations(sigma_c: float, tau: float, size: int) -> int:
@@ -236,21 +248,6 @@ def _certified_zero_iterations(sigma_c: float, tau: float, size: int) -> int:
     cap = int(ZERO_SKIP_ROUNDING / (math.sqrt(size) * 2.0**-53))
     slope = sigma_c * (1.0 + ZERO_SKIP_MARGIN)
     return cap if tau >= cap * slope else math.ceil(tau / slope)
-
-
-def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
-    """Complete a Hankel observation."""
-    with linalg.single_thread_blas():
-        x, residuals, ranks, stop_reason = svt_iterate(view.matrix, view.omega, cfg)
-    data_residual = float(np.linalg.norm(x[view.omega] - view.matrix[view.omega]))
-    return CompletionResult(
-        matrix=x,
-        iters=len(residuals),
-        residuals=residuals,
-        ranks=ranks,
-        stop_reason=stop_reason,
-        data_residual=data_residual,
-    )
 
 
 def build_quantized_hankel(masked: Snapshot, scheme: QuantScheme) -> HankelView:

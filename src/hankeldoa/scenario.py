@@ -32,7 +32,7 @@ from .spectrum import check_n_fft
 
 NAMED_PLACEMENTS = ("edges", "last4", "first4")
 
-# The solver's change rule for every scenario (completion.svt_iterate).  A
+# The solver's change rule for every scenario (completion.svt_complete).  A
 # scenario completes quantized data, whose distance from the truth sits far
 # above the residual rule's tol, so the iterations after the iterate settles
 # fit quantization noise; the rank projection discards what they add.

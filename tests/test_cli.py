@@ -67,6 +67,32 @@ rx2 = 1, 2, 3, 4, 5
 angles_deg = -20, 30
 """
 
+# Three antennas, all observed: the 2x2 Hankel view completes, but the
+# 4-bin spectrum holds fewer local maxima than the two targets.
+TINY_INI = """
+[scenario]
+name = tiny
+runs = 2
+
+[geometry]
+tx1 = 1
+rx1 = 1, 2
+tx2 = 2
+rx2 = 1, 2
+
+[scene]
+angles_deg = -20, 30
+
+[quant]
+placement = 1
+
+[svt]
+tau = 0.5
+
+[spectrum]
+n_fft = 4
+"""
+
 
 def test_scenarios_lists_bundled(capsys):
     assert main(["scenarios"]) == 0
@@ -231,6 +257,22 @@ def test_non_finite_scenario_number_is_usage_error(tmp_path, capsys):
     )
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "[quant] margin" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tol", ["1", "1e300"])
+def test_tol_of_one_or_more_is_usage_error(tmp_path, capsys, tol):
+    """Iteration 1's zero iterate has relative residual 1, so a tol of 1 or
+    more would end every run there with an all-zero completion: the scenario
+    fails at load instead."""
+    path = tmp_path / "tol.ini"
+    path.write_text(
+        f"[scene]\nangles_deg = -34.0, 18.0\n[svt]\ntol = {tol}\n", encoding="utf-8"
+    )
+    assert main(["complete", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error: scenario 'tol': [svt] tol must be below 1" in (
+        capsys.readouterr().err
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -414,9 +456,38 @@ def test_full_snapshot_rejected_for_stages(tmp_path, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "masked" in err
-    assert f"{completed}: expected a masked snapshot, got a full one" in err
+    unobserved = np.flatnonzero(masking_vector(load_bundled("two_targets_first4").geometry) == 0)
+    assert (
+        f"{completed}: observed antennas outside the scenario's array: "
+        f"{(unobserved[:5] + 1).tolist()} and {unobserved.size - 5} more"
+    ) in err
     assert not (tmp_path / "again").exists()
+
+
+def test_snapshot_observing_antennas_outside_the_array_is_usage_error(tmp_path, capsys):
+    """complete --snapshot takes only antennas the scenario's array observes:
+    one extra observed antenna exits 2 naming it, while a snapshot that
+    leaves one of the array's antennas out still completes."""
+    snap = tmp_path / "s.csv"
+    assert main(["synth", "two_targets_first4", "--out", str(snap)]) == 0
+    rows = snap.read_text(encoding="utf-8").splitlines(True)
+    assert rows[2] == "2,0,0,0\n"
+    extra = tmp_path / "extra.csv"
+    extra.write_text("".join([*rows[:2], "2,0.5,0,1\n", *rows[3:]]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["complete", "two_targets_first4", "--run", "0", "--snapshot", str(extra),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{extra}: observed antennas outside the scenario's array: [2]\n" in err
+    assert not out.exists()
+
+    last = max(k for k, row in enumerate(rows) if row.endswith(",1\n"))
+    index = rows[last].split(",")[0]
+    subset = tmp_path / "subset.csv"
+    subset.write_text("".join([*rows[:last], f"{index},0,0,0\n", *rows[last + 1:]]),
+                      encoding="utf-8")
+    assert main(["complete", "two_targets_first4", "--run", "0", "--snapshot", str(subset),
+                 "--out", str(out)]) == 0
 
 
 def test_stage_round_trip_on_a_gapless_geometry(tmp_path):
@@ -434,6 +505,31 @@ def test_stage_round_trip_on_a_gapless_geometry(tmp_path):
     assert (tmp_path / "cs" / "trace.csv").read_bytes() == (
         tmp_path / "c" / "trace.csv"
     ).read_bytes()
+
+
+def test_fewer_peaks_than_targets_leave_the_error_undefined(tmp_path, capsys):
+    """With fewer spectrum peaks than targets a run has no angle error or
+    sidelobe margin: nan in runs.csv, null in manifest.json and n/a in the
+    printout; spectrum --peaks says how many local maxima exist."""
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_INI, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("err n/a deg") == 2
+    with open(out / "runs.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["peaks_complete"] for r in rows] == ["0", "0"]
+    for key in ("max_error_deg", "sidelobe_margin_db"):
+        assert [r[key] for r in rows] == ["nan", "nan"]
+    runs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
+    for key in ("max_error_deg", "sidelobe_margin_db"):
+        assert [r[key] for r in runs] == [None, None]
+
+    assert main(["complete", str(path), "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", "--snapshot", str(tmp_path / "c" / "completed.csv"),
+                 "--n-fft", "4", "--peaks", "2", "--out", str(tmp_path / "s.csv")]) == 0
+    assert "only 1 local maxima exist" in capsys.readouterr().out
 
 
 def test_snapshot_of_the_wrong_length_is_usage_error(tmp_path, capsys):

@@ -16,7 +16,6 @@ from hankeldoa.completion import (
     build_quantized_hankel,
     rank_projected_snapshot,
     svt_complete,
-    svt_iterate,
 )
 from hankeldoa.hankel import HankelView, dehankelize, lift
 from hankeldoa.linalg import shrink
@@ -35,6 +34,11 @@ def rank_one_problem(seed, n=8, observed=38):
     mask[idx] = True
     mask = mask.reshape(n, n)
     return truth, np.where(mask, truth, 0), mask
+
+
+def complete(values, mask, cfg):
+    """svt_complete on an all-one-bit view of (values, mask)."""
+    return svt_complete(HankelView(values, mask, np.zeros_like(mask)), cfg)
 
 
 def test_config_defaults_and_validation():
@@ -58,63 +62,61 @@ def test_fully_observed_rank_one_recovers():
     rng = np.random.default_rng(6)
     truth = np.outer(rng.standard_normal(8), rng.standard_normal(8)).astype(complex)
     mask = np.ones((8, 8), dtype=bool)
-    x, residuals, ranks, reason = svt_iterate(
-        truth.copy(), mask, SvtConfig(tau=1e-3, step=1.0)
-    )
-    assert reason == "residual"
-    assert np.linalg.norm(x - truth) / np.linalg.norm(truth) <= 1e-3
+    result = complete(truth.copy(), mask, SvtConfig(tau=1e-3, step=1.0))
+    assert result.stop_reason == "residual"
+    assert np.linalg.norm(result.matrix - truth) / np.linalg.norm(truth) <= 1e-3
 
 
 def test_partially_observed_rank_one_oracle():
     truth, values, mask = rank_one_problem(seed=3)
-    x, residuals, ranks, reason = svt_iterate(values, mask, SvtConfig())
-    assert reason == "residual"
-    assert np.linalg.norm(x - truth) / np.linalg.norm(truth) <= 1e-3
-    assert len(residuals) <= 500
+    result = complete(values, mask, SvtConfig())
+    assert result.stop_reason == "residual"
+    assert np.linalg.norm(result.matrix - truth) / np.linalg.norm(truth) <= 1e-3
+    assert len(result.residuals) <= 500
 
 
 def test_residuals_are_positive_and_final_below_tol():
     truth, values, mask = rank_one_problem(seed=3)
-    x, residuals, ranks, _ = svt_iterate(values, mask, SvtConfig())
-    assert np.all(residuals > 0)
-    assert residuals[-1] <= 1e-4
-    assert len(ranks) == len(residuals)
+    result = complete(values, mask, SvtConfig())
+    assert np.all(result.residuals > 0)
+    assert result.residuals[-1] <= 1e-4
+    assert len(result.ranks) == len(result.residuals)
 
 
 def test_change_rule_waits_for_a_nonzero_iterate_and_yields_to_the_residual():
     truth, values, mask = rank_one_problem(seed=3)
-    _, residuals, ranks, _ = svt_iterate(values, mask, SvtConfig(max_iters=4))
-    assert list(ranks) == [0, 0, 1, 1]
+    four = complete(values, mask, SvtConfig(max_iters=4))
+    assert list(four.ranks) == [0, 0, 1, 1]
     # change_tol = 1e10 holds at every step from a nonzero iterate, so the
     # first stop is iteration 4, the first whose predecessor is nonzero.
-    _, r, _, reason = svt_iterate(values, mask, SvtConfig(change_tol=1e10))
-    assert (len(r), reason) == (4, "change")
-    tie = SvtConfig(tol=residuals[3], change_tol=1e10)
-    _, r, _, reason = svt_iterate(values, mask, tie)
-    assert (len(r), reason) == (4, "residual")
+    result = complete(values, mask, SvtConfig(change_tol=1e10))
+    assert (len(result.residuals), result.stop_reason) == (4, "change")
+    tie = SvtConfig(tol=four.residuals[3], change_tol=1e10)
+    result = complete(values, mask, tie)
+    assert (len(result.residuals), result.stop_reason) == (4, "residual")
 
 
 def test_all_zero_observations_short_circuit():
     values = np.zeros((6, 6), dtype=complex)
     mask = np.zeros((6, 6), dtype=bool)
     mask[0, 0] = True
-    x, residuals, ranks, reason = svt_iterate(values, mask, SvtConfig())
-    assert reason == "residual"
-    assert np.all(x == 0)
+    result = complete(values, mask, SvtConfig())
+    assert result.stop_reason == "residual"
+    assert np.all(result.matrix == 0)
 
 
 def test_shape_and_support_validation():
     values = np.zeros((4, 4), dtype=complex)
     with pytest.raises(ValueError):
-        svt_iterate(values, np.zeros((3, 4), dtype=bool), SvtConfig())
+        complete(values, np.zeros((3, 4), dtype=bool), SvtConfig())
     with pytest.raises(ValueError):
-        svt_iterate(values, np.zeros((4, 4), dtype=bool), SvtConfig())
+        complete(values, np.zeros((4, 4), dtype=bool), SvtConfig())
 
 
 def test_divergence_detector_raises():
     truth, values, mask = rank_one_problem(seed=3)
     with pytest.raises(SvtDivergenceError):
-        svt_iterate(values, mask, SvtConfig(step=400.0, max_iters=200))
+        complete(values, mask, SvtConfig(step=400.0, max_iters=200))
 
 
 @pytest.mark.parametrize("step", [1e200, 1e250, 1e300, 1e307])
@@ -126,7 +128,7 @@ def test_overflowing_iterate_is_divergence(step):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SvtDivergenceError) as exc:
-            svt_iterate(values, mask, SvtConfig(step=step))
+            complete(values, mask, SvtConfig(step=step))
     assert caught == []
     assert exc.value.iters == 1
     assert str(exc.value) == "completion diverged after 1 iterations (relative residual 1)"
@@ -137,16 +139,29 @@ def test_overflowing_first_update_is_divergence_with_an_empty_trace():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SvtDivergenceError) as exc:
-            svt_iterate(values, mask, SvtConfig(step=1.7e308))
+            complete(values, mask, SvtConfig(step=1.7e308))
     assert caught == []
     assert exc.value.iters == 0 and exc.value.residuals.size == 0
     assert str(exc.value) == "completion diverged after 0 iterations"
 
 
+def test_overflowing_spectral_norm_is_divergence_with_an_empty_trace():
+    """step * b stays finite, 1e307 in every cell, but the spectral norm of
+    the 75x75 all-observed scatter overflows: the first dual update is
+    already unbounded."""
+    values = np.full((75, 75), 1e152 + 0j)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SvtDivergenceError) as exc:
+            complete(values, np.ones((75, 75), dtype=bool), SvtConfig(step=1e155))
+    assert caught == []
+    assert exc.value.iters == 0 and exc.value.residuals.size == 0
+
+
 def test_zero_iterate_on_nonzero_data_raises():
     truth, values, mask = rank_one_problem(seed=3)
     with pytest.raises(SvtZeroIterateError) as exc:
-        svt_iterate(values, mask, SvtConfig(tau=1e6, max_iters=3))
+        complete(values, mask, SvtConfig(tau=1e6, max_iters=3))
     assert exc.value.iters == 3
 
 
@@ -161,8 +176,9 @@ def tau_and_step(values, observed, cfg):
 
 
 def plain_svt(values, observed, cfg):
-    """SVT with an SVD on every iteration and the solver's three stop rules:
-    the reference the zero-iterate skip must match bit for bit."""
+    """SVT with an SVD on every iteration and the solver's three stop rules,
+    at one BLAS thread as the solver runs: the reference the zero-iterate
+    skip must match bit for bit."""
     tau, step = tau_and_step(values, observed, cfg)
     b = values[observed]
     b_norm = float(np.linalg.norm(b))
@@ -170,24 +186,25 @@ def plain_svt(values, observed, cfg):
     scratch = np.zeros_like(values)
     x = np.zeros_like(values)
     residuals, ranks, reason = [], [], "max_iters"
-    for _ in range(cfg.max_iters):
-        scratch[observed] = y
-        x_prev = x
-        x, rank = shrink(scratch, tau)
-        r = b - x[observed]
-        residuals.append(float(np.linalg.norm(r)) / b_norm)
-        ranks.append(rank)
-        if residuals[-1] <= cfg.tol:
-            reason = "residual"
-            break
-        if (
-            cfg.change_tol is not None
-            and x_prev.any()
-            and np.linalg.norm(x - x_prev) <= cfg.change_tol * np.linalg.norm(x)
-        ):
-            reason = "change"
-            break
-        y += step * r
+    with linalg.single_thread_blas():
+        for _ in range(cfg.max_iters):
+            scratch[observed] = y
+            x_prev = x
+            x, rank = shrink(scratch, tau)
+            r = b - x[observed]
+            residuals.append(float(np.linalg.norm(r)) / b_norm)
+            ranks.append(rank)
+            if residuals[-1] <= cfg.tol:
+                reason = "residual"
+                break
+            if (
+                cfg.change_tol is not None
+                and x_prev.any()
+                and np.linalg.norm(x - x_prev) <= cfg.change_tol * np.linalg.norm(x)
+            ):
+                reason = "change"
+                break
+            y += step * r
     return x, np.asarray(residuals), np.asarray(ranks, dtype=np.int64), reason
 
 
@@ -206,7 +223,7 @@ def skipped_iterations(values, observed, cfg):
 
 @pytest.fixture
 def shrink_calls(monkeypatch):
-    """One entry per linalg.shrink call svt_iterate makes (one SVD each)."""
+    """One entry per linalg.shrink call svt_complete makes (one SVD each)."""
     calls = []
 
     def counting(x, tau):
@@ -226,15 +243,15 @@ def run0_view(name):
 
 
 def assert_same_as_plain_svt(values, observed, cfg, shrink_calls, skipped):
-    x, residuals, ranks, reason = svt_iterate(values, observed, cfg)
+    result = complete(values, observed, cfg)
     x_ref, residuals_ref, ranks_ref, reason_ref = plain_svt(values, observed, cfg)
-    assert np.array_equal(x, x_ref)
-    assert np.array_equal(residuals, residuals_ref)
-    assert np.array_equal(ranks, ranks_ref)
-    assert reason == reason_ref
-    assert len(shrink_calls) == len(residuals) - skipped
-    assert not ranks[:skipped].any()
-    return ranks
+    assert np.array_equal(result.matrix, x_ref)
+    assert np.array_equal(result.residuals, residuals_ref)
+    assert np.array_equal(result.ranks, ranks_ref)
+    assert result.stop_reason == reason_ref
+    assert len(shrink_calls) == len(result.residuals) - skipped
+    assert not result.ranks[:skipped].any()
+    return result.ranks
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
@@ -268,7 +285,7 @@ def test_iteration_inside_the_margin_runs_its_svd(shrink_calls):
 def test_all_zero_iterations_run_no_svd(shrink_calls):
     _, values, mask = rank_one_problem(seed=3)
     with pytest.raises(SvtZeroIterateError) as exc:
-        svt_iterate(values, mask, SvtConfig(tau=1e6, max_iters=1500))
+        complete(values, mask, SvtConfig(tau=1e6, max_iters=1500))
     assert exc.value.iters == 1500
     assert shrink_calls == []
 
@@ -297,20 +314,17 @@ def test_change_rule_stops_when_the_iterate_settles(two_unit_geom):
     _, view, _ = paper_view_and_scheme(two_unit_geom)
     cfg = load_bundled("two_targets_first4").svt
     assert cfg.change_tol == 1e-2
-    x, residuals, ranks, reason = svt_iterate(view.matrix, view.omega, cfg)
+    result = svt_complete(view, cfg)
     off = dataclasses.replace(cfg, change_tol=None)
-    _, full_residuals, _, full_reason = svt_iterate(view.matrix, view.omega, off)
-    assert (reason, full_reason) == ("change", "residual")
-    assert len(residuals) == len(ranks) < len(full_residuals) / 4
+    full = svt_complete(view, off)
+    assert (result.stop_reason, full.stop_reason) == ("change", "residual")
+    assert len(result.residuals) == len(result.ranks) < len(full.residuals) / 4
     # The rule only stops the iteration; it does not alter the path.
-    assert np.array_equal(residuals, full_residuals[: len(residuals)])
-    k = len(residuals)
-    prev, _, _, _ = svt_iterate(
-        view.matrix, view.omega, dataclasses.replace(off, max_iters=k - 1)
-    )
-    prev2, _, _, _ = svt_iterate(
-        view.matrix, view.omega, dataclasses.replace(off, max_iters=k - 2)
-    )
+    assert np.array_equal(result.residuals, full.residuals[: len(result.residuals)])
+    k = len(result.residuals)
+    prev = svt_complete(view, dataclasses.replace(off, max_iters=k - 1)).matrix
+    prev2 = svt_complete(view, dataclasses.replace(off, max_iters=k - 2)).matrix
+    x = result.matrix
     assert np.linalg.norm(x - prev) <= 1e-2 * np.linalg.norm(x)
     assert np.linalg.norm(prev - prev2) > 1e-2 * np.linalg.norm(prev)
 

@@ -159,6 +159,11 @@ def test_field_validation_messages_name_section():
         assert str(caught.value) == f"scenario 'x': {message}"
 
 
+def test_tol_just_below_one_loads():
+    below = float(np.nextafter(1.0, 0.0))
+    assert parse_scenario(MINIMAL + f"\n[svt]\ntol = {below!r}\n").svt.tol == below
+
+
 def test_word_length_beyond_range_is_a_quant_error():
     with pytest.raises(ScenarioError, match=r"\[quant\] bits"):
         Scenario(name="x", angles_deg=(1.0,), bits=1100)

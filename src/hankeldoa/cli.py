@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -230,11 +231,14 @@ def cmd_run(args) -> int:
         f"mixed rate {d['mixed_rate']:.4f}"
     )
     for r in manifest.runs:
-        peaks = " ".join(f"{t:+7.2f}deg@{l:6.1f}dB" for t, l in r.peaks)
+        peaks = " ".join(f"{t:+7.2f}deg@{l:6.1f}dB" for t, l in r.peaks) or "no peaks"
         err = "n/a" if r.max_error_deg is None else f"{r.max_error_deg:.3f}"
+        # nan when neither spectrum has a sidelobe (-inf minus -inf).
+        m = r.sidelobe_margin_db
+        margin = "n/a" if math.isnan(m) else f"{m:.2f}"
         print(
             f"run {r.run:2d}: {peaks}  err {err} deg, "
-            f"sidelobe margin {r.sidelobe_margin_db:5.2f} dB, "
+            f"sidelobe margin {margin:>5} dB, "
             f"iters {r.iters} ({r.stop_reason})"
         )
     print(f"wrote {len(manifest.outputs)} files to {manifest.out_dir}")

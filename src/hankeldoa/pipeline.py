@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -93,13 +94,37 @@ SAMPLING_DELTA = 0.5
 _FLOAT, _INT, _STR = "%.17g", "%d", "%s"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8 with \\n line ends: the one writer of
+    every output file.
+
+    An existing regular file with one link is unlinked and created afresh,
+    since truncating it in place makes ext4 (auto_da_alloc) flush the new
+    blocks at close.  Any other path is truncated and written in place, as
+    open(path, "w") does: a missing one, a symlink (its target gets the
+    bytes), a hard-linked file (every name sees them), a device such as
+    /dev/null, and a file whose unlink fails, such as another user's file in
+    a sticky directory, a file in a read-only directory or a bind-mounted
+    file.  Nothing is fsynced.
+    """
+    try:
+        st = os.lstat(path)
+    except OSError:
+        st = None  # open() below creates the path or raises its own error
+    if st is not None and stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass  # written in place; open() raises if that fails too
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _write_csv(path: str, columns: dict[str, str], rows) -> None:
     """Write a CSV headed by the keys of columns, one line per row: each row
     is a tuple formatted by the columns' % conversions in one join."""
     line = ",".join(columns.values()) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.write("".join(line % row for row in rows))
+    _write_text(path, "".join([",".join(columns) + "\n", *(line % row for row in rows)]))
 
 
 def write_snapshot_csv(path: str, snap: Snapshot) -> None:
@@ -180,10 +205,8 @@ def write_spectra_csv(path: str, spectra: list[AngleSpectrum]) -> None:
         template = _spectrum_template(u.dtype.str, u.shape, u.tobytes(), spec.source.value)
         return template % tuple(spec.magnitude_db.tolist())
 
-    body = "".join(rows(spec) for spec in spectra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("u,theta_deg,magnitude_db,source\n")
-        fh.write(body)
+    header = "u,theta_deg,magnitude_db,source\n"
+    _write_text(path, "".join([header, *(rows(spec) for spec in spectra)]))
 
 
 def write_trace_csv(path: str, residuals: np.ndarray, ranks: np.ndarray) -> None:
@@ -592,10 +615,10 @@ def run_scenario(
     payload = manifest.to_json()
     manifest.manifest_hash = payload["manifest_hash"] = _payload_hash(payload)
     if write:
-        with open(
-            os.path.join(scn.out_dir, "manifest.json"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(
+            os.path.join(scn.out_dir, "manifest.json"),
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        )
     return manifest
 
 

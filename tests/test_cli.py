@@ -1,9 +1,11 @@
 """Command-line behavior: subcommands, stage chaining, exit codes."""
 
 import csv
+import errno
 import json
 import math
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -364,6 +366,100 @@ def test_stage_commands_reproduce_a_batch_run(tmp_path):
         assert out.read_bytes() == "".join([header, *rows]).encode("utf-8")
 
 
+def _spectrum(snapshot, out, *flags) -> int:
+    return main(["spectrum", "--snapshot", str(snapshot), *flags, "--out", str(out)])
+
+
+@pytest.fixture
+def spectrum_input(tmp_path):
+    """Run 0's masked snapshot CSV, and the bytes of its 1024-bin spectrum
+    written to a new path."""
+    snapshot = tmp_path / "masked.csv"
+    assert main(["synth", "two_targets_first4", "--out", str(snapshot)]) == 0
+    fresh = tmp_path / "fresh.csv"
+    assert _spectrum(snapshot, fresh) == 0
+    return snapshot, fresh.read_bytes()
+
+
+def _forbid_unlink(monkeypatch) -> None:
+    """Fail the test if the writer unlinks anything."""
+
+    def unlink(path, *args, **kwargs):
+        raise AssertionError(f"unlinked {path}")
+
+    monkeypatch.setattr(os, "unlink", unlink)
+
+
+def test_a_shorter_spectrum_replaces_a_longer_one(tmp_path, monkeypatch, spectrum_input):
+    """--n-fft 2048, then 1024, into one --out: the regular file is unlinked
+    and written afresh, leaving exactly the bytes of a new 1024-bin write
+    and no rows of the longer one."""
+    snapshot, fresh = spectrum_input
+    out = tmp_path / "out.csv"
+    assert _spectrum(snapshot, out, "--n-fft", "2048") == 0
+    unlinked = []
+    real_unlink = os.unlink
+
+    def unlink(path, *args, **kwargs):
+        unlinked.append(path)
+        real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", unlink)
+    assert _spectrum(snapshot, out, "--n-fft", "1024") == 0
+    assert unlinked == [str(out)]
+    assert out.read_bytes() == fresh
+
+
+def test_a_symlinked_out_stays_a_link_to_the_new_bytes(tmp_path, monkeypatch, spectrum_input):
+    snapshot, fresh = spectrum_input
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("stale\n" * 50_000, encoding="utf-8")
+    link.symlink_to(target)
+    _forbid_unlink(monkeypatch)
+    assert _spectrum(snapshot, link) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh
+
+
+def test_a_hard_linked_out_shows_the_new_bytes_under_both_names(
+    tmp_path, monkeypatch, spectrum_input
+):
+    snapshot, fresh = spectrum_input
+    out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+    out.write_text("stale\n" * 50_000, encoding="utf-8")
+    os.link(out, other)
+    _forbid_unlink(monkeypatch)
+    assert _spectrum(snapshot, out) == 0
+    assert os.path.samefile(out, other) and os.stat(out).st_nlink == 2
+    assert out.read_bytes() == other.read_bytes() == fresh
+
+
+def test_an_out_that_cannot_be_unlinked_is_rewritten_in_place(
+    tmp_path, monkeypatch, spectrum_input
+):
+    """A file whose unlink is refused, as another user's file in a sticky
+    directory is for anyone but root, is truncated and written in place."""
+    snapshot, fresh = spectrum_input
+    out = tmp_path / "out.csv"
+    out.write_text("stale\n" * 50_000, encoding="utf-8")
+    inode = os.stat(out).st_ino
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), path)
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    assert _spectrum(snapshot, out) == 0
+    assert os.stat(out).st_ino == inode
+    assert out.read_bytes() == fresh
+
+
+def test_a_device_out_is_written_not_removed(monkeypatch, spectrum_input):
+    snapshot, _ = spectrum_input
+    _forbid_unlink(monkeypatch)
+    assert _spectrum(snapshot, os.devnull) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
 @pytest.mark.parametrize("command", ["complete"])
 def test_snapshot_without_run_is_usage_error(tmp_path, capsys, command):
     """A snapshot CSV does not record its run, so --snapshot needs --run:
@@ -510,12 +606,19 @@ def test_stage_round_trip_on_a_gapless_geometry(tmp_path):
 def test_fewer_peaks_than_targets_leave_the_error_undefined(tmp_path, capsys):
     """With fewer spectrum peaks than targets a run has no angle error or
     sidelobe margin: nan in runs.csv, null in manifest.json and n/a in the
-    printout; spectrum --peaks says how many local maxima exist."""
+    printout, which says "no peaks" for a run that found none; spectrum
+    --peaks says how many local maxima exist."""
     path = tmp_path / "tiny.ini"
     path.write_text(TINY_INI, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 0
-    assert capsys.readouterr().out.count("err n/a deg") == 2
+    printed = capsys.readouterr().out
+    assert printed.count("err n/a deg") == 2
+    # Run 0 finds one of the two peaks, run 1 none; neither has a margin.
+    assert printed.splitlines()[1:3] == [
+        "run  0:  -30.00deg@   0.0dB  err n/a deg, sidelobe margin   n/a dB, iters 5 (change)",
+        "run  1: no peaks  err n/a deg, sidelobe margin   n/a dB, iters 5 (change)",
+    ]
     with open(out / "runs.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["peaks_complete"] for r in rows] == ["0", "0"]

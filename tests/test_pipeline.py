@@ -224,15 +224,24 @@ def test_written_batch_layout(first4_scenario, tmp_path):
 
 
 def test_rerun_is_byte_identical(first4_scenario, tmp_path):
+    """A batch re-run into a new directory, and again into the first one,
+    replacing every file there, writes the same CSV bytes and hash."""
     a = tmp_path / "a"
     b = tmp_path / "b"
     ma = run_scenario(first4_scenario, out_dir=str(a), runs=2)
     mb = run_scenario(first4_scenario, out_dir=str(b), runs=2)
     assert ma.manifest_hash == mb.manifest_hash
-    for name in ma.outputs:
-        if name == "manifest.json":
-            continue
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    csvs = [name for name in ma.outputs if name != "manifest.json"]
+    first = {name: (a / name).read_bytes() for name in csvs}
+    for name in csvs:
+        assert first[name] == (b / name).read_bytes()
+    again = run_scenario(first4_scenario, out_dir=str(a), runs=2)
+    assert again.manifest_hash == ma.manifest_hash
+    assert sorted(os.listdir(a)) == ma.outputs
+    for name in csvs:
+        assert (a / name).read_bytes() == first[name]
+    payload = json.loads((a / "manifest.json").read_text(encoding="utf-8"))
+    assert payload["manifest_hash"] == ma.manifest_hash
 
 
 HASH_SCRIPT = (

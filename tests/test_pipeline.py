@@ -2,10 +2,8 @@
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
-import pathlib
 import subprocess
 import sys
 import threading
@@ -16,6 +14,7 @@ import numpy as np
 import pytest
 
 import hankeldoa
+import record_pins
 from hankeldoa import pipeline, scenario
 from hankeldoa.completion import SvtDivergenceError, SvtZeroIterateError
 from hankeldoa.linalg import blas_core, blas_threads
@@ -34,7 +33,7 @@ from hankeldoa.pipeline import (
     write_trace_csv,
 )
 from hankeldoa.quant import DynamicRangeViolation
-from hankeldoa.scenario import CHANGE_TOL, bundled_scenario_names, load_bundled, scenario_hash
+from hankeldoa.scenario import CHANGE_TOL, load_bundled, scenario_hash
 from hankeldoa.signal import SnapshotKind, TargetScene, synthesize_snapshot
 
 
@@ -244,6 +243,15 @@ def test_rerun_is_byte_identical(first4_scenario, tmp_path):
     assert payload["manifest_hash"] == ma.manifest_hash
 
 
+def _subprocess_env(**forced) -> dict:
+    """This process's environment with forced set, and the src directory of
+    the hankeldoa imported here first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hankeldoa.__file__)))
+    env = dict(os.environ, **forced)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 HASH_SCRIPT = (
     "from hankeldoa import load_bundled, run_scenario;"
     "print(run_scenario(load_bundled('five_targets'), runs=2, write=False)"
@@ -252,13 +260,9 @@ HASH_SCRIPT = (
 
 
 def test_hash_independent_of_blas_thread_env():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hankeldoa.__file__)))
     hashes = []
     for threads in ("1", "2", None):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        env = _subprocess_env()
         env.pop("OPENBLAS_NUM_THREADS", None)
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
@@ -299,73 +303,19 @@ def test_worker_count_rule(cpus):
         assert pipeline._worker_count(jobs, None, cpus) == 1
 
 
-# Seed-0 manifest hashes of every bundled scenario at runs=3, recorded with
-# the numerical environment below; a refactor that keeps the outputs keeps
-# these hashes.  GOLDEN_HASHES are the scenarios with the solver's change
-# rule off (scenario.CHANGE_TOL = None), SHIPPED_HASHES with it on; both
-# were recorded with linalg.shrink thresholding through the Gram matrix and
-# with RunSummary carrying the solver's stop_reason.
-GOLDEN_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
-GOLDEN_HASHES = {
-    "five_targets": "a5f7ea58e6be0770f03d5cbd940719c100109216f982b1ab7d04939a1c14a013",
-    "four_targets": "73fb3ffd6595f2d9890d589a64f6772f7364a15c0ce1b9c7adfda75209cdceed",
-    "three_targets": "ba248ab9540b0d70056efdfa93cfeee2e01acd0f5705f53fb46f3c36d6149191",
-    "two_targets_edges": "26c9075ae3023431f91e3f10309f0f4508c6d01192fbeb55a51dc58a33d89426",
-    "two_targets_first4": "9f9529d048d784fcea4c20097afeddacc00bd3068c3c938d507577fc1dfb855a",
-    "two_targets_last4": "0a3ce9cfd4c59ceed6efbee5a49a0b1cc37d8ced901a6e76fc20ba0499f093bf",
-}
-SHIPPED_HASHES = {
-    "five_targets": "f97a2319dcfaaf3823a5a095e580447aceabf1d788687553c7a9705747da21a9",
-    "four_targets": "b22ed4f76034d215cd2c29ee63244d704583585335bec51a650d0b11c2e3830b",
-    "three_targets": "f3ced695a6c56efd484a862b36c5bfd57ee60e3d098079b6ba8139ecb9ae8e77",
-    "two_targets_edges": "f6285ba4bd84475ceed3125c786855c61e7527838a894aea00c892fe76e497e7",
-    "two_targets_first4": "576d80b5eae2ab6fa986d688c69f1bca171fe122a4028a29770dc1845e8391de",
-    "two_targets_last4": "4f9e6bb8782401b44e6b34bfa673c0a3a944752cd546fc162088e27ccb2d4972",
-}
+PINS = json.loads(record_pins.PATH.read_text(encoding="utf-8"))
 
 
-# sha256 of the two theory CSVs from theory_battery(10_000, 50, 50, seed=0),
-# recorded with the numerical environment above.
-GOLDEN_THEORY_DIGESTS = {
-    "theory_report.csv": "dd10bfb3df942fca8151a973f94431b5f70e0e0d34fd9a97ec12afe3116df3a9",
-    "embedding.csv": "0572fbd5eca41240f4fdcdad7c98ce7200a5b22abb245d08f327e163ad5f4d4f",
-}
+def _pinned(section: str, prefix: str) -> dict:
+    """The entries of a section of the record under prefix."""
+    return {key: pin for key, pin in PINS[section].items() if key.startswith(prefix)}
 
 
-# sha256 of the two theory CSVs from theory_battery(seed=0) at its default
-# trials, recorded with the numerical environment above.  The 1_000_000
-# dither trials span many DITHER_CHUNK chunks, so a fault at a chunk
-# boundary moves theory_report.csv.  No default-trial embedding rate exceeds
-# 0, so embedding.csv is the same as at 50 trials.
-GOLDEN_THEORY_DEFAULT_DIGESTS = {
-    "theory_report.csv": "2aa01ddf39d0445ea9c0166caf57d575e7a652b973c74a247d17a05588069c33",
-    "embedding.csv": "0572fbd5eca41240f4fdcdad7c98ce7200a5b22abb245d08f327e163ad5f4d4f",
-}
-
-
-# sha256 of the CSVs run_scenario(load_bundled("two_targets_first4"), runs=3,
-# write=True) writes, recorded with the numerical environment above; the
-# manifest hash covers RunSummary only, so these pin the written bytes.
-GOLDEN_BATCH_DIGESTS = {
-    "spectra_run00.csv": "918724ae0c56bf7fbaa647ea89b5f0f19be43b34071de53873d9fb369e5a4c91",
-    "spectra_run01.csv": "cae730e9113b3382ed5cf3f7f6acb8051d2f6cd4d99916be3476a42a20bc7ba4",
-    "spectra_run02.csv": "e7b64ad22034444829444039b138be0da543ea4a350e25b994d853ff394303f2",
-    "trace_run00.csv": "039c43cc311f77052518c6ed2ec3d067c676831b5fea70e09ed12ca99e64f47d",
-    "trace_run01.csv": "e9563f9cd8b8715d9f9a5e268bcbd67cddbf0b1880df94e8c9e6220d6c5f147b",
-    "trace_run02.csv": "a44bde035e6b5dacd9563f0533a383d5340926d1b3e014a818efbfec322503b2",
-    "peaks.csv": "cf24cf48d819f317f878593dbe64e2e257dbb71a3f6f9d76603d7e4b9eb05049",
-    "runs.csv": "0fdb6ed3a96c51bbd28419e69654f414d5ad924d5f49c8fd0e9ab8f34d61aa86",
-}
-
-
-def _recorded_environment() -> dict:
-    """This process's values of the GOLDEN_ENVIRONMENT keys."""
-    env = pipeline._environment(None, 1, 1)
-    return {key: env[key] for key in GOLDEN_ENVIRONMENT}
+GOLDEN_ENVIRONMENT = PINS["environment"]
 
 
 def _skip_unless_golden_environment():
-    recorded = _recorded_environment()
+    recorded = record_pins.environment()
     if recorded != GOLDEN_ENVIRONMENT:
         pytest.skip(
             f"hashes were recorded under {GOLDEN_ENVIRONMENT}, this is {recorded}; "
@@ -373,18 +323,14 @@ def _skip_unless_golden_environment():
         )
 
 
-# The OpenBLAS kernel set and the numpy SIMD target the batch pins
-# (GOLDEN_HASHES, SHIPPED_HASHES and GOLDEN_BATCH_DIGESTS) were recorded on.
-# OpenBLAS picks its kernels from the CPU, and OPENBLAS_CORETYPE forces
-# another set; numpy picks its loops from the CPU, and
-# NPY_DISABLE_CPU_FEATURES turns targets off.  The last bits of the solver's
-# eigh and matrix products depend on the kernel set, and those of the
-# spectrum's log10 and arcsin on whether numpy dispatches to its X86_V4
-# (AVX-512) loops; the batch pins cover both, the theory pins neither, and
-# hold under every set.  Both are checked first, so the skip message names
-# them whatever the numpy and BLAS versions.
-GOLDEN_BLAS_CORE = "SkylakeX"
-GOLDEN_DISPATCH = "X86_V4"
+# The batch pins (the manifest hashes, batch and stage files) hold only on
+# the recorded OpenBLAS kernel set (OPENBLAS_CORETYPE forces another) and
+# numpy SIMD target (NPY_DISABLE_CPU_FEATURES turns it off): the last bits of
+# the solver's eigh and matrix products depend on the first, those of the
+# spectrum's log10 and arcsin on the second.  The theory pins hold on every
+# set.  Both are checked first, so the skip names them whatever the builds.
+GOLDEN_BLAS_CORE = PINS["kernels"]["blas_core"]
+GOLDEN_DISPATCH = PINS["kernels"]["dispatch"]
 
 
 def _skip_unless_golden_kernels():
@@ -400,83 +346,48 @@ def _skip_unless_golden_kernels():
     _skip_unless_golden_environment()
 
 
-def test_bundled_manifest_hashes_are_pinned(monkeypatch):
+def test_bundled_manifest_hashes_are_pinned():
     """With the change rule off, the solver is bit for bit the residual-rule
     solver these hashes were recorded with."""
     _skip_unless_golden_kernels()
-    monkeypatch.setattr(scenario, "CHANGE_TOL", None)
-    hashes = {
-        name: run_scenario(load_bundled(name), runs=3, write=False).manifest_hash
-        for name in GOLDEN_HASHES
-    }
-    assert hashes == GOLDEN_HASHES
+    assert record_pins.change_rule_off_hashes() == _pinned("hashes", "change_rule_off/")
 
 
 @pytest.fixture(scope="module")
 def shipped_manifests():
     """Every bundled scenario at runs=3 with its shipped solver settings."""
-    return {
-        name: run_scenario(load_bundled(name), runs=3, write=False)
-        for name in bundled_scenario_names()
-    }
+    return record_pins.bundled_manifests()
 
 
 def test_shipped_manifest_hashes_are_pinned(shipped_manifests):
     _skip_unless_golden_kernels()
-    hashes = {name: m.manifest_hash for name, m in shipped_manifests.items()}
-    assert hashes == SHIPPED_HASHES
+    hashes = record_pins.manifest_hashes("shipped", shipped_manifests)
+    assert hashes == _pinned("hashes", "shipped/")
 
 
-# Per-run outputs of the runs shipped_manifests makes, recorded in
-# GOLDEN_ENVIRONMENT with a full SVD in every SVT iteration.  Unlike the
-# hashes, the comparison holds in any numerical environment and across a
-# change of the solver's floating-point path.  Iteration counts, stop reasons
-# and peak bins must match exactly; a peak angle within PEAK_ATOL_DEG is the
-# same FFT bin, bins being over 0.1 deg apart at n_fft = 1024.  The other
-# tolerances are sized from the SVD shrink against the Gram-eigendecomposition
-# shrink over 6 scenarios x 20 runs: margins moved by at most 1.2e-13 dB,
-# residuals and l1 errors by at most 8.6e-15 relative, no iteration count or
-# peak moved.  The tolerances leave about 1000x headroom over that.
-RUN_REFERENCE = pathlib.Path(__file__).with_name("run_reference.json")
+# The record's runs were recorded in GOLDEN_ENVIRONMENT with a full SVD in
+# every SVT iteration; the comparison holds in any numerical environment and
+# across a change of the solver's floating-point path.  Iteration counts, stop
+# reasons and peak bins must match exactly; a peak angle within PEAK_ATOL_DEG
+# is the same FFT bin, bins being over 0.1 deg apart at n_fft = 1024.  The
+# other tolerances leave about 1000x headroom over the SVD shrink against the
+# Gram-eigendecomposition shrink over 6 scenarios x 20 runs: margins moved by
+# at most 1.2e-13 dB, residuals and l1 errors by at most 8.6e-15 relative.
 PEAK_ATOL_DEG = 1e-9
 MARGIN_ATOL_DB = 1e-10
 RESIDUAL_RTOL = 1e-11
 
 
-def _run_record(summary) -> dict:
-    """The reference fields of one RunSummary."""
-    return {
-        "iters": summary.iters,
-        "stop_reason": summary.stop_reason,
-        "peak_angles_deg": [theta for theta, _ in summary.peaks],
-        "sidelobe_margin_db": summary.sidelobe_margin_db,
-        "final_residual": summary.final_residual,
-        "data_residual": summary.data_residual,
-        "l1_error": summary.l1_error,
-    }
-
-
-def record_run_reference() -> None:
-    """Rewrite RUN_REFERENCE from the current code; for an intended change of
-    the outputs only: PYTHONPATH=src:tests python -c
-    "import test_pipeline; test_pipeline.record_run_reference()"."""
-    reference = {}
-    for name in bundled_scenario_names():
-        manifest = run_scenario(load_bundled(name), runs=3, write=False)
-        reference[name] = [_run_record(r) for r in manifest.runs]
-    RUN_REFERENCE.write_text(json.dumps(reference, indent=1) + "\n", encoding="utf-8")
-
-
 def test_shipped_runs_match_the_reference(shipped_manifests):
-    reference = json.loads(RUN_REFERENCE.read_text(encoding="utf-8"))
-    assert sorted(reference) == sorted(shipped_manifests)
-    for name, manifest in shipped_manifests.items():
-        assert len(manifest.runs) == len(reference[name]), name
-        for summary, want in zip(manifest.runs, reference[name]):
-            got = _run_record(summary)
-            where = f"{name} run {summary.run}"
-            assert got["iters"] == want["iters"], where
-            assert got["stop_reason"] == want["stop_reason"], where
+    reference = PINS["runs"]
+    runs = record_pins.runs(shipped_manifests)
+    assert sorted(reference) == sorted(runs)
+    for name, records in runs.items():
+        assert len(records) == len(reference[name]), name
+        for run, (got, want) in enumerate(zip(records, reference[name])):
+            where = f"{name} run {run}"
+            for key in ("iters", "stop_reason"):
+                assert got[key] == want[key], where
             assert got["peak_angles_deg"] == pytest.approx(
                 want["peak_angles_deg"], rel=0, abs=PEAK_ATOL_DEG
             ), where
@@ -491,79 +402,123 @@ def test_shipped_runs_match_the_reference(shipped_manifests):
 
 def test_theory_report_is_pinned(tmp_path):
     _skip_unless_golden_environment()
-    battery = theory_battery(10_000, 50, 50, seed=0)
-    names = write_theory_csvs(battery, str(tmp_path))
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in names
-    }
-    assert digests == GOLDEN_THEORY_DIGESTS
+    assert record_pins.theory_files(tmp_path, "small") == _pinned("files", "theory/small/")
 
 
 def test_theory_report_at_default_trials_is_pinned(tmp_path):
+    """Its dither trials span many DITHER_CHUNK chunks: a fault at a boundary shows."""
     _skip_unless_golden_environment()
-    names = write_theory_csvs(theory_battery(seed=0), str(tmp_path))
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in names
-    }
-    assert digests == GOLDEN_THEORY_DEFAULT_DIGESTS
+    assert record_pins.theory_files(tmp_path, "default") == _pinned("files", "theory/default/")
 
 
 def test_written_batch_is_pinned(tmp_path):
+    """The manifest hash covers RunSummary only; these pin the written bytes."""
     _skip_unless_golden_kernels()
-    run_scenario(
-        load_bundled("two_targets_first4"), out_dir=str(tmp_path), runs=3, write=True
-    )
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN_BATCH_DIGESTS
-    }
-    assert digests == GOLDEN_BATCH_DIGESTS
+    assert record_pins.batch_files(tmp_path) == _pinned("files", "batch/")
+
+
+def test_stage_outputs_are_pinned(tmp_path):
+    _skip_unless_golden_kernels()
+    assert record_pins.stage_files(tmp_path) == _pinned("files", "stage/")
 
 
 # Outcomes off the golden kernels: the per-run reference passes, and the
 # batch pins, the "skipped" entries, skip.  The theory pins run on every
-# kernel set and dispatch: in the golden environment _kernel_set_outcomes
-# expects them to pass too.  CI's "Batch pins ran" step reads both.
+# kernel set and dispatch: in the golden environment the kernel-set runs
+# expect them to pass too.  CI's "Batch pins ran" step reads both.
 KERNEL_SET_TESTS = {
     "test_shipped_runs_match_the_reference": "passed",
     "test_bundled_manifest_hashes_are_pinned": "skipped",
     "test_shipped_manifest_hashes_are_pinned": "skipped",
     "test_written_batch_is_pinned": "skipped",
+    "test_stage_outputs_are_pinned": "skipped",
 }
 THEORY_PIN_TESTS = (
     "test_theory_report_is_pinned",
     "test_theory_report_at_default_trials_is_pinned",
 )
 
+# The forced settings the kernel-set runs use.  Haswell kernels with numpy's
+# AVX-512 targets off are what an AVX2-only machine runs.
+KERNEL_SETTINGS = {
+    "Haswell": {
+        "OPENBLAS_CORETYPE": "Haswell",
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    },
+    "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no_x86_v4": {"NPY_DISABLE_CPU_FEATURES": GOLDEN_DISPATCH},
+}
 
-def _kernel_set_outcomes(tmp_path, **forced):
-    """Run KERNEL_SET_TESTS, and in the golden environment THEORY_PIN_TESTS,
-    in a subprocess with the forced environment variables: check their
-    outcomes by name, and that every skip names the kernel set and the numpy
-    dispatch the subprocess runs with."""
+
+def _kernel_setting_skip(setting: str) -> str | None:
+    """Why setting cannot be forced here, or None when it can."""
+    if setting == "no_x86_v4":
+        if GOLDEN_DISPATCH not in pipeline._numpy_dispatch():
+            return f"numpy does not dispatch to {GOLDEN_DISPATCH} here"
+    elif blas_core() is None:
+        return "no OpenBLAS kernel set to switch"
+    return None
+
+
+@pytest.fixture(scope="module")
+def kernel_set_runs(tmp_path_factory):
+    """Start, all at once, one subprocess per setting in KERNEL_SETTINGS that
+    can be forced here: it runs KERNEL_SET_TESTS, and in the golden
+    environment THEORY_PIN_TESTS, beside a probe of the kernel set and numpy
+    dispatch it runs with.  Yields the expected outcomes and, per setting,
+    (probe, run, directory).  Whatever still runs at the end of the module
+    is killed and reaped, also after a failure."""
     expected = dict(KERNEL_SET_TESTS)
-    if _recorded_environment() == GOLDEN_ENVIRONMENT:
+    if record_pins.environment() == GOLDEN_ENVIRONMENT:
         expected.update(dict.fromkeys(THEORY_PIN_TESTS, "passed"))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hankeldoa.__file__)))
-    env = dict(os.environ, **forced)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     probe = (
         "from hankeldoa import pipeline; from hankeldoa.linalg import blas_core; "
         "print(f'{blas_core()}; numpy dispatches to {pipeline._numpy_dispatch()};')"
     )
-    found = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    ).stdout.strip()
-    report = tmp_path / "report.xml"
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"--junitxml={report}", __file__, "-k", " or ".join(expected)],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
-    )
-    assert report.exists(), proc.stdout + proc.stderr
+    procs = []
+    runs = {}
+
+    def start(cwd, env, log, *args):
+        with open(cwd / log, "w", encoding="utf-8") as out:
+            procs.append(subprocess.Popen(
+                [sys.executable, *args], env=env, cwd=cwd, stdout=out,
+                stderr=subprocess.STDOUT,
+            ))
+        return procs[-1]
+
+    try:
+        for setting, forced in KERNEL_SETTINGS.items():
+            if _kernel_setting_skip(setting) is not None:
+                continue
+            cwd = tmp_path_factory.mktemp(setting)
+            env = _subprocess_env(**forced)
+            runs[setting] = (
+                start(cwd, env, "probe.txt", "-c", probe),
+                start(cwd, env, "pytest.txt", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                      "--junitxml=report.xml", __file__, "-k", " or ".join(expected)),
+                cwd,
+            )
+        yield expected, runs
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+
+
+def _kernel_set_outcomes(kernel_set_runs, setting):
+    """Check the outcomes of setting's run by name, and that every skip names
+    the kernel set and the numpy dispatch the subprocess runs with."""
+    reason = _kernel_setting_skip(setting)
+    if reason is not None:
+        pytest.skip(reason)
+    expected, runs = kernel_set_runs
+    probe, run, cwd = runs[setting]
+    assert probe.wait(timeout=60) == 0, (cwd / "probe.txt").read_text(encoding="utf-8")
+    found = (cwd / "probe.txt").read_text(encoding="utf-8").strip()
+    run.wait(timeout=300)
+    log = (cwd / "pytest.txt").read_text(encoding="utf-8")
+    report = cwd / "report.xml"
+    assert report.exists(), log
     outcomes = {}
     for case in ElementTree.parse(report).iter("testcase"):
         outcome = next(
@@ -573,29 +528,25 @@ def _kernel_set_outcomes(tmp_path, **forced):
         if outcome == "skipped":
             assert f"this is {found}" in case.find("skipped").get("message")
         outcomes[case.get("name")] = outcome
-    assert outcomes == expected, proc.stdout
+    assert outcomes == expected, log
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_reference_holds_under_another_kernel_set(tmp_path, coretype):
+def test_reference_holds_under_another_kernel_set(kernel_set_runs, coretype):
     """Under another OpenBLAS kernel set, down to Prescott, the oldest, every
     shipped run still matches the per-run reference, the theory pins hold,
     and the batch pins skip, naming the kernel set, rather than fail.  The
     skip names the set OpenBLAS reports, which need not be the one asked for
     (Prescott reports Katmai)."""
-    if blas_core() is None:
-        pytest.skip("no OpenBLAS kernel set to switch")
-    _kernel_set_outcomes(tmp_path, OPENBLAS_CORETYPE=coretype)
+    _kernel_set_outcomes(kernel_set_runs, coretype)
 
 
-def test_reference_holds_without_numpy_x86_v4(tmp_path):
+def test_reference_holds_without_numpy_x86_v4(kernel_set_runs):
     """With numpy's X86_V4 loops turned off, the spectrum's log10 and arcsin
     round differently: every shipped run still matches the per-run
     reference, the theory pins hold, and the batch pins skip, naming the
     dispatch, rather than fail."""
-    if GOLDEN_DISPATCH not in pipeline._numpy_dispatch():
-        pytest.skip(f"numpy does not dispatch to {GOLDEN_DISPATCH} here")
-    _kernel_set_outcomes(tmp_path, NPY_DISABLE_CPU_FEATURES=GOLDEN_DISPATCH)
+    _kernel_set_outcomes(kernel_set_runs, "no_x86_v4")
 
 
 def test_unpinned_batch_runs_one_run_at_a_time(monkeypatch):
@@ -889,10 +840,9 @@ def test_concurrent_callers_share_the_pool(two_cpu_pool):
 def test_import_leaves_the_executor_out():
     """`import hankeldoa` does not import concurrent.futures: the pool and
     its import wait for the first call that needs a helper lane."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hankeldoa.__file__)))
     code = "import sys, hankeldoa; print('concurrent.futures' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code], env=_subprocess_env(),
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.strip() == "False"

@@ -10,6 +10,16 @@ stopping when ||gather(X_k) - b|| / ||b|| <= tol ("residual"), else, when
 change_tol is set, when ||X_k - X_{k-1}||_F <= change_tol * ||X_k||_F with
 X_{k-1} nonzero ("change"), else at max_iters ("max_iters").
 
+SVT on data scaled by c with threshold tau is SVT on the original data with
+threshold tau / c, so an absolute tau makes the result depend on the data's
+unit.  With tau_scale set (every scenario sets it, scenario.TAU_SCALE) the
+threshold is tau_scale * sqrt(n1 * n2) * R_b, R_b the largest |Re| or |Im|
+of b, and scales with the data; the quantizer's steps do too (design_scales),
+so a scenario's outputs are the same in any amplitude unit, bit for bit at
+powers of two.  SvtConfig() keeps the absolute 5 * sqrt(n1 * n2) of Cai,
+Candes & Shen 2010 for exact-data use such as the rank-1 oracle, and an
+explicit tau stays absolute.
+
 On coarsely quantized data the residual rule asks for a fit far below the
 data's own distance from the truth, so most late iterations fit quantization
 noise; the change rule stops once the iterate settles.  SvtConfig() leaves it
@@ -34,7 +44,7 @@ iteration inside the margin simply runs its shrink.  One singular-values-only
 call per run gives sigma_c; the residual, the divergence streak, the dual
 update and the stop rules run as before, so every output bit is the same as
 with `linalg.shrink` on every iteration.  On the bundled scenarios this skips
-the first 3 to 7 iterations of every run.
+the first 3 iterations of every run.
 Background: Cai, Candes & Shen 2010, section 5.1.2 ("kicking").
 
 svt_complete and rank_projected_snapshot run with OpenBLAS pinned to one
@@ -69,18 +79,24 @@ MAX_DEFAULT_STEP = 1.9
 
 @dataclass
 class SvtConfig:
-    """Solver knobs; tau and step stay None to take the size-derived defaults
-    5*sqrt(n1*n2) and min(1.2*n1*n2/|omega|, MAX_DEFAULT_STEP), change_tol
-    stays None to leave the change rule off, and tol lies in (0, 1)."""
+    """Solver knobs; step stays None to take the size-derived default
+    min(1.2*n1*n2/|omega|, MAX_DEFAULT_STEP), change_tol stays None to leave
+    the change rule off, and tol lies in (0, 1).
+
+    The threshold is tau when set, an absolute number.  Otherwise it is
+    tau_scale * sqrt(n1*n2) * R_b when tau_scale is set, with R_b the largest
+    |Re| or |Im| of the observed values b, so it follows the data's unit; else
+    the absolute 5*sqrt(n1*n2) of Cai, Candes & Shen 2010."""
 
     tau: float | None = None
     step: float | None = None
     tol: float = 1e-4
     max_iters: int = 500
     change_tol: float | None = None
+    tau_scale: float | None = None
 
     def __post_init__(self):
-        for name in ("tau", "step", "tol", "change_tol"):
+        for name in ("tau", "step", "tol", "change_tol", "tau_scale"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -134,6 +150,7 @@ class CompletionResult:
     ranks: np.ndarray
     stop_reason: str
     data_residual: float
+    tau: float
 
     @property
     def iters(self) -> int:
@@ -150,10 +167,10 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
     """Complete a Hankel observation from its observed cells.
 
     The result holds the completed matrix, the residual and rank traces, the
-    stop reason ("residual", "change" or "max_iters") and the data residual
-    ||b - x_omega|| of the stopping iterate.  The solver sees only the
-    observed values; how they were produced, and which are multi-bit, does
-    not enter.  Raises SvtDivergenceError when the data's norm, the residual
+    stop reason ("residual", "change" or "max_iters"), the data residual
+    ||b - x_omega|| of the stopping iterate and the threshold it used
+    (threshold).  The solver sees only the observed values; how they were
+    produced, and which are multi-bit, does not enter.  Raises SvtDivergenceError when the data's norm, the residual
     or the iterate runs away or overflows, SvtUnderflowError when the norm of
     nonzero data underflows to 0, and SvtZeroIterateError when nonzero data
     leaves the iterate at zero.
@@ -164,16 +181,16 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
         raise ValueError("nothing observed")
 
     n1, n2 = values.shape
-    tau = cfg.tau if cfg.tau is not None else 5.0 * np.sqrt(n1 * n2)
     step = cfg.step if cfg.step is not None else min(
         1.2 * n1 * n2 / m_obs, MAX_DEFAULT_STEP
     )
 
     b = values[observed]
     zero = np.zeros_like(values)
+    tau = threshold(cfg, b, n1, n2)
     if not b.any():
         return CompletionResult(
-            zero, np.zeros(1), np.zeros(1, dtype=np.int64), "residual", 0.0
+            zero, np.zeros(1), np.zeros(1, dtype=np.int64), "residual", 0.0, tau
         )
 
     y = np.zeros(m_obs, dtype=np.complex128)
@@ -238,7 +255,21 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
         ranks=np.asarray(ranks, dtype=np.int64),
         stop_reason=stop_reason,
         data_residual=r_norm,
+        tau=tau,
     )
+
+
+def threshold(cfg: SvtConfig, b: np.ndarray, n1: int, n2: int) -> float:
+    """The SVT threshold for observed values b of an n1 x n2 matrix, by
+    SvtConfig's rule.  Data scaled by a power of two scales the relative
+    threshold by exactly that power, so the iterates scale with the data."""
+    if cfg.tau is not None:
+        return cfg.tau
+    size = math.sqrt(n1 * n2)
+    if cfg.tau_scale is None:
+        return 5.0 * size
+    r_b = float(max(np.abs(b.real).max(), np.abs(b.imag).max()))
+    return cfg.tau_scale * size * r_b
 
 
 def _certified_zero_iterations(sigma_c: float, tau: float, size: int) -> int:

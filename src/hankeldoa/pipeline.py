@@ -224,6 +224,7 @@ class RunSummary:
     seed_dither: int
     delta1: float
     delta2: float
+    tau: float
     iters: int
     stop_reason: str
     final_residual: float
@@ -509,6 +510,7 @@ def execute_run(scn: Scenario, run: int):
         seed_dither=s_dith,
         delta1=scheme.delta1,
         delta2=scheme.delta2,
+        tau=result.tau,
         iters=result.iters,
         stop_reason=result.stop_reason,
         final_residual=float(result.residuals[-1]),

@@ -37,6 +37,12 @@ NAMED_PLACEMENTS = ("edges", "last4", "first4")
 # above the residual rule's tol, so the iterations after the iterate settles
 # fit quantization noise; the rank projection discards what they add.
 CHANGE_TOL = 1e-2
+# The solver's data-relative threshold scale for every scenario that leaves
+# [svt] tau unset (completion.threshold), so that a run's outputs do not
+# depend on the unit of [scene] amplitudes.  Chosen from tests/tau_scale.json
+# (tests/record_tau_scale.py): the one scale tried that loses no hit against
+# the absolute 5 * sqrt(n1 * n2).
+TAU_SCALE = 1.0
 
 
 class ScenarioError(ValueError):
@@ -49,9 +55,10 @@ class Scenario:
 
     amplitudes=None leaves the source amplitudes to the signal model's seeded
     random phases; a tuple fixes them.  placement is one of the named rules
-    or an explicit tuple of 1-based virtual antenna indices.  tau/step stay
-    None to take the solver's size-derived defaults, and tol/max_iters
-    default to the solver's.  The geometry, scene and solver fields are
+    or an explicit tuple of 1-based virtual antenna indices.  tau stays None
+    to threshold relative to each run's data (TAU_SCALE), step stays None to
+    take the solver's size-derived default, and tol/max_iters default to the
+    solver's.  The geometry, scene and solver fields are
     validated by the grid-position rule and ArrayGeometry's aperture bound,
     TargetScene and SvtConfig, bits by the quantizer's word_levels,
     placement by placement_to_delta on the scenario's geometry and n_fft by
@@ -63,8 +70,9 @@ class Scenario:
     not fields, so equality, repr and the INI text ignore them: scene (the
     TargetScene), geometry (the ArrayGeometry, by geometry_of), multi_bit
     (the read-only indicator, by placement_to_delta) and svt (the SvtConfig,
-    with the change rule at CHANGE_TOL as it stood when the scenario was
-    built).
+    with the change rule at CHANGE_TOL and the data-relative threshold scale
+    at TAU_SCALE as they stood when the scenario was built).  An explicit tau
+    is absolute and takes precedence over the relative threshold.
     """
 
     name: str
@@ -124,7 +132,7 @@ class Scenario:
         object.__setattr__(self, "multi_bit", multi_bit)
         svt = checked(
             "[svt] ", SvtConfig, tau=self.tau, step=self.step, tol=self.tol,
-            max_iters=self.max_iters, change_tol=CHANGE_TOL,
+            max_iters=self.max_iters, change_tol=CHANGE_TOL, tau_scale=TAU_SCALE,
         )
         object.__setattr__(self, "svt", svt)
         checked("[spectrum] ", check_n_fft, self.n_fft, self.geometry.m)

@@ -48,8 +48,8 @@ def change_rule_off_hashes() -> dict:
         return manifest_hashes("change_rule_off", bundled_manifests())
 
 
-RUN_FIELDS = ("iters", "stop_reason", "sidelobe_margin_db", "final_residual", "data_residual",
-              "l1_error")
+RUN_FIELDS = ("tau", "iters", "stop_reason", "sidelobe_margin_db", "final_residual",
+              "data_residual", "l1_error")
 
 
 def run_record(summary) -> dict:

@@ -727,10 +727,10 @@ def test_lowest_snr_completes_with_finite_residuals(tmp_path, capfd):
 
 @pytest.mark.parametrize("snr_db", ["-100", "-300", "-1000", "-3000"])
 def test_low_snr_with_the_default_step_completes(tmp_path, capfd, snr_db):
-    """The default tau is negligible against large data, so nothing is shrunk
-    at first and the dual update y <- (1 - step) y + step b contracts only
-    for step < 2.  The size-derived step is about 3.57 on this geometry; the
-    default caps it at 1.9, so every run completes with a finite trace."""
+    """The default tau follows the data, so these runs go as at 20 dB.  SVT
+    converges only for step < 2; the size-derived step is about 3.57 on this
+    geometry, and the default caps it at 1.9, so every run completes with a
+    finite trace."""
     path = _ini(tmp_path, f"snr_db = {snr_db}\n")
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:

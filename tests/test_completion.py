@@ -16,6 +16,7 @@ from hankeldoa.completion import (
     build_quantized_hankel,
     rank_projected_snapshot,
     svt_complete,
+    threshold,
 )
 from hankeldoa.hankel import HankelView, dehankelize, lift
 from hankeldoa.linalg import shrink
@@ -56,6 +57,36 @@ def test_config_defaults_and_validation():
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="change_tol must be positive and finite"):
             SvtConfig(change_tol=bad)
+
+
+def test_threshold_rules():
+    """An explicit tau is absolute and wins; tau_scale makes the threshold
+    follow the largest observed |Re| or |Im|; neither gives 5 sqrt(n1 n2)."""
+    _, values, mask = rank_one_problem(seed=3)
+    r_b = max(np.abs(values.real).max(), np.abs(values.imag).max())
+    b = values[mask]
+    for cfg, tau, scaled_tau in (
+        (SvtConfig(), 40.0, 40.0),
+        (SvtConfig(tau_scale=2.0), 2.0 * 8.0 * r_b, 2.0 * 8.0 * r_b * 2.0**-30),
+        (SvtConfig(tau=3.0, tau_scale=2.0), 3.0, 3.0),
+    ):
+        assert complete(values, mask, cfg).tau == tau
+        assert threshold(cfg, b * 2.0**-30, 8, 8) == scaled_tau
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau_scale must be positive and finite"):
+            SvtConfig(tau_scale=bad)
+
+
+def test_relative_threshold_scales_the_iterates_exactly():
+    _, values, mask = rank_one_problem(seed=3)
+    cfg = SvtConfig(tau_scale=0.5)
+    unit = complete(values, mask, cfg)
+    for k in (-40, 7):
+        scaled = complete(values * 2.0**k, mask, cfg)
+        assert np.array_equal(scaled.matrix, unit.matrix * 2.0**k)
+        assert np.array_equal(scaled.residuals, unit.residuals)
+        assert np.array_equal(scaled.ranks, unit.ranks)
+        assert scaled.stop_reason == unit.stop_reason
 
 
 def test_fully_observed_rank_one_recovers():
@@ -166,9 +197,19 @@ def test_zero_iterate_on_nonzero_data_raises():
 
 
 def tau_and_step(values, observed, cfg):
-    """The solver's threshold and step, with the size-derived defaults."""
+    """The solver's threshold and step: an explicit tau, else tau_scale times
+    sqrt(n1 * n2) times the largest |Re| or |Im| observed, else 5 sqrt(n1 *
+    n2); an explicit step, else the size-derived one."""
     n1, n2 = values.shape
-    tau = cfg.tau if cfg.tau is not None else 5.0 * np.sqrt(n1 * n2)
+    b = values[observed]
+    if cfg.tau is not None:
+        tau = cfg.tau
+    elif cfg.tau_scale is not None:
+        tau = cfg.tau_scale * math.sqrt(n1 * n2) * max(
+            np.abs(b.real).max(), np.abs(b.imag).max()
+        )
+    else:
+        tau = 5.0 * np.sqrt(n1 * n2)
     step = cfg.step if cfg.step is not None else min(
         1.2 * n1 * n2 / int(observed.sum()), 1.9
     )
@@ -260,7 +301,7 @@ def test_zero_iterate_skip_is_bit_identical_on_bundled_run0(name, shrink_calls):
     skipped = skipped_iterations(view.matrix, view.omega, cfg)
     ranks = assert_same_as_plain_svt(view.matrix, view.omega, cfg, shrink_calls, skipped)
     if name == "two_targets_first4":
-        assert (len(ranks), len(shrink_calls)) == (37, 30)
+        assert (len(ranks), len(shrink_calls)) == (19, 16)
 
 
 @pytest.mark.parametrize("cfg", [SvtConfig()], ids=["change_rule_off"])

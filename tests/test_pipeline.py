@@ -16,7 +16,7 @@ import pytest
 import hankeldoa
 import record_pins
 from hankeldoa import pipeline, scenario
-from hankeldoa.completion import SvtDivergenceError, SvtZeroIterateError
+from hankeldoa.completion import SvtDivergenceError, SvtUnderflowError, SvtZeroIterateError
 from hankeldoa.linalg import blas_core, blas_threads
 from hankeldoa.pipeline import (
     DITHER_GRID,
@@ -147,7 +147,7 @@ def test_manifest_json_holds_every_field(first4_scenario, tmp_path):
     [
         (CHANGE_TOL, 1500, "change"),
         (None, 1500, "residual"),
-        (CHANGE_TOL, 20, "max_iters"),
+        (CHANGE_TOL, 10, "max_iters"),
     ],
 )
 def test_run_stop_reason(monkeypatch, first4_scenario, change_tol, max_iters, reason):
@@ -156,6 +156,61 @@ def test_run_stop_reason(monkeypatch, first4_scenario, change_tol, max_iters, re
     scn = dataclasses.replace(first4_scenario, max_iters=max_iters)
     summary, _, _ = pipeline.execute_run(scn, 0)
     assert summary.stop_reason == reason
+
+
+# The runs.csv columns in the data's unit, which scale with the amplitudes.
+SCALED_COLUMNS = ("delta1", "delta2", "tau", "data_residual", "l1_error")
+
+
+def _with_amplitudes(scn, amplitude):
+    return dataclasses.replace(scn, amplitudes=(amplitude,) * len(scn.angles_deg))
+
+
+def test_outputs_do_not_depend_on_the_amplitude_unit(first4_scenario, tmp_path):
+    """Every amplitude at 2^-20, 1 and 2^8: the data-relative threshold scales
+    with the data, so the spectra, traces and peaks are byte-identical, and
+    runs.csv differs only in the columns in the data's unit, each scaled by
+    exactly 2^k."""
+    outputs = {}
+    for k in (-20, 0, 8):
+        out = tmp_path / str(k)
+        manifest = run_scenario(
+            _with_amplitudes(first4_scenario, 2.0**k), out_dir=str(out), runs=2
+        )
+        outputs[k] = {name: (out / name).read_text(encoding="utf-8")
+                      for name in manifest.outputs if name != "manifest.json"}
+    unit = outputs[0]
+    assert len(unit) == 6
+    for k, files in outputs.items():
+        assert files.keys() == unit.keys()
+        for name in unit:
+            if name != "runs.csv":
+                assert files[name] == unit[name], (k, name)
+        header, *rows = [line.split(",") for line in files["runs.csv"].splitlines()]
+        unit_header, *unit_rows = [line.split(",") for line in unit["runs.csv"].splitlines()]
+        assert header == unit_header and len(rows) == len(unit_rows) == 2
+        for row, unit_row in zip(rows, unit_rows):
+            for column, cell, unit_cell in zip(header, row, unit_row):
+                if column in SCALED_COLUMNS:
+                    assert float(cell) == float(unit_cell) * 2.0**k, (k, column)
+                else:
+                    assert cell == unit_cell, (k, column)
+
+
+def test_underflowing_amplitudes_still_fail_typed(first4_scenario):
+    with pytest.raises(SvtUnderflowError):
+        run_scenario(_with_amplitudes(first4_scenario, 1e-300), runs=2, write=False)
+
+
+def test_explicit_tau_stays_absolute(first4_scenario):
+    """tau = 375, the absolute default 5 sqrt(75 * 75) that every scenario
+    used before thresholds followed the data, runs as it did then."""
+    manifest = run_scenario(
+        dataclasses.replace(first4_scenario, tau=375.0), runs=3, write=False
+    )
+    assert [(r.iters, r.stop_reason, r.tau) for r in manifest.runs] == [
+        (37, "change", 375.0), (33, "change", 375.0), (34, "change", 375.0),
+    ]
 
 
 def test_seed_overrides_enter_the_manifest(first4_scenario):
@@ -205,6 +260,7 @@ def test_written_batch_layout(first4_scenario, tmp_path):
         "seed_dither",
         "delta1",
         "delta2",
+        "tau",
         "iters",
         "stop_reason",
         "final_residual",
@@ -260,17 +316,28 @@ HASH_SCRIPT = (
 
 
 def test_hash_independent_of_blas_thread_env():
-    hashes = []
-    for threads in ("1", "2", None):
-        env = _subprocess_env()
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out = subprocess.run(
-            [sys.executable, "-c", HASH_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        hashes.append(out.stdout.strip())
+    """Three subprocesses, started together, at OPENBLAS_NUM_THREADS 1, 2
+    and unset; whatever still runs after a failure is killed and reaped."""
+    procs = []
+    try:
+        for threads in ("1", "2", None):
+            env = _subprocess_env()
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", HASH_SCRIPT],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            ))
+        hashes = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            hashes.append(out.strip())
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
     assert len(hashes[0]) == 64
     assert hashes[0] == hashes[1] == hashes[2]
 
@@ -365,14 +432,14 @@ def test_shipped_manifest_hashes_are_pinned(shipped_manifests):
     assert hashes == _pinned("hashes", "shipped/")
 
 
-# The record's runs were recorded in GOLDEN_ENVIRONMENT with a full SVD in
-# every SVT iteration; the comparison holds in any numerical environment and
-# across a change of the solver's floating-point path.  Iteration counts, stop
-# reasons and peak bins must match exactly; a peak angle within PEAK_ATOL_DEG
-# is the same FFT bin, bins being over 0.1 deg apart at n_fft = 1024.  The
-# other tolerances leave about 1000x headroom over the SVD shrink against the
-# Gram-eigendecomposition shrink over 6 scenarios x 20 runs: margins moved by
-# at most 1.2e-13 dB, residuals and l1 errors by at most 8.6e-15 relative.
+# The record's runs were recorded in GOLDEN_ENVIRONMENT; the comparison holds
+# in any numerical environment and across a change of the solver's
+# floating-point path.  Iteration counts, stop reasons and peak bins must
+# match exactly; a peak angle within PEAK_ATOL_DEG is the same FFT bin, bins
+# being over 0.1 deg apart at n_fft = 1024.  The other tolerances leave about
+# 1000x headroom over the SVD shrink against the Gram-eigendecomposition
+# shrink over 6 scenarios x 20 runs: margins moved by at most 1.2e-13 dB,
+# residuals and l1 errors by at most 8.6e-15 relative.
 PEAK_ATOL_DEG = 1e-9
 MARGIN_ATOL_DB = 1e-10
 RESIDUAL_RTOL = 1e-11
@@ -394,7 +461,7 @@ def test_shipped_runs_match_the_reference(shipped_manifests):
             assert got["sidelobe_margin_db"] == pytest.approx(
                 want["sidelobe_margin_db"], rel=0, abs=MARGIN_ATOL_DB
             ), where
-            for key in ("final_residual", "data_residual", "l1_error"):
+            for key in ("tau", "final_residual", "data_residual", "l1_error"):
                 assert got[key] == pytest.approx(
                     want[key], rel=RESIDUAL_RTOL, abs=0
                 ), f"{where} {key}"
@@ -1018,7 +1085,7 @@ def test_batch_tables_match_the_per_cell_rule(first4_scenario, monkeypatch, tmp_
     def run_with_odd_values(scn, run):
         summary = pipeline.RunSummary(
             run=run, seed_signal=np.int64(2**62 + run), seed_dither=run,
-            delta1=5e-324, delta2=-0.0, iters=np.int64(7),
+            delta1=5e-324, delta2=-0.0, tau=np.float64(2.5), iters=np.int64(7),
             stop_reason="change" if run == 0 else "max_iters",
             final_residual=np.float64(0.1), data_residual=np.inf,
             peaks=[(-34.0 - run / 3.0, 0.0), (1e17, -np.inf)],

@@ -9,6 +9,7 @@ from hankeldoa.completion import SvtConfig
 from hankeldoa.scenario import (
     CHANGE_TOL,
     NAMED_PLACEMENTS,
+    TAU_SCALE,
     Scenario,
     ScenarioError,
     bundled_scenario_names,
@@ -319,7 +320,7 @@ def test_scenario_keeps_what_it_resolves(name):
     assert scn.scene == TargetScene(scn.angles_deg, scn.amplitudes, scn.snr_db)
     assert scn.svt == SvtConfig(
         tau=scn.tau, step=scn.step, tol=scn.tol, max_iters=scn.max_iters,
-        change_tol=CHANGE_TOL,
+        change_tol=CHANGE_TOL, tau_scale=TAU_SCALE,
     )
     with pytest.raises(ValueError, match="read-only"):
         scn.multi_bit[0] = 1 - scn.multi_bit[0]

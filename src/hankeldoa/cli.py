@@ -26,7 +26,7 @@ import numpy as np
 from . import pipeline
 from .completion import SvtDivergenceError, SvtUnderflowError, SvtZeroIterateError
 from .geometry import masking_vector
-from .quant import DynamicRangeViolation, check_precision_classes
+from .quant import DynamicRangeViolation
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -35,7 +35,7 @@ from .scenario import (
     with_overrides,
 )
 from .signal import SnapshotKind
-from .spectrum import angle_spectrum, find_peaks
+from .spectrum import angle_spectrum, check_n_fft, find_peaks
 from .theory import (
     DITHER_MIN_TRIALS,
     DITHER_TRIALS,
@@ -185,10 +185,8 @@ def _stage_input(args):
     read from --snapshot when given and synthesized from the run's seed
     otherwise.  A --snapshot input needs --run, since the CSV does not record
     its run and the run picks the dither seed.  It is taken as masked
-    whatever its mask, must fit the scenario's multi-bit indicator
-    (quant.check_precision_classes, the quantizer's own check) and may
-    observe only antennas the scenario's array observes, failing with its
-    path named."""
+    whatever its mask: on a gapless geometry an all-ones mask is the
+    scenario's own, and cmd_complete checks what it observes."""
     scn = _load(args)
     snapshot = getattr(args, "snapshot", None)
     if snapshot and args.run is None:
@@ -199,21 +197,7 @@ def _stage_input(args):
     run = args.run or 0
     if snapshot:
         masked = pipeline.read_snapshot_csv(snapshot)
-        # read_snapshot_csv types an all-ones mask as full, but on a gapless
-        # geometry that is the scenario's own mask; the mask check below,
-        # not the kind, rejects a snapshot that observes too much.
         masked.kind = SnapshotKind.MASKED
-        try:
-            check_precision_classes(masked, scn.multi_bit)
-        except ValueError as exc:
-            raise ValueError(f"{snapshot}: {exc}") from None
-        extra = np.flatnonzero(masked.mask > masking_vector(scn.geometry)) + 1
-        if extra.size:
-            more = f" and {extra.size - 5} more" if extra.size > 5 else ""
-            raise ValueError(
-                f"{snapshot}: observed antennas outside the scenario's array: "
-                f"{extra[:5].tolist()}{more}"
-            )
     else:
         _, masked = pipeline.synthesize_run(scn, run)
     return scn, run, masked
@@ -287,7 +271,21 @@ def cmd_synth(args) -> int:
 
 def cmd_complete(args) -> int:
     scn, run, masked = _stage_input(args)
-    _, view = pipeline.quantize_run(scn, masked, run)
+    try:
+        # The quantizer checks the snapshot's length and multi-bit antennas
+        # (check_precision_classes) before the mask is compared here.
+        _, view = pipeline.quantize_run(scn, masked, run)
+        extra = np.flatnonzero(masked.mask > masking_vector(scn.geometry)) + 1
+        if extra.size:
+            more = f" and {extra.size - 5} more" if extra.size > 5 else ""
+            raise ValueError("observed antennas outside the scenario's array: "
+                             f"{extra[:5].tolist()}{more}")
+    except ValueError as exc:
+        # A DynamicRangeViolation is a ValueError too, but a numerical failure;
+        # any other is about the --snapshot file (all zero, overflowing, ...).
+        if not args.snapshot or isinstance(exc, DynamicRangeViolation):
+            raise
+        raise ValueError(f"{args.snapshot}: {exc}") from None
     result, snap_hat = pipeline.complete_run(scn, view)
     os.makedirs(args.out, exist_ok=True)
     completed_path = os.path.join(args.out, "completed.csv")
@@ -304,7 +302,11 @@ def cmd_complete(args) -> int:
 
 def cmd_spectrum(args) -> int:
     snap = pipeline.read_snapshot_csv(args.snapshot)
-    spec = angle_spectrum(snap, args.n_fft)
+    try:
+        spec = angle_spectrum(snap, args.n_fft)
+    except ValueError as exc:
+        check_n_fft(args.n_fft, snap.m)  # an --n-fft error keeps its text
+        raise ValueError(f"{args.snapshot}: {exc}") from None
     pipeline.write_spectra_csv(args.out, [spec])
     print(f"wrote {args.out} ({spec.source.value}, {args.n_fft} bins)")
     if args.peaks:

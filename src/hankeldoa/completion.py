@@ -61,7 +61,8 @@ import numpy as np
 from . import linalg
 from .hankel import HankelView, dehankelize, lift
 from .quant import QuantScheme, check_one_bit_range, check_precision_classes, quantize_cells
-# Not called here; the benchmark's tracer looks the name up on this module.
+# Not called here: perfbench/workloads.py:trace_points wraps the name, and
+# ROADMAP direction 1 step 2 deletes this import together with trace_points.
 from .quant import uniform_quantize
 from .signal import Snapshot
 

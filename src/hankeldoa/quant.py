@@ -168,20 +168,6 @@ def design_scales(masked: Snapshot, margin: float, levels: int) -> tuple[float, 
     return 2.0 * r * (1.0 + margin), r / levels
 
 
-def dither_field(scheme: QuantScheme, m: int) -> np.ndarray:
-    """Complex dither vector for the whole aperture, one draw per antenna part.
-
-    The step assigned to each antenna follows the delta_indicator, so the
-    field is a pure function of (dither_seed, delta1, delta2, indicator) and
-    independent of any evaluation schedule.  The indicator's length must be
-    m, which check_precision_classes has checked on the caller's snapshot.
-    """
-    rng = np.random.default_rng(scheme.dither_seed)
-    u = rng.uniform(-0.5, 0.5, size=(m, 2))
-    step = np.where(scheme.delta_indicator == 1, scheme.delta2, scheme.delta1)
-    return step * u[:, 0] + 1j * (step * u[:, 1])
-
-
 def check_precision_classes(masked: Snapshot, ind: np.ndarray) -> None:
     """Raise ValueError unless masked is a masked snapshot and the multi-bit
     indicator ind covers it and marks only observed antennas multi-bit."""
@@ -195,14 +181,3 @@ def check_precision_classes(masked: Snapshot, ind: np.ndarray) -> None:
     if np.any((ind == 1) & (masked.mask == 0)):
         raise ValueError("delta_indicator marks antennas outside the mask")
 
-
-def quantize_mixed(masked: Snapshot, scheme: QuantScheme) -> Snapshot:
-    """Quantize the observed antennas, one-bit or multi-bit per the indicator."""
-    check_precision_classes(masked, scheme.delta_indicator)
-    mask = masked.mask
-    observed = mask == 1
-    fine = observed & (scheme.delta_indicator == 1)
-    check_one_bit_range(masked.values, observed & ~fine, scheme.delta1 / 2.0)
-    tau = dither_field(scheme, masked.m)
-    out = quantize_cells(masked.values, observed, fine, tau, scheme)
-    return Snapshot(out, mask.copy(), SnapshotKind.QUANTIZED)

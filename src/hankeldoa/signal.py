@@ -12,9 +12,13 @@ from .geometry import ArrayGeometry, masking_vector
 
 
 class SnapshotKind(str, Enum):
+    """FULL: every antenna holds a value (a truth, a completion, or a CSV
+    whose mask is all ones), and its spectrum is tagged completed.  MASKED:
+    only the mask's antennas hold data and the rest 0, which Snapshot checks;
+    the one kind the quantizer takes, its spectrum tagged sla_zero_filled."""
+
     FULL = "full"
     MASKED = "masked"
-    QUANTIZED = "quantized"
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from hankeldoa.completion import (
 )
 from hankeldoa.geometry import masking_vector
 from hankeldoa.pipeline import read_snapshot_csv
-from hankeldoa.quant import QuantScheme, design_scales, word_levels
+from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales, word_levels
 from hankeldoa.scenario import load_bundled, scenario_to_ini, with_overrides
 from hankeldoa.signal import synthesize_snapshot
 from hankeldoa.spectrum import angle_spectrum
@@ -834,9 +834,78 @@ def test_overflowing_spectrum_is_usage_error(tmp_path, capfd):
     assert code == 2
     assert caught == []
     assert capfd.readouterr().err.splitlines() == [
-        "error: cannot normalize a spectrum whose peak overflows"
+        f"error: {snap}: cannot normalize a spectrum whose peak overflows"
     ]
     assert not out.exists()
+
+
+def _refill(tmp_path, name, value):
+    """Run 0's masked snapshot CSV of two_targets_first4 as tmp_path/name,
+    with every observed antenna's value replaced by value, given as its CSV
+    re and im fields."""
+    snap = tmp_path / "masked.csv"
+    assert main(["synth", "two_targets_first4", "--out", str(snap)]) == 0
+    header, *rows = snap.read_text(encoding="utf-8").splitlines()
+    fields = [row.split(",") for row in rows]
+    path = tmp_path / name
+    path.write_text(
+        "\n".join([header, *(f"{i},{value},{m}" if m == "1" else f"{i},0,0,0"
+                             for i, _, _, m in fields)]) + "\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, value, reason",
+    [
+        (["spectrum"], "0,0", "cannot normalize the spectrum of an all-zero snapshot"),
+        (["complete", "two_targets_first4", "--run", "0"], "0,0",
+         "observed snapshot is identically zero"),
+        (["complete", "two_targets_first4", "--run", "0"], "1e308,1e308",
+         "delta1: must be positive and finite, got inf"),
+    ],
+    ids=["spectrum-zero", "complete-zero", "complete-overflow"],
+)
+def test_unusable_snapshot_values_name_the_file(tmp_path, capsys, command, value, reason):
+    """A snapshot CSV that reads cleanly but whose values no spectrum or
+    quantizer can scale exits 2 with one error line naming the file."""
+    path = _refill(tmp_path, "unusable.csv", value)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*command, "--snapshot", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {reason}"]
+    assert not out.exists()
+
+
+def test_n_fft_error_on_an_all_zero_snapshot_keeps_its_text(tmp_path, capsys):
+    path = _refill(tmp_path, "zero.csv", "0,0")
+    capsys.readouterr()
+    assert _spectrum(path, tmp_path / "s.csv", "--n-fft", "64") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: n_fft: 64 is shorter than the aperture 149"
+    ]
+
+
+def test_range_violation_from_a_snapshot_stays_a_numerical_failure(
+    tmp_path, capsys, monkeypatch
+):
+    """DynamicRangeViolation is a ValueError, but complete --snapshot keeps
+    it a typed numerical failure (exit 3) rather than a usage error about
+    the file."""
+
+    def violating(masked, scheme):
+        raise DynamicRangeViolation(3, 2.0, 1.0, "real")
+
+    monkeypatch.setattr(pipeline, "build_quantized_hankel", violating)
+    snap = tmp_path / "s.csv"
+    assert main(["synth", "two_targets_first4", "--out", str(snap)]) == 0
+    capsys.readouterr()
+    assert main(["complete", "two_targets_first4", "--run", "0", "--snapshot", str(snap),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: antenna 3: |real| = 2 exceeds the one-bit range 1"
+    ]
 
 
 @pytest.mark.parametrize("command", ["run", "complete"])

@@ -9,13 +9,10 @@ from hankeldoa.quant import (
     DynamicRangeViolation,
     QuantScheme,
     design_scales,
-    dither_field,
     quantize_cells,
-    quantize_mixed,
     uniform_quantize,
     word_levels,
 )
-from hankeldoa.signal import SnapshotKind
 
 from conftest import constant_masked, one_bit
 
@@ -169,85 +166,6 @@ def test_scheme_levels_and_validation():
             QuantScheme(4.0, step, 10, ind)
     with pytest.raises(ValueError):
         QuantScheme(4.0, 0.01, 10, delta_indicator=np.array([0, 2, 1]))
-
-
-def test_dither_field_bounds_and_determinism():
-    ind = np.array([1, 0, 0, 1], dtype=np.int8)
-    scheme = QuantScheme(1.0, 0.25, 4, delta_indicator=ind, dither_seed=9)
-    tau_a = dither_field(scheme, 4)
-    tau_b = dither_field(scheme, 4)
-    assert np.array_equal(tau_a, tau_b)
-    widths = np.where(ind.astype(bool), 0.25, 1.0)
-    assert np.all(np.abs(tau_a.real) <= widths / 2)
-    assert np.all(np.abs(tau_a.imag) <= widths / 2)
-
-
-def test_mixed_quantization_classes(two_target_masked):
-    _, masked = two_target_masked
-    obs = masked.mask.astype(bool)
-    ind = np.zeros(masked.mask.size, dtype=np.int8)
-    multibit_at = np.flatnonzero(obs)[:4]
-    ind[multibit_at] = 1
-    delta1, delta2 = design_scales(masked, 0.05, 512)
-    scheme = QuantScheme(delta1, delta2, 10, delta_indicator=ind, dither_seed=5)
-    q = quantize_mixed(masked, scheme)
-    assert q.kind is SnapshotKind.QUANTIZED
-    assert np.all(q.values[~obs] == 0)
-    one_bit_at = obs & ~ind.astype(bool)
-    halves = q.values[one_bit_at]
-    assert np.allclose(np.abs(halves.real), delta1 / 2, atol=1e-12)
-    assert np.allclose(np.abs(halves.imag), delta1 / 2, atol=1e-12)
-    fine = q.values[multibit_at]
-    err = np.abs(fine - masked.values[multibit_at])
-    assert np.max(err.real) <= np.sqrt(2) * delta2 + 1e-12
-
-
-def test_mixed_quantization_deterministic(two_target_masked):
-    _, masked = two_target_masked
-    ind = np.zeros(masked.mask.size, dtype=np.int8)
-    delta1, delta2 = design_scales(masked, 0.05, 512)
-    scheme = QuantScheme(delta1, delta2, 10, delta_indicator=ind, dither_seed=5)
-    q1 = quantize_mixed(masked, scheme)
-    q2 = quantize_mixed(masked, scheme)
-    assert np.array_equal(q1.values, q2.values)
-    other = QuantScheme(delta1, delta2, 10, delta_indicator=ind, dither_seed=6)
-    q3 = quantize_mixed(masked, other)
-    assert not np.array_equal(q1.values, q3.values)
-
-
-def test_mixed_quantization_range_violation(two_target_masked):
-    _, masked = two_target_masked
-    ind = np.zeros(masked.mask.size, dtype=np.int8)
-    scheme = QuantScheme(1e-6, 1e-8, 10, delta_indicator=ind, dither_seed=5)
-    with pytest.raises(DynamicRangeViolation) as exc:
-        quantize_mixed(masked, scheme)
-    # the first offending one-bit antenna, real parts before imaginary ones
-    limit = 1e-6 / 2
-    obs = masked.mask == 1
-    for part, data in (("real", masked.values.real), ("imag", masked.values.imag)):
-        bad = np.flatnonzero(obs & (np.abs(data) > limit))
-        if bad.size:
-            break
-    assert exc.value.part == part
-    assert exc.value.antenna_index == bad[0] + 1
-    # real parts are checked first: a later real violation wins over an
-    # earlier imaginary one
-    first, later = np.flatnonzero(obs)[[0, 5]]
-    snap = constant_masked(masked, 0.1 + 0.1j)
-    snap.values[first] = 0.1 + 3.0j
-    snap.values[later] = 3.0 + 0.1j
-    with pytest.raises(DynamicRangeViolation) as exc:
-        quantize_mixed(snap, QuantScheme(1.0, 0.01, 10, delta_indicator=ind))
-    assert (exc.value.part, exc.value.antenna_index) == ("real", later + 1)
-
-
-def test_mixed_quantization_requires_masked_kind(two_target_masked):
-    full, masked = two_target_masked
-    ind = np.zeros(masked.mask.size, dtype=np.int8)
-    delta1, delta2 = design_scales(masked, 0.05, 512)
-    scheme = QuantScheme(delta1, delta2, 10, delta_indicator=ind)
-    with pytest.raises(ValueError):
-        quantize_mixed(full, scheme)
 
 
 # A 3-bit scheme for the quantize_cells tests: 4 levels per sign, so a

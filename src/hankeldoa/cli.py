@@ -291,7 +291,7 @@ def cmd_complete(args) -> int:
     completed_path = os.path.join(args.out, "completed.csv")
     trace_path = os.path.join(args.out, "trace.csv")
     pipeline.write_snapshot_csv(completed_path, snap_hat)
-    pipeline.write_trace_csv(trace_path, result.residuals, result.ranks)
+    pipeline.write_trace_csv(trace_path, result.residuals, result.ranks, result.changes)
     print(
         f"wrote {completed_path} and {trace_path} "
         f"({result.iters} iterations, stopped by {result.stop_reason}, "

@@ -7,8 +7,10 @@ Iteration, from y0 = 0 over the observed cells:
     y_k = y_{k-1} + step * (b - gather(X_k))
 
 stopping when ||gather(X_k) - b|| / ||b|| <= tol ("residual"), else, when
-change_tol is set, when ||X_k - X_{k-1}||_F <= change_tol * ||X_k||_F with
-X_{k-1} nonzero ("change"), else at max_iters ("max_iters").
+change_tol is set, when the relative change ||X_k - X_{k-1}||_F / ||X_k||_F
+is at most change_tol with X_{k-1} nonzero ("change"), else at max_iters
+("max_iters").  The result keeps each iteration's relative change, nan
+while X_{k-1} is zero.
 
 SVT on data scaled by c with threshold tau is SVT on the original data with
 threshold tau / c, so an absolute tau makes the result depend on the data's
@@ -149,6 +151,7 @@ class CompletionResult:
     matrix: np.ndarray
     residuals: np.ndarray
     ranks: np.ndarray
+    changes: np.ndarray
     stop_reason: str
     data_residual: float
     tau: float
@@ -167,11 +170,12 @@ class CompletionResult:
 def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
     """Complete a Hankel observation from its observed cells.
 
-    The result holds the completed matrix, the residual and rank traces, the
-    stop reason ("residual", "change" or "max_iters"), the data residual
-    ||b - x_omega|| of the stopping iterate and the threshold it used
-    (threshold).  The solver sees only the observed values; how they were
-    produced, and which are multi-bit, does not enter.  Raises SvtDivergenceError when the data's norm, the residual
+    The result holds the completed matrix, the residual, rank and relative
+    change traces, the stop reason ("residual", "change" or "max_iters"), the
+    data residual ||b - x_omega|| of the stopping iterate and the threshold
+    it used (threshold).  The solver sees only the observed values; how they
+    were produced, and which are multi-bit, does not enter.  Raises
+    SvtDivergenceError when the data's norm, the residual
     or the iterate runs away or overflows, SvtUnderflowError when the norm of
     nonzero data underflows to 0, and SvtZeroIterateError when nonzero data
     leaves the iterate at zero.
@@ -191,13 +195,15 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
     tau = threshold(cfg, b, n1, n2)
     if not b.any():
         return CompletionResult(
-            zero, np.zeros(1), np.zeros(1, dtype=np.int64), "residual", 0.0, tau
+            zero, np.zeros(1), np.zeros(1, dtype=np.int64), np.full(1, math.nan),
+            "residual", 0.0, tau,
         )
 
     y = np.zeros(m_obs, dtype=np.complex128)
     scratch = np.zeros_like(values)
     residuals: list[float] = []
     ranks: list[int] = []
+    changes: list[float] = []
     x = zero
     stop_reason = "max_iters"
     high_streak = 0
@@ -227,16 +233,14 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
                 r = b - x[observed]
                 r_norm = float(np.linalg.norm(r))
                 resid = r_norm / b_norm
+                change = _relative_change(x, x_prev)
                 residuals.append(resid)
                 ranks.append(rank)
+                changes.append(change)
                 if resid <= cfg.tol:
                     stop_reason = "residual"
                     break
-                if (
-                    cfg.change_tol is not None
-                    and x_prev.any()
-                    and np.linalg.norm(x - x_prev) <= cfg.change_tol * np.linalg.norm(x)
-                ):
+                if cfg.change_tol is not None and change <= cfg.change_tol:
                     stop_reason = "change"
                     break
                 high_streak = (
@@ -254,10 +258,20 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
         matrix=x,
         residuals=np.asarray(residuals),
         ranks=np.asarray(ranks, dtype=np.int64),
+        changes=np.asarray(changes),
         stop_reason=stop_reason,
         data_residual=r_norm,
         tau=tau,
     )
+
+
+def _relative_change(x: np.ndarray, x_prev: np.ndarray) -> float:
+    """||x - x_prev||_F / ||x||_F: nan while x_prev is zero, inf when x alone
+    is zero (no change rule fires on either)."""
+    if not x_prev.any():
+        return math.nan
+    norm = float(np.linalg.norm(x))
+    return float(np.linalg.norm(x - x_prev)) / norm if norm else math.inf
 
 
 def threshold(cfg: SvtConfig, b: np.ndarray, n1: int, n2: int) -> float:

@@ -211,10 +211,16 @@ def write_spectra_csv(path: str, spectra: list[AngleSpectrum]) -> None:
     _write_text(path, "".join([header, *(rows(spec) for spec in spectra)]))
 
 
-def write_trace_csv(path: str, residuals: np.ndarray, ranks: np.ndarray) -> None:
-    """Completion iteration trace: (k, residual, rank), 1-based iterations."""
-    rows = zip(range(1, len(residuals) + 1), residuals.tolist(), ranks.tolist())
-    _write_csv(path, {"k": _INT, "residual": _FLOAT, "rank": _INT}, rows)
+def write_trace_csv(
+    path: str, residuals: np.ndarray, ranks: np.ndarray, changes: np.ndarray
+) -> None:
+    """Completion iteration trace: (k, residual, rank, change), 1-based
+    iterations; change is the relative change of the iterate, nan while the
+    one before it is zero."""
+    rows = zip(
+        range(1, len(residuals) + 1), residuals.tolist(), ranks.tolist(), changes.tolist()
+    )
+    _write_csv(path, {"k": _INT, "residual": _FLOAT, "rank": _INT, "change": _FLOAT}, rows)
 
 
 @dataclass
@@ -529,6 +535,7 @@ def execute_run(scn: Scenario, run: int):
         "spectra": [spec_sla, spec_comp],
         "residuals": result.residuals,
         "ranks": result.ranks,
+        "changes": result.changes,
     }
     return summary, artifacts, t
 
@@ -587,6 +594,7 @@ def run_scenario(
                 os.path.join(scn.out_dir, trace_name),
                 artifacts["residuals"],
                 artifacts["ranks"],
+                artifacts["changes"],
             )
             outputs.extend([spectra_name, trace_name])
             for order, (theta, level) in enumerate(summary.peaks, start=1):

@@ -22,7 +22,7 @@ from hankeldoa.completion import (
 from hankeldoa.geometry import masking_vector
 from hankeldoa.pipeline import read_snapshot_csv
 from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales, word_levels
-from hankeldoa.scenario import load_bundled, scenario_to_ini, with_overrides
+from hankeldoa.scenario import CHANGE_TOL, load_bundled, scenario_to_ini, with_overrides
 from hankeldoa.signal import synthesize_snapshot
 from hankeldoa.spectrum import angle_spectrum
 
@@ -155,8 +155,12 @@ def test_stage_chain_matches_direct_path(tmp_path, capsys):
     assert completed.m == 149
     assert int(completed.mask.sum()) == 149
     trace_lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
-    assert trace_lines[0] == "k,residual,rank"
+    assert trace_lines[0] == "k,residual,rank,change"
     assert len(trace_lines) > 10
+    # The change rule stopped the run: the last relative change is the first
+    # at or below the tolerance.
+    *_, before, last = (float(line.split(",")[3]) for line in trace_lines[1:])
+    assert last <= CHANGE_TOL < before
 
     assert main(
         [
@@ -327,7 +331,9 @@ def test_stage_seed_overrides_add_the_run_index(tmp_path):
         str(ref / "completed.csv"),
         rank_projected_snapshot(result.matrix, scn.model_order),
     )
-    pipeline.write_trace_csv(str(ref / "trace.csv"), result.residuals, result.ranks)
+    pipeline.write_trace_csv(
+        str(ref / "trace.csv"), result.residuals, result.ranks, result.changes
+    )
 
     seeds = ["--run", "2", "--seed-signal", "5"]
     assert main(["synth", "two_targets_first4", *seeds,
@@ -722,7 +728,11 @@ def test_lowest_snr_completes_with_finite_residuals(tmp_path, capfd):
     assert run["stop_reason"] == "change"
     assert math.isfinite(float(run["final_residual"]))
     trace = np.loadtxt(out / "trace_run00.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert len(trace) == int(run["iters"]) and np.all(np.isfinite(trace))
+    assert len(trace) == int(run["iters"]) and np.all(np.isfinite(trace[:, :3]))
+    # The relative change is nan exactly while the iterate before is zero.
+    prev_zero = np.concatenate([[True], trace[:-1, 2] == 0])
+    assert np.array_equal(np.isnan(trace[:, 3]), prev_zero)
+    assert np.all(np.isfinite(trace[~prev_zero, 3]))
 
 
 @pytest.mark.parametrize("snr_db", ["-100", "-300", "-1000", "-3000"])

@@ -998,10 +998,13 @@ def test_spectra_csv_spells_minus_infinity(tmp_path):
 
 def test_trace_csv_is_one_based(tmp_path):
     path = tmp_path / "trace.csv"
-    write_trace_csv(str(path), np.array([0.5, 0.25]), np.array([3, 2]))
+    write_trace_csv(
+        str(path), np.array([0.5, 0.25]), np.array([3, 2]), np.array([np.nan, 0.125])
+    )
     lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "k,residual,rank"
+    assert lines[0] == "k,residual,rank,change"
     assert lines[1].startswith("1,") and lines[2].startswith("2,")
+    assert lines[1].endswith(",nan") and lines[2].endswith(",0.125")
 
 
 def test_snapshot_csv_round_trip_exact(two_unit_geom, tmp_path):
@@ -1062,10 +1065,10 @@ def test_array_writers_match_the_per_cell_rule(tmp_path):
     )
 
     ranks = np.array([0, 1, 2, 2**62, 3, 4, 5, 6, 7], dtype=np.int64)
-    write_trace_csv(str(tmp_path / "trace.csv"), odd, ranks)
-    rows = [(k + 1, odd[k], ranks[k]) for k in range(odd.size)]
+    write_trace_csv(str(tmp_path / "trace.csv"), odd, ranks, odd[::-1])
+    rows = [(k + 1, odd[k], ranks[k], odd[::-1][k]) for k in range(odd.size)]
     assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == _per_cell_csv(
-        ["k", "residual", "rank"], rows
+        ["k", "residual", "rank", "change"], rows
     )
 
     values = np.empty(odd.size, dtype=np.complex128)
@@ -1094,7 +1097,8 @@ def test_batch_tables_match_the_per_cell_rule(first4_scenario, monkeypatch, tmp_
             max_error_deg=0.25 if run == 0 else None,
             l1_error=-1.0 / 3.0 if run == 0 else np.float64(-0.0),
         )
-        artifacts = {"spectra": [], "residuals": np.ones(1), "ranks": np.zeros(1, int)}
+        artifacts = {"spectra": [], "residuals": np.ones(1), "ranks": np.zeros(1, int),
+                     "changes": np.full(1, np.nan)}
         return summary, artifacts, {}
 
     monkeypatch.setattr(pipeline, "execute_run", run_with_odd_values)

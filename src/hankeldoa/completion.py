@@ -26,9 +26,10 @@ On coarsely quantized data the residual rule asks for a fit far below the
 data's own distance from the truth, so most late iterations fit quantization
 noise; the change rule stops once the iterate settles.  SvtConfig() leaves it
 off because on exact data it stops before the residual rule's accuracy: the
-8x8 rank-1 oracle stops after 20 iterations at a relative error of 5.9e-2
-with change_tol = 1e-2.  Scenarios, which complete quantized data, turn it
-on (scenario.CHANGE_TOL, in every Scenario's svt).
+8x8 rank-1 oracle stops after 16 iterations at a relative error of 7.5e-2
+with change_tol = 2.5e-2, where the residual rule takes 125 iterations to
+2.9e-4.  Scenarios, which complete quantized data, turn it on
+(scenario.CHANGE_TOL, in every Scenario's svt).
 
 The first iterates are all zero and need no shrink.  While X is zero, y_k is
 the k-fold repeated sum of s = fl(step * b): each entry is within about

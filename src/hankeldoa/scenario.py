@@ -36,11 +36,14 @@ NAMED_PLACEMENTS = ("edges", "last4", "first4")
 # scenario completes quantized data, whose distance from the truth sits far
 # above the residual rule's tol, so the iterations after the iterate settles
 # fit quantization noise; the rank projection discards what they add.
-CHANGE_TOL = 1e-2
+# Chosen from tests/change_tol.json (tests/record_svt_sweeps.py): the
+# loosest tolerance tried that loses no hit against 1e-2 and keeps every
+# two-target hit at a 5 dB margin (3e-2 loses a five-target hit).
+CHANGE_TOL = 2.5e-2
 # The solver's data-relative threshold scale for every scenario that leaves
 # [svt] tau unset (completion.threshold), so that a run's outputs do not
 # depend on the unit of [scene] amplitudes.  Chosen from tests/tau_scale.json
-# (tests/record_tau_scale.py): the one scale tried that loses no hit against
+# (tests/record_svt_sweeps.py): the one scale tried that loses no hit against
 # the absolute 5 * sqrt(n1 * n2).
 TAU_SCALE = 1.0
 

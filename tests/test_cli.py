@@ -622,7 +622,7 @@ def test_fewer_peaks_than_targets_leave_the_error_undefined(tmp_path, capsys):
     assert printed.count("err n/a deg") == 2
     # Run 0 finds one of the two peaks, run 1 none; neither has a margin.
     assert printed.splitlines()[1:3] == [
-        "run  0:  -30.00deg@   0.0dB  err n/a deg, sidelobe margin   n/a dB, iters 5 (change)",
+        "run  0:  -30.00deg@   0.0dB  err n/a deg, sidelobe margin   n/a dB, iters 4 (change)",
         "run  1: no peaks  err n/a deg, sidelobe margin   n/a dB, iters 5 (change)",
     ]
     with open(out / "runs.csv", encoding="utf-8", newline="") as fh:

@@ -21,7 +21,7 @@ from hankeldoa.completion import (
 from hankeldoa.hankel import HankelView, dehankelize, lift
 from hankeldoa.linalg import shrink
 from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales
-from hankeldoa.scenario import bundled_scenario_names, load_bundled
+from hankeldoa.scenario import CHANGE_TOL, bundled_scenario_names, load_bundled
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
 from conftest import constant_masked
@@ -301,7 +301,7 @@ def test_zero_iterate_skip_is_bit_identical_on_bundled_run0(name, shrink_calls):
     skipped = skipped_iterations(view.matrix, view.omega, cfg)
     ranks = assert_same_as_plain_svt(view.matrix, view.omega, cfg, shrink_calls, skipped)
     if name == "two_targets_first4":
-        assert (len(ranks), len(shrink_calls)) == (19, 16)
+        assert (len(ranks), len(shrink_calls)) == (15, 12)
 
 
 @pytest.mark.parametrize("cfg", [SvtConfig()], ids=["change_rule_off"])
@@ -354,7 +354,7 @@ def paper_view_and_scheme(two_unit_geom, seed_signal=0, seed_dither=1000):
 def test_change_rule_stops_when_the_iterate_settles(two_unit_geom):
     _, view, _ = paper_view_and_scheme(two_unit_geom)
     cfg = load_bundled("two_targets_first4").svt
-    assert cfg.change_tol == 1e-2
+    assert cfg.change_tol == CHANGE_TOL
     result = svt_complete(view, cfg)
     off = dataclasses.replace(cfg, change_tol=None)
     full = svt_complete(view, off)
@@ -366,8 +366,8 @@ def test_change_rule_stops_when_the_iterate_settles(two_unit_geom):
     prev = svt_complete(view, dataclasses.replace(off, max_iters=k - 1)).matrix
     prev2 = svt_complete(view, dataclasses.replace(off, max_iters=k - 2)).matrix
     x = result.matrix
-    assert np.linalg.norm(x - prev) <= 1e-2 * np.linalg.norm(x)
-    assert np.linalg.norm(prev - prev2) > 1e-2 * np.linalg.norm(prev)
+    assert np.linalg.norm(x - prev) <= cfg.change_tol * np.linalg.norm(x)
+    assert np.linalg.norm(prev - prev2) > cfg.change_tol * np.linalg.norm(prev)
 
 
 def test_quantized_hankel_reference_counts(two_unit_geom):

@@ -1,6 +1,7 @@
 """Scenario files: parsing, serialization, placement resolution, hashing."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from hankeldoa.scenario import (
     with_overrides,
 )
 from hankeldoa.signal import TargetScene
+
+import record_svt_sweeps
 
 MINIMAL = """
 [scenario]
@@ -215,7 +218,22 @@ def test_bad_geometry_is_rejected_at_load():
 
 
 def test_every_scenario_runs_the_change_rule():
-    assert parse_scenario(MINIMAL).svt.change_tol == CHANGE_TOL == 1e-2
+    assert parse_scenario(MINIMAL).svt.change_tol == CHANGE_TOL == 2.5e-2
+
+
+def test_solver_constants_are_the_values_their_records_chose():
+    """CHANGE_TOL and TAU_SCALE are what tests/change_tol.json and
+    tests/tau_scale.json chose, by the rules of tests/record_svt_sweeps.py
+    applied to the recorded metrics, and each record ran with the other
+    constant as shipped.  Nothing is run: a constant edited by hand, or a
+    record not taken again after the other constant moved, fails here."""
+    tol = json.loads(record_svt_sweeps.TOL_PATH.read_text(encoding="utf-8"))
+    tau = json.loads(record_svt_sweeps.TAU_PATH.read_text(encoding="utf-8"))
+    assert record_svt_sweeps.chosen_tol(tol["rules"]) == tol["chosen"]["change_tol"]
+    assert tol["chosen"]["change_tol"] == CHANGE_TOL
+    assert record_svt_sweeps.smallest_lossless_scale(tau["rules"]) == TAU_SCALE
+    assert tau["chosen"]["smallest_lossless_scale"] == TAU_SCALE
+    assert (tol["blocks"]["tau_scale"], tau["blocks"]["change_tol"]) == (TAU_SCALE, CHANGE_TOL)
 
 
 def test_unobserved_placement_is_rejected_at_load():

@@ -14,20 +14,19 @@ while X_{k-1} is zero.
 
 SVT on data scaled by c with threshold tau is SVT on the original data with
 threshold tau / c, so an absolute tau makes the result depend on the data's
-unit.  With tau_scale set (every scenario sets it, scenario.TAU_SCALE) the
-threshold is tau_scale * sqrt(n1 * n2) * R_b, R_b the largest |Re| or |Im|
-of b, and scales with the data; the quantizer's steps do too (design_scales),
-so a scenario's outputs are the same in any amplitude unit, bit for bit at
-powers of two.  SvtConfig() keeps the absolute 5 * sqrt(n1 * n2) of Cai,
-Candes & Shen 2010 for exact-data use such as the rank-1 oracle, and an
-explicit tau stays absolute.
+unit.  The threshold is therefore TAU_SCALE * sqrt(n1 * n2) * R_b, R_b the
+largest |Re| or |Im| of b, and scales with the data; the quantizer's steps do
+too (design_scales), so a scenario's outputs are the same in any amplitude
+unit, bit for bit at powers of two.  An explicit tau stays absolute; the
+absolute 5 * sqrt(n1 * n2) of Cai, Candes & Shen 2010 is tau = 375 on the
+bundled 75x75 geometry and tau = 40 on an 8x8 matrix.
 
 On coarsely quantized data the residual rule asks for a fit far below the
 data's own distance from the truth, so most late iterations fit quantization
 noise; the change rule stops once the iterate settles.  SvtConfig() leaves it
 off because on exact data it stops before the residual rule's accuracy: the
-8x8 rank-1 oracle stops after 16 iterations at a relative error of 7.5e-2
-with change_tol = 2.5e-2, where the residual rule takes 125 iterations to
+8x8 rank-1 oracle stops after 20 iterations at a relative error of 9.0e-2
+with change_tol = 2.5e-2, where the residual rule takes 190 iterations to
 2.9e-4.  Scenarios, which complete quantized data, turn it on
 (scenario.CHANGE_TOL, in every Scenario's svt).
 
@@ -79,28 +78,29 @@ ZERO_SKIP_ROUNDING = 1e-8
 # size-derived 1.2*n1*n2/|omega| exceeds 2 once under 60% of the cells are
 # observed (about 3.57 on the bundled geometry), so the default is capped.
 MAX_DEFAULT_STEP = 1.9
+# The data-relative threshold scale of threshold(), so that a run's outputs
+# do not depend on the unit of its data.  Chosen from the threshold record
+# that tests/record_svt_sweeps.py writes: the one scale tried that loses no
+# hit against the absolute 5 * sqrt(n1 * n2) on any bundled scenario.
+TAU_SCALE = 1.0
 
 
 @dataclass
 class SvtConfig:
-    """Solver knobs; step stays None to take the size-derived default
+    """Solver knobs; tau stays None to threshold relative to the data
+    (threshold), step stays None to take the size-derived default
     min(1.2*n1*n2/|omega|, MAX_DEFAULT_STEP), change_tol stays None to leave
-    the change rule off, and tol lies in (0, 1).
-
-    The threshold is tau when set, an absolute number.  Otherwise it is
-    tau_scale * sqrt(n1*n2) * R_b when tau_scale is set, with R_b the largest
-    |Re| or |Im| of the observed values b, so it follows the data's unit; else
-    the absolute 5*sqrt(n1*n2) of Cai, Candes & Shen 2010."""
+    the change rule off, and tol lies in (0, 1).  A tau that is set is
+    absolute, the same number whatever the data's unit."""
 
     tau: float | None = None
     step: float | None = None
     tol: float = 1e-4
     max_iters: int = 500
     change_tol: float | None = None
-    tau_scale: float | None = None
 
     def __post_init__(self):
-        for name in ("tau", "step", "tol", "change_tol", "tau_scale"):
+        for name in ("tau", "step", "tol", "change_tol"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -276,16 +276,15 @@ def _relative_change(x: np.ndarray, x_prev: np.ndarray) -> float:
 
 
 def threshold(cfg: SvtConfig, b: np.ndarray, n1: int, n2: int) -> float:
-    """The SVT threshold for observed values b of an n1 x n2 matrix, by
-    SvtConfig's rule.  Data scaled by a power of two scales the relative
-    threshold by exactly that power, so the iterates scale with the data."""
+    """The SVT threshold for observed values b of an n1 x n2 matrix: cfg.tau
+    when set, else TAU_SCALE * sqrt(n1 * n2) * R_b with R_b the largest |Re|
+    or |Im| of b.  Data scaled by a power of two scales the relative
+    threshold by exactly that power, so the iterates scale with the data;
+    all-zero data gets 0.0, which the solver's short-circuit records."""
     if cfg.tau is not None:
         return cfg.tau
-    size = math.sqrt(n1 * n2)
-    if cfg.tau_scale is None:
-        return 5.0 * size
     r_b = float(max(np.abs(b.real).max(), np.abs(b.imag).max()))
-    return cfg.tau_scale * size * r_b
+    return TAU_SCALE * math.sqrt(n1 * n2) * r_b
 
 
 def _certified_zero_iterations(sigma_c: float, tau: float, size: int) -> int:

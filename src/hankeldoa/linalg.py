@@ -1,8 +1,7 @@
 """The singular value shrinkage the completion solver runs on every
-iteration, its SVD and Hermitian eigendecomposition kernels, the BLAS
-thread pin that makes the solver's floating-point output independent of how
-many threads OpenBLAS would otherwise use, and the name of the kernel set
-OpenBLAS picked for the CPU.
+iteration, its SVD kernel, the BLAS thread pin that makes the solver's
+floating-point output independent of how many threads OpenBLAS would
+otherwise use, and the name of the kernel set OpenBLAS picked for the CPU.
 
 shrink thresholds through eigh of the Gram matrix A^H A, which costs less
 than the SVD of A and never forms U; it falls back to the SVD when
@@ -48,12 +47,6 @@ def svd(x: np.ndarray):
     return np.linalg.svd(np.asarray(x), full_matrices=False)
 
 
-def eigh(a: np.ndarray):
-    """Eigendecomposition (w, v) of a Hermitian matrix, a = v @ diag(w) @ v^H
-    with w ascending; only the lower triangle of a is read."""
-    return np.linalg.eigh(a)
-
-
 def shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
     """Singular value soft-thresholding: subtract tau > 0 from every singular
     value, clip at zero, reconstruct.
@@ -73,7 +66,8 @@ def shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
     if not tau > 0:
         raise ValueError("tau must be positive")
     x = np.asarray(x)
-    lam, v = eigh(x.conj().T @ x)
+    # lam ascending; eigh reads only the lower triangle of the Gram matrix.
+    lam, v = np.linalg.eigh(x.conj().T @ x)
     floor = tau * tau
     if lam[-1] <= floor:
         return np.zeros_like(x), 0

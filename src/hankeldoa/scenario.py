@@ -40,12 +40,6 @@ NAMED_PLACEMENTS = ("edges", "last4", "first4")
 # loosest tolerance tried that loses no hit against 1e-2 and keeps every
 # two-target hit at a 5 dB margin (3e-2 loses a five-target hit).
 CHANGE_TOL = 2.5e-2
-# The solver's data-relative threshold scale for every scenario that leaves
-# [svt] tau unset (completion.threshold), so that a run's outputs do not
-# depend on the unit of [scene] amplitudes.  Chosen from tests/tau_scale.json
-# (tests/record_svt_sweeps.py): the one scale tried that loses no hit against
-# the absolute 5 * sqrt(n1 * n2).
-TAU_SCALE = 1.0
 
 
 class ScenarioError(ValueError):
@@ -58,10 +52,10 @@ class Scenario:
 
     amplitudes=None leaves the source amplitudes to the signal model's seeded
     random phases; a tuple fixes them.  placement is one of the named rules
-    or an explicit tuple of 1-based virtual antenna indices.  tau stays None
-    to threshold relative to each run's data (TAU_SCALE), step stays None to
-    take the solver's size-derived default, and tol/max_iters default to the
-    solver's.  The geometry, scene and solver fields are
+    or an explicit tuple of 1-based virtual antenna indices.  tau, step, tol
+    and max_iters default to the solver's: tau stays None to threshold
+    relative to each run's data (completion.threshold), and an explicit tau
+    is absolute.  The geometry, scene and solver fields are
     validated by the grid-position rule and ArrayGeometry's aperture bound,
     TargetScene and SvtConfig, bits by the quantizer's word_levels,
     placement by placement_to_delta on the scenario's geometry and n_fft by
@@ -73,9 +67,8 @@ class Scenario:
     not fields, so equality, repr and the INI text ignore them: scene (the
     TargetScene), geometry (the ArrayGeometry, by geometry_of), multi_bit
     (the read-only indicator, by placement_to_delta) and svt (the SvtConfig,
-    with the change rule at CHANGE_TOL and the data-relative threshold scale
-    at TAU_SCALE as they stood when the scenario was built).  An explicit tau
-    is absolute and takes precedence over the relative threshold.
+    with the change rule at CHANGE_TOL as it stood when the scenario was
+    built).
     """
 
     name: str
@@ -135,7 +128,7 @@ class Scenario:
         object.__setattr__(self, "multi_bit", multi_bit)
         svt = checked(
             "[svt] ", SvtConfig, tau=self.tau, step=self.step, tol=self.tol,
-            max_iters=self.max_iters, change_tol=CHANGE_TOL, tau_scale=TAU_SCALE,
+            max_iters=self.max_iters, change_tol=CHANGE_TOL,
         )
         object.__setattr__(self, "svt", svt)
         checked("[spectrum] ", check_n_fft, self.n_fft, self.geometry.m)

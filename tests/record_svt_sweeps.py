@@ -3,8 +3,9 @@ accuracy against iterations, in tests/tau_scale.json and
 tests/change_tol.json: PYTHONPATH=src python tests/record_svt_sweeps.py.
 
 Each setting runs every bundled scenario over three disjoint 20-run blocks
-(seed offsets 0, 20 and 40 on both seeds), with one scenario constant
-patched and the other as shipped.  Per scenario and setting the records give
+(seed offsets 0, 20 and 40 on both seeds), with one solver constant patched
+around the whole block, or the absolute threshold given as an explicit tau,
+and the rest as shipped.  Per scenario and setting the records give
 the hits (peaks complete, every angle within 1 degree), the hits per block,
 the smallest and the mean sidelobe margin of the hits, the mean iteration
 count, the mean l1_error, the stop reasons and a 95% Wilson interval for the
@@ -13,14 +14,14 @@ at least 5 dB) or 7 (16/20).  For the two-target scenes the interval of
 criterion 6's joint event, a hit with a margin of at least 5 dB, is given
 too.  Each constant is chosen from its record, not from the bundled seed.
 
-tests/tau_scale.json: the absolute threshold 5 sqrt(n1 n2)
-(scenario.TAU_SCALE off) and the data-relative one at each scale in SCALES,
-at the shipped scenario.CHANGE_TOL.  "chosen" names the smallest scale that
-loses no hit against the absolute rule in any scenario, beside
-scenario.TAU_SCALE.
+tests/tau_scale.json: the absolute threshold 5 sqrt(n1 n2) of Cai, Candes &
+Shen 2010 (tau = 375 on the bundled 75 x 75 geometry) and the data-relative
+one at each completion.TAU_SCALE in SCALES, at the shipped
+scenario.CHANGE_TOL.  "chosen" names the smallest scale that loses no hit
+against the absolute rule in any scenario, beside completion.TAU_SCALE.
 
 tests/change_tol.json: scenario.CHANGE_TOL at each tolerance in TOLS, at the
-shipped scenario.TAU_SCALE.  "chosen" is the loosest tolerance that meets
+shipped completion.TAU_SCALE.  "chosen" is the loosest tolerance that meets
 both conditions:
   1. in every scenario it has at least as many hits as 1e-2, the tolerance
      the change rule shipped with;
@@ -31,15 +32,17 @@ and 100), reported under "fresh"; they do not re-choose.
 Not collected by pytest; it takes about a minute on two CPUs.
 """
 
+import contextlib
 import json
 import math
 import pathlib
 import statistics
 from unittest import mock
 
-from hankeldoa import scenario
+from hankeldoa import completion, scenario
+from hankeldoa.hankel import hankel_shape
 from hankeldoa.pipeline import run_scenario
-from hankeldoa.scenario import bundled_scenario_names, load_bundled
+from hankeldoa.scenario import bundled_scenario_names, load_bundled, with_overrides
 
 import record_pins
 
@@ -77,20 +80,32 @@ def is_hit(summary) -> bool:
     )
 
 
-def block_runs(name: str, constant: str, value: float | None, offset: int) -> list:
-    """The RunSummaries of one block, with scenario.<constant> at value while
-    the scenario is built."""
-    base = load_bundled(name)
-    with mock.patch.object(scenario, constant, value):
-        scn = scenario.with_overrides(
+def patched(module, constant: str, value: float):
+    """The setting with module.<constant> at value."""
+    return lambda base: (mock.patch.object(module, constant, value), base)
+
+
+def absolute(base):
+    """The setting with the absolute threshold 5 sqrt(n1 n2) as an explicit
+    tau."""
+    n1, n2 = hankel_shape(base.geometry.m)
+    return contextlib.nullcontext(), with_overrides(base, tau=5.0 * math.sqrt(n1 * n2))
+
+
+def block_runs(name: str, setting, offset: int) -> list:
+    """The RunSummaries of one block under setting, which maps the bundled
+    scenario to the patch held around the block's build and run and the
+    scenario it runs."""
+    patch, base = setting(load_bundled(name))
+    with patch:
+        return run_scenario(
             base, runs=BLOCK_RUNS, seed_signal=base.seed_signal + offset,
-            seed_dither=base.seed_dither + offset,
-        )
-    return run_scenario(scn, write=False).runs
+            seed_dither=base.seed_dither + offset, write=False,
+        ).runs
 
 
-def rule_record(name: str, constant: str, value: float | None, offsets=OFFSETS) -> dict:
-    blocks = [block_runs(name, constant, value, offset) for offset in offsets]
+def rule_record(name: str, setting, offsets=OFFSETS) -> dict:
+    blocks = [block_runs(name, setting, offset) for offset in offsets]
     runs = [r for block in blocks for r in block]
     hits = [r for r in runs if is_hit(r)]
     margins = [r.sidelobe_margin_db for r in hits]
@@ -115,12 +130,12 @@ def rule_record(name: str, constant: str, value: float | None, offsets=OFFSETS) 
     return out
 
 
-def sweep(constant: str, labels: dict, offsets=OFFSETS) -> dict:
-    """{label: {scenario: rule_record}} for each value and label in labels."""
+def sweep(settings: dict, offsets=OFFSETS) -> dict:
+    """{label: {scenario: rule_record}} for each label and setting."""
     return {
-        label: {name: rule_record(name, constant, value, offsets)
+        label: {name: rule_record(name, setting, offsets)
                 for name in bundled_scenario_names()}
-        for value, label in labels.items()
+        for label, setting in settings.items()
     }
 
 
@@ -129,8 +144,8 @@ def keeps_hits(records: dict, base: dict) -> bool:
     return all(r["hits"] >= base[name]["hits"] for name, r in records.items())
 
 
-def scale_label(scale: float | None) -> str:
-    return "absolute" if scale is None else f"scale_{scale:g}"
+def scale_label(scale: float) -> str:
+    return f"scale_{scale:g}"
 
 
 def smallest_lossless_scale(rules: dict) -> float | None:
@@ -141,6 +156,10 @@ def smallest_lossless_scale(rules: dict) -> float | None:
 
 def tol_label(tol: float) -> str:
     return f"tol_{tol:g}"
+
+
+def tol_settings(tols) -> dict:
+    return {tol_label(tol): patched(scenario, "CHANGE_TOL", tol) for tol in tols}
 
 
 def chosen_tol(rules: dict) -> float | None:
@@ -156,30 +175,33 @@ def chosen_tol(rules: dict) -> float | None:
 
 
 def tau_record() -> dict:
-    rules = sweep("TAU_SCALE", {s: scale_label(s) for s in (None, *SCALES)})
+    settings = {"absolute": absolute}
+    settings.update(
+        (scale_label(s), patched(completion, "TAU_SCALE", s)) for s in SCALES
+    )
+    rules = sweep(settings)
     return {
         "environment": record_pins.environment(),
         "blocks": {"offsets": list(OFFSETS), "runs": BLOCK_RUNS,
                    "change_tol": scenario.CHANGE_TOL},
         "chosen": {"smallest_lossless_scale": smallest_lossless_scale(rules),
-                   "scenario_tau_scale": scenario.TAU_SCALE},
+                   "tau_scale": completion.TAU_SCALE},
         "rules": rules,
     }
 
 
 def tol_record() -> dict:
-    rules = sweep("CHANGE_TOL", {tol: tol_label(tol) for tol in TOLS})
+    rules = sweep(tol_settings(TOLS))
     chosen = chosen_tol(rules)
-    fresh = {TOLS[0]: tol_label(TOLS[0]), chosen: tol_label(chosen)}
     return {
         "environment": record_pins.environment(),
         "blocks": {"offsets": list(OFFSETS), "runs": BLOCK_RUNS,
-                   "tau_scale": scenario.TAU_SCALE},
+                   "tau_scale": completion.TAU_SCALE},
         "rule": TOL_RULE,
         "chosen": {"change_tol": chosen, "scenario_change_tol": scenario.CHANGE_TOL},
         "rules": rules,
         "fresh": {"offsets": list(FRESH_OFFSETS),
-                  "rules": sweep("CHANGE_TOL", fresh, FRESH_OFFSETS)},
+                  "rules": sweep(tol_settings((TOLS[0], chosen)), FRESH_OFFSETS)},
     }
 
 

@@ -9,6 +9,9 @@ import pytest
 
 from hankeldoa import linalg, pipeline
 from hankeldoa.completion import (
+    DIVERGENCE_FACTOR,
+    DIVERGENCE_PATIENCE,
+    TAU_SCALE,
     SvtConfig,
     SvtDivergenceError,
     SvtZeroIterateError,
@@ -60,26 +63,22 @@ def test_config_defaults_and_validation():
 
 
 def test_threshold_rules():
-    """An explicit tau is absolute and wins; tau_scale makes the threshold
-    follow the largest observed |Re| or |Im|; neither gives 5 sqrt(n1 n2)."""
+    """An explicit tau is absolute and wins; otherwise the threshold follows
+    the largest observed |Re| or |Im|, sqrt(n1 n2) = 8 times it."""
     _, values, mask = rank_one_problem(seed=3)
     r_b = max(np.abs(values.real).max(), np.abs(values.imag).max())
     b = values[mask]
     for cfg, tau, scaled_tau in (
-        (SvtConfig(), 40.0, 40.0),
-        (SvtConfig(tau_scale=2.0), 2.0 * 8.0 * r_b, 2.0 * 8.0 * r_b * 2.0**-30),
-        (SvtConfig(tau=3.0, tau_scale=2.0), 3.0, 3.0),
+        (SvtConfig(), 8.0 * r_b, 8.0 * r_b * 2.0**-30),
+        (SvtConfig(tau=3.0), 3.0, 3.0),
     ):
         assert complete(values, mask, cfg).tau == tau
         assert threshold(cfg, b * 2.0**-30, 8, 8) == scaled_tau
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="tau_scale must be positive and finite"):
-            SvtConfig(tau_scale=bad)
 
 
 def test_relative_threshold_scales_the_iterates_exactly():
     _, values, mask = rank_one_problem(seed=3)
-    cfg = SvtConfig(tau_scale=0.5)
+    cfg = SvtConfig()
     unit = complete(values, mask, cfg)
     for k in (-40, 7):
         scaled = complete(values * 2.0**k, mask, cfg)
@@ -116,13 +115,13 @@ def test_residuals_are_positive_and_final_below_tol():
 
 def test_change_rule_waits_for_a_nonzero_iterate_and_yields_to_the_residual():
     truth, values, mask = rank_one_problem(seed=3)
-    four = complete(values, mask, SvtConfig(max_iters=4))
+    four = complete(values, mask, SvtConfig(tau=40.0, max_iters=4))
     assert list(four.ranks) == [0, 0, 1, 1]
     # change_tol = 1e10 holds at every step from a nonzero iterate, so the
     # first stop is iteration 4, the first whose predecessor is nonzero.
-    result = complete(values, mask, SvtConfig(change_tol=1e10))
+    result = complete(values, mask, SvtConfig(tau=40.0, change_tol=1e10))
     assert (len(result.residuals), result.stop_reason) == (4, "change")
-    tie = SvtConfig(tol=four.residuals[3], change_tol=1e10)
+    tie = SvtConfig(tau=40.0, tol=four.residuals[3], change_tol=1e10)
     result = complete(values, mask, tie)
     assert (len(result.residuals), result.stop_reason) == (4, "residual")
 
@@ -134,6 +133,7 @@ def test_all_zero_observations_short_circuit():
     result = complete(values, mask, SvtConfig())
     assert result.stop_reason == "residual"
     assert np.all(result.matrix == 0)
+    assert result.tau == 0.0
 
 
 def test_shape_and_support_validation():
@@ -145,9 +145,16 @@ def test_shape_and_support_validation():
 
 
 def test_divergence_detector_raises():
+    """The guard raises on the first iteration that ends DIVERGENCE_PATIENCE
+    straight residuals above DIVERGENCE_FACTOR times the first, not later."""
     truth, values, mask = rank_one_problem(seed=3)
-    with pytest.raises(SvtDivergenceError):
+    with pytest.raises(SvtDivergenceError) as exc:
         complete(values, mask, SvtConfig(step=400.0, max_iters=200))
+    residuals = exc.value.residuals
+    high = residuals > DIVERGENCE_FACTOR * residuals[0]
+    assert exc.value.iters == len(residuals) > DIVERGENCE_PATIENCE
+    assert high[-DIVERGENCE_PATIENCE:].all()
+    assert not high[-DIVERGENCE_PATIENCE - 1]
 
 
 @pytest.mark.parametrize("step", [1e200, 1e250, 1e300, 1e307])
@@ -197,19 +204,16 @@ def test_zero_iterate_on_nonzero_data_raises():
 
 
 def tau_and_step(values, observed, cfg):
-    """The solver's threshold and step: an explicit tau, else tau_scale times
-    sqrt(n1 * n2) times the largest |Re| or |Im| observed, else 5 sqrt(n1 *
-    n2); an explicit step, else the size-derived one."""
+    """The solver's threshold and step: an explicit tau, else TAU_SCALE *
+    sqrt(n1 * n2) times the largest |Re| or |Im| observed; an explicit step,
+    else the size-derived one."""
     n1, n2 = values.shape
     b = values[observed]
     if cfg.tau is not None:
         tau = cfg.tau
-    elif cfg.tau_scale is not None:
-        tau = cfg.tau_scale * math.sqrt(n1 * n2) * max(
-            np.abs(b.real).max(), np.abs(b.imag).max()
-        )
     else:
-        tau = 5.0 * np.sqrt(n1 * n2)
+        r_b = max(np.abs(b.real).max(), np.abs(b.imag).max())
+        tau = TAU_SCALE * math.sqrt(n1 * n2) * r_b
     step = cfg.step if cfg.step is not None else min(
         1.2 * n1 * n2 / int(observed.sum()), 1.9
     )
@@ -304,7 +308,7 @@ def test_zero_iterate_skip_is_bit_identical_on_bundled_run0(name, shrink_calls):
         assert (len(ranks), len(shrink_calls)) == (15, 12)
 
 
-@pytest.mark.parametrize("cfg", [SvtConfig()], ids=["change_rule_off"])
+@pytest.mark.parametrize("cfg", [SvtConfig(tau=40.0)], ids=["change_rule_off"])
 def test_zero_iterate_skip_is_bit_identical_on_rank_one_oracle(cfg, shrink_calls):
     _, values, mask = rank_one_problem(seed=3)
     skipped = skipped_iterations(values, mask, cfg)

@@ -8,6 +8,7 @@ import pytest
 from hankeldoa.quant import (
     DynamicRangeViolation,
     QuantScheme,
+    check_one_bit_range,
     design_scales,
     quantize_cells,
     uniform_quantize,
@@ -82,6 +83,20 @@ def test_one_bit_sign_zero_is_positive():
 def test_one_bit_range_validation():
     with pytest.raises(DynamicRangeViolation):
         one_bit(1.5, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_one_bit_range_includes_its_limit(part):
+    """A part of exactly delta1/2 is in range; the next double up is not."""
+    delta1 = 2.0
+    limit = delta1 / 2
+    unit = 1.0 if part == "real" else 1j
+    coarse = np.array([True])
+    check_one_bit_range(np.array([limit * unit]), coarse, limit)
+    above = np.nextafter(limit, np.inf)
+    with pytest.raises(DynamicRangeViolation) as exc:
+        check_one_bit_range(np.array([above * unit]), coarse, limit)
+    assert (exc.value.part, exc.value.value) == (part, above)
 
 
 def test_one_bit_matches_single_level_quantizer():

@@ -6,11 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from hankeldoa.completion import SvtConfig
+from hankeldoa.completion import TAU_SCALE, SvtConfig
 from hankeldoa.scenario import (
     CHANGE_TOL,
     NAMED_PLACEMENTS,
-    TAU_SCALE,
     Scenario,
     ScenarioError,
     bundled_scenario_names,
@@ -338,7 +337,7 @@ def test_scenario_keeps_what_it_resolves(name):
     assert scn.scene == TargetScene(scn.angles_deg, scn.amplitudes, scn.snr_db)
     assert scn.svt == SvtConfig(
         tau=scn.tau, step=scn.step, tol=scn.tol, max_iters=scn.max_iters,
-        change_tol=CHANGE_TOL, tau_scale=TAU_SCALE,
+        change_tol=CHANGE_TOL,
     )
     with pytest.raises(ValueError, match="read-only"):
         scn.multi_bit[0] = 1 - scn.multi_bit[0]

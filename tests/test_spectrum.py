@@ -123,6 +123,12 @@ def test_local_maxima_are_strict_interior():
     assert local_maxima(spec).tolist() == [1, 4]
     flat = crafted([-5.0, -5.0, -5.0, -5.0])
     assert local_maxima(flat).size == 0
+    # Two equal adjacent bins: neither is a strict maximum, so neither is a
+    # peak.
+    plateau = crafted([-30.0, -5.0, -5.0, -30.0, -30.0, 0.0, -30.0, -30.0])
+    assert local_maxima(plateau).tolist() == [5]
+    peaks = find_peaks(plateau, 2)
+    assert peaks.bins == [5] and not peaks.complete
 
 
 def test_find_peaks_orders_by_level():

@@ -272,8 +272,8 @@ def cmd_synth(args) -> int:
 def cmd_complete(args) -> int:
     scn, run, masked = _stage_input(args)
     try:
-        # The quantizer checks the snapshot's length and multi-bit antennas
-        # (check_precision_classes) before the mask is compared here.
+        # quant.build_quantized_hankel checks the snapshot's length and
+        # multi-bit antennas, then the one-bit range, before this mask check.
         _, view = pipeline.quantize_run(scn, masked, run)
         extra = np.flatnonzero(masked.mask > masking_vector(scn.geometry)) + 1
         if extra.size:

@@ -1,5 +1,6 @@
-"""Matrix completion of the quantized Hankel observation by singular value
-thresholding with dual ascent on the observed cells.
+"""The SVT solver for the quantized Hankel view of quant.build_quantized_hankel:
+singular value thresholding with dual ascent on the observed cells, its
+threshold, and the rank projection that folds the result to a snapshot.
 
 Iteration, from y0 = 0 over the observed cells:
 
@@ -62,7 +63,6 @@ import numpy as np
 
 from . import linalg
 from .hankel import HankelView, dehankelize, lift
-from .quant import QuantScheme, check_one_bit_range, check_precision_classes, quantize_cells
 # Not called here: perfbench/workloads.py:trace_points wraps the name, and
 # ROADMAP direction 1 step 2 deletes this import together with trace_points.
 from .quant import uniform_quantize
@@ -294,42 +294,6 @@ def _certified_zero_iterations(sigma_c: float, tau: float, size: int) -> int:
     cap = int(ZERO_SKIP_ROUNDING / (math.sqrt(size) * 2.0**-53))
     slope = sigma_c * (1.0 + ZERO_SKIP_MARGIN)
     return cap if tau >= cap * slope else math.ceil(tau / slope)
-
-
-def build_quantized_hankel(masked: Snapshot, scheme: QuantScheme) -> HankelView:
-    """Quantize the lifted observation cell by cell, tagging precision classes.
-
-    Each observed cell draws its own dither, so the repeats of an antenna
-    value along its anti-diagonal quantize independently and the later
-    anti-diagonal averaging beats the cell-level quantization noise down by
-    the diagonal length (up to min(n1, n2) repeats).  Replicating a single
-    quantized antenna value across its anti-diagonal instead would forfeit
-    that averaging and leave the one-bit noise floor at the antenna level.
-
-    The step size of a cell follows its antenna's precision class.  Dithers
-    are two full-grid uniform fields, one per step size, drawn from
-    scheme.dither_seed in a fixed order, so the output is a pure function of
-    (masked, scheme).  The one-bit range is checked on the antennas before
-    the lift: each cell repeats its antenna's value, and the smallest
-    offending antenna holds the first offending cell in row-major order.
-    """
-    ind = scheme.delta_indicator
-    check_precision_classes(masked, ind)
-    coarse = (masked.mask == 1) & (ind == 0)
-    check_one_bit_range(masked.values, coarse, scheme.delta1 / 2.0)
-    view = lift(masked, ind)
-    n1, n2 = view.n1, view.n2
-
-    rng = np.random.default_rng(scheme.dither_seed)
-    tau1 = scheme.delta1 * (
-        rng.uniform(-0.5, 0.5, (n1, n2)) + 1j * rng.uniform(-0.5, 0.5, (n1, n2))
-    )
-    tau2 = scheme.delta2 * (
-        rng.uniform(-0.5, 0.5, (n1, n2)) + 1j * rng.uniform(-0.5, 0.5, (n1, n2))
-    )
-    tau = np.where(view.omega2, tau2, tau1)
-    q = quantize_cells(view.matrix, view.omega, view.omega2, tau, scheme)
-    return HankelView(q, view.omega, view.omega2)
 
 
 def rank_projected_snapshot(matrix: np.ndarray, rank: int) -> Snapshot:

@@ -1,7 +1,8 @@
 """The singular value shrinkage the completion solver runs on every
 iteration, its SVD kernel, the BLAS thread pin that makes the solver's
 floating-point output independent of how many threads OpenBLAS would
-otherwise use, and the name of the kernel set OpenBLAS picked for the CPU.
+otherwise use, and the two kernel probes a manifest records: the kernel set
+OpenBLAS picked for the CPU and the SIMD targets numpy dispatches to.
 
 shrink thresholds through eigh of the Gram matrix A^H A, which costs less
 than the SVD of A and never forms U; it falls back to the SVD when
@@ -179,3 +180,12 @@ _OPENBLAS = _OpenBlasThreads()
 blas_threads = _OPENBLAS.threads
 blas_core = _OPENBLAS.core
 single_thread_blas = _OPENBLAS.pinned
+
+
+def numpy_dispatch() -> list[str]:
+    """The SIMD targets numpy dispatches its loops to on this CPU, as
+    np.show_runtime() lists them: the build's dispatch targets the CPU has
+    and NPY_DISABLE_CPU_FEATURES leaves on."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]

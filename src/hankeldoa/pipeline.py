@@ -36,16 +36,11 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .completion import (
-    CompletionResult,
-    build_quantized_hankel,
-    rank_projected_snapshot,
-    svt_complete,
-)
+from .completion import CompletionResult, rank_projected_snapshot, svt_complete
 from .geometry import masking_vector
 from .hankel import HankelView, lift
-from .linalg import blas_core, single_thread_blas
-from .quant import QuantScheme, design_scales, word_levels
+from .linalg import blas_core, numpy_dispatch, single_thread_blas
+from .quant import QuantScheme, build_quantized_hankel, design_scales, word_levels
 from .scenario import Scenario, scenario_hash, scenario_to_ini, with_overrides
 from .signal import Snapshot, SnapshotKind, synthesize_snapshot
 from .spectrum import (
@@ -335,15 +330,6 @@ def _derived(scn: Scenario) -> dict:
     }
 
 
-def _numpy_dispatch() -> list[str]:
-    """The SIMD targets numpy dispatches its loops to on this CPU, as
-    np.show_runtime() lists them: the build's dispatch targets the CPU has
-    and NPY_DISABLE_CPU_FEATURES leaves on."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
-
-
 def _environment(solver_blas_threads: int | None, cpus: int, workers: int) -> dict:
     """The numerical environment a batch ran in: numpy and its SIMD dispatch,
     its BLAS build, the BLAS kernel set (None when unknown), the solver's BLAS
@@ -352,7 +338,7 @@ def _environment(solver_blas_threads: int | None, cpus: int, workers: int) -> di
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
-        "numpy_dispatch": _numpy_dispatch(),
+        "numpy_dispatch": numpy_dispatch(),
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_core": blas_core(),
         "solver_blas_threads": solver_blas_threads,

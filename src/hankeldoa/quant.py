@@ -1,4 +1,5 @@
-"""Dithered uniform quantization, one-bit or multi-bit by antenna precision class.
+"""Dithered uniform quantization, one-bit or multi-bit by antenna precision
+class, from a masked snapshot to quantized Hankel cells (build_quantized_hankel).
 
 The core cell rule is Q(x) = delta * (floor((x + tau)/delta) + 1/2) with
 dither tau drawn uniformly from [-delta/2, delta/2].  A `levels` count K
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hankel import HankelView, lift
 from .signal import Snapshot, SnapshotKind
 
 
@@ -149,6 +151,42 @@ def quantize_cells(values, observed, fine, tau, scheme: QuantScheme) -> np.ndarr
             q_im = uniform_quantize(values.imag[cells], delta, tau.imag[cells], levels)
             out[cells] = q_re + 1j * q_im
     return out
+
+
+def build_quantized_hankel(masked: Snapshot, scheme: QuantScheme) -> HankelView:
+    """Quantize the lifted observation cell by cell, tagging precision classes.
+
+    Each observed cell draws its own dither, so the repeats of an antenna
+    value along its anti-diagonal quantize independently and the later
+    anti-diagonal averaging beats the cell-level quantization noise down by
+    the diagonal length (up to min(n1, n2) repeats).  Replicating a single
+    quantized antenna value across its anti-diagonal instead would forfeit
+    that averaging and leave the one-bit noise floor at the antenna level.
+
+    The step size of a cell follows its antenna's precision class.  Dithers
+    are two full-grid uniform fields, one per step size, drawn from
+    scheme.dither_seed in a fixed order, so the output is a pure function of
+    (masked, scheme).  The one-bit range is checked on the antennas before
+    the lift: each cell repeats its antenna's value, and the smallest
+    offending antenna holds the first offending cell in row-major order.
+    """
+    ind = scheme.delta_indicator
+    check_precision_classes(masked, ind)
+    coarse = (masked.mask == 1) & (ind == 0)
+    check_one_bit_range(masked.values, coarse, scheme.delta1 / 2.0)
+    view = lift(masked, ind)
+    n1, n2 = view.n1, view.n2
+
+    rng = np.random.default_rng(scheme.dither_seed)
+    tau1 = scheme.delta1 * (
+        rng.uniform(-0.5, 0.5, (n1, n2)) + 1j * rng.uniform(-0.5, 0.5, (n1, n2))
+    )
+    tau2 = scheme.delta2 * (
+        rng.uniform(-0.5, 0.5, (n1, n2)) + 1j * rng.uniform(-0.5, 0.5, (n1, n2))
+    )
+    tau = np.where(view.omega2, tau2, tau1)
+    q = quantize_cells(view.matrix, view.omega, view.omega2, tau, scheme)
+    return HankelView(q, view.omega, view.omega2)
 
 
 def design_scales(masked: Snapshot, margin: float, levels: int) -> tuple[float, float]:

@@ -12,7 +12,7 @@ import tempfile
 from unittest import mock
 
 from hankeldoa import cli, pipeline, scenario
-from hankeldoa.linalg import blas_core
+from hankeldoa.linalg import blas_core, numpy_dispatch
 from hankeldoa.pipeline import run_scenario
 from hankeldoa.scenario import bundled_scenario_names, load_bundled
 
@@ -27,7 +27,7 @@ def environment() -> dict:
 
 
 def kernels() -> dict:
-    levels = [t for t in pipeline._numpy_dispatch() if t.startswith("X86_V")]
+    levels = [t for t in numpy_dispatch() if t.startswith("X86_V")]
     return {"blas_core": blas_core(), "dispatch": max(levels, default=None)}
 
 

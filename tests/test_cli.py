@@ -13,15 +13,16 @@ import pytest
 
 from hankeldoa import cli, pipeline
 from hankeldoa.cli import build_parser, main
-from hankeldoa.completion import (
-    SvtDivergenceError,
-    build_quantized_hankel,
-    rank_projected_snapshot,
-    svt_complete,
-)
+from hankeldoa.completion import SvtDivergenceError, rank_projected_snapshot, svt_complete
 from hankeldoa.geometry import masking_vector
 from hankeldoa.pipeline import read_snapshot_csv
-from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales, word_levels
+from hankeldoa.quant import (
+    DynamicRangeViolation,
+    QuantScheme,
+    build_quantized_hankel,
+    design_scales,
+    word_levels,
+)
 from hankeldoa.scenario import CHANGE_TOL, load_bundled, scenario_to_ini, with_overrides
 from hankeldoa.signal import synthesize_snapshot
 from hankeldoa.spectrum import angle_spectrum

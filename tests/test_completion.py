@@ -16,14 +16,18 @@ from hankeldoa.completion import (
     SvtDivergenceError,
     SvtZeroIterateError,
     _certified_zero_iterations,
-    build_quantized_hankel,
     rank_projected_snapshot,
     svt_complete,
     threshold,
 )
 from hankeldoa.hankel import HankelView, dehankelize, lift
 from hankeldoa.linalg import shrink
-from hankeldoa.quant import DynamicRangeViolation, QuantScheme, design_scales
+from hankeldoa.quant import (
+    DynamicRangeViolation,
+    QuantScheme,
+    build_quantized_hankel,
+    design_scales,
+)
 from hankeldoa.scenario import CHANGE_TOL, bundled_scenario_names, load_bundled
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 

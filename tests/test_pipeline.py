@@ -17,7 +17,7 @@ import hankeldoa
 import record_pins
 from hankeldoa import pipeline, scenario
 from hankeldoa.completion import SvtDivergenceError, SvtUnderflowError, SvtZeroIterateError
-from hankeldoa.linalg import blas_core, blas_threads
+from hankeldoa.linalg import blas_core, blas_threads, numpy_dispatch
 from hankeldoa.pipeline import (
     DITHER_GRID,
     EMBEDDING_EPSILONS,
@@ -249,7 +249,7 @@ def test_written_batch_layout(first4_scenario, tmp_path):
     }
     assert env["numpy"] == np.__version__
     assert env["cpus"] == len(os.sched_getaffinity(0))
-    assert env["numpy_dispatch"] == pipeline._numpy_dispatch()
+    assert env["numpy_dispatch"] == numpy_dispatch()
     assert env["solver_blas_threads"] == 1
     assert env == manifest.environment
     with open(out / "runs.csv", encoding="utf-8") as fh:
@@ -402,7 +402,7 @@ GOLDEN_DISPATCH = PINS["kernels"]["dispatch"]
 
 def _skip_unless_golden_kernels():
     core = blas_core()
-    dispatch = pipeline._numpy_dispatch()
+    dispatch = numpy_dispatch()
     if core != GOLDEN_BLAS_CORE or GOLDEN_DISPATCH not in dispatch:
         pytest.skip(
             f"batch pins were recorded on OpenBLAS's {GOLDEN_BLAS_CORE} kernels "
@@ -520,7 +520,7 @@ KERNEL_SETTINGS = {
 def _kernel_setting_skip(setting: str) -> str | None:
     """Why setting cannot be forced here, or None when it can."""
     if setting == "no_x86_v4":
-        if GOLDEN_DISPATCH not in pipeline._numpy_dispatch():
+        if GOLDEN_DISPATCH not in numpy_dispatch():
             return f"numpy does not dispatch to {GOLDEN_DISPATCH} here"
     elif blas_core() is None:
         return "no OpenBLAS kernel set to switch"
@@ -539,8 +539,8 @@ def kernel_set_runs(tmp_path_factory):
     if record_pins.environment() == GOLDEN_ENVIRONMENT:
         expected.update(dict.fromkeys(THEORY_PIN_TESTS, "passed"))
     probe = (
-        "from hankeldoa import pipeline; from hankeldoa.linalg import blas_core; "
-        "print(f'{blas_core()}; numpy dispatches to {pipeline._numpy_dispatch()};')"
+        "from hankeldoa.linalg import blas_core, numpy_dispatch; "
+        "print(f'{blas_core()}; numpy dispatches to {numpy_dispatch()};')"
     )
     procs = []
     runs = {}

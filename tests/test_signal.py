@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hankeldoa.geometry import ArrayGeometry
 from hankeldoa.signal import (
     Snapshot,
     SnapshotKind,
@@ -50,13 +51,29 @@ def test_steering_m_validation():
 def test_scene_validation():
     with pytest.raises(ValueError):
         TargetScene(())
-    with pytest.raises(ValueError):
-        TargetScene((95.0,))
+    for theta in (95.0, 90.0, -90.0):
+        with pytest.raises(ValueError, match="strictly inside"):
+            TargetScene((0.0, theta))
     with pytest.raises(ValueError):
         TargetScene((1.0, 2.0), amplitudes=(1 + 0j,))
     for snr_db in (-4000.0, 3100.0, -math.inf, math.nan):
         with pytest.raises(ValueError, match="snr_db"):
             TargetScene((0.0,), snr_db=snr_db)
+
+
+def test_scene_accepts_azimuths_just_inside_endfire(two_unit_geom):
+    inside = float(np.nextafter(90.0, 0.0))
+    full, _ = synthesize_snapshot(TargetScene((inside, -inside)), two_unit_geom, seed=0)
+    assert np.all(np.isfinite(full.values))
+
+
+def test_as_many_targets_as_antennas_synthesize():
+    geom = ArrayGeometry(4, (1, 2, 3, 4), 4)
+    angles = (-60.0, -20.0, 20.0, 60.0)
+    full, masked = synthesize_snapshot(TargetScene(angles), geom, seed=0)
+    assert full.m == masked.m == 4
+    with pytest.raises(ValueError, match="5 targets exceed the aperture length 4"):
+        synthesize_snapshot(TargetScene(angles + (0.0,)), geom, seed=0)
 
 
 @pytest.mark.parametrize("snr_db", [-3000.0, 3000.0, 300.0])

@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
+from hankeldoa.signal import (
+    Snapshot,
+    SnapshotKind,
+    TargetScene,
+    steering_vector,
+    synthesize_snapshot,
+)
 from hankeldoa.spectrum import (
     GUARD_BINS,
     MAX_N_FFT,
@@ -105,6 +111,18 @@ def test_validation_errors(two_unit_geom):
     )
     with pytest.raises(ValueError):
         angle_spectrum(zero, 8)
+
+
+def test_n_fft_as_long_as_the_aperture_is_accepted():
+    """A power-of-two aperture transforms at its own length, one bin per
+    antenna; a 9-antenna aperture needs a longer transform."""
+    check_n_fft(8, 8)
+    snap = Snapshot(steering_vector(30.0, 8), np.ones(8, dtype=np.int8), SnapshotKind.FULL)
+    spec = angle_spectrum(snap, 8)
+    assert spec.u_grid.size == 8
+    assert spec.u_grid[int(np.argmax(spec.magnitude_db))] == 0.5
+    with pytest.raises(ValueError, match="n_fft: 8 is shorter than the aperture 9"):
+        check_n_fft(8, 9)
 
 
 def test_overflowing_spectrum_is_rejected():

@@ -574,6 +574,29 @@ def test_bad_step_is_rejected_before_any_draw(no_draws, check, delta):
         check(delta)
 
 
+@pytest.mark.parametrize("m_prime", [0, 17])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda m_prime: verify_sampling_identity(np.eye(4), np.zeros((4, 4)), m_prime, 0.5,
+                                                 trials=2),
+        lambda m_prime: verify_embedding(LowRankSpec(4, 4, 1), m_prime, 0.5, 2, [0.1],
+                                         trials=1),
+    ],
+    ids=["sampling", "embedding"],
+)
+def test_m_prime_outside_the_cells_is_rejected_before_any_draw(no_draws, check, m_prime):
+    with pytest.raises(ValueError, match=r"^m_prime must lie in 1\.\.n1\*n2$"):
+        check(m_prime)
+
+
+def test_m_prime_of_every_cell_runs():
+    sampling = verify_sampling_identity(np.eye(4), np.zeros((4, 4)), 16, 0.5, trials=2)
+    assert (sampling.m_prime, sampling.expected) == (16, 4.0)
+    embedding = verify_embedding(LowRankSpec(4, 4, 1), 16, 0.5, 2, [0.1], trials=1)
+    assert embedding.empirical.shape == (1,)
+
+
 @pytest.mark.parametrize("levels", [0, -1])
 def test_embedding_rejects_too_few_levels_before_any_draw(no_draws, levels):
     with pytest.raises(ValueError, match="^levels: must be at least 1"):

@@ -98,12 +98,21 @@ class SvtConfig:
     tol: float = 1e-4
     max_iters: int = 500
     change_tol: float | None = None
+    subspace_rank: int | None = None
+    subspace_tol: float | None = None
 
     def __post_init__(self):
         for name in ("tau", "step", "tol", "change_tol"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.subspace_rank is not None and self.subspace_rank < 1:
+            raise ValueError("subspace_rank must be at least 1")
+        if self.subspace_tol is not None:
+            if not 0 < self.subspace_tol <= 1:
+                raise ValueError("subspace_tol must lie in (0, 1]")
+            if self.subspace_rank is None:
+                raise ValueError("subspace_tol needs a subspace_rank")
         if self.tol >= 1:
             # Iteration 1's iterate is zero, at relative residual exactly 1,
             # so a tol of 1 or more would stop every run there.
@@ -153,6 +162,7 @@ class CompletionResult:
     residuals: np.ndarray
     ranks: np.ndarray
     changes: np.ndarray
+    sin_thetas: np.ndarray
     stop_reason: str
     data_residual: float
     tau: float
@@ -187,6 +197,7 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
         raise ValueError("nothing observed")
 
     n1, n2 = values.shape
+    check_subspace_rank(cfg.subspace_rank, n1, n2)
     step = cfg.step if cfg.step is not None else min(
         1.2 * n1 * n2 / m_obs, MAX_DEFAULT_STEP
     )
@@ -197,7 +208,7 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
     if not b.any():
         return CompletionResult(
             zero, np.zeros(1), np.zeros(1, dtype=np.int64), np.full(1, math.nan),
-            "residual", 0.0, tau,
+            np.full(1, math.nan), "residual", 0.0, tau,
         )
 
     y = np.zeros(m_obs, dtype=np.complex128)
@@ -205,7 +216,9 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
     residuals: list[float] = []
     ranks: list[int] = []
     changes: list[float] = []
+    sin_thetas: list[float] = []
     x = zero
+    top = None
     stop_reason = "max_iters"
     high_streak = 0
 
@@ -226,23 +239,30 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
             zero_iters = _certified_zero_iterations(sigma_c, tau, n1 * n2)
             for k in range(cfg.max_iters):
                 scratch[observed] = y
-                x_prev = x
+                x_prev, top_prev = x, top
                 if k < zero_iters:
-                    x, rank = zero, 0
+                    x, rank, top = zero, 0, None
                 else:
-                    x, rank = linalg.shrink(scratch, tau)
+                    x, rank, vectors = linalg.shrink(scratch, tau)
+                    p = cfg.subspace_rank
+                    top = vectors[:, :p] if p is not None and rank >= p else None
                 r = b - x[observed]
                 r_norm = float(np.linalg.norm(r))
                 resid = r_norm / b_norm
                 change = _relative_change(x, x_prev)
+                sin_theta = _sin_theta(top, top_prev)
                 residuals.append(resid)
                 ranks.append(rank)
                 changes.append(change)
+                sin_thetas.append(sin_theta)
                 if resid <= cfg.tol:
                     stop_reason = "residual"
                     break
                 if cfg.change_tol is not None and change <= cfg.change_tol:
                     stop_reason = "change"
+                    break
+                if cfg.subspace_tol is not None and sin_theta <= cfg.subspace_tol:
+                    stop_reason = "subspace"
                     break
                 high_streak = (
                     high_streak + 1 if resid > DIVERGENCE_FACTOR * residuals[0] else 0
@@ -260,6 +280,7 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
         residuals=np.asarray(residuals),
         ranks=np.asarray(ranks, dtype=np.int64),
         changes=np.asarray(changes),
+        sin_thetas=np.asarray(sin_thetas),
         stop_reason=stop_reason,
         data_residual=r_norm,
         tau=tau,
@@ -273,6 +294,26 @@ def _relative_change(x: np.ndarray, x_prev: np.ndarray) -> float:
         return math.nan
     norm = float(np.linalg.norm(x))
     return float(np.linalg.norm(x - x_prev)) / norm if norm else math.inf
+
+
+def _sin_theta(v: np.ndarray | None, v_prev: np.ndarray | None) -> float:
+    """sin of the largest principal angle between the spans of two
+    orthonormal n2 x P bases, sqrt(1 - sigma_min(v^H v_prev)^2); nan when
+    either iterate had rank below P (None)."""
+    if v is None or v_prev is None:
+        return math.nan
+    cosines = np.linalg.svd(v.conj().T @ v_prev, compute_uv=False)
+    return math.sqrt(max(0.0, 1.0 - float(cosines[-1]) ** 2))
+
+
+def check_subspace_rank(rank: int | None, n1: int, n2: int) -> None:
+    """Reject a subspace rank above min(n1, n2), the largest rank an
+    n1 x n2 iterate has."""
+    if rank is not None and rank > min(n1, n2):
+        raise ValueError(
+            f"subspace_rank {rank} exceeds min(n1, n2) = {min(n1, n2)} of the "
+            f"{n1} x {n2} matrix"
+        )
 
 
 def threshold(cfg: SvtConfig, b: np.ndarray, n1: int, n2: int) -> float:

@@ -48,11 +48,13 @@ def svd(x: np.ndarray):
     return np.linalg.svd(np.asarray(x), full_matrices=False)
 
 
-def shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
+def shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, int, np.ndarray]:
     """Singular value soft-thresholding: subtract tau > 0 from every singular
     value, clip at zero, reconstruct.
 
-    Returns the matrix and its rank, the number of singular values kept.
+    Returns the matrix, its rank (the number of singular values kept) and
+    the right singular vectors it kept, an n2 x rank array ordered by
+    descending singular value; they are the result's right singular vectors.
 
     The singular values come from eigh of the Gram matrix
     A^H A = V diag(lambda) V^H: sigma_k = sqrt(lambda_k) is kept for
@@ -71,15 +73,16 @@ def shrink(x: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
     lam, v = np.linalg.eigh(x.conj().T @ x)
     floor = tau * tau
     if lam[-1] <= floor:
-        return np.zeros_like(x), 0
+        return np.zeros_like(x), 0, v[:, :0]
     if _U * lam[-1] <= GRAM_ROUNDING_LIMIT * floor:
         rank = int(np.count_nonzero(lam > floor))
         v = v[:, lam.size - rank:]
         scaled = v * (1.0 - tau / np.sqrt(lam[lam.size - rank:]))
-        return (x @ scaled) @ v.conj().T, rank
+        return (x @ scaled) @ v.conj().T, rank, v[:, ::-1]
     u, sigma, vh = svd(x)
     kept = np.maximum(sigma - tau, 0.0)
-    return (u * kept) @ vh, int(np.count_nonzero(kept))
+    rank = int(np.count_nonzero(kept))
+    return (u * kept) @ vh, rank, vh[:rank].conj().T
 
 
 class _OpenBlasThreads:

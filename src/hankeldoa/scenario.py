@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .completion import SvtConfig
+from .completion import SvtConfig, check_subspace_rank
 from .geometry import (
     ArrayGeometry,
     RadarUnit,
@@ -26,6 +26,7 @@ from .geometry import (
     masking_vector,
     synthesize_virtual_array,
 )
+from .hankel import hankel_shape
 from .quant import check_margin, word_levels
 from .signal import TargetScene
 from .spectrum import check_n_fft
@@ -40,6 +41,7 @@ NAMED_PLACEMENTS = ("edges", "last4", "first4")
 # loosest tolerance tried that loses no hit against 1e-2 and keeps every
 # two-target hit at a 5 dB margin (3e-2 loses a five-target hit).
 CHANGE_TOL = 2.5e-2
+SUBSPACE_TOL = None
 
 
 class ScenarioError(ValueError):
@@ -129,8 +131,13 @@ class Scenario:
         svt = checked(
             "[svt] ", SvtConfig, tau=self.tau, step=self.step, tol=self.tol,
             max_iters=self.max_iters, change_tol=CHANGE_TOL,
+            subspace_rank=self.model_order, subspace_tol=SUBSPACE_TOL,
         )
         object.__setattr__(self, "svt", svt)
+        checked(
+            "[scene] angles_deg: ", check_subspace_rank, self.model_order,
+            *hankel_shape(self.geometry.m),
+        )
         checked("[spectrum] ", check_n_fft, self.n_fft, self.geometry.m)
         if self.runs < 1:
             fail("[scenario] runs: must be at least 1")

@@ -1,38 +1,40 @@
-"""Record how the SVT threshold scale and the change rule's tolerance trade
-accuracy against iterations, in tests/tau_scale.json and
-tests/change_tol.json: PYTHONPATH=src python tests/record_svt_sweeps.py.
+"""Record how the SVT stop rule trades accuracy against iterations, in
+tests/subspace_tol.json: PYTHONPATH=src python tests/record_svt_sweeps.py.
 
-Each setting runs every bundled scenario over three disjoint 20-run blocks
-(seed offsets 0, 20 and 40 on both seeds), with one solver constant patched
-around the whole block, or the absolute threshold given as an explicit tau,
-and the rest as shipped.  Per scenario and setting the records give
-the hits (peaks complete, every angle within 1 degree), the hits per block,
-the smallest and the mean sidelobe margin of the hits, the mean iteration
-count, the mean l1_error, the stop reasons and a 95% Wilson interval for the
-hit rate beside the bar of acceptance criterion 6 (18/20, every hit's margin
-at least 5 dB) or 7 (16/20).  For the two-target scenes the interval of
-criterion 6's joint event, a hit with a margin of at least 5 dB, is given
-too.  Each constant is chosen from its record, not from the bundled seed.
+Each setting runs every bundled scenario over ten disjoint 20-run blocks
+(seed offsets 0, 20, ..., 180 on both seeds), with one scenario constant
+patched around the whole block and the rest as shipped.  Per scenario and
+setting the record gives each block's hits as one string, "1" for a hit
+(peaks complete, every angle within 1 degree) and "0" for a miss, in run
+order; the hit total; the smallest and the mean sidelobe margin of the hits;
+the mean iteration count; the mean l1_error; the stop reasons; and a 95%
+Wilson interval for the hit rate beside the bar of acceptance criterion 6
+(18/20, every hit's margin at least 5 dB) or 7 (16/20).  For the two-target
+scenes the interval of criterion 6's joint event, a hit with a margin of at
+least 5 dB, is given too.
 
-tests/tau_scale.json: the absolute threshold 5 sqrt(n1 n2) of Cai, Candes &
-Shen 2010 (tau = 375 on the bundled 75 x 75 geometry) and the data-relative
-one at each completion.TAU_SCALE in SCALES, at the shipped
-scenario.CHANGE_TOL.  "chosen" names the smallest scale that loses no hit
-against the absolute rule in any scenario, beside completion.TAU_SCALE.
+Every setting runs on the same seeds, so its runs pair with the baseline's.
+Per scenario the record gives the paired wins (a hit under the setting, a
+miss under the baseline) and losses (the reverse), and the exact one-sided
+McNemar p-value of the losses: the chance of at least that many losses among
+the discordant runs if either outcome were equally likely (McNemar 1947).
 
-tests/change_tol.json: scenario.CHANGE_TOL at each tolerance in TOLS, at the
-shipped completion.TAU_SCALE.  "chosen" is the loosest tolerance that meets
-both conditions:
-  1. in every scenario it has at least as many hits as 1e-2, the tolerance
-     the change rule shipped with;
+The baseline is the change rule as it shipped, scenario.CHANGE_TOL = 2.5e-2
+at completion.TAU_SCALE = 1.  Each other setting turns the change rule off and
+stops at the subspace rule, with scenario.SUBSPACE_TOL at each tolerance in
+SUBSPACE_TOLS.  "chosen" is the loosest tolerance that meets both
+conditions (SUBSPACE_RULE):
+  1. in no scenario does it have more paired losses than wins against the
+     baseline;
   2. every hit of a two-target scenario keeps criterion 6's 5 dB margin.
-The chosen tolerance and 1e-2 then run on three fresh blocks (offsets 60, 80
-and 100), reported under "fresh"; they do not re-choose.
 
-Not collected by pytest; it takes about a minute on two CPUs.
+tests/tau_scale.json chose completion.TAU_SCALE by hit totals over three
+blocks at the baseline's change rule (smallest_lossless_scale); it is kept as
+it was recorded, and its "blocks" name that change rule.
+
+Not collected by pytest; it takes a few minutes on two CPUs.
 """
 
-import contextlib
 import json
 import math
 import pathlib
@@ -40,26 +42,28 @@ import statistics
 from unittest import mock
 
 from hankeldoa import completion, scenario
-from hankeldoa.hankel import hankel_shape
 from hankeldoa.pipeline import run_scenario
-from hankeldoa.scenario import bundled_scenario_names, load_bundled, with_overrides
+from hankeldoa.scenario import bundled_scenario_names, load_bundled
 
 import record_pins
 
 TAU_PATH = pathlib.Path(__file__).with_name("tau_scale.json")
+SUBSPACE_PATH = pathlib.Path(__file__).with_name("subspace_tol.json")
 TOL_PATH = pathlib.Path(__file__).with_name("change_tol.json")
-SCALES = (0.5, 1.0, 1.5, 2.0)
 TOLS = (1e-2, 1.5e-2, 2e-2, 2.5e-2, 3e-2)
-OFFSETS = (0, 20, 40)
-FRESH_OFFSETS = (60, 80, 100)
+SCALES = (0.5, 1.0, 1.5, 2.0)
+SUBSPACE_TOLS = (0.05, 0.1, 0.2)
+OFFSETS = tuple(range(0, 200, 20))
 BLOCK_RUNS = 20
+BASELINE = "change_tol_0.025"
 # Acceptance criteria 6 and 7: the hit rate each bar asks of a 20-run batch.
 TWO_TARGET_BAR, MULTI_TARGET_BAR = 18 / 20, 16 / 20
 MARGIN_BAR_DB = 5.0
 Z95 = 1.959963984540054
-TOL_RULE = (
-    "the loosest tolerance that loses no hit against 1e-2 in any scenario and "
-    "leaves every two-target hit at a margin of at least 5 dB"
+SUBSPACE_RULE = (
+    "the loosest subspace tolerance that has no more paired losses than wins "
+    "against the change rule at 2.5e-2 in any scenario, and leaves every "
+    "two-target hit at a margin of at least 5 dB"
 )
 
 
@@ -80,24 +84,16 @@ def is_hit(summary) -> bool:
     )
 
 
-def patched(module, constant: str, value: float):
-    """The setting with module.<constant> at value."""
-    return lambda base: (mock.patch.object(module, constant, value), base)
-
-
-def absolute(base):
-    """The setting with the absolute threshold 5 sqrt(n1 n2) as an explicit
-    tau."""
-    n1, n2 = hankel_shape(base.geometry.m)
-    return contextlib.nullcontext(), with_overrides(base, tau=5.0 * math.sqrt(n1 * n2))
+def patched(**constants):
+    """The setting with each scenario.<constant> at its value."""
+    return lambda: mock.patch.multiple(scenario, **constants)
 
 
 def block_runs(name: str, setting, offset: int) -> list:
-    """The RunSummaries of one block under setting, which maps the bundled
-    scenario to the patch held around the block's build and run and the
-    scenario it runs."""
-    patch, base = setting(load_bundled(name))
-    with patch:
+    """The RunSummaries of one block, with the setting's patch held around
+    the block's build and run."""
+    with setting():
+        base = load_bundled(name)
         return run_scenario(
             base, runs=BLOCK_RUNS, seed_signal=base.seed_signal + offset,
             seed_dither=base.seed_dither + offset, write=False,
@@ -114,7 +110,7 @@ def rule_record(name: str, setting, offsets=OFFSETS) -> dict:
     out = {
         "runs": len(runs),
         "hits": len(hits),
-        "hits_per_block": [sum(map(is_hit, block)) for block in blocks],
+        "hit_strings": ["".join("01"[is_hit(r)] for r in block) for block in blocks],
         "min_margin_db": min(margins, default=None),
         "mean_margin_db": statistics.fmean(margins) if margins else None,
         "mean_iters": statistics.fmean(r.iters for r in runs),
@@ -158,12 +154,9 @@ def tol_label(tol: float) -> str:
     return f"tol_{tol:g}"
 
 
-def tol_settings(tols) -> dict:
-    return {tol_label(tol): patched(scenario, "CHANGE_TOL", tol) for tol in tols}
-
-
 def chosen_tol(rules: dict) -> float | None:
-    """The tolerance TOL_RULE picks from the grid's records."""
+    """The tolerance tests/change_tol.json chose: the loosest that loses no
+    hit against 1e-2 and keeps every two-target hit at the margin bar."""
     base = rules[tol_label(TOLS[0])]
     meets = [
         tol for tol in TOLS
@@ -174,34 +167,60 @@ def chosen_tol(rules: dict) -> float | None:
     return max(meets, default=None)
 
 
-def tau_record() -> dict:
-    settings = {"absolute": absolute}
+def paired(hit_strings: list[str], base_strings: list[str]) -> dict:
+    """The wins and losses of one setting's runs against the same runs of
+    the baseline, and the exact one-sided McNemar p-value of the losses."""
+    pairs = list(zip("".join(hit_strings), "".join(base_strings), strict=True))
+    wins = pairs.count(("1", "0"))
+    losses = pairs.count(("0", "1"))
+    n = wins + losses
+    p = sum(math.comb(n, k) for k in range(losses, n + 1)) / 2**n
+    return {"wins": wins, "losses": losses, "p_losses": p}
+
+
+def subspace_label(tol: float) -> str:
+    return f"subspace_{tol:g}"
+
+
+def chosen_subspace_tol(rules: dict) -> float | None:
+    """The tolerance SUBSPACE_RULE picks from the records' hit strings and
+    margins."""
+    base = rules[BASELINE]
+
+    def meets(records: dict) -> bool:
+        for name, r in records.items():
+            counts = paired(r["hit_strings"], base[name]["hit_strings"])
+            if counts["losses"] > counts["wins"]:
+                return False
+            if r.get("hits_at_margin_bar", r["hits"]) != r["hits"]:
+                return False
+        return True
+
+    return max((t for t in SUBSPACE_TOLS if meets(rules[subspace_label(t)])), default=None)
+
+
+def subspace_record() -> dict:
+    settings = {BASELINE: patched(CHANGE_TOL=2.5e-2)}
     settings.update(
-        (scale_label(s), patched(completion, "TAU_SCALE", s)) for s in SCALES
+        (subspace_label(t), patched(CHANGE_TOL=None, SUBSPACE_TOL=t))
+        for t in SUBSPACE_TOLS
     )
     rules = sweep(settings)
-    return {
-        "environment": record_pins.environment(),
-        "blocks": {"offsets": list(OFFSETS), "runs": BLOCK_RUNS,
-                   "change_tol": scenario.CHANGE_TOL},
-        "chosen": {"smallest_lossless_scale": smallest_lossless_scale(rules),
-                   "tau_scale": completion.TAU_SCALE},
-        "rules": rules,
-    }
-
-
-def tol_record() -> dict:
-    rules = sweep(tol_settings(TOLS))
-    chosen = chosen_tol(rules)
+    for label in settings:
+        if label != BASELINE:
+            for name, record in rules[label].items():
+                record["paired"] = paired(
+                    record["hit_strings"], rules[BASELINE][name]["hit_strings"]
+                )
     return {
         "environment": record_pins.environment(),
         "blocks": {"offsets": list(OFFSETS), "runs": BLOCK_RUNS,
                    "tau_scale": completion.TAU_SCALE},
-        "rule": TOL_RULE,
-        "chosen": {"change_tol": chosen, "scenario_change_tol": scenario.CHANGE_TOL},
+        "baseline": {"label": BASELINE, "change_tol": 2.5e-2},
+        "rule": SUBSPACE_RULE,
+        "chosen": {"subspace_tol": chosen_subspace_tol(rules),
+                   "scenario_subspace_tol": scenario.SUBSPACE_TOL},
         "rules": rules,
-        "fresh": {"offsets": list(FRESH_OFFSETS),
-                  "rules": sweep(tol_settings((TOLS[0], chosen)), FRESH_OFFSETS)},
     }
 
 
@@ -210,5 +229,4 @@ def write(path: pathlib.Path, record: dict) -> None:
 
 
 if __name__ == "__main__":
-    write(TOL_PATH, tol_record())
-    write(TAU_PATH, tau_record())
+    write(SUBSPACE_PATH, subspace_record())

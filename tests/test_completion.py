@@ -239,7 +239,7 @@ def plain_svt(values, observed, cfg):
         for _ in range(cfg.max_iters):
             scratch[observed] = y
             x_prev = x
-            x, rank = shrink(scratch, tau)
+            x, rank, _ = shrink(scratch, tau)
             r = b - x[observed]
             residuals.append(float(np.linalg.norm(r)) / b_norm)
             ranks.append(rank)

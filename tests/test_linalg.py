@@ -72,8 +72,8 @@ def test_shrink_is_nonexpansive():
     for _ in range(10):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        da, _ = shrink(a, 1.5)
-        db, _ = shrink(b, 1.5)
+        da, _, _ = shrink(a, 1.5)
+        db, _, _ = shrink(b, 1.5)
         assert np.linalg.norm(da - db) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -87,7 +87,7 @@ def test_shrink_solves_the_nuclear_norm_prox():
             z, compute_uv=False
         ).sum()
 
-    star, _ = shrink(x, tau)
+    star, _, _ = shrink(x, tau)
     best = objective(star)
     for _ in range(100):
         probe = star + 0.1 * (
@@ -139,7 +139,7 @@ def test_gram_path_matches_the_svd_rule(svd_calls, rank):
     sigma = np.linalg.svd(x, compute_uv=False)
     # Thresholds at half of sigma_1, and between the 4th and 5th values.
     for tau in (sigma[0] / 2, 0.5 * (sigma[3] + sigma[4])):
-        got, got_rank = shrink(x, tau)
+        got, got_rank, _ = shrink(x, tau)
         want, want_rank = svd_shrink(x, tau)
         assert got_rank == want_rank
         assert np.max(np.abs(got - want)) <= GRAM_MATCH_RTOL * sigma[0]
@@ -150,10 +150,10 @@ def test_threshold_above_sigma_1_is_an_exact_zero(svd_calls):
     x = complex_normal(np.random.default_rng(7), 75, 75)
     sigma_1 = np.linalg.svd(x, compute_uv=False)[0]
     for tau in (1.01 * sigma_1, 10 * sigma_1):
-        got, rank = shrink(x, tau)
+        got, rank, _ = shrink(x, tau)
         assert rank == 0
         assert got.shape == x.shape and not got.any()
-    got, rank = shrink(np.diag([3.0, 2.0, 1.0]).astype(complex), 3.0)
+    got, rank, _ = shrink(np.diag([3.0, 2.0, 1.0]).astype(complex), 3.0)
     assert rank == 0 and not got.any()
     assert svd_calls == []
 
@@ -169,11 +169,45 @@ def test_gram_fallback_limit(svd_calls, factor, svd_count):
     u, _ = np.linalg.qr(complex_normal(rng, 75, 75))
     v, _ = np.linalg.qr(complex_normal(rng, 75, 75))
     x = (u * sigma) @ v.conj().T
-    got, rank = shrink(x, tau)
+    got, rank, _ = shrink(x, tau)
     want, want_rank = svd_shrink(x, tau)
     assert len(svd_calls) == svd_count
     assert rank == want_rank == 4
     assert np.max(np.abs(got - want)) <= GRAM_ROUNDING_LIMIT * sigma_1
+
+
+def sin_theta(a, b):
+    """sin of the largest principal angle between two orthonormal bases, as
+    the norm of b's part outside a's span, which keeps small angles exact
+    (sqrt(1 - cos^2) cannot go below about 1e-8)."""
+    return np.linalg.norm(b - a @ (a.conj().T @ b), 2)
+
+
+def test_both_paths_return_the_same_kept_vectors(monkeypatch, svd_calls):
+    """The right vectors shrink keeps, forced onto the SVD path and left on
+    the Gram path, span the same top-P subspaces, each P, and are the
+    result's own right singular vectors in descending order."""
+    rng = np.random.default_rng(11)
+    x = complex_normal(rng, 75, 5) @ complex_normal(rng, 5, 75) + 0.1 * complex_normal(
+        rng, 75, 75
+    )
+    sigma = np.linalg.svd(x, compute_uv=False)
+    tau = sigma[8]
+    gram, gram_rank, gram_v = shrink(x, tau)
+    assert svd_calls == []
+    monkeypatch.setattr(linalg, "GRAM_ROUNDING_LIMIT", 0.0)
+    full, full_rank, full_v = shrink(x, tau)
+    assert len(svd_calls) == 1
+    assert gram_rank == full_rank == 8
+    assert gram_v.shape == full_v.shape == (75, 8)
+    for p in range(1, 9):
+        assert sin_theta(gram_v[:, :p], full_v[:, :p]) <= 1e-10
+    for result, v in ((gram, gram_v), (full, full_v)):
+        assert np.allclose(v.conj().T @ v, np.eye(8), atol=1e-12)
+        _, _, vh = np.linalg.svd(result)
+        assert np.allclose(np.abs(np.einsum("ij,ji->i", vh[:8], v)), 1.0, atol=1e-10)
+    _, zero_rank, zero_v = shrink(x, 2 * sigma[0])
+    assert (zero_rank, zero_v.shape) == (0, (75, 0))
 
 
 def test_blas_pin_is_available():

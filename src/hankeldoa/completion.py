@@ -8,10 +8,18 @@ Iteration, from y0 = 0 over the observed cells:
     y_k = y_{k-1} + step * (b - gather(X_k))
 
 stopping when ||gather(X_k) - b|| / ||b|| <= tol ("residual"), else, when
-change_tol is set, when the relative change ||X_k - X_{k-1}||_F / ||X_k||_F
-is at most change_tol with X_{k-1} nonzero ("change"), else at max_iters
-("max_iters").  The result keeps each iteration's relative change, nan
-while X_{k-1} is zero.
+subspace_tol is set, when sin theta_k <= subspace_tol with that relative
+residual below 1 ("subspace"), else at max_iters ("max_iters").  A runaway
+iterate can hold its leading subspace still while its residual grows (a step
+of 400 does so from iteration 3), so the rule waits for an iterate that fits
+the observed cells better than zero and leaves the rest to the divergence
+check.  sin theta_k = sqrt(1 - sigma_min(V_k^H V_{k-1})^2) is the sine of
+the largest principal angle between the top-P right singular subspaces of
+X_k and X_{k-1}, P = subspace_rank and V_k the first P of the right vectors
+linalg.shrink keeps; it costs one P x P SVD per iteration.  It is nan until
+two successive iterates have rank at least P (always, when subspace_rank is
+None), and the result keeps it for every iteration.  Its rounding floor,
+about 1e-8, lies far below any tolerance in use.
 
 SVT on data scaled by c with threshold tau is SVT on the original data with
 threshold tau / c, so an absolute tau makes the result depend on the data's
@@ -24,12 +32,15 @@ bundled 75x75 geometry and tau = 40 on an 8x8 matrix.
 
 On coarsely quantized data the residual rule asks for a fit far below the
 data's own distance from the truth, so most late iterations fit quantization
-noise; the change rule stops once the iterate settles.  SvtConfig() leaves it
-off because on exact data it stops before the residual rule's accuracy: the
-8x8 rank-1 oracle stops after 20 iterations at a relative error of 9.0e-2
-with change_tol = 2.5e-2, where the residual rule takes 190 iterations to
-2.9e-4.  Scenarios, which complete quantized data, turn it on
-(scenario.CHANGE_TOL, in every Scenario's svt).
+noise: on the bundled scenarios the iterate's rank climbs past 30 while the
+rank projection keeps P = 2-5.  The subspace rule stops once the rank-P
+structure that the projection and the spectra read has settled.  SvtConfig()
+leaves it off because on exact data it stops before the residual rule's
+accuracy: with subspace_rank = 1 and subspace_tol = 0.1 the 8x8 rank-1
+oracle stops after 5 iterations at a relative error of 3.0e-1, where the
+residual rule takes 190 iterations to 2.9e-4.  Scenarios, which complete
+quantized data, turn it on (P = model_order and scenario.SUBSPACE_TOL, in
+every Scenario's svt).
 
 The first iterates are all zero and need no shrink.  While X is zero, y_k is
 the k-fold repeated sum of s = fl(step * b): each entry is within about
@@ -89,20 +100,22 @@ TAU_SCALE = 1.0
 class SvtConfig:
     """Solver knobs; tau stays None to threshold relative to the data
     (threshold), step stays None to take the size-derived default
-    min(1.2*n1*n2/|omega|, MAX_DEFAULT_STEP), change_tol stays None to leave
-    the change rule off, and tol lies in (0, 1).  A tau that is set is
-    absolute, the same number whatever the data's unit."""
+    min(1.2*n1*n2/|omega|, MAX_DEFAULT_STEP), and tol lies in (0, 1).  A tau
+    that is set is absolute, the same number whatever the data's unit.
+    subspace_rank P, at least 1 and at most min(n1, n2) of the completed
+    matrix (checked by svt_complete), sets the subspace the sin theta trace
+    follows; subspace_tol, in (0, 1] and only with a P, turns the subspace
+    rule on, and stays None to leave it off."""
 
     tau: float | None = None
     step: float | None = None
     tol: float = 1e-4
     max_iters: int = 500
-    change_tol: float | None = None
     subspace_rank: int | None = None
     subspace_tol: float | None = None
 
     def __post_init__(self):
-        for name in ("tau", "step", "tol", "change_tol"):
+        for name in ("tau", "step", "tol"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -161,7 +174,6 @@ class CompletionResult:
     matrix: np.ndarray
     residuals: np.ndarray
     ranks: np.ndarray
-    changes: np.ndarray
     sin_thetas: np.ndarray
     stop_reason: str
     data_residual: float
@@ -181,15 +193,16 @@ class CompletionResult:
 def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
     """Complete a Hankel observation from its observed cells.
 
-    The result holds the completed matrix, the residual, rank and relative
-    change traces, the stop reason ("residual", "change" or "max_iters"), the
+    The result holds the completed matrix, the residual, rank and sin theta
+    traces, the stop reason ("residual", "subspace" or "max_iters"), the
     data residual ||b - x_omega|| of the stopping iterate and the threshold
     it used (threshold).  The solver sees only the observed values; how they
     were produced, and which are multi-bit, does not enter.  Raises
-    SvtDivergenceError when the data's norm, the residual
-    or the iterate runs away or overflows, SvtUnderflowError when the norm of
-    nonzero data underflows to 0, and SvtZeroIterateError when nonzero data
-    leaves the iterate at zero.
+    ValueError when nothing is observed or subspace_rank exceeds min(n1, n2),
+    SvtDivergenceError when the data's norm, the residual or the iterate runs
+    away or overflows, SvtUnderflowError when the norm of nonzero data
+    underflows to 0, and SvtZeroIterateError when nonzero data leaves the
+    iterate at zero.
     """
     values, observed = view.matrix, view.omega
     m_obs = int(observed.sum())
@@ -208,16 +221,15 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
     if not b.any():
         return CompletionResult(
             zero, np.zeros(1), np.zeros(1, dtype=np.int64), np.full(1, math.nan),
-            np.full(1, math.nan), "residual", 0.0, tau,
+            "residual", 0.0, tau,
         )
 
     y = np.zeros(m_obs, dtype=np.complex128)
     scratch = np.zeros_like(values)
     residuals: list[float] = []
     ranks: list[int] = []
-    changes: list[float] = []
     sin_thetas: list[float] = []
-    x = zero
+    p = cfg.subspace_rank
     top = None
     stop_reason = "max_iters"
     high_streak = 0
@@ -239,29 +251,27 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
             zero_iters = _certified_zero_iterations(sigma_c, tau, n1 * n2)
             for k in range(cfg.max_iters):
                 scratch[observed] = y
-                x_prev, top_prev = x, top
+                top_prev = top
                 if k < zero_iters:
                     x, rank, top = zero, 0, None
                 else:
-                    x, rank, vectors = linalg.shrink(scratch, tau)
-                    p = cfg.subspace_rank
-                    top = vectors[:, :p] if p is not None and rank >= p else None
+                    x, rank, kept = linalg.shrink(scratch, tau)
+                    top = kept[:, :p] if p is not None and rank >= p else None
                 r = b - x[observed]
                 r_norm = float(np.linalg.norm(r))
                 resid = r_norm / b_norm
-                change = _relative_change(x, x_prev)
                 sin_theta = _sin_theta(top, top_prev)
                 residuals.append(resid)
                 ranks.append(rank)
-                changes.append(change)
                 sin_thetas.append(sin_theta)
                 if resid <= cfg.tol:
                     stop_reason = "residual"
                     break
-                if cfg.change_tol is not None and change <= cfg.change_tol:
-                    stop_reason = "change"
-                    break
-                if cfg.subspace_tol is not None and sin_theta <= cfg.subspace_tol:
+                if (
+                    cfg.subspace_tol is not None
+                    and sin_theta <= cfg.subspace_tol
+                    and resid < 1.0
+                ):
                     stop_reason = "subspace"
                     break
                 high_streak = (
@@ -279,21 +289,11 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
         matrix=x,
         residuals=np.asarray(residuals),
         ranks=np.asarray(ranks, dtype=np.int64),
-        changes=np.asarray(changes),
         sin_thetas=np.asarray(sin_thetas),
         stop_reason=stop_reason,
         data_residual=r_norm,
         tau=tau,
     )
-
-
-def _relative_change(x: np.ndarray, x_prev: np.ndarray) -> float:
-    """||x - x_prev||_F / ||x||_F: nan while x_prev is zero, inf when x alone
-    is zero (no change rule fires on either)."""
-    if not x_prev.any():
-        return math.nan
-    norm = float(np.linalg.norm(x))
-    return float(np.linalg.norm(x - x_prev)) / norm if norm else math.inf
 
 
 def _sin_theta(v: np.ndarray | None, v_prev: np.ndarray | None) -> float:

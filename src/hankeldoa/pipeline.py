@@ -207,15 +207,18 @@ def write_spectra_csv(path: str, spectra: list[AngleSpectrum]) -> None:
 
 
 def write_trace_csv(
-    path: str, residuals: np.ndarray, ranks: np.ndarray, changes: np.ndarray
+    path: str, residuals: np.ndarray, ranks: np.ndarray, sin_thetas: np.ndarray
 ) -> None:
-    """Completion iteration trace: (k, residual, rank, change), 1-based
-    iterations; change is the relative change of the iterate, nan while the
-    one before it is zero."""
+    """Completion iteration trace: (k, residual, rank, sin_theta), 1-based
+    iterations; sin_theta is the subspace rule's statistic, nan until two
+    successive iterates reach rank P (completion.svt_complete)."""
     rows = zip(
-        range(1, len(residuals) + 1), residuals.tolist(), ranks.tolist(), changes.tolist()
+        range(1, len(residuals) + 1), residuals.tolist(), ranks.tolist(),
+        sin_thetas.tolist(),
     )
-    _write_csv(path, {"k": _INT, "residual": _FLOAT, "rank": _INT, "change": _FLOAT}, rows)
+    _write_csv(
+        path, {"k": _INT, "residual": _FLOAT, "rank": _INT, "sin_theta": _FLOAT}, rows
+    )
 
 
 @dataclass
@@ -521,7 +524,7 @@ def execute_run(scn: Scenario, run: int):
         "spectra": [spec_sla, spec_comp],
         "residuals": result.residuals,
         "ranks": result.ranks,
-        "changes": result.changes,
+        "sin_thetas": result.sin_thetas,
     }
     return summary, artifacts, t
 
@@ -580,7 +583,7 @@ def run_scenario(
                 os.path.join(scn.out_dir, trace_name),
                 artifacts["residuals"],
                 artifacts["ranks"],
-                artifacts["changes"],
+                artifacts["sin_thetas"],
             )
             outputs.extend([spectra_name, trace_name])
             for order, (theta, level) in enumerate(summary.peaks, start=1):

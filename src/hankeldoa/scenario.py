@@ -33,15 +33,16 @@ from .spectrum import check_n_fft
 
 NAMED_PLACEMENTS = ("edges", "last4", "first4")
 
-# The solver's change rule for every scenario (completion.svt_complete).  A
-# scenario completes quantized data, whose distance from the truth sits far
-# above the residual rule's tol, so the iterations after the iterate settles
-# fit quantization noise; the rank projection discards what they add.
-# Chosen from tests/change_tol.json (tests/record_svt_sweeps.py): the
-# loosest tolerance tried that loses no hit against 1e-2 and keeps every
-# two-target hit at a 5 dB margin (3e-2 loses a five-target hit).
-CHANGE_TOL = 2.5e-2
-SUBSPACE_TOL = None
+# The solver's subspace rule for every scenario (completion.svt_complete),
+# on the top model_order right singular subspace of the iterate.  A scenario
+# completes quantized data, whose distance from the truth sits far above the
+# residual rule's tol, so once the rank-P structure that the rank projection
+# keeps has settled, later iterations fit quantization noise it discards.
+# Chosen from tests/subspace_tol.json (tests/record_svt_sweeps.py): the
+# loosest tolerance tried that has no more paired losses than wins against
+# the change rule it replaced, in any scenario, and keeps every two-target
+# hit at a 5 dB margin (0.2 loses two four-target hits and wins one).
+SUBSPACE_TOL = 0.1
 
 
 class ScenarioError(ValueError):
@@ -69,8 +70,9 @@ class Scenario:
     not fields, so equality, repr and the INI text ignore them: scene (the
     TargetScene), geometry (the ArrayGeometry, by geometry_of), multi_bit
     (the read-only indicator, by placement_to_delta) and svt (the SvtConfig,
-    with the change rule at CHANGE_TOL as it stood when the scenario was
-    built).
+    with the subspace rule on the top model_order right singular subspace at
+    SUBSPACE_TOL as it stood when the scenario was built).  model_order may
+    not exceed min(n1, n2) of the scenario's Hankel matrix.
     """
 
     name: str
@@ -130,8 +132,8 @@ class Scenario:
         object.__setattr__(self, "multi_bit", multi_bit)
         svt = checked(
             "[svt] ", SvtConfig, tau=self.tau, step=self.step, tol=self.tol,
-            max_iters=self.max_iters, change_tol=CHANGE_TOL,
-            subspace_rank=self.model_order, subspace_tol=SUBSPACE_TOL,
+            max_iters=self.max_iters, subspace_rank=self.model_order,
+            subspace_tol=SUBSPACE_TOL,
         )
         object.__setattr__(self, "svt", svt)
         checked(

@@ -43,9 +43,11 @@ def manifest_hashes(label: str, manifests: dict) -> dict:
     return {f"{label}/{name}": m.manifest_hash for name, m in manifests.items()}
 
 
-def change_rule_off_hashes() -> dict:
-    with mock.patch.object(scenario, "CHANGE_TOL", None):
-        return manifest_hashes("change_rule_off", bundled_manifests())
+def stop_rule_off_hashes() -> dict:
+    """The bundled manifests with the subspace rule off, which stop by the
+    residual rule or at max_iters."""
+    with mock.patch.object(scenario, "SUBSPACE_TOL", None):
+        return manifest_hashes("stop_rule_off", bundled_manifests())
 
 
 RUN_FIELDS = ("tau", "iters", "stop_reason", "sidelobe_margin_db", "final_residual",
@@ -123,7 +125,7 @@ def record() -> dict:
     return {
         "environment": environment(),
         "kernels": kernels(),
-        "hashes": {**change_rule_off_hashes(), **manifest_hashes("shipped", manifests)},
+        "hashes": {**stop_rule_off_hashes(), **manifest_hashes("shipped", manifests)},
         "runs": runs(manifests),
         "files": files,
     }

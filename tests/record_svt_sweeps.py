@@ -19,11 +19,14 @@ miss under the baseline) and losses (the reverse), and the exact one-sided
 McNemar p-value of the losses: the chance of at least that many losses among
 the discordant runs if either outcome were equally likely (McNemar 1947).
 
-The baseline is the change rule as it shipped, scenario.CHANGE_TOL = 2.5e-2
-at completion.TAU_SCALE = 1.  Each other setting turns the change rule off and
-stops at the subspace rule, with scenario.SUBSPACE_TOL at each tolerance in
-SUBSPACE_TOLS.  "chosen" is the loosest tolerance that meets both
-conditions (SUBSPACE_RULE):
+The baseline (BASELINE) is the change rule the subspace rule replaced: a
+stop once ||X_k - X_{k-1}||_F / ||X_k||_F <= 2.5e-2 with X_{k-1} nonzero, at
+completion.TAU_SCALE = 1.  Its records were taken while that rule existed;
+the program no longer has it, so the script keeps them from the stored
+record instead of running them again.  Each other setting stops at the
+subspace rule, with scenario.SUBSPACE_TOL at each tolerance in
+SUBSPACE_TOLS.  "chosen" is the loosest tolerance that meets both conditions
+(SUBSPACE_RULE), fixed before the sweep ran:
   1. in no scenario does it have more paired losses than wins against the
      baseline;
   2. every hit of a two-target scenario keeps criterion 6's 5 dB margin.
@@ -49,8 +52,6 @@ import record_pins
 
 TAU_PATH = pathlib.Path(__file__).with_name("tau_scale.json")
 SUBSPACE_PATH = pathlib.Path(__file__).with_name("subspace_tol.json")
-TOL_PATH = pathlib.Path(__file__).with_name("change_tol.json")
-TOLS = (1e-2, 1.5e-2, 2e-2, 2.5e-2, 3e-2)
 SCALES = (0.5, 1.0, 1.5, 2.0)
 SUBSPACE_TOLS = (0.05, 0.1, 0.2)
 OFFSETS = tuple(range(0, 200, 20))
@@ -84,9 +85,9 @@ def is_hit(summary) -> bool:
     )
 
 
-def patched(**constants):
-    """The setting with each scenario.<constant> at its value."""
-    return lambda: mock.patch.multiple(scenario, **constants)
+def patched(tol: float):
+    """The setting with scenario.SUBSPACE_TOL at tol."""
+    return lambda: mock.patch.object(scenario, "SUBSPACE_TOL", tol)
 
 
 def block_runs(name: str, setting, offset: int) -> list:
@@ -150,23 +151,6 @@ def smallest_lossless_scale(rules: dict) -> float | None:
     return min(lossless, default=None)
 
 
-def tol_label(tol: float) -> str:
-    return f"tol_{tol:g}"
-
-
-def chosen_tol(rules: dict) -> float | None:
-    """The tolerance tests/change_tol.json chose: the loosest that loses no
-    hit against 1e-2 and keeps every two-target hit at the margin bar."""
-    base = rules[tol_label(TOLS[0])]
-    meets = [
-        tol for tol in TOLS
-        if keeps_hits(rules[tol_label(tol)], base)
-        and all(r.get("hits_at_margin_bar", r["hits"]) == r["hits"]
-                for r in rules[tol_label(tol)].values())
-    ]
-    return max(meets, default=None)
-
-
 def paired(hit_strings: list[str], base_strings: list[str]) -> dict:
     """The wins and losses of one setting's runs against the same runs of
     the baseline, and the exact one-sided McNemar p-value of the losses."""
@@ -200,23 +184,18 @@ def chosen_subspace_tol(rules: dict) -> float | None:
 
 
 def subspace_record() -> dict:
-    settings = {BASELINE: patched(CHANGE_TOL=2.5e-2)}
-    settings.update(
-        (subspace_label(t), patched(CHANGE_TOL=None, SUBSPACE_TOL=t))
-        for t in SUBSPACE_TOLS
-    )
-    rules = sweep(settings)
-    for label in settings:
-        if label != BASELINE:
-            for name, record in rules[label].items():
-                record["paired"] = paired(
-                    record["hit_strings"], rules[BASELINE][name]["hit_strings"]
-                )
+    stored = json.loads(SUBSPACE_PATH.read_text(encoding="utf-8"))
+    base = stored["rules"][BASELINE]
+    rules = sweep({subspace_label(t): patched(t) for t in SUBSPACE_TOLS})
+    for records in rules.values():
+        for name, record in records.items():
+            record["paired"] = paired(record["hit_strings"], base[name]["hit_strings"])
+    rules[BASELINE] = base
     return {
         "environment": record_pins.environment(),
         "blocks": {"offsets": list(OFFSETS), "runs": BLOCK_RUNS,
                    "tau_scale": completion.TAU_SCALE},
-        "baseline": {"label": BASELINE, "change_tol": 2.5e-2},
+        "baseline": stored["baseline"],
         "rule": SUBSPACE_RULE,
         "chosen": {"subspace_tol": chosen_subspace_tol(rules),
                    "scenario_subspace_tol": scenario.SUBSPACE_TOL},

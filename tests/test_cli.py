@@ -23,7 +23,7 @@ from hankeldoa.quant import (
     design_scales,
     word_levels,
 )
-from hankeldoa.scenario import CHANGE_TOL, load_bundled, scenario_to_ini, with_overrides
+from hankeldoa.scenario import SUBSPACE_TOL, load_bundled, scenario_to_ini, with_overrides
 from hankeldoa.signal import synthesize_snapshot
 from hankeldoa.spectrum import angle_spectrum
 
@@ -118,7 +118,7 @@ def test_run_single(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "mixed rate 0.0118" in printed
-    assert "(change)" in printed
+    assert "(subspace)" in printed
     assert "manifest hash" in printed
     assert (out_dir / "manifest.json").is_file()
     assert (out_dir / "runs.csv").is_file()
@@ -151,17 +151,18 @@ def test_stage_chain_matches_direct_path(tmp_path, capsys):
             str(tmp_path),
         ]
     ) == 0
-    assert "iterations, stopped by change" in capsys.readouterr().out
+    assert "5 iterations, stopped by subspace" in capsys.readouterr().out
     completed = read_snapshot_csv(str(tmp_path / "completed.csv"))
     assert completed.m == 149
     assert int(completed.mask.sum()) == 149
     trace_lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
-    assert trace_lines[0] == "k,residual,rank,change"
-    assert len(trace_lines) > 10
-    # The change rule stopped the run: the last relative change is the first
-    # at or below the tolerance.
-    *_, before, last = (float(line.split(",")[3]) for line in trace_lines[1:])
-    assert last <= CHANGE_TOL < before
+    assert trace_lines[0] == "k,residual,rank,sin_theta"
+    assert len(trace_lines) == 1 + 5
+    # The subspace rule stopped the run: the last sin theta is the first at
+    # or below the tolerance.
+    *before, last = (float(line.split(",")[3]) for line in trace_lines[1:])
+    assert last <= SUBSPACE_TOL
+    assert not any(value <= SUBSPACE_TOL for value in before)
 
     assert main(
         [
@@ -333,7 +334,7 @@ def test_stage_seed_overrides_add_the_run_index(tmp_path):
         rank_projected_snapshot(result.matrix, scn.model_order),
     )
     pipeline.write_trace_csv(
-        str(ref / "trace.csv"), result.residuals, result.ranks, result.changes
+        str(ref / "trace.csv"), result.residuals, result.ranks, result.sin_thetas
     )
 
     seeds = ["--run", "2", "--seed-signal", "5"]
@@ -623,8 +624,8 @@ def test_fewer_peaks_than_targets_leave_the_error_undefined(tmp_path, capsys):
     assert printed.count("err n/a deg") == 2
     # Run 0 finds one of the two peaks, run 1 none; neither has a margin.
     assert printed.splitlines()[1:3] == [
-        "run  0:  -30.00deg@   0.0dB  err n/a deg, sidelobe margin   n/a dB, iters 4 (change)",
-        "run  1: no peaks  err n/a deg, sidelobe margin   n/a dB, iters 5 (change)",
+        "run  0:  -30.00deg@   0.0dB  err n/a deg, sidelobe margin   n/a dB, iters 3 (subspace)",
+        "run  1: no peaks  err n/a deg, sidelobe margin   n/a dB, iters 3 (subspace)",
     ]
     with open(out / "runs.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -714,7 +715,7 @@ def test_snr_at_the_range_ends_synthesizes(tmp_path, snr_db):
 def test_lowest_snr_completes_with_finite_residuals(tmp_path, capfd):
     """At snr_db = -3000 the observations sit near 1e150 and their squared
     norms near 1e300.  With the bundled solver settings the run still stops
-    on the change rule with a finite trace, and nothing overflows."""
+    on the subspace rule with a finite trace, and nothing overflows."""
     scn = with_overrides(load_bundled("two_targets_first4"), snr_db=-3000.0, runs=1)
     path = tmp_path / "low_snr.ini"
     path.write_text(scenario_to_ini(scn, include_output=False), encoding="utf-8")
@@ -726,14 +727,16 @@ def test_lowest_snr_completes_with_finite_residuals(tmp_path, capfd):
     assert "DLASCL" not in capfd.readouterr().err
     with open(out / "runs.csv", encoding="utf-8") as f:
         (run,) = csv.DictReader(f)
-    assert run["stop_reason"] == "change"
+    assert run["stop_reason"] == "subspace"
     assert math.isfinite(float(run["final_residual"]))
     trace = np.loadtxt(out / "trace_run00.csv", delimiter=",", skiprows=1, ndmin=2)
     assert len(trace) == int(run["iters"]) and np.all(np.isfinite(trace[:, :3]))
-    # The relative change is nan exactly while the iterate before is zero.
-    prev_zero = np.concatenate([[True], trace[:-1, 2] == 0])
-    assert np.array_equal(np.isnan(trace[:, 3]), prev_zero)
-    assert np.all(np.isfinite(trace[~prev_zero, 3]))
+    # sin theta is nan exactly while this iterate or the one before has rank
+    # below P = 2.
+    low = trace[:, 2] < 2
+    undefined = low | np.concatenate([[True], low[:-1]])
+    assert np.array_equal(np.isnan(trace[:, 3]), undefined)
+    assert np.all(np.isfinite(trace[~undefined, 3]))
 
 
 @pytest.mark.parametrize("snr_db", ["-100", "-300", "-1000", "-3000"])

@@ -28,7 +28,7 @@ from hankeldoa.quant import (
     build_quantized_hankel,
     design_scales,
 )
-from hankeldoa.scenario import CHANGE_TOL, bundled_scenario_names, load_bundled
+from hankeldoa.scenario import SUBSPACE_TOL, bundled_scenario_names, load_bundled
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
 from conftest import constant_masked
@@ -59,11 +59,27 @@ def test_config_defaults_and_validation():
         SvtConfig(max_iters=0)
     with pytest.raises(ValueError):
         SvtConfig(step=-1.0)
-    assert cfg.change_tol is None
-    assert SvtConfig(change_tol=1e-2).change_tol == 1e-2
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="change_tol must be positive and finite"):
-            SvtConfig(change_tol=bad)
+    assert cfg.subspace_rank is None and cfg.subspace_tol is None
+
+
+def test_subspace_rule_bounds():
+    """subspace_tol lies in (0, 1] and needs a rank; subspace_rank lies in
+    1..min(n1, n2), its upper bound checked against the matrix it completes."""
+    for tol in (np.nextafter(0.0, 1.0), 1.0):
+        assert SvtConfig(subspace_rank=1, subspace_tol=tol).subspace_tol == tol
+    for bad in (0.0, -0.1, np.nextafter(1.0, 2.0), np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"subspace_tol must lie in \(0, 1\]"):
+            SvtConfig(subspace_rank=1, subspace_tol=bad)
+    with pytest.raises(ValueError, match="subspace_tol needs a subspace_rank"):
+        SvtConfig(subspace_tol=0.1)
+    with pytest.raises(ValueError, match="subspace_rank must be at least 1"):
+        SvtConfig(subspace_rank=0)
+    _, values, mask = rank_one_problem(seed=3)
+    for rank in (1, 8):
+        cfg = SvtConfig(tau=40.0, max_iters=6, subspace_rank=rank, subspace_tol=1.0)
+        assert complete(values, mask, cfg).iters <= 6
+    with pytest.raises(ValueError, match=r"subspace_rank 9 exceeds min\(n1, n2\) = 8"):
+        complete(values, mask, SvtConfig(subspace_rank=9))
 
 
 def test_threshold_rules():
@@ -117,17 +133,41 @@ def test_residuals_are_positive_and_final_below_tol():
     assert len(result.ranks) == len(result.residuals)
 
 
-def test_change_rule_waits_for_a_nonzero_iterate_and_yields_to_the_residual():
+def test_subspace_rule_waits_for_two_iterates_of_rank_p_and_yields_to_the_residual():
     truth, values, mask = rank_one_problem(seed=3)
     four = complete(values, mask, SvtConfig(tau=40.0, max_iters=4))
     assert list(four.ranks) == [0, 0, 1, 1]
-    # change_tol = 1e10 holds at every step from a nonzero iterate, so the
-    # first stop is iteration 4, the first whose predecessor is nonzero.
-    result = complete(values, mask, SvtConfig(tau=40.0, change_tol=1e10))
-    assert (len(result.residuals), result.stop_reason) == (4, "change")
-    tie = SvtConfig(tau=40.0, tol=four.residuals[3], change_tol=1e10)
+    assert np.isnan(four.sin_thetas).all()
+    # sin theta <= 1 always holds, so the first stop is iteration 4, the
+    # first whose iterate and predecessor both have rank P = 1.
+    cfg = SvtConfig(tau=40.0, subspace_rank=1, subspace_tol=1.0)
+    result = complete(values, mask, cfg)
+    assert (len(result.residuals), result.stop_reason) == (4, "subspace")
+    assert np.isnan(result.sin_thetas[:3]).all() and 0 <= result.sin_thetas[3] <= 1
+    tie = dataclasses.replace(cfg, tol=four.residuals[3])
     result = complete(values, mask, tie)
     assert (len(result.residuals), result.stop_reason) == (4, "residual")
+    # At P = 2 the statistic waits for two successive iterates of rank 2 or
+    # more, and is nan again after a rank-1 iterate.
+    p2 = complete(values, mask, SvtConfig(tau=5.0, max_iters=8, subspace_rank=2))
+    assert list(p2.ranks) == [0, 1, 2, 2, 1, 3, 2, 3]
+    assert list(np.flatnonzero(~np.isnan(p2.sin_thetas))) == [3, 6, 7]
+
+
+def test_subspace_rule_leaves_a_runaway_iterate_to_the_divergence_check():
+    """A step far above 2 blows the iterate up along a fixed leading
+    subspace: sin theta falls below the tolerance from iteration 3 while the
+    residual grows, so the rule does not stop the run and the divergence
+    check ends it."""
+    truth, values, mask = rank_one_problem(seed=3)
+    cfg = SvtConfig(step=400.0, max_iters=200, subspace_rank=1, subspace_tol=0.1)
+    early = complete(values, mask, dataclasses.replace(cfg, max_iters=6))
+    assert early.stop_reason == "max_iters"
+    assert (early.sin_thetas[2:] <= cfg.subspace_tol).all()
+    assert (early.residuals[1:] > 1).all()
+    with pytest.raises(SvtDivergenceError) as exc:
+        complete(values, mask, cfg)
+    assert exc.value.iters == DIVERGENCE_PATIENCE + 1
 
 
 def test_all_zero_observations_short_circuit():
@@ -233,28 +273,35 @@ def plain_svt(values, observed, cfg):
     b_norm = float(np.linalg.norm(b))
     y = np.zeros(len(b), dtype=np.complex128)
     scratch = np.zeros_like(values)
-    x = np.zeros_like(values)
-    residuals, ranks, reason = [], [], "max_iters"
+    p = cfg.subspace_rank
+    residuals, ranks, sin_thetas, reason = [], [], [], "max_iters"
+    top = None
     with linalg.single_thread_blas():
         for _ in range(cfg.max_iters):
             scratch[observed] = y
-            x_prev = x
-            x, rank, _ = shrink(scratch, tau)
+            top_prev = top
+            x, rank, kept = shrink(scratch, tau)
+            top = kept[:, :p] if p is not None and rank >= p else None
             r = b - x[observed]
             residuals.append(float(np.linalg.norm(r)) / b_norm)
             ranks.append(rank)
+            sin_thetas.append(math.nan)
+            if top is not None and top_prev is not None:
+                cosines = np.linalg.svd(top.conj().T @ top_prev, compute_uv=False)
+                sin_thetas[-1] = math.sqrt(max(0.0, 1.0 - cosines[-1] ** 2))
             if residuals[-1] <= cfg.tol:
                 reason = "residual"
                 break
             if (
-                cfg.change_tol is not None
-                and x_prev.any()
-                and np.linalg.norm(x - x_prev) <= cfg.change_tol * np.linalg.norm(x)
+                cfg.subspace_tol is not None
+                and sin_thetas[-1] <= cfg.subspace_tol
+                and residuals[-1] < 1
             ):
-                reason = "change"
+                reason = "subspace"
                 break
             y += step * r
-    return x, np.asarray(residuals), np.asarray(ranks, dtype=np.int64), reason
+    traces = (np.asarray(residuals), np.asarray(ranks, dtype=np.int64), np.asarray(sin_thetas))
+    return x, *traces, reason
 
 
 def first_step_norm(values, observed, cfg):
@@ -293,10 +340,11 @@ def run0_view(name):
 
 def assert_same_as_plain_svt(values, observed, cfg, shrink_calls, skipped):
     result = complete(values, observed, cfg)
-    x_ref, residuals_ref, ranks_ref, reason_ref = plain_svt(values, observed, cfg)
+    x_ref, residuals_ref, ranks_ref, sin_ref, reason_ref = plain_svt(values, observed, cfg)
     assert np.array_equal(result.matrix, x_ref)
     assert np.array_equal(result.residuals, residuals_ref)
     assert np.array_equal(result.ranks, ranks_ref)
+    assert np.array_equal(result.sin_thetas, sin_ref, equal_nan=True)
     assert result.stop_reason == reason_ref
     assert len(shrink_calls) == len(result.residuals) - skipped
     assert not result.ranks[:skipped].any()
@@ -309,10 +357,10 @@ def test_zero_iterate_skip_is_bit_identical_on_bundled_run0(name, shrink_calls):
     skipped = skipped_iterations(view.matrix, view.omega, cfg)
     ranks = assert_same_as_plain_svt(view.matrix, view.omega, cfg, shrink_calls, skipped)
     if name == "two_targets_first4":
-        assert (len(ranks), len(shrink_calls)) == (15, 12)
+        assert (len(ranks), len(shrink_calls)) == (5, 2)
 
 
-@pytest.mark.parametrize("cfg", [SvtConfig(tau=40.0)], ids=["change_rule_off"])
+@pytest.mark.parametrize("cfg", [SvtConfig(tau=40.0)], ids=["stop_rule_off"])
 def test_zero_iterate_skip_is_bit_identical_on_rank_one_oracle(cfg, shrink_calls):
     _, values, mask = rank_one_problem(seed=3)
     skipped = skipped_iterations(values, mask, cfg)
@@ -359,23 +407,28 @@ def paper_view_and_scheme(two_unit_geom, seed_signal=0, seed_dither=1000):
     return masked, build_quantized_hankel(masked, scheme), scheme
 
 
-def test_change_rule_stops_when_the_iterate_settles(two_unit_geom):
-    _, view, _ = paper_view_and_scheme(two_unit_geom)
-    cfg = load_bundled("two_targets_first4").svt
-    assert cfg.change_tol == CHANGE_TOL
+def test_subspace_rule_stops_when_the_subspace_settles():
+    view, cfg = run0_view("five_targets")
+    assert (cfg.subspace_rank, cfg.subspace_tol) == (5, SUBSPACE_TOL)
     result = svt_complete(view, cfg)
-    off = dataclasses.replace(cfg, change_tol=None)
+    off = dataclasses.replace(cfg, subspace_tol=None)
     full = svt_complete(view, off)
-    assert (result.stop_reason, full.stop_reason) == ("change", "residual")
-    assert len(result.residuals) == len(result.ranks) < len(full.residuals) / 4
+    assert (result.stop_reason, full.stop_reason) == ("subspace", "residual")
+    k = result.iters
+    assert k == len(result.ranks) == len(result.sin_thetas) < len(full.residuals) / 4
     # The rule only stops the iteration; it does not alter the path.
-    assert np.array_equal(result.residuals, full.residuals[: len(result.residuals)])
-    k = len(result.residuals)
+    assert np.array_equal(result.residuals, full.residuals[:k])
+    assert np.array_equal(result.sin_thetas, full.sin_thetas[:k], equal_nan=True)
+    # The last row crosses the tolerance, and no earlier row reached it.
+    assert result.sin_thetas[-1] <= cfg.subspace_tol
+    assert (result.sin_thetas[:-1] > cfg.subspace_tol).sum() >= 3
+    assert not (result.sin_thetas[:-1] <= cfg.subspace_tol).any()
+    # The statistic is the largest principal angle between the top-5 right
+    # singular subspaces of the last two iterates.
     prev = svt_complete(view, dataclasses.replace(off, max_iters=k - 1)).matrix
-    prev2 = svt_complete(view, dataclasses.replace(off, max_iters=k - 2)).matrix
-    x = result.matrix
-    assert np.linalg.norm(x - prev) <= cfg.change_tol * np.linalg.norm(x)
-    assert np.linalg.norm(prev - prev2) > cfg.change_tol * np.linalg.norm(prev)
+    v, v_prev = (np.linalg.svd(m)[2][:5].conj().T for m in (result.matrix, prev))
+    sin_theta = np.linalg.norm(v_prev - v @ (v.conj().T @ v_prev), 2)
+    assert sin_theta == pytest.approx(result.sin_thetas[-1], abs=1e-6)
 
 
 def test_quantized_hankel_reference_counts(two_unit_geom):

@@ -33,7 +33,7 @@ from hankeldoa.pipeline import (
     write_trace_csv,
 )
 from hankeldoa.quant import DynamicRangeViolation
-from hankeldoa.scenario import CHANGE_TOL, load_bundled, scenario_hash
+from hankeldoa.scenario import SUBSPACE_TOL, load_bundled, scenario_hash
 from hankeldoa.signal import SnapshotKind, TargetScene, synthesize_snapshot
 
 
@@ -80,7 +80,7 @@ def test_single_run_quality(single_run_manifest):
     summary = single_run_manifest.runs[0]
     assert summary.run == 0
     assert (summary.seed_signal, summary.seed_dither) == (0, 1000)
-    assert summary.stop_reason == "change"
+    assert summary.stop_reason == "subspace"
     assert summary.peaks_complete
     assert len(summary.peaks) == 2
     assert summary.max_error_deg is not None and summary.max_error_deg <= 1.0
@@ -143,16 +143,16 @@ def test_manifest_json_holds_every_field(first4_scenario, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "change_tol, max_iters, reason",
+    "subspace_tol, max_iters, reason",
     [
-        (CHANGE_TOL, 1500, "change"),
+        (SUBSPACE_TOL, 1500, "subspace"),
         (None, 1500, "residual"),
-        (CHANGE_TOL, 10, "max_iters"),
+        (SUBSPACE_TOL, 4, "max_iters"),
     ],
 )
-def test_run_stop_reason(monkeypatch, first4_scenario, change_tol, max_iters, reason):
+def test_run_stop_reason(monkeypatch, first4_scenario, subspace_tol, max_iters, reason):
     """The reason runs.csv and `run` report is the one the solver stopped by."""
-    monkeypatch.setattr(scenario, "CHANGE_TOL", change_tol)
+    monkeypatch.setattr(scenario, "SUBSPACE_TOL", subspace_tol)
     scn = dataclasses.replace(first4_scenario, max_iters=max_iters)
     summary, _, _ = pipeline.execute_run(scn, 0)
     assert summary.stop_reason == reason
@@ -209,7 +209,7 @@ def test_explicit_tau_stays_absolute(first4_scenario):
         dataclasses.replace(first4_scenario, tau=375.0), runs=3, write=False
     )
     assert [(r.iters, r.stop_reason, r.tau) for r in manifest.runs] == [
-        (25, "change", 375.0), (26, "change", 375.0), (24, "change", 375.0),
+        (9, "subspace", 375.0), (9, "subspace", 375.0), (9, "subspace", 375.0),
     ]
 
 
@@ -414,10 +414,10 @@ def _skip_unless_golden_kernels():
 
 
 def test_bundled_manifest_hashes_are_pinned():
-    """With the change rule off, the solver is bit for bit the residual-rule
-    solver these hashes were recorded with."""
+    """With the subspace rule off, the solver is bit for bit the
+    residual-rule solver these hashes were recorded with."""
     _skip_unless_golden_kernels()
-    assert record_pins.change_rule_off_hashes() == _pinned("hashes", "change_rule_off/")
+    assert record_pins.stop_rule_off_hashes() == _pinned("hashes", "stop_rule_off/")
 
 
 @pytest.fixture(scope="module")
@@ -1002,7 +1002,7 @@ def test_trace_csv_is_one_based(tmp_path):
         str(path), np.array([0.5, 0.25]), np.array([3, 2]), np.array([np.nan, 0.125])
     )
     lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "k,residual,rank,change"
+    assert lines[0] == "k,residual,rank,sin_theta"
     assert lines[1].startswith("1,") and lines[2].startswith("2,")
     assert lines[1].endswith(",nan") and lines[2].endswith(",0.125")
 
@@ -1068,7 +1068,7 @@ def test_array_writers_match_the_per_cell_rule(tmp_path):
     write_trace_csv(str(tmp_path / "trace.csv"), odd, ranks, odd[::-1])
     rows = [(k + 1, odd[k], ranks[k], odd[::-1][k]) for k in range(odd.size)]
     assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == _per_cell_csv(
-        ["k", "residual", "rank", "change"], rows
+        ["k", "residual", "rank", "sin_theta"], rows
     )
 
     values = np.empty(odd.size, dtype=np.complex128)
@@ -1089,7 +1089,7 @@ def test_batch_tables_match_the_per_cell_rule(first4_scenario, monkeypatch, tmp_
         summary = pipeline.RunSummary(
             run=run, seed_signal=np.int64(2**62 + run), seed_dither=run,
             delta1=5e-324, delta2=-0.0, tau=np.float64(2.5), iters=np.int64(7),
-            stop_reason="change" if run == 0 else "max_iters",
+            stop_reason="subspace" if run == 0 else "max_iters",
             final_residual=np.float64(0.1), data_residual=np.inf,
             peaks=[(-34.0 - run / 3.0, 0.0), (1e17, -np.inf)],
             peaks_complete=np.bool_(run == 0), sidelobe_sla_db=-np.inf,
@@ -1098,7 +1098,7 @@ def test_batch_tables_match_the_per_cell_rule(first4_scenario, monkeypatch, tmp_
             l1_error=-1.0 / 3.0 if run == 0 else np.float64(-0.0),
         )
         artifacts = {"spectra": [], "residuals": np.ones(1), "ranks": np.zeros(1, int),
-                     "changes": np.full(1, np.nan)}
+                     "sin_thetas": np.full(1, np.nan)}
         return summary, artifacts, {}
 
     monkeypatch.setattr(pipeline, "execute_run", run_with_odd_values)

@@ -8,7 +8,6 @@ import pytest
 
 from hankeldoa.completion import TAU_SCALE, SvtConfig
 from hankeldoa.scenario import (
-    CHANGE_TOL,
     NAMED_PLACEMENTS,
     SUBSPACE_TOL,
     Scenario,
@@ -153,6 +152,9 @@ SECTION_MESSAGES = [
     ({"runs": 0}, "[scenario] runs: must be at least 1"),
     ({"seed_signal": -1}, "[seeds] signal: must be nonnegative"),
     ({"seed_dither": -1}, "[seeds] dither: must be nonnegative"),
+    ({"angles_deg": tuple(np.linspace(-80.0, 80.0, 76))},
+     "[scene] angles_deg: subspace_rank 76 exceeds min(n1, n2) = 75 of the 75 x 75 "
+     "matrix"),
 ]
 
 
@@ -217,23 +219,37 @@ def test_bad_geometry_is_rejected_at_load():
             parse_scenario(MINIMAL + f"\n[geometry]\n{key} = 0, 9, 25\n")
 
 
-def test_every_scenario_runs_the_change_rule():
-    assert parse_scenario(MINIMAL).svt.change_tol == CHANGE_TOL == 2.5e-2
+def test_every_scenario_runs_the_subspace_rule():
+    svt = parse_scenario(MINIMAL).svt
+    assert (svt.subspace_rank, svt.subspace_tol) == (2, SUBSPACE_TOL) == (2, 0.1)
+    most = Scenario(name="x", angles_deg=tuple(np.linspace(-80.0, 80.0, 75)))
+    assert most.svt.subspace_rank == 75
 
 
 def test_solver_constants_are_the_values_their_records_chose():
-    """CHANGE_TOL and TAU_SCALE are what tests/change_tol.json and
+    """SUBSPACE_TOL and TAU_SCALE are what tests/subspace_tol.json and
     tests/tau_scale.json chose, by the rules of tests/record_svt_sweeps.py
-    applied to the recorded metrics, and each record ran with the other
-    constant as shipped.  Nothing is run: a constant edited by hand, or a
-    record not taken again after the other constant moved, fails here."""
-    tol = json.loads(record_svt_sweeps.TOL_PATH.read_text(encoding="utf-8"))
+    applied to the recorded hit strings and metrics, and each record ran
+    with the other's solver as shipped: the subspace sweep at TAU_SCALE, and
+    the threshold sweep at the change rule that is the subspace sweep's
+    baseline.  Nothing is run: a constant edited by hand, or a record not
+    taken again after the other constant moved, fails here."""
+    sub = json.loads(record_svt_sweeps.SUBSPACE_PATH.read_text(encoding="utf-8"))
     tau = json.loads(record_svt_sweeps.TAU_PATH.read_text(encoding="utf-8"))
-    assert record_svt_sweeps.chosen_tol(tol["rules"]) == tol["chosen"]["change_tol"]
-    assert tol["chosen"]["change_tol"] == CHANGE_TOL
+    base = sub["rules"][record_svt_sweeps.BASELINE]
+    for label, records in sub["rules"].items():
+        for name, r in records.items():
+            assert r["hits"] == "".join(r["hit_strings"]).count("1")
+            if label != record_svt_sweeps.BASELINE:
+                assert r["paired"] == record_svt_sweeps.paired(
+                    r["hit_strings"], base[name]["hit_strings"]
+                )
+    chosen = record_svt_sweeps.chosen_subspace_tol(sub["rules"])
+    assert chosen == sub["chosen"]["subspace_tol"] == SUBSPACE_TOL
     assert record_svt_sweeps.smallest_lossless_scale(tau["rules"]) == TAU_SCALE
     assert tau["chosen"]["smallest_lossless_scale"] == TAU_SCALE
-    assert (tol["blocks"]["tau_scale"], tau["blocks"]["change_tol"]) == (TAU_SCALE, CHANGE_TOL)
+    assert sub["blocks"]["tau_scale"] == TAU_SCALE
+    assert tau["blocks"]["change_tol"] == sub["baseline"]["change_tol"]
 
 
 def test_unobserved_placement_is_rejected_at_load():
@@ -338,7 +354,7 @@ def test_scenario_keeps_what_it_resolves(name):
     assert scn.scene == TargetScene(scn.angles_deg, scn.amplitudes, scn.snr_db)
     assert scn.svt == SvtConfig(
         tau=scn.tau, step=scn.step, tol=scn.tol, max_iters=scn.max_iters,
-        change_tol=CHANGE_TOL, subspace_rank=scn.model_order, subspace_tol=SUBSPACE_TOL,
+        subspace_rank=scn.model_order, subspace_tol=SUBSPACE_TOL,
     )
     with pytest.raises(ValueError, match="read-only"):
         scn.multi_bit[0] = 1 - scn.multi_bit[0]

@@ -101,8 +101,8 @@ def block_runs(name: str, setting, offset: int) -> list:
         ).runs
 
 
-def rule_record(name: str, setting, offsets=OFFSETS) -> dict:
-    blocks = [block_runs(name, setting, offset) for offset in offsets]
+def rule_record(name: str, setting) -> dict:
+    blocks = [block_runs(name, setting, offset) for offset in OFFSETS]
     runs = [r for block in blocks for r in block]
     hits = [r for r in runs if is_hit(r)]
     margins = [r.sidelobe_margin_db for r in hits]
@@ -127,10 +127,10 @@ def rule_record(name: str, setting, offsets=OFFSETS) -> dict:
     return out
 
 
-def sweep(settings: dict, offsets=OFFSETS) -> dict:
+def sweep(settings: dict) -> dict:
     """{label: {scenario: rule_record}} for each label and setting."""
     return {
-        label: {name: rule_record(name, setting, offsets)
+        label: {name: rule_record(name, setting)
                 for name in bundled_scenario_names()}
         for label, setting in settings.items()
     }

@@ -8,7 +8,7 @@ Iteration, from y0 = 0 over the observed cells:
     y_k = y_{k-1} + step * (b - gather(X_k))
 
 stopping when ||gather(X_k) - b|| / ||b|| <= tol ("residual"), else, when
-subspace_tol is set, when sin theta_k <= subspace_tol with that relative
+subspace_rank is set, when sin theta_k <= SUBSPACE_TOL with that relative
 residual below 1 ("subspace"), else at max_iters ("max_iters").  A runaway
 iterate can hold its leading subspace still while its residual grows (a step
 of 400 does so from iteration 3), so the rule waits for an iterate that fits
@@ -36,11 +36,10 @@ noise: on the bundled scenarios the iterate's rank climbs past 30 while the
 rank projection keeps P = 2-5.  The subspace rule stops once the rank-P
 structure that the projection and the spectra read has settled.  SvtConfig()
 leaves it off because on exact data it stops before the residual rule's
-accuracy: with subspace_rank = 1 and subspace_tol = 0.1 the 8x8 rank-1
-oracle stops after 5 iterations at a relative error of 3.0e-1, where the
-residual rule takes 190 iterations to 2.9e-4.  Scenarios, which complete
-quantized data, turn it on (P = model_order and scenario.SUBSPACE_TOL, in
-every Scenario's svt).
+accuracy: with subspace_rank = 1 the 8x8 rank-1 oracle stops after 5
+iterations at a relative error of 3.0e-1, where the residual rule takes 190
+iterations to 2.9e-4.  Scenarios, which complete quantized data, turn it on
+(P = model_order, in every Scenario's svt).
 
 The first iterates are all zero and need no shrink.  While X is zero, y_k is
 the k-fold repeated sum of s = fl(step * b): each entry is within about
@@ -94,6 +93,16 @@ MAX_DEFAULT_STEP = 1.9
 # that tests/record_svt_sweeps.py writes: the one scale tried that loses no
 # hit against the absolute 5 * sqrt(n1 * n2) on any bundled scenario.
 TAU_SCALE = 1.0
+# The subspace rule's tolerance on sin theta, used whenever subspace_rank is
+# set (every scenario sets it to model_order).  Quantized data sits far from
+# the truth, well above the residual rule's tol, so once the rank-P structure
+# that the rank projection keeps has settled, later iterations fit
+# quantization noise it discards.  Chosen from tests/subspace_tol.json
+# (tests/record_svt_sweeps.py): the loosest tolerance tried that has no more
+# paired losses than wins against the change rule it replaced, in any
+# scenario, and keeps every two-target hit at a 5 dB margin (0.2 loses two
+# four-target hits and wins one).
+SUBSPACE_TOL = 0.1
 
 
 @dataclass
@@ -104,15 +113,14 @@ class SvtConfig:
     that is set is absolute, the same number whatever the data's unit.
     subspace_rank P, at least 1 and at most min(n1, n2) of the completed
     matrix (checked by svt_complete), sets the subspace the sin theta trace
-    follows; subspace_tol, in (0, 1] and only with a P, turns the subspace
-    rule on, and stays None to leave it off."""
+    follows and turns the subspace rule on at SUBSPACE_TOL; it stays None to
+    leave the rule off."""
 
     tau: float | None = None
     step: float | None = None
     tol: float = 1e-4
     max_iters: int = 500
     subspace_rank: int | None = None
-    subspace_tol: float | None = None
 
     def __post_init__(self):
         for name in ("tau", "step", "tol"):
@@ -121,11 +129,6 @@ class SvtConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.subspace_rank is not None and self.subspace_rank < 1:
             raise ValueError("subspace_rank must be at least 1")
-        if self.subspace_tol is not None:
-            if not 0 < self.subspace_tol <= 1:
-                raise ValueError("subspace_tol must lie in (0, 1]")
-            if self.subspace_rank is None:
-                raise ValueError("subspace_tol needs a subspace_rank")
         if self.tol >= 1:
             # Iteration 1's iterate is zero, at relative residual exactly 1,
             # so a tol of 1 or more would stop every run there.
@@ -267,11 +270,8 @@ def svt_complete(view: HankelView, cfg: SvtConfig) -> CompletionResult:
                 if resid <= cfg.tol:
                     stop_reason = "residual"
                     break
-                if (
-                    cfg.subspace_tol is not None
-                    and sin_theta <= cfg.subspace_tol
-                    and resid < 1.0
-                ):
+                # Without a P, sin theta is nan and never meets the tolerance.
+                if sin_theta <= SUBSPACE_TOL and resid < 1.0:
                     stop_reason = "subspace"
                     break
                 high_streak = (

@@ -33,17 +33,6 @@ from .spectrum import check_n_fft
 
 NAMED_PLACEMENTS = ("edges", "last4", "first4")
 
-# The solver's subspace rule for every scenario (completion.svt_complete),
-# on the top model_order right singular subspace of the iterate.  A scenario
-# completes quantized data, whose distance from the truth sits far above the
-# residual rule's tol, so once the rank-P structure that the rank projection
-# keeps has settled, later iterations fit quantization noise it discards.
-# Chosen from tests/subspace_tol.json (tests/record_svt_sweeps.py): the
-# loosest tolerance tried that has no more paired losses than wins against
-# the change rule it replaced, in any scenario, and keeps every two-target
-# hit at a 5 dB margin (0.2 loses two four-target hits and wins one).
-SUBSPACE_TOL = 0.1
-
 
 class ScenarioError(ValueError):
     """A scenario file or field failed validation."""
@@ -71,8 +60,8 @@ class Scenario:
     TargetScene), geometry (the ArrayGeometry, by geometry_of), multi_bit
     (the read-only indicator, by placement_to_delta) and svt (the SvtConfig,
     with the subspace rule on the top model_order right singular subspace at
-    SUBSPACE_TOL as it stood when the scenario was built).  model_order may
-    not exceed min(n1, n2) of the scenario's Hankel matrix.
+    completion.SUBSPACE_TOL).  model_order may not exceed min(n1, n2) of the
+    scenario's Hankel matrix.
     """
 
     name: str
@@ -133,7 +122,6 @@ class Scenario:
         svt = checked(
             "[svt] ", SvtConfig, tau=self.tau, step=self.step, tol=self.tol,
             max_iters=self.max_iters, subspace_rank=self.model_order,
-            subspace_tol=SUBSPACE_TOL,
         )
         object.__setattr__(self, "svt", svt)
         checked(

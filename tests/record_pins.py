@@ -11,7 +11,7 @@ import pathlib
 import tempfile
 from unittest import mock
 
-from hankeldoa import cli, pipeline, scenario
+from hankeldoa import cli, completion, pipeline
 from hankeldoa.linalg import blas_core, numpy_dispatch
 from hankeldoa.pipeline import run_scenario
 from hankeldoa.scenario import bundled_scenario_names, load_bundled
@@ -45,8 +45,9 @@ def manifest_hashes(label: str, manifests: dict) -> dict:
 
 def stop_rule_off_hashes() -> dict:
     """The bundled manifests with the subspace rule off, which stop by the
-    residual rule or at max_iters."""
-    with mock.patch.object(scenario, "SUBSPACE_TOL", None):
+    residual rule or at max_iters: sin theta lies in [0, 1] or is nan, so it
+    never reaches a tolerance of -1."""
+    with mock.patch.object(completion, "SUBSPACE_TOL", -1.0):
         return manifest_hashes("stop_rule_off", bundled_manifests())
 
 

@@ -2,7 +2,7 @@
 tests/subspace_tol.json: PYTHONPATH=src python tests/record_svt_sweeps.py.
 
 Each setting runs every bundled scenario over ten disjoint 20-run blocks
-(seed offsets 0, 20, ..., 180 on both seeds), with one scenario constant
+(seed offsets 0, 20, ..., 180 on both seeds), with one solver constant
 patched around the whole block and the rest as shipped.  Per scenario and
 setting the record gives each block's hits as one string, "1" for a hit
 (peaks complete, every angle within 1 degree) and "0" for a miss, in run
@@ -24,7 +24,7 @@ stop once ||X_k - X_{k-1}||_F / ||X_k||_F <= 2.5e-2 with X_{k-1} nonzero, at
 completion.TAU_SCALE = 1.  Its records were taken while that rule existed;
 the program no longer has it, so the script keeps them from the stored
 record instead of running them again.  Each other setting stops at the
-subspace rule, with scenario.SUBSPACE_TOL at each tolerance in
+subspace rule, with completion.SUBSPACE_TOL at each tolerance in
 SUBSPACE_TOLS.  "chosen" is the loosest tolerance that meets both conditions
 (SUBSPACE_RULE), fixed before the sweep ran:
   1. in no scenario does it have more paired losses than wins against the
@@ -44,7 +44,7 @@ import pathlib
 import statistics
 from unittest import mock
 
-from hankeldoa import completion, scenario
+from hankeldoa import completion
 from hankeldoa.pipeline import run_scenario
 from hankeldoa.scenario import bundled_scenario_names, load_bundled
 
@@ -86,8 +86,8 @@ def is_hit(summary) -> bool:
 
 
 def patched(tol: float):
-    """The setting with scenario.SUBSPACE_TOL at tol."""
-    return lambda: mock.patch.object(scenario, "SUBSPACE_TOL", tol)
+    """The setting with completion.SUBSPACE_TOL at tol."""
+    return lambda: mock.patch.object(completion, "SUBSPACE_TOL", tol)
 
 
 def block_runs(name: str, setting, offset: int) -> list:
@@ -198,7 +198,7 @@ def subspace_record() -> dict:
         "baseline": stored["baseline"],
         "rule": SUBSPACE_RULE,
         "chosen": {"subspace_tol": chosen_subspace_tol(rules),
-                   "scenario_subspace_tol": scenario.SUBSPACE_TOL},
+                   "scenario_subspace_tol": completion.SUBSPACE_TOL},
         "rules": rules,
     }
 

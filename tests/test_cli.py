@@ -13,7 +13,12 @@ import pytest
 
 from hankeldoa import cli, pipeline
 from hankeldoa.cli import build_parser, main
-from hankeldoa.completion import SvtDivergenceError, rank_projected_snapshot, svt_complete
+from hankeldoa.completion import (
+    SUBSPACE_TOL,
+    SvtDivergenceError,
+    rank_projected_snapshot,
+    svt_complete,
+)
 from hankeldoa.geometry import masking_vector
 from hankeldoa.pipeline import read_snapshot_csv
 from hankeldoa.quant import (
@@ -23,7 +28,7 @@ from hankeldoa.quant import (
     design_scales,
     word_levels,
 )
-from hankeldoa.scenario import SUBSPACE_TOL, load_bundled, scenario_to_ini, with_overrides
+from hankeldoa.scenario import load_bundled, scenario_to_ini, with_overrides
 from hankeldoa.signal import synthesize_snapshot
 from hankeldoa.spectrum import angle_spectrum
 

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hankeldoa import linalg, pipeline
+from hankeldoa import completion, linalg, pipeline
 from hankeldoa.completion import (
     DIVERGENCE_FACTOR,
     DIVERGENCE_PATIENCE,
+    SUBSPACE_TOL,
     TAU_SCALE,
     SvtConfig,
     SvtDivergenceError,
@@ -28,7 +29,7 @@ from hankeldoa.quant import (
     build_quantized_hankel,
     design_scales,
 )
-from hankeldoa.scenario import SUBSPACE_TOL, bundled_scenario_names, load_bundled
+from hankeldoa.scenario import bundled_scenario_names, load_bundled
 from hankeldoa.signal import Snapshot, SnapshotKind, TargetScene, synthesize_snapshot
 
 from conftest import constant_masked
@@ -59,24 +60,18 @@ def test_config_defaults_and_validation():
         SvtConfig(max_iters=0)
     with pytest.raises(ValueError):
         SvtConfig(step=-1.0)
-    assert cfg.subspace_rank is None and cfg.subspace_tol is None
+    assert cfg.subspace_rank is None
 
 
-def test_subspace_rule_bounds():
-    """subspace_tol lies in (0, 1] and needs a rank; subspace_rank lies in
-    1..min(n1, n2), its upper bound checked against the matrix it completes."""
-    for tol in (np.nextafter(0.0, 1.0), 1.0):
-        assert SvtConfig(subspace_rank=1, subspace_tol=tol).subspace_tol == tol
-    for bad in (0.0, -0.1, np.nextafter(1.0, 2.0), np.inf, np.nan):
-        with pytest.raises(ValueError, match=r"subspace_tol must lie in \(0, 1\]"):
-            SvtConfig(subspace_rank=1, subspace_tol=bad)
-    with pytest.raises(ValueError, match="subspace_tol needs a subspace_rank"):
-        SvtConfig(subspace_tol=0.1)
+def test_subspace_rule_bounds(monkeypatch):
+    """subspace_rank lies in 1..min(n1, n2), its upper bound checked against
+    the matrix it completes."""
     with pytest.raises(ValueError, match="subspace_rank must be at least 1"):
         SvtConfig(subspace_rank=0)
     _, values, mask = rank_one_problem(seed=3)
+    monkeypatch.setattr(completion, "SUBSPACE_TOL", 1.0)
     for rank in (1, 8):
-        cfg = SvtConfig(tau=40.0, max_iters=6, subspace_rank=rank, subspace_tol=1.0)
+        cfg = SvtConfig(tau=40.0, max_iters=6, subspace_rank=rank)
         assert complete(values, mask, cfg).iters <= 6
     with pytest.raises(ValueError, match=r"subspace_rank 9 exceeds min\(n1, n2\) = 8"):
         complete(values, mask, SvtConfig(subspace_rank=9))
@@ -133,14 +128,17 @@ def test_residuals_are_positive_and_final_below_tol():
     assert len(result.ranks) == len(result.residuals)
 
 
-def test_subspace_rule_waits_for_two_iterates_of_rank_p_and_yields_to_the_residual():
+def test_subspace_rule_waits_for_two_iterates_of_rank_p_and_yields_to_the_residual(
+    monkeypatch,
+):
     truth, values, mask = rank_one_problem(seed=3)
     four = complete(values, mask, SvtConfig(tau=40.0, max_iters=4))
     assert list(four.ranks) == [0, 0, 1, 1]
     assert np.isnan(four.sin_thetas).all()
     # sin theta <= 1 always holds, so the first stop is iteration 4, the
     # first whose iterate and predecessor both have rank P = 1.
-    cfg = SvtConfig(tau=40.0, subspace_rank=1, subspace_tol=1.0)
+    monkeypatch.setattr(completion, "SUBSPACE_TOL", 1.0)
+    cfg = SvtConfig(tau=40.0, subspace_rank=1)
     result = complete(values, mask, cfg)
     assert (len(result.residuals), result.stop_reason) == (4, "subspace")
     assert np.isnan(result.sin_thetas[:3]).all() and 0 <= result.sin_thetas[3] <= 1
@@ -148,7 +146,9 @@ def test_subspace_rule_waits_for_two_iterates_of_rank_p_and_yields_to_the_residu
     result = complete(values, mask, tie)
     assert (len(result.residuals), result.stop_reason) == (4, "residual")
     # At P = 2 the statistic waits for two successive iterates of rank 2 or
-    # more, and is nan again after a rank-1 iterate.
+    # more, and is nan again after a rank-1 iterate.  A tolerance of -1,
+    # which no sin theta reaches, keeps the rule from stopping the trace.
+    monkeypatch.setattr(completion, "SUBSPACE_TOL", -1.0)
     p2 = complete(values, mask, SvtConfig(tau=5.0, max_iters=8, subspace_rank=2))
     assert list(p2.ranks) == [0, 1, 2, 2, 1, 3, 2, 3]
     assert list(np.flatnonzero(~np.isnan(p2.sin_thetas))) == [3, 6, 7]
@@ -160,14 +160,28 @@ def test_subspace_rule_leaves_a_runaway_iterate_to_the_divergence_check():
     residual grows, so the rule does not stop the run and the divergence
     check ends it."""
     truth, values, mask = rank_one_problem(seed=3)
-    cfg = SvtConfig(step=400.0, max_iters=200, subspace_rank=1, subspace_tol=0.1)
+    cfg = SvtConfig(step=400.0, max_iters=200, subspace_rank=1)
     early = complete(values, mask, dataclasses.replace(cfg, max_iters=6))
     assert early.stop_reason == "max_iters"
-    assert (early.sin_thetas[2:] <= cfg.subspace_tol).all()
+    assert (early.sin_thetas[2:] <= SUBSPACE_TOL).all()
     assert (early.residuals[1:] > 1).all()
     with pytest.raises(SvtDivergenceError) as exc:
         complete(values, mask, cfg)
     assert exc.value.iters == DIVERGENCE_PATIENCE + 1
+
+
+def test_subspace_rule_needs_a_residual_below_one():
+    """A step so small that every iterate is negligible beside the data: the
+    residual is exactly 1 on every row while sin theta is at most
+    SUBSPACE_TOL from row 3 on, and the rule, which asks for a residual
+    strictly below 1, never stops the run."""
+    truth, values, mask = rank_one_problem(seed=3)
+    sigma_c = first_step_norm(values, mask, SvtConfig(step=1e-20))
+    cfg = SvtConfig(tau=sigma_c / 10, step=1e-20, max_iters=10, subspace_rank=1)
+    result = complete(values, mask, cfg)
+    assert result.stop_reason == "max_iters" and result.iters == 10
+    assert (result.residuals == 1.0).all()
+    assert (result.sin_thetas[2:] <= SUBSPACE_TOL).all()
 
 
 def test_all_zero_observations_short_circuit():
@@ -292,11 +306,7 @@ def plain_svt(values, observed, cfg):
             if residuals[-1] <= cfg.tol:
                 reason = "residual"
                 break
-            if (
-                cfg.subspace_tol is not None
-                and sin_thetas[-1] <= cfg.subspace_tol
-                and residuals[-1] < 1
-            ):
+            if sin_thetas[-1] <= completion.SUBSPACE_TOL and residuals[-1] < 1:
                 reason = "subspace"
                 break
             y += step * r
@@ -407,12 +417,14 @@ def paper_view_and_scheme(two_unit_geom, seed_signal=0, seed_dither=1000):
     return masked, build_quantized_hankel(masked, scheme), scheme
 
 
-def test_subspace_rule_stops_when_the_subspace_settles():
+def test_subspace_rule_stops_when_the_subspace_settles(monkeypatch):
     view, cfg = run0_view("five_targets")
-    assert (cfg.subspace_rank, cfg.subspace_tol) == (5, SUBSPACE_TOL)
+    assert cfg.subspace_rank == 5
     result = svt_complete(view, cfg)
-    off = dataclasses.replace(cfg, subspace_tol=None)
-    full = svt_complete(view, off)
+    with monkeypatch.context() as off:
+        off.setattr(completion, "SUBSPACE_TOL", -1.0)
+        full = svt_complete(view, cfg)
+        prev = svt_complete(view, dataclasses.replace(cfg, max_iters=result.iters - 1))
     assert (result.stop_reason, full.stop_reason) == ("subspace", "residual")
     k = result.iters
     assert k == len(result.ranks) == len(result.sin_thetas) < len(full.residuals) / 4
@@ -420,15 +432,29 @@ def test_subspace_rule_stops_when_the_subspace_settles():
     assert np.array_equal(result.residuals, full.residuals[:k])
     assert np.array_equal(result.sin_thetas, full.sin_thetas[:k], equal_nan=True)
     # The last row crosses the tolerance, and no earlier row reached it.
-    assert result.sin_thetas[-1] <= cfg.subspace_tol
-    assert (result.sin_thetas[:-1] > cfg.subspace_tol).sum() >= 3
-    assert not (result.sin_thetas[:-1] <= cfg.subspace_tol).any()
+    assert result.sin_thetas[-1] <= SUBSPACE_TOL
+    assert (result.sin_thetas[:-1] > SUBSPACE_TOL).sum() >= 3
+    assert not (result.sin_thetas[:-1] <= SUBSPACE_TOL).any()
     # The statistic is the largest principal angle between the top-5 right
     # singular subspaces of the last two iterates.
-    prev = svt_complete(view, dataclasses.replace(off, max_iters=k - 1)).matrix
-    v, v_prev = (np.linalg.svd(m)[2][:5].conj().T for m in (result.matrix, prev))
+    v, v_prev = (np.linalg.svd(m)[2][:5].conj().T for m in (result.matrix, prev.matrix))
     sin_theta = np.linalg.norm(v_prev - v @ (v.conj().T @ v_prev), 2)
     assert sin_theta == pytest.approx(result.sin_thetas[-1], abs=1e-6)
+
+
+def test_subspace_rule_stops_at_its_tolerance(monkeypatch):
+    """The rule stops on a sin theta equal to the tolerance, and not on the
+    same sin theta under a tolerance one rounding step below it."""
+    view, cfg = run0_view("five_targets")
+    shipped = svt_complete(view, cfg)
+    assert shipped.stop_reason == "subspace"
+    k, value = shipped.iters, shipped.sin_thetas[-1]
+    monkeypatch.setattr(completion, "SUBSPACE_TOL", value)
+    at = svt_complete(view, cfg)
+    assert (at.iters, at.stop_reason, at.sin_thetas[-1]) == (k, "subspace", value)
+    monkeypatch.setattr(completion, "SUBSPACE_TOL", math.nextafter(value, 0))
+    below = svt_complete(view, cfg)
+    assert below.iters > k and below.sin_thetas[k - 1] == value
 
 
 def test_quantized_hankel_reference_counts(two_unit_geom):

@@ -15,8 +15,13 @@ import pytest
 
 import hankeldoa
 import record_pins
-from hankeldoa import pipeline, scenario
-from hankeldoa.completion import SvtDivergenceError, SvtUnderflowError, SvtZeroIterateError
+from hankeldoa import completion, pipeline
+from hankeldoa.completion import (
+    SUBSPACE_TOL,
+    SvtDivergenceError,
+    SvtUnderflowError,
+    SvtZeroIterateError,
+)
 from hankeldoa.linalg import blas_core, blas_threads, numpy_dispatch
 from hankeldoa.pipeline import (
     DITHER_GRID,
@@ -33,7 +38,7 @@ from hankeldoa.pipeline import (
     write_trace_csv,
 )
 from hankeldoa.quant import DynamicRangeViolation
-from hankeldoa.scenario import SUBSPACE_TOL, load_bundled, scenario_hash
+from hankeldoa.scenario import load_bundled, scenario_hash
 from hankeldoa.signal import SnapshotKind, TargetScene, synthesize_snapshot
 
 
@@ -146,13 +151,13 @@ def test_manifest_json_holds_every_field(first4_scenario, tmp_path):
     "subspace_tol, max_iters, reason",
     [
         (SUBSPACE_TOL, 1500, "subspace"),
-        (None, 1500, "residual"),
+        (-1.0, 1500, "residual"),
         (SUBSPACE_TOL, 4, "max_iters"),
     ],
 )
 def test_run_stop_reason(monkeypatch, first4_scenario, subspace_tol, max_iters, reason):
     """The reason runs.csv and `run` report is the one the solver stopped by."""
-    monkeypatch.setattr(scenario, "SUBSPACE_TOL", subspace_tol)
+    monkeypatch.setattr(completion, "SUBSPACE_TOL", subspace_tol)
     scn = dataclasses.replace(first4_scenario, max_iters=max_iters)
     summary, _, _ = pipeline.execute_run(scn, 0)
     assert summary.stop_reason == reason

@@ -38,7 +38,7 @@ import numpy as np
 from ._version import __version__
 from .completion import CompletionResult, rank_projected_snapshot, svt_complete
 from .geometry import masking_vector
-from .hankel import HankelView, lift
+from .hankel import HankelView, antenna_index, hankel_shape, lift
 from .linalg import blas_core, numpy_dispatch, single_thread_blas
 from .quant import QuantScheme, build_quantized_hankel, design_scales, word_levels
 from .scenario import Scenario, scenario_hash, scenario_to_ini, with_overrides
@@ -313,18 +313,18 @@ def _json_safe(obj):
 def _derived(scn: Scenario) -> dict:
     """The manifest's cell bookkeeping, shared by every run of a scenario."""
     mask = masking_vector(scn.geometry)
-    probe = Snapshot(
-        np.where(mask == 1, 1.0 + 0.0j, 0.0), mask, SnapshotKind.MASKED
-    )
-    view = lift(probe, scn.multi_bit)
-    omega1, omega2 = int(view.omega1.sum()), int(view.omega2.sum())
+    n1, n2 = hankel_shape(scn.geometry.m)
+    idx = antenna_index(n1, n2)
+    # placement_to_delta keeps every multi-bit antenna inside the mask.
+    omega, omega2 = int(mask[idx].sum()), int(scn.multi_bit[idx].sum())
+    omega1 = omega - omega2
     return {
         "m": scn.geometry.m,
-        "n1": view.n1,
-        "n2": view.n2,
+        "n1": n1,
+        "n2": n2,
         "observed_antennas": int(mask.sum()),
         "multi_bit_antennas": (np.flatnonzero(scn.multi_bit) + 1).tolist(),
-        "omega_cells": int(view.omega.sum()),
+        "omega_cells": omega,
         "omega1_cells": omega1,
         "omega2_cells": omega2,
         # inf when every observed antenna is multi-bit (null in manifest.json).

@@ -1,41 +1,31 @@
-"""Record how the SVT stop rule trades accuracy against iterations, in
-tests/subspace_tol.json: PYTHONPATH=src python tests/record_svt_sweeps.py.
+"""Record the SVT solver's two free constants, completion.TAU_SCALE (the
+threshold scale) and completion.SUBSPACE_TOL (the subspace rule's tolerance),
+in tests/svt_constants.json: PYTHONPATH=src python tests/record_svt_sweeps.py.
 
-Each setting runs every bundled scenario over ten disjoint 20-run blocks
-(seed offsets 0, 20, ..., 180 on both seeds), with one solver constant
-patched around the whole block and the rest as shipped.  Per scenario and
-setting the record gives each block's hits as one string, "1" for a hit
-(peaks complete, every angle within 1 degree) and "0" for a miss, in run
-order; the hit total; the smallest and the mean sidelobe margin of the hits;
-the mean iteration count; the mean l1_error; the stop reasons; and a 95%
-Wilson interval for the hit rate beside the bar of acceptance criterion 6
-(18/20, every hit's margin at least 5 dB) or 7 (16/20).  For the two-target
-scenes the interval of criterion 6's joint event, a hit with a margin of at
-least 5 dB, is given too.
+The baseline is the shipped program.  Each other setting in GRID patches one
+constant, the other as shipped, around the build and run of every block.
+Every setting runs every bundled scenario over the same ten disjoint 20-run
+blocks (seed offsets 0, 20, ..., 180 on both seeds), so its runs pair with
+the baseline's.  Per setting and scenario the record gives each block's hits
+as one string, "1" for a hit (peaks complete, every angle within 1 degree)
+and "0" for a miss, in run order; the hit total; the smallest and the mean
+sidelobe margin of the hits; the mean iteration count; the mean l1_error;
+the stop reasons; and a 95% Wilson interval for the hit rate beside the bar
+of acceptance criterion 6 (18/20, every hit's margin at least 5 dB) or 7
+(16/20).  For the two-target scenes the interval of criterion 6's joint
+event, a hit with a margin of at least 5 dB, is given too.  "paired" gives
+the wins (a hit under the setting, a miss under the baseline) and losses (the
+reverse), and the exact one-sided McNemar p-value of the losses: the chance
+of at least that many losses among the discordant runs if either outcome
+were equally likely (McNemar 1947).
 
-Every setting runs on the same seeds, so its runs pair with the baseline's.
-Per scenario the record gives the paired wins (a hit under the setting, a
-miss under the baseline) and losses (the reverse), and the exact one-sided
-McNemar p-value of the losses: the chance of at least that many losses among
-the discordant runs if either outcome were equally likely (McNemar 1947).
+One rule (RULE), fixed before the sweep ran, chooses both constants.  Among
+a constant's values, the shipped one included, keep those where
+  1. no scenario has more paired losses than wins against the baseline, and
+  2. every hit of a two-target scenario keeps criterion 6's 5 dB margin;
+from those, choose the value with the fewest mean iterations over all runs.
 
-The baseline (BASELINE) is the change rule the subspace rule replaced: a
-stop once ||X_k - X_{k-1}||_F / ||X_k||_F <= 2.5e-2 with X_{k-1} nonzero, at
-completion.TAU_SCALE = 1.  Its records were taken while that rule existed;
-the program no longer has it, so the script keeps them from the stored
-record instead of running them again.  Each other setting stops at the
-subspace rule, with completion.SUBSPACE_TOL at each tolerance in
-SUBSPACE_TOLS.  "chosen" is the loosest tolerance that meets both conditions
-(SUBSPACE_RULE), fixed before the sweep ran:
-  1. in no scenario does it have more paired losses than wins against the
-     baseline;
-  2. every hit of a two-target scenario keeps criterion 6's 5 dB margin.
-
-tests/tau_scale.json chose completion.TAU_SCALE by hit totals over three
-blocks at the baseline's change rule (smallest_lossless_scale); it is kept as
-it was recorded, and its "blocks" name that change rule.
-
-Not collected by pytest; it takes a few minutes on two CPUs.
+Not collected by pytest; it takes about 60 s on two CPUs.
 """
 
 import json
@@ -50,22 +40,35 @@ from hankeldoa.scenario import bundled_scenario_names, load_bundled
 
 import record_pins
 
-TAU_PATH = pathlib.Path(__file__).with_name("tau_scale.json")
-SUBSPACE_PATH = pathlib.Path(__file__).with_name("subspace_tol.json")
-SCALES = (0.5, 1.0, 1.5, 2.0)
-SUBSPACE_TOLS = (0.05, 0.1, 0.2)
+PATH = pathlib.Path(__file__).with_name("svt_constants.json")
+SHIPPED = "shipped"
+GRID = {"TAU_SCALE": (0.5, 1.5, 2.0), "SUBSPACE_TOL": (0.05, 0.2)}
 OFFSETS = tuple(range(0, 200, 20))
 BLOCK_RUNS = 20
-BASELINE = "change_tol_0.025"
 # Acceptance criteria 6 and 7: the hit rate each bar asks of a 20-run batch.
 TWO_TARGET_BAR, MULTI_TARGET_BAR = 18 / 20, 16 / 20
 MARGIN_BAR_DB = 5.0
 Z95 = 1.959963984540054
-SUBSPACE_RULE = (
-    "the loosest subspace tolerance that has no more paired losses than wins "
-    "against the change rule at 2.5e-2 in any scenario, and leaves every "
-    "two-target hit at a margin of at least 5 dB"
+RULE = (
+    "among a constant's values, the shipped one included, those with no more "
+    "paired losses than wins against the shipped program in any scenario and "
+    "every two-target hit at a margin of at least 5 dB; of those, the value "
+    "with the fewest mean iterations over all runs"
 )
+
+
+def environment() -> dict:
+    return {**record_pins.environment(), "kernels": record_pins.kernels()}
+
+
+def settings() -> dict:
+    """{label: constants}: the shipped constants, then each value of GRID
+    with the other constant as shipped."""
+    shipped = {name: getattr(completion, name) for name in GRID}
+    out = {SHIPPED: shipped}
+    for name, values in GRID.items():
+        out.update({f"{name}={v:g}": {**shipped, name: v} for v in values})
+    return out
 
 
 def wilson(successes: int, trials: int) -> list[float]:
@@ -85,15 +88,14 @@ def is_hit(summary) -> bool:
     )
 
 
-def patched(tol: float):
-    """The setting with completion.SUBSPACE_TOL at tol."""
-    return lambda: mock.patch.object(completion, "SUBSPACE_TOL", tol)
+def hit_string(runs: list) -> str:
+    return "".join("01"[is_hit(r)] for r in runs)
 
 
-def block_runs(name: str, setting, offset: int) -> list:
-    """The RunSummaries of one block, with the setting's patch held around
-    the block's build and run."""
-    with setting():
+def block_runs(name: str, constants: dict, offset: int) -> list:
+    """The RunSummaries of one block, with completion's constants patched to
+    constants around the block's build and run."""
+    with mock.patch.multiple(completion, **constants):
         base = load_bundled(name)
         return run_scenario(
             base, runs=BLOCK_RUNS, seed_signal=base.seed_signal + offset,
@@ -101,54 +103,29 @@ def block_runs(name: str, setting, offset: int) -> list:
         ).runs
 
 
-def rule_record(name: str, setting) -> dict:
-    blocks = [block_runs(name, setting, offset) for offset in OFFSETS]
+def scenario_record(name: str, constants: dict) -> dict:
+    blocks = [block_runs(name, constants, offset) for offset in OFFSETS]
     runs = [r for block in blocks for r in block]
     hits = [r for r in runs if is_hit(r)]
     margins = [r.sidelobe_margin_db for r in hits]
     two_target = len(load_bundled(name).angles_deg) == 2
-    bar = TWO_TARGET_BAR if two_target else MULTI_TARGET_BAR
     out = {
         "runs": len(runs),
         "hits": len(hits),
-        "hit_strings": ["".join("01"[is_hit(r)] for r in block) for block in blocks],
+        "hit_strings": [hit_string(block) for block in blocks],
         "min_margin_db": min(margins, default=None),
         "mean_margin_db": statistics.fmean(margins) if margins else None,
         "mean_iters": statistics.fmean(r.iters for r in runs),
         "mean_l1_error": statistics.fmean(r.l1_error for r in runs),
         "stop_reasons": sorted({r.stop_reason for r in runs}),
         "hit_rate_95": wilson(len(hits), len(runs)),
-        "bar_rate": bar,
+        "bar_rate": TWO_TARGET_BAR if two_target else MULTI_TARGET_BAR,
     }
     if two_target:
         good = sum(m >= MARGIN_BAR_DB for m in margins)
         out["hits_at_margin_bar"] = good
         out["hits_at_margin_bar_rate_95"] = wilson(good, len(runs))
     return out
-
-
-def sweep(settings: dict) -> dict:
-    """{label: {scenario: rule_record}} for each label and setting."""
-    return {
-        label: {name: rule_record(name, setting)
-                for name in bundled_scenario_names()}
-        for label, setting in settings.items()
-    }
-
-
-def keeps_hits(records: dict, base: dict) -> bool:
-    """No scenario of records has fewer hits than in base."""
-    return all(r["hits"] >= base[name]["hits"] for name, r in records.items())
-
-
-def scale_label(scale: float) -> str:
-    return f"scale_{scale:g}"
-
-
-def smallest_lossless_scale(rules: dict) -> float | None:
-    """The smallest scale that keeps every hit of the absolute rule."""
-    lossless = [s for s in SCALES if keeps_hits(rules[scale_label(s)], rules["absolute"])]
-    return min(lossless, default=None)
 
 
 def paired(hit_strings: list[str], base_strings: list[str]) -> dict:
@@ -162,50 +139,41 @@ def paired(hit_strings: list[str], base_strings: list[str]) -> dict:
     return {"wins": wins, "losses": losses, "p_losses": p}
 
 
-def subspace_label(tol: float) -> str:
-    return f"subspace_{tol:g}"
+def chosen(recorded: dict, constant: str) -> float | None:
+    """The value of constant that RULE picks from the recorded settings."""
+    shipped = recorded[SHIPPED]["constants"]
+    kept = {}
+    for setting in recorded.values():
+        if any(v != shipped[k] for k, v in setting["constants"].items() if k != constant):
+            continue
+        scenarios = setting["scenarios"].values()
+        if all(r["paired"]["losses"] <= r["paired"]["wins"]
+               and r.get("hits_at_margin_bar", r["hits"]) == r["hits"] for r in scenarios):
+            # Every scenario has the same run count, so this is the mean over all runs.
+            kept[setting["constants"][constant]] = statistics.fmean(
+                r["mean_iters"] for r in scenarios)
+    return min(kept, key=kept.get, default=None)
 
 
-def chosen_subspace_tol(rules: dict) -> float | None:
-    """The tolerance SUBSPACE_RULE picks from the records' hit strings and
-    margins."""
-    base = rules[BASELINE]
-
-    def meets(records: dict) -> bool:
-        for name, r in records.items():
-            counts = paired(r["hit_strings"], base[name]["hit_strings"])
-            if counts["losses"] > counts["wins"]:
-                return False
-            if r.get("hits_at_margin_bar", r["hits"]) != r["hits"]:
-                return False
-        return True
-
-    return max((t for t in SUBSPACE_TOLS if meets(rules[subspace_label(t)])), default=None)
-
-
-def subspace_record() -> dict:
-    stored = json.loads(SUBSPACE_PATH.read_text(encoding="utf-8"))
-    base = stored["rules"][BASELINE]
-    rules = sweep({subspace_label(t): patched(t) for t in SUBSPACE_TOLS})
-    for records in rules.values():
-        for name, record in records.items():
-            record["paired"] = paired(record["hit_strings"], base[name]["hit_strings"])
-    rules[BASELINE] = base
+def record() -> dict:
+    recorded = {
+        label: {"constants": constants,
+                "scenarios": {name: scenario_record(name, constants)
+                              for name in bundled_scenario_names()}}
+        for label, constants in settings().items()
+    }
+    base = recorded[SHIPPED]["scenarios"]
+    for setting in recorded.values():
+        for name, r in setting["scenarios"].items():
+            r["paired"] = paired(r["hit_strings"], base[name]["hit_strings"])
     return {
-        "environment": record_pins.environment(),
-        "blocks": {"offsets": list(OFFSETS), "runs": BLOCK_RUNS,
-                   "tau_scale": completion.TAU_SCALE},
-        "baseline": stored["baseline"],
-        "rule": SUBSPACE_RULE,
-        "chosen": {"subspace_tol": chosen_subspace_tol(rules),
-                   "scenario_subspace_tol": completion.SUBSPACE_TOL},
-        "rules": rules,
+        "environment": environment(),
+        "blocks": {"offsets": list(OFFSETS), "runs": BLOCK_RUNS},
+        "rule": RULE,
+        "chosen": {constant: chosen(recorded, constant) for constant in GRID},
+        "settings": recorded,
     }
 
 
-def write(path: pathlib.Path, record: dict) -> None:
-    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
 if __name__ == "__main__":
-    write(SUBSPACE_PATH, subspace_record())
+    PATH.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

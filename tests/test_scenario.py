@@ -225,30 +225,46 @@ def test_every_scenario_runs_the_subspace_rule():
     assert most.svt.subspace_rank == 75
 
 
+SVT_RECORD = json.loads(record_svt_sweeps.PATH.read_text(encoding="utf-8"))
+
+
 def test_solver_constants_are_the_values_their_records_chose():
-    """SUBSPACE_TOL and TAU_SCALE are what tests/subspace_tol.json and
-    tests/tau_scale.json chose, by the rules of tests/record_svt_sweeps.py
-    applied to the recorded hit strings and metrics, and each record ran
-    with the other's solver as shipped: the subspace sweep at TAU_SCALE, and
-    the threshold sweep at the change rule that is the subspace sweep's
-    baseline.  Nothing is run: a constant edited by hand, or a record not
-    taken again after the other constant moved, fails here."""
-    sub = json.loads(record_svt_sweeps.SUBSPACE_PATH.read_text(encoding="utf-8"))
-    tau = json.loads(record_svt_sweeps.TAU_PATH.read_text(encoding="utf-8"))
-    base = sub["rules"][record_svt_sweeps.BASELINE]
-    for label, records in sub["rules"].items():
-        for name, r in records.items():
+    """TAU_SCALE and SUBSPACE_TOL are what tests/svt_constants.json chose,
+    by the rule of tests/record_svt_sweeps.py applied to the recorded hit
+    strings, margins and iterations, and each setting ran with the other
+    constant as shipped.  Nothing is run: a constant edited by hand, or a
+    record not taken again after a constant moved, fails here."""
+    recorded = SVT_RECORD["settings"]
+    base = recorded[record_svt_sweeps.SHIPPED]["scenarios"]
+    for setting in recorded.values():
+        for name, r in setting["scenarios"].items():
             assert r["hits"] == "".join(r["hit_strings"]).count("1")
-            if label != record_svt_sweeps.BASELINE:
-                assert r["paired"] == record_svt_sweeps.paired(
-                    r["hit_strings"], base[name]["hit_strings"]
-                )
-    chosen = record_svt_sweeps.chosen_subspace_tol(sub["rules"])
-    assert chosen == sub["chosen"]["subspace_tol"] == SUBSPACE_TOL
-    assert record_svt_sweeps.smallest_lossless_scale(tau["rules"]) == TAU_SCALE
-    assert tau["chosen"]["smallest_lossless_scale"] == TAU_SCALE
-    assert sub["blocks"]["tau_scale"] == TAU_SCALE
-    assert tau["blocks"]["change_tol"] == sub["baseline"]["change_tol"]
+            assert r["paired"] == record_svt_sweeps.paired(
+                r["hit_strings"], base[name]["hit_strings"]
+            )
+    shipped = {"TAU_SCALE": TAU_SCALE, "SUBSPACE_TOL": SUBSPACE_TOL}
+    assert SVT_RECORD["chosen"] == shipped
+    assert {c: record_svt_sweeps.chosen(recorded, c) for c in shipped} == shipped
+    constants = {label: setting["constants"] for label, setting in recorded.items()}
+    assert constants == record_svt_sweeps.settings()
+
+
+def test_svt_constants_record_re_takes():
+    """The last block of five_targets in tests/svt_constants.json, run again
+    under the shipped constants and under TAU_SCALE = 2, gives the recorded
+    hit strings: a record the script no longer reproduces fails here."""
+    if record_svt_sweeps.environment() != SVT_RECORD["environment"]:
+        pytest.skip(
+            f"the record was taken in {SVT_RECORD['environment']}, this is "
+            f"{record_svt_sweeps.environment()}; a borderline hit may flip"
+        )
+    settings = record_svt_sweeps.settings()
+    for label in (record_svt_sweeps.SHIPPED, "TAU_SCALE=2"):
+        runs = record_svt_sweeps.block_runs(
+            "five_targets", settings[label], record_svt_sweeps.OFFSETS[-1]
+        )
+        recorded = SVT_RECORD["settings"][label]["scenarios"]["five_targets"]
+        assert record_svt_sweeps.hit_string(runs) == recorded["hit_strings"][-1], label
 
 
 def test_unobserved_placement_is_rejected_at_load():
